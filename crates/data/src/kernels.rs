@@ -20,6 +20,11 @@
 //! [`crate::BitSet::words`]: bit `b` of word `w` is row `64w + b`, and
 //! tail bits beyond the logical length are zero (so popcounts over whole
 //! words are exact).
+//!
+//! [`sum_rows`] is the one floating-point kernel here: it adds the target
+//! rows an extension selects, for the observed subgroup mean. Its SIMD
+//! lanes run across columns, so each column still adds its rows one at a
+//! time in ascending order, and the twin's bits equal the portable body's.
 
 /// Portable fused AND+popcount body; also instantiated inside the
 /// feature-gated wrapper, where the identical source compiles to vector
@@ -158,12 +163,30 @@ fn and_count_grid_select_body(
     }
 }
 
+/// Portable row-sum body (see [`sum_rows`]; shapes asserted by the
+/// caller). Each selected row is added into `out` column by column.
+#[inline(always)]
+fn sum_rows_body(rows: &[f64], ext: &[u64], out: &mut [f64]) {
+    let width = out.len();
+    for (w, &word) in ext.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let i = w * 64 + bits.trailing_zeros() as usize;
+            for (o, v) in out.iter_mut().zip(&rows[i * width..(i + 1) * width]) {
+                *o += v;
+            }
+            bits &= bits - 1;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2+POPCNT instantiations of the portable bodies. LLVM vectorizes
     //! the `count_ones` loops with the pshufb nibble-LUT algorithm once the
     //! features are enabled — roughly a 2–4× kernel speedup over the
     //! baseline-`x86-64` scalar lowering on the machines this repo targets.
+    //! `sum_rows` gets 4-lane instead of 2-lane column adds.
 
     /// # Safety
     /// The caller must have verified AVX2 support (POPCNT is implied by
@@ -236,6 +259,13 @@ mod x86 {
             counts,
             super::and_count_body,
         )
+    }
+
+    /// # Safety
+    /// See [`and_count`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn sum_rows(rows: &[f64], ext: &[u64], out: &mut [f64]) {
+        super::sum_rows_body(rows, ext, out)
     }
 
     /// The detection result, probed exactly once per process. The std
@@ -498,6 +528,39 @@ pub fn and_count_grid_select(
     )
 }
 
+/// Adds into `out` every row of `rows` selected by `ext`: row `i` of the
+/// row-major matrix `rows`, `out.len()` columns wide, is added when bit `i`
+/// of `ext` is set. Rows are added in ascending order, each column on its
+/// own, so `out[j]` receives exactly the additions of the per-row
+/// `out[j] += rows[i][j]` loop, in the same order, whichever body runs.
+///
+/// # Panics
+/// Panics if `rows` is not a whole number of `out.len()`-wide rows, or if
+/// `ext` is not one bit per row, i.e. not ⌈row count / 64⌉ words long.
+pub fn sum_rows(rows: &[f64], ext: &[u64], out: &mut [f64]) {
+    let width = out.len();
+    if width == 0 {
+        return;
+    }
+    assert_eq!(
+        rows.len() % width,
+        0,
+        "kernels::sum_rows: rows are not {width} columns wide"
+    );
+    assert_eq!(
+        ext.len(),
+        (rows.len() / width).div_ceil(64),
+        "kernels::sum_rows: extension length mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2() {
+        // SAFETY: AVX2 support verified by the cached runtime probe.
+        unsafe { x86::sum_rows(rows, ext, out) };
+        return;
+    }
+    sum_rows_body(rows, ext, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,6 +785,89 @@ mod tests {
         let b: &[u64] = &[0u64; 3];
         let mut counts = vec![0usize; 2];
         and_count_grid(&[a, b], &[0u64; 2], &mut counts);
+    }
+
+    /// Row-major `rows × width` values spread over many binades, so any
+    /// change in the order of a column's additions would show in its bits.
+    fn targets(rows: usize, width: usize) -> Vec<f64> {
+        words(31, rows * width)
+            .into_iter()
+            .map(|w| {
+                let unit = (w >> 11) as f64 / (1u64 << 53) as f64;
+                (unit - 0.5) * 10f64.powi((w % 13) as i32 - 6)
+            })
+            .collect()
+    }
+
+    /// The per-row `add_assign` loop `sum_rows` replaced.
+    fn add_assign_oracle(rows: &[f64], width: usize, ext: &BitSet) -> Vec<f64> {
+        let mut out = vec![0.0; width];
+        for i in ext.iter() {
+            sisd_linalg::add_assign(&mut out, &rows[i * width..(i + 1) * width]);
+        }
+        out
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: column {j}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn sum_rows_bodies_match_the_add_assign_loop() {
+        // 300 rows: five words, the last one partial (44 rows).
+        let n = 300usize;
+        let mut extensions = vec![
+            BitSet::full(n),
+            BitSet::empty(n),
+            BitSet::from_words(words(41, n.div_ceil(64)), n),
+            BitSet::from_indices(n, [0, 63, 64, 255, 256, n - 1]),
+        ];
+        // Empty words between populated ones, and a populated tail word.
+        let mut sparse = words(42, n.div_ceil(64));
+        sparse[1] = 0;
+        sparse[2] = 0;
+        extensions.push(BitSet::from_words(sparse, n));
+        for dy in [1usize, 3, 4, 16, 124, 125] {
+            let rows = targets(n, dy);
+            for (e, ext) in extensions.iter().enumerate() {
+                let what = format!("dy={dy} extension {e}");
+                let want = add_assign_oracle(&rows, dy, ext);
+                let mut portable = vec![0.0; dy];
+                sum_rows_body(&rows, ext.words(), &mut portable);
+                assert_same_bits(&portable, &want, &format!("portable {what}"));
+                let mut dispatched = vec![0.0; dy];
+                sum_rows(&rows, ext.words(), &mut dispatched);
+                assert_same_bits(&dispatched, &want, &format!("dispatched {what}"));
+                #[cfg(target_arch = "x86_64")]
+                if x86::detect() {
+                    let mut twin = vec![0.0; dy];
+                    // SAFETY: AVX2 support verified just above.
+                    unsafe { x86::sum_rows(&rows, ext.words(), &mut twin) };
+                    assert_same_bits(&twin, &want, &format!("AVX2 {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_rows_adds_into_out_and_accepts_empty_shapes() {
+        let rows = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let mut out = vec![10.0, 20.0];
+        sum_rows(&rows, &[0b101], &mut out);
+        assert_eq!(out, vec![16.0, 28.0]);
+        sum_rows(&[], &[], &mut []);
+        let mut none: [f64; 0] = [];
+        sum_rows(&rows, &[0b111], &mut none);
+    }
+
+    #[test]
+    #[should_panic(expected = "extension length mismatch")]
+    fn sum_rows_rejects_a_short_extension() {
+        let rows = vec![0.0; 2 * 65];
+        sum_rows(&rows, &[u64::MAX], &mut [0.0, 0.0]);
     }
 
     #[cfg(target_arch = "x86_64")]

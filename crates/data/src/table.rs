@@ -182,9 +182,7 @@ impl Dataset {
         let cnt = ext.count();
         assert!(cnt > 0, "target_mean: empty extension");
         let mut mean = vec![0.0; self.dy()];
-        for i in ext.iter() {
-            sisd_linalg::add_assign(&mut mean, self.targets.row(i));
-        }
+        crate::kernels::sum_rows(self.targets.as_slice(), ext.words(), &mut mean);
         sisd_linalg::scale(1.0 / cnt as f64, &mut mean);
         mean
     }

@@ -31,6 +31,18 @@ impl std::error::Error for CholeskyError {}
 pub struct Cholesky {
     /// Lower-triangular factor, stored dense (upper part zeroed).
     l: Matrix,
+    /// `log |A|`, recomputed by `log_det_of` whenever `l` changes, so that
+    /// scoring a candidate against a shared factor costs no logarithms.
+    log_det: f64,
+}
+
+/// `2 Σ ln L_ii`, summed in index order.
+fn log_det_of(l: &Matrix) -> f64 {
+    let mut s = 0.0;
+    for i in 0..l.rows() {
+        s += l[(i, i)].ln();
+    }
+    2.0 * s
 }
 
 impl Cholesky {
@@ -58,7 +70,12 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Self { l })
+        Ok(Self::with_factor(l))
+    }
+
+    fn with_factor(l: Matrix) -> Self {
+        let log_det = log_det_of(&l);
+        Self { l, log_det }
     }
 
     /// Factorizes with an escalating diagonal jitter; used by the model layer
@@ -120,7 +137,7 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Self { l })
+        Ok(Self::with_factor(l))
     }
 
     /// Dimension of the factored matrix.
@@ -135,14 +152,12 @@ impl Cholesky {
         &self.l
     }
 
-    /// `log |A| = 2 Σ log L_ii`.
+    /// `log |A| = 2 Σ log L_ii`, stored with the factor: every constructor
+    /// and every in-place update (a failed downdate included) recomputes
+    /// it, so this is a field read with the bits of a fresh sum.
+    #[inline]
     pub fn log_det(&self) -> f64 {
-        let n = self.dim();
-        let mut s = 0.0;
-        for i in 0..n {
-            s += self.l[(i, i)].ln();
-        }
-        2.0 * s
+        self.log_det
     }
 
     /// Solves `L z = b` (forward substitution).
@@ -153,14 +168,54 @@ impl Cholesky {
     }
 
     /// Forward substitution without allocating: overwrites `b` with `L⁻¹ b`.
+    ///
+    /// Rows are solved in blocks of 8 (then 4, 2 and 1 for the last few),
+    /// so a block's subtraction chains run side by side instead of one
+    /// after another. Every `b[i]` still takes `b[i] -= L_ik · b[k]` for
+    /// `k = 0, 1, …, i − 1` in that order and is then divided by `L_ii`:
+    /// the result is bit-identical to the textbook row-by-row loop.
     pub fn solve_lower_in_place(&self, b: &mut [f64]) {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_lower: dimension mismatch");
-        for i in 0..n {
-            for k in 0..i {
-                b[i] -= self.l[(i, k)] * b[k];
+        let mut i0 = 0;
+        while n - i0 >= 8 {
+            self.solve_lower_block::<8>(b, i0);
+            i0 += 8;
+        }
+        if n - i0 >= 4 {
+            self.solve_lower_block::<4>(b, i0);
+            i0 += 4;
+        }
+        if n - i0 >= 2 {
+            self.solve_lower_block::<2>(b, i0);
+            i0 += 2;
+        }
+        if n - i0 == 1 {
+            self.solve_lower_block::<1>(b, i0);
+        }
+    }
+
+    /// Forward substitution of rows `i0..i0 + R`, with `b[..i0]` solved.
+    #[inline(always)]
+    fn solve_lower_block<const R: usize>(&self, b: &mut [f64], i0: usize) {
+        let n = self.dim();
+        let l = self.l.as_slice();
+        let rows: [&[f64]; R] = std::array::from_fn(|r| &l[(i0 + r) * n..][..=i0 + r]);
+        let mut acc: [f64; R] = std::array::from_fn(|r| b[i0 + r]);
+        // The solved prefix: R independent chains advance together over k.
+        for (k, &bk) in b[..i0].iter().enumerate() {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a -= row[k] * bk;
             }
-            b[i] /= self.l[(i, i)];
+        }
+        // The triangle inside the block, one row after the other.
+        for (r, (&a, row)) in acc.iter().zip(&rows).enumerate() {
+            let i = i0 + r;
+            let mut v = a;
+            for (&lik, &bk) in row[i0..i].iter().zip(&b[i0..i]) {
+                v -= lik * bk;
+            }
+            b[i] = v / row[i];
         }
     }
 
@@ -223,6 +278,7 @@ impl Cholesky {
                 self.l[(i, k)] = lik;
             }
         }
+        self.log_det = log_det_of(&self.l);
     }
 
     /// Rank-one downdate `A ← A − x xᵀ` applied directly to the factor in
@@ -240,6 +296,14 @@ impl Cholesky {
     }
 
     fn rank_one_downdate_impl(&mut self, w: &mut [f64]) -> Result<(), CholeskyError> {
+        let swept = self.rank_one_downdate_sweep(w);
+        // A failed sweep has already rotated the pivots before the failing
+        // one, so the stored log-determinant follows the factor either way.
+        self.log_det = log_det_of(&self.l);
+        swept
+    }
+
+    fn rank_one_downdate_sweep(&mut self, w: &mut [f64]) -> Result<(), CholeskyError> {
         let n = self.dim();
         for k in 0..n {
             let l = self.l[(k, k)];

@@ -1,0 +1,260 @@
+//! Bit-for-bit oracles for the scoring kernels of `Cholesky`.
+//!
+//! `solve_lower_in_place` solves rows in blocks so that independent
+//! subtraction chains overlap, and `log_det` is a stored field instead of a
+//! fresh sum per call. Neither may move a single output bit. This file
+//! keeps the textbook loops they replaced and pins every path against them
+//! with `to_bits` equality: forward substitution for every `n` up to 130
+//! (so every `n mod 8` occurs several times) on well- and ill-conditioned
+//! factors, and the stored log-determinant after every kind of update.
+
+use sisd_linalg::{Cholesky, CholeskyError, Matrix};
+
+type Downdate = fn(&mut Cholesky, &[f64]) -> Result<(), CholeskyError>;
+
+/// Deterministic uniform stream in `[0, 1)` (splitmix64).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> f64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn between(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.next()
+    }
+
+    fn vector(&mut self, n: usize, scale: f64) -> Vec<f64> {
+        (0..n).map(|_| self.between(-scale, scale)).collect()
+    }
+}
+
+/// The row-oriented forward substitution: `b[i] -= L_ik b[k]` for
+/// ascending `k`, then the division by `L_ii`.
+fn row_forward_substitution(l: &Matrix, b: &mut [f64]) {
+    let n = l.rows();
+    for i in 0..n {
+        for k in 0..i {
+            b[i] -= l[(i, k)] * b[k];
+        }
+        b[i] /= l[(i, i)];
+    }
+}
+
+/// The row-oriented backward substitution `Lᵀ x = z`.
+fn row_back_substitution(l: &Matrix, z: &mut [f64]) {
+    let n = l.rows();
+    for i in (0..n).rev() {
+        for k in (i + 1)..n {
+            z[i] -= l[(k, i)] * z[k];
+        }
+        z[i] /= l[(i, i)];
+    }
+}
+
+/// `2 Σ ln L_ii` in index order, from the factor as it stands.
+fn fresh_log_det(ch: &Cholesky) -> f64 {
+    let l = ch.factor();
+    let mut s = 0.0;
+    for i in 0..l.rows() {
+        s += l[(i, i)].ln();
+    }
+    2.0 * s
+}
+
+fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+    }
+}
+
+/// A factor with diagonal in `[1, 2]` and small off-diagonal entries.
+fn well_conditioned(n: usize, rng: &mut Rng) -> Cholesky {
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..i {
+            l[(i, j)] = rng.between(-1.0, 1.0) / (n as f64).sqrt();
+        }
+        l[(i, i)] = rng.between(1.0, 2.0);
+    }
+    Cholesky::from_factor(l).expect("valid factor")
+}
+
+/// A factor whose diagonal spans sixteen orders of magnitude, with
+/// off-diagonal entries up to the size of their row's pivot: condition
+/// numbers far beyond anything a model covariance reaches, while every
+/// solve stays finite (the solution grows at most like `2ⁿ`).
+fn ill_conditioned(n: usize, rng: &mut Rng) -> Cholesky {
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        let pivot = 10f64.powf(rng.between(-8.0, 8.0));
+        for j in 0..i {
+            l[(i, j)] = pivot * rng.between(-1.0, 1.0);
+        }
+        l[(i, i)] = pivot;
+    }
+    Cholesky::from_factor(l).expect("valid factor")
+}
+
+/// An SPD matrix `B Bᵀ + n I`, factorized by `Cholesky::new`.
+fn factorized(n: usize, rng: &mut Rng) -> (Matrix, Cholesky) {
+    let mut b = Matrix::zeros(n, n);
+    b.as_mut_slice()
+        .iter_mut()
+        .for_each(|v| *v = rng.between(-1.0, 1.0));
+    let mut a = b.mul_mat(&b.transpose());
+    a.add_diag(n as f64);
+    let ch = Cholesky::new(&a).expect("SPD");
+    (a, ch)
+}
+
+/// Every factor the solve oracles run against at dimension `n`.
+fn factors(n: usize, rng: &mut Rng) -> Vec<(&'static str, Cholesky)> {
+    let mut out = vec![
+        ("well-conditioned", well_conditioned(n, rng)),
+        ("ill-conditioned", ill_conditioned(n, rng)),
+    ];
+    if matches!(n % 8, 0 | 7) || n == 124 {
+        out.push(("factorized", factorized(n, rng).1));
+    }
+    out
+}
+
+#[test]
+fn blocked_forward_substitution_matches_the_row_loop() {
+    let mut rng = Rng(1);
+    for n in 1..=130 {
+        for (kind, ch) in factors(n, &mut rng) {
+            for scale in [1.0, 1e-3, 1e6] {
+                let b = rng.vector(n, scale);
+                let mut want = b.clone();
+                row_forward_substitution(ch.factor(), &mut want);
+                assert!(want.iter().all(|v| v.is_finite()), "n={n} {kind}");
+                let mut got = b.clone();
+                ch.solve_lower_in_place(&mut got);
+                assert_same_bits(&got, &want, &format!("solve_lower_in_place n={n} {kind}"));
+                assert_same_bits(
+                    &ch.solve_lower(&b),
+                    &want,
+                    &format!("solve_lower n={n} {kind}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn solve_in_place_matches_the_row_loops() {
+    let mut rng = Rng(2);
+    for n in 1..=130 {
+        for (kind, ch) in factors(n, &mut rng) {
+            let b = rng.vector(n, 10.0);
+            let mut want = b.clone();
+            row_forward_substitution(ch.factor(), &mut want);
+            row_back_substitution(ch.factor(), &mut want);
+            let mut got = b.clone();
+            ch.solve_in_place(&mut got);
+            assert_same_bits(&got, &want, &format!("solve_in_place n={n} {kind}"));
+            assert_same_bits(&ch.solve(&b), &want, &format!("solve n={n} {kind}"));
+        }
+    }
+}
+
+#[test]
+fn inv_quad_form_matches_the_row_loop_and_dot() {
+    let mut rng = Rng(3);
+    for n in 1..=130 {
+        for (kind, ch) in factors(n, &mut rng) {
+            let b = rng.vector(n, 5.0);
+            let mut z = b.clone();
+            row_forward_substitution(ch.factor(), &mut z);
+            let want = sisd_linalg::dot(&z, &z);
+            let got = ch.inv_quad_form(&b);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "inv_quad_form n={n} {kind}: {got} vs {want}"
+            );
+        }
+    }
+}
+
+fn assert_log_det_fresh(ch: &Cholesky, what: &str) {
+    let want = fresh_log_det(ch);
+    assert_eq!(
+        ch.log_det().to_bits(),
+        want.to_bits(),
+        "{what}: stored log_det {} vs fresh {want}",
+        ch.log_det()
+    );
+}
+
+#[test]
+fn stored_log_det_is_the_fresh_sum_after_every_update() {
+    let mut rng = Rng(4);
+    for n in [1usize, 2, 5, 8, 16, 17, 64, 124] {
+        let (a, mut ch) = factorized(n, &mut rng);
+        assert_log_det_fresh(&ch, &format!("new n={n}"));
+        let (jittered, _) = Cholesky::new_with_jitter(&a, 4).expect("SPD");
+        assert_log_det_fresh(&jittered, &format!("new_with_jitter n={n}"));
+
+        let x = rng.vector(n, 1.0);
+        ch.rank_one_update(&x);
+        assert_log_det_fresh(&ch, &format!("rank_one_update n={n}"));
+        ch.rank_one_downdate(&x)
+            .expect("undoing an update stays SPD");
+        assert_log_det_fresh(&ch, &format!("rank_one_downdate n={n}"));
+
+        ch.update_scaled(0.7, &x).expect("update");
+        assert_log_det_fresh(&ch, &format!("update_scaled(+) n={n}"));
+        ch.update_scaled(-0.7, &x)
+            .expect("undoing an update stays SPD");
+        assert_log_det_fresh(&ch, &format!("update_scaled(-) n={n}"));
+        ch.update_scaled(0.0, &x).expect("no-op");
+        assert_log_det_fresh(&ch, &format!("update_scaled(0) n={n}"));
+
+        let xs = [rng.vector(n, 0.5), rng.vector(n, 0.5)];
+        ch.rank_k_update(&xs);
+        assert_log_det_fresh(&ch, &format!("rank_k_update n={n}"));
+        ch.rank_k_downdate(&xs)
+            .expect("undoing an update stays SPD");
+        assert_log_det_fresh(&ch, &format!("rank_k_downdate n={n}"));
+
+        let rebuilt = Cholesky::from_factor(ch.factor().clone()).expect("valid");
+        assert_log_det_fresh(&rebuilt, &format!("from_factor n={n}"));
+        assert_eq!(rebuilt.log_det().to_bits(), ch.log_det().to_bits());
+
+        // A failed downdate leaves an unspecified factor, but its stored
+        // log-determinant still describes the factor as it now stands.
+        // `big` rotates the first pivot, then breaks down at the last one.
+        let mut big = vec![0.0; n];
+        big[0] = 0.5 * ch.factor()[(0, 0)];
+        big[n - 1] = 1e3 * a[(n - 1, n - 1)].sqrt();
+        let failing: [(&str, Downdate); 2] = [
+            ("rank_one_downdate", |ch, x| ch.rank_one_downdate(x)),
+            ("update_scaled(-)", |ch, x| ch.update_scaled(-1.0, x)),
+        ];
+        for (what, downdate) in failing {
+            let before = ch.log_det();
+            assert!(downdate(&mut ch, &big).is_err());
+            if n > 1 {
+                assert_ne!(fresh_log_det(&ch).to_bits(), before.to_bits());
+            }
+            assert_log_det_fresh(&ch, &format!("failed {what} n={n}"));
+        }
+    }
+}
+
+#[test]
+fn stored_log_det_survives_ill_conditioned_factors() {
+    let mut rng = Rng(5);
+    for n in [1usize, 9, 33, 130] {
+        let ch = ill_conditioned(n, &mut rng);
+        assert_log_det_fresh(&ch, &format!("ill-conditioned from_factor n={n}"));
+    }
+}

@@ -45,6 +45,8 @@ pub enum ModelError {
     SpreadSolve(String),
     /// The prior covariance is not positive definite.
     BadPrior,
+    /// A score came out NaN or infinite, e.g. from a NaN target value.
+    NonFinite,
 }
 
 impl std::fmt::Display for ModelError {
@@ -56,6 +58,7 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::SpreadSolve(m) => write!(f, "spread multiplier solve failed: {m}"),
             ModelError::BadPrior => write!(f, "prior covariance is not positive definite"),
+            ModelError::NonFinite => write!(f, "score is not finite"),
         }
     }
 }

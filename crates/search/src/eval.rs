@@ -21,10 +21,11 @@
 //!   intersection counts are computed once per candidate and shared with
 //!   the model-statistics query.
 //! * **Deterministic parallelism.** [`Evaluator::score_all`] splits a
-//!   batch into contiguous chunks, scores them on scoped OS threads, and
-//!   merges in chunk order. Each candidate's arithmetic is independent of
-//!   every other's, so the results are **bit-identical at any thread
-//!   count** — searches may be parallelized without changing their output.
+//!   batch into contiguous chunks, scores them on the persistent
+//!   `sisd-par` worker pool, and merges in chunk order. Each candidate's
+//!   arithmetic is independent of every other's, so the results are
+//!   **bit-identical at any thread count** — searches may be parallelized
+//!   without changing their output.
 
 use crate::refine::generate_conditions;
 use crate::BeamConfig;
@@ -403,9 +404,11 @@ impl<'a> Evaluator<'a> {
                         .iter()
                         .map(|cell| {
                             let mut s = vec![0.0; self.data.dy()];
-                            for i in cell.ext.iter() {
-                                sisd_linalg::add_assign(&mut s, self.data.target_row(i));
-                            }
+                            sisd_data::kernels::sum_rows(
+                                self.data.targets().as_slice(),
+                                cell.ext.words(),
+                                &mut s,
+                            );
                             s
                         })
                         .collect()
@@ -438,7 +441,9 @@ impl<'a> Evaluator<'a> {
     /// owning entry points. When the engine is sharded, the cell-count
     /// signature is summed from per-shard word slices and the row-scan
     /// mean folds shard by shard; both reproduce the unsharded bits
-    /// exactly.
+    /// exactly. A NaN or infinite SI (say, from a NaN target value) is
+    /// rejected as [`ModelError::NonFinite`], so the batch paths count it
+    /// as a numeric failure and no ranking ever sees it.
     fn score_parts(&self, arity: usize, ext: &BitSet) -> SisdResult<(Vec<f64>, LocationScore)> {
         if ext.count() == 0 {
             return Err(ModelError::EmptyExtension.into());
@@ -476,14 +481,11 @@ impl<'a> Evaluator<'a> {
                 (observed, ic)
             }
         };
-        Ok((
-            observed_mean,
-            LocationScore {
-                ic,
-                dl,
-                si: ic / dl,
-            },
-        ))
+        let si = ic / dl;
+        if !si.is_finite() {
+            return Err(ModelError::NonFinite.into());
+        }
+        Ok((observed_mean, LocationScore { ic, dl, si }))
     }
 
     /// Scores one location candidate through the same IC formula as
@@ -542,9 +544,9 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Smallest batch share worth a worker thread: spawning and joining a
-    /// scoped thread costs tens of microseconds, so batches are split into
-    /// at most `len / MIN_CHUNK` workers (capped at `threads`) and small
+    /// Smallest batch share worth a worker: handing a chunk to the pool
+    /// and collecting it costs microseconds, so batches are split into at
+    /// most `len / MIN_CHUNK` workers (capped at `threads`) and small
     /// batches run inline. Chunking never affects the scores — only where
     /// they are computed.
     const MIN_CHUNK: usize = 16;
@@ -553,9 +555,9 @@ impl<'a> Evaluator<'a> {
     /// order (`None` where scoring failed, e.g. an empty extension).
     ///
     /// With `threads > 1` the batch is split into contiguous chunks of at
-    /// least `Evaluator::MIN_CHUNK` candidates, scored on scoped OS
-    /// threads, and merged in chunk order; each candidate's arithmetic is
-    /// independent, so the output is bit-identical at any thread count.
+    /// least `Evaluator::MIN_CHUNK` candidates, scored on the persistent
+    /// worker pool, and merged in chunk order; each candidate's arithmetic
+    /// is independent, so the output is bit-identical at any thread count.
     /// Parallelism pays off on wide batches of expensive scores (beam
     /// levels at high `dy`); per-node strategies over cheap scores (e.g.
     /// single-target branch-and-bound) see little benefit.
@@ -931,7 +933,7 @@ pub(crate) fn run_beam_levels(
         // scored order). The keepers are indices into the retained level —
         // no intention or extension is cloned.
         let mut order: Vec<usize> = (0..scored.len()).collect();
-        order.sort_by(|&a, &b| scored[b].score.si.partial_cmp(&scored[a].score.si).unwrap());
+        order.sort_by(|&a, &b| scored[b].score.si.total_cmp(&scored[a].score.si));
         order.truncate(cfg.width);
         pending = scored;
         frontier_idx = order;
@@ -1000,7 +1002,7 @@ mod tests {
         model.assimilate_spread(&half, w, mean, v).unwrap();
 
         // Enough candidates that every thread setting splits into several
-        // MIN_CHUNK-sized chunks (the scoped-thread path really runs).
+        // MIN_CHUNK-sized chunks (the pooled path really runs).
         let cands = candidates(&data, 67);
         let serial = {
             let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());

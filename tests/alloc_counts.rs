@@ -12,6 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A pass-through allocator that counts allocations and allocated bytes.
 struct CountingAlloc;
@@ -33,6 +34,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
+
+/// The counters are process-global, while the test harness runs this
+/// binary's tests on parallel threads: one test's allocations would land
+/// in another's counted window. Every test holds this lock for its whole
+/// body, so the tests run one at a time. The lock guards no data, so one
+/// poisoned by a failing test is taken over as is and the rest still run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let a0 = ALLOCS.load(Ordering::Relaxed);
@@ -64,6 +76,7 @@ fn batch(n: usize, k: usize) -> Vec<Candidate> {
 
 #[test]
 fn owned_scoring_saves_one_extension_allocation_per_candidate() {
+    let _serial = serial();
     let (data, _) = synthetic_paper(42);
     let model = BackgroundModel::from_empirical(&data).unwrap();
     let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());
@@ -135,6 +148,7 @@ fn owned_scoring_saves_one_extension_allocation_per_candidate() {
 
 #[test]
 fn warm_refit_reuses_projection_workspace_without_allocating() {
+    let _serial = serial();
     // The model's projection hot path (residual scans, Thm. 1 location
     // re-projections) runs entirely out of a reusable workspace living on
     // the model: per-update vectors, the covariance-sum accumulator, the
@@ -223,6 +237,7 @@ fn one_attribute_dataset(n: usize) -> Dataset {
 
 #[test]
 fn beam_levels_do_not_clone_next_frontier_parents() {
+    let _serial = serial();
     // PR 4 left one known per-level allocation: the `width` best scored
     // results were cloned (intention + extension) into the next frontier
     // because the scored level moved into the top-k log immediately. The
@@ -295,6 +310,7 @@ fn many_group_dataset(n: usize) -> Dataset {
 
 #[test]
 fn steady_state_pooled_beam_levels_spawn_no_threads() {
+    let _serial = serial();
     // Before the persistent pool, every parallel beam level paid a
     // `thread::scope` spawn/join round: thread handles, name strings, and
     // join packets allocated per level, per search, forever. The pool
@@ -366,6 +382,7 @@ use sisd::obs::{NullSink, Obs, ObsHandle};
 
 #[test]
 fn obs_layer_adds_zero_allocations_to_steady_state_beam_levels() {
+    let _serial = serial();
     // The sisd-obs hard contract, allocation half: a disabled handle is a
     // `None` branch, and even an *enabled* counters-only handle is nothing
     // but relaxed atomic adds and monotonic clock reads — so steady-state

@@ -3,6 +3,7 @@
 //! eventually feed it.
 
 use sisd::core::{location_si, DlParams, Intention};
+use sisd::data::csv::dataset_from_csv_str;
 use sisd::data::{BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
 use sisd::model::{BackgroundModel, ModelError};
@@ -212,4 +213,52 @@ fn unicode_names_roundtrip() {
     assert!(described.contains("Fläche_km²"));
     assert!(described.contains("groß"));
     assert_eq!(intent.evaluate(&data).to_indices(), vec![0, 2]);
+}
+
+/// One `NaN` target cell: every candidate covering its row scores NaN.
+/// The engine must drop those candidates as numeric failures (reported as
+/// `degraded`) rather than rank them, so the search neither panics nor
+/// logs a non-finite or out-of-order score, and the session goes on.
+#[test]
+fn nan_target_cell_degrades_the_search_instead_of_panicking() {
+    const NAN_ROW: usize = 7;
+    let mut csv = String::from("group,size,y\n");
+    for i in 0..40 {
+        let y = if i == NAN_ROW {
+            "NaN".to_string()
+        } else {
+            format!("{}", (i as f64 * 0.37).sin() + (i % 4) as f64)
+        };
+        csv.push_str(&format!("g{},{},{y}\n", i % 4, i % 5));
+    }
+    let data = dataset_from_csv_str("nan-cell", &csv, &["y"]).expect("NaN parses");
+    assert!(matches!(
+        Miner::from_empirical(data.clone(), tiny_config()),
+        Err(ModelError::BadPrior)
+    ));
+
+    let mut miner =
+        Miner::with_prior(data, vec![3.0], Matrix::identity(1), tiny_config()).expect("prior");
+    let result = miner.search_locations();
+    assert!(
+        result.degraded > 0,
+        "NaN scores must be counted as numeric failures"
+    );
+    assert!(!result.top.is_empty());
+    for p in &result.top {
+        assert!(p.score.si.is_finite(), "logged SI {}", p.score.si);
+        assert!(!p.extension.contains(NAN_ROW));
+    }
+    for pair in result.top.windows(2) {
+        assert!(
+            pair[0].score.si >= pair[1].score.si,
+            "log must stay SI-sorted"
+        );
+    }
+
+    let it = miner
+        .step_location()
+        .expect("assimilation succeeds")
+        .expect("a finite pattern is mined");
+    assert!(it.location.score.si.is_finite());
 }
