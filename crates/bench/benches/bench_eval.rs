@@ -66,36 +66,6 @@ fn bench_eval_threads(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded statistics aggregation vs the unsharded path on the same batch
-/// (`--shards` coverage: `cargo bench --bench bench_eval -- sharded`).
-/// Bit-identical scores are asserted before timing; the delta is the cost
-/// of summing cell counts from per-shard word slices and folding the
-/// row-scan mean shard by shard.
-fn bench_eval_sharded(c: &mut Criterion) {
-    let (data, _) = mammals_synthetic(7);
-    let model = BackgroundModel::from_empirical(&data).expect("model");
-    let batch = candidate_batch(&data, 48, 11);
-    let reference = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default())
-        .score_all(&batch);
-
-    let mut group = c.benchmark_group("eval_sharded_mammals_dy124");
-    group.sample_size(10);
-    for &shards in &[1usize, 2, 4] {
-        let ev = Evaluator::gaussian(
-            &data,
-            &model,
-            DlParams::default(),
-            EvalConfig::default().with_shards(shards),
-        );
-        assert_bit_identical(&ev.score_all(&batch), &reference);
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("shards{shards}")),
-            |b| b.iter(|| ev.score_all(black_box(&batch)).len()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_eval_signature_memo(c: &mut Criterion) {
     // Heterogeneous covariances (post-spread-assimilation): the dense
     // branch re-factorizes per candidate without the memo, once per
@@ -185,10 +155,5 @@ fn bench_eval_signature_memo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_eval_threads,
-    bench_eval_sharded,
-    bench_eval_signature_memo
-);
+criterion_group!(benches, bench_eval_threads, bench_eval_signature_memo);
 criterion_main!(benches);

@@ -16,10 +16,9 @@
 //! container).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sisd_data::{kernels, BitSet, ShardPlan};
+use sisd_data::{kernels, BitSet};
 use sisd_frontier::{
     ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
-    ShardedFrontierBuilder, ShardedMaskMatrix,
 };
 use sisd_stats::Xoshiro256pp;
 use std::hint::black_box;
@@ -160,118 +159,6 @@ fn bench_frontier_generation(c: &mut Criterion) {
             |b| b.iter(|| batched(black_box(&w), threads).len()),
         );
     }
-    group.finish();
-}
-
-/// Per-shard matrices sliced from the workload's full-dataset masks.
-fn sharded_matrix(w: &Workload, shards: usize) -> ShardedMaskMatrix {
-    let plan = ShardPlan::new(N_ROWS, shards);
-    ShardedMaskMatrix::from_parts(
-        plan.clone(),
-        (0..shards)
-            .map(|s| {
-                MaskMatrix::from_bitsets(
-                    plan.shard_len(s),
-                    w.masks.iter().map(|m| m.shard(&plan, s)),
-                )
-            })
-            .collect(),
-    )
-}
-
-fn batched_sharded(w: &Workload, matrix: &ShardedMaskMatrix, threads: usize) -> ChildBatch {
-    let parents: Vec<ParentSpec<'_>> = w
-        .parents
-        .iter()
-        .map(|ext| ParentSpec {
-            ext,
-            max_support: ext.count().saturating_sub(1),
-        })
-        .collect();
-    ShardedFrontierBuilder::new(
-        matrix,
-        FrontierConfig {
-            min_support: MIN_SUPPORT,
-            threads,
-            ..FrontierConfig::default()
-        },
-    )
-    .refine_parents(&parents, |_, _| true)
-}
-
-/// The PR 4 single-pass sharded builder (per-shard words buffered for
-/// every candidate until the merge) — the baseline whose 1.7–2× sharding
-/// penalty count-first refinement removes.
-fn batched_sharded_single_pass(
-    w: &Workload,
-    matrix: &ShardedMaskMatrix,
-    threads: usize,
-) -> ChildBatch {
-    let parents: Vec<ParentSpec<'_>> = w
-        .parents
-        .iter()
-        .map(|ext| ParentSpec {
-            ext,
-            max_support: ext.count().saturating_sub(1),
-        })
-        .collect();
-    ShardedFrontierBuilder::new(
-        matrix,
-        FrontierConfig {
-            min_support: MIN_SUPPORT,
-            threads,
-            ..FrontierConfig::default()
-        },
-    )
-    .refine_parents_single_pass(&parents, |_, _| true)
-}
-
-/// Sharded-vs-unsharded refinement on the same workload (`--shards`
-/// coverage: run `cargo bench --bench bench_frontier -- sharded` to time
-/// only these). S = 1 measures the sharded code path's overhead at the
-/// unsharded layout; S ∈ {2, 4} add the per-shard count partials and the
-/// shard-order merge; the `single_pass_shards4` row keeps the PR 4
-/// buffer-everything baseline on the books. Parity of every timed path
-/// with the unsharded count-first batch is asserted before timing — CI
-/// runs this group once per push as a cheap end-to-end parity gate.
-fn bench_sharded_frontier_generation(c: &mut Criterion) {
-    let w = workload(17);
-    let reference = batched(&w, 1);
-    let matrices: Vec<(usize, ShardedMaskMatrix)> = [1usize, 2, 4]
-        .iter()
-        .map(|&s| (s, sharded_matrix(&w, s)))
-        .collect();
-    for (s, matrix) in &matrices {
-        for got in [
-            batched_sharded(&w, matrix, 1),
-            batched_sharded_single_pass(&w, matrix, 1),
-        ] {
-            assert_eq!(got.len(), reference.len(), "shards={s}");
-            for i in 0..reference.len() {
-                assert_eq!(got.meta(i), reference.meta(i), "shards={s}");
-                assert_eq!(got.child_words(i), reference.child_words(i), "shards={s}");
-            }
-        }
-    }
-
-    let mut group = c.benchmark_group("frontier_sharded_8192x256x32");
-    group.sample_size(10);
-    group.bench_function("unsharded_threads1", |b| {
-        b.iter(|| batched(black_box(&w), 1).len())
-    });
-    for (s, matrix) in &matrices {
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("shards{s}_threads1")),
-            |b| b.iter(|| batched_sharded(black_box(&w), matrix, 1).len()),
-        );
-    }
-    let (_, m4) = matrices
-        .iter()
-        .find(|(s, _)| *s == 4)
-        .expect("shard list must include S = 4 for the single-pass baseline row");
-    group.bench_function("single_pass_shards4", |b| {
-        b.iter(|| batched_sharded_single_pass(black_box(&w), m4, 1).len())
-    });
     group.finish();
 }
 
@@ -480,7 +367,6 @@ fn bench_kernels_grid_big(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_frontier_generation,
-    bench_sharded_frontier_generation,
     bench_and_count_many,
     bench_kernels_grid
 );

@@ -10,20 +10,19 @@
 
 use sisd_bench::{
     f2, f3, obs_from_args, print_search_report, print_table, report_assimilation, section,
-    shards_arg, threads_arg,
+    threads_arg,
 };
 use sisd_data::datasets::german_socio_synthetic;
 use sisd_search::{BeamConfig, EvalConfig, Miner, MinerConfig, SphereConfig};
 
 fn main() {
     let threads = threads_arg(1);
-    let shards = shards_arg(1);
     let obs = obs_from_args();
     let (data, truth) = german_socio_synthetic(2018);
     section("Figs. 7–8 — socio-economics simulacrum, 3 iterations (2-sparse spread)");
     println!(
-        "candidate evaluation on {threads} thread(s), {shards} row-range shard(s) \
-         (--threads N / --shards S to change; results identical at any setting)"
+        "candidate evaluation on {threads} thread(s) \
+         (--threads N to change; results identical at any setting)"
     );
     println!(
         "n={} dx={} dy={} (planted: {} eastern districts)",
@@ -39,9 +38,7 @@ fn main() {
             max_depth: 4,
             top_k: 150,
             min_coverage: 10,
-            eval: EvalConfig::with_threads(threads)
-                .with_shards(shards)
-                .with_obs(obs),
+            eval: EvalConfig::with_threads(threads).with_obs(obs),
             ..BeamConfig::default()
         },
         sphere: SphereConfig::default(),

@@ -8,20 +8,19 @@
 
 use sisd_bench::{
     f2, f3, obs_from_args, print_search_report, print_table, report_assimilation, section,
-    shards_arg, threads_arg,
+    threads_arg,
 };
 use sisd_data::datasets::water_quality_synthetic;
 use sisd_search::{BeamConfig, EvalConfig, Miner, MinerConfig, RefineConfig, SphereConfig};
 
 fn main() {
     let threads = threads_arg(1);
-    let shards = shards_arg(1);
     let obs = obs_from_args();
     let data = water_quality_synthetic(2018);
     section("Figs. 9–10 — water-quality simulacrum: location + full-sphere spread");
     println!(
-        "candidate evaluation on {threads} thread(s), {shards} row-range shard(s) \
-         (--threads N / --shards S to change; results identical at any setting)"
+        "candidate evaluation on {threads} thread(s) \
+         (--threads N to change; results identical at any setting)"
     );
     println!(
         "n={} bioindicators={} chemical targets={}",
@@ -37,9 +36,7 @@ fn main() {
             top_k: 150,
             min_coverage: 30,
             refine: RefineConfig::default(),
-            eval: EvalConfig::with_threads(threads)
-                .with_shards(shards)
-                .with_obs(obs),
+            eval: EvalConfig::with_threads(threads).with_obs(obs),
             ..BeamConfig::default()
         },
         sphere: SphereConfig {

@@ -5,12 +5,8 @@
 //! of data points and controlled by the beam parameters. This harness
 //! subsamples the crime simulacrum at several sizes and reports wall-clock
 //! per search, plus the speedup of the engine's multi-threaded candidate
-//! evaluator. `--threads N` (default 4) sets the parallel worker count;
-//! `--shards S` (default 1) runs every search through the row-range
-//! sharded pipeline (results are bit-identical at any setting);
-//! `--executor {inprocess,procpool,socket}` (default `inprocess`) routes
-//! the sharded passes through a `sisd-exec` backend — again bit-identical,
-//! with the executor request/byte/fallback traffic in the final report;
+//! evaluator. `--threads N` (default 4) sets the parallel worker count
+//! (results are bit-identical at any setting);
 //! `--trace-out PATH` additionally writes a JSONL trace of every metric
 //! event. All searches report into one metrics registry — the parallel
 //! ones through a *dedicated* (non-global) worker pool, whose utilization
@@ -18,9 +14,8 @@
 //! [`sisd_obs::SearchReport`].
 
 use sisd_bench::{
-    executor_arg, executor_handle, kill_after_iter_arg, obs_from_args, pool_reuse_arg,
-    print_search_report, print_table, resume_arg, section, session_iters_arg, shards_arg,
-    snapshot_out_arg, threads_arg,
+    kill_after_iter_arg, obs_from_args, pool_reuse_arg, print_search_report, print_table,
+    resume_arg, section, session_iters_arg, snapshot_out_arg, threads_arg,
 };
 use sisd_data::datasets::crime_synthetic;
 use sisd_data::snap::crc32;
@@ -79,13 +74,7 @@ struct SessionArgs {
 /// ends with a CRC digest of the full serialized session state, so a
 /// killed-and-resumed session can be diffed bit-for-bit against an
 /// uninterrupted one.
-fn run_session(
-    args: SessionArgs,
-    threads: usize,
-    shards: usize,
-    obs: sisd_obs::ObsHandle,
-    exec: sisd_frontier::ExecHandle,
-) {
+fn run_session(args: SessionArgs, threads: usize, obs: sisd_obs::ObsHandle) {
     let SessionArgs {
         iters,
         snapshot_out,
@@ -99,10 +88,7 @@ fn run_session(
             max_depth: 2,
             top_k: 30,
             min_coverage: 10,
-            eval: EvalConfig::with_threads(threads)
-                .with_shards(shards)
-                .with_obs(obs)
-                .with_executor(exec),
+            eval: EvalConfig::with_threads(threads).with_obs(obs),
             ..BeamConfig::default()
         },
         refit_tol: 1e-9,
@@ -110,8 +96,7 @@ fn run_session(
         ..MinerConfig::default()
     };
     section(&format!(
-        "Durable session — {iters} iteration(s), crime-head500, threads {threads}, \
-         shards {shards}"
+        "Durable session — {iters} iteration(s), crime-head500, threads {threads}"
     ));
     let mut miner = match resume.as_deref() {
         Some(path) => match Miner::load(Path::new(path), data, config) {
@@ -177,11 +162,8 @@ fn run_session(
 
 fn main() {
     let threads = threads_arg(4);
-    let shards = shards_arg(1);
     let reuse = pool_reuse_arg(3);
-    let executor = executor_arg();
     let obs = obs_from_args();
-    let exec = executor_handle(executor, obs);
     if let Some(iters) = session_iters_arg() {
         let args = SessionArgs {
             iters,
@@ -189,7 +171,7 @@ fn main() {
             resume: resume_arg(),
             kill_after: kill_after_iter_arg(),
         };
-        run_session(args, threads, shards, obs, exec);
+        run_session(args, threads, obs);
         return;
     }
     let full = crime_synthetic(2018);
@@ -205,18 +187,13 @@ fn main() {
         max_depth: 2,
         top_k: 50,
         min_coverage: 10,
-        eval: EvalConfig::default()
-            .with_shards(shards)
-            .with_obs(obs)
-            .with_executor(exec),
+        eval: EvalConfig::default().with_obs(obs),
         ..BeamConfig::default()
     };
     let cfg_parallel = BeamConfig {
         eval: EvalConfig::with_threads(threads)
-            .with_shards(shards)
             .with_pool(pool)
-            .with_obs(obs)
-            .with_executor(exec),
+            .with_obs(obs),
         ..cfg.clone()
     };
 
@@ -225,10 +202,8 @@ fn main() {
         .unwrap_or(1);
     println!(
         "available parallelism: {cores} core(s); dedicated pool workers: {} (grows on \
-         demand, capped by --threads); --threads {threads}; --shards {shards}; \
-         --pool-reuse {reuse}; --executor {}",
-        pool.get().workers(),
-        executor.name()
+         demand, capped by --threads); --threads {threads}; --pool-reuse {reuse}",
+        pool.get().workers()
     );
 
     let mut rows = Vec::new();

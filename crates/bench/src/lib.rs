@@ -72,8 +72,7 @@ fn die_usage(msg: &str) -> ! {
         .unwrap_or_else(|| "experiment".into());
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: {name} [--threads N] [--shards N] [--pool-reuse R] \
-         [--executor inprocess|procpool|socket] [--trace-out PATH] \
+        "usage: {name} [--threads N] [--pool-reuse R] [--trace-out PATH] \
          [--session-iters K] [--snapshot-out PATH] [--resume PATH] \
          [--kill-after-iter N]"
     );
@@ -167,16 +166,6 @@ pub fn threads_arg(default: usize) -> usize {
     positive_flag_arg("threads", default)
 }
 
-/// Parses a `--shards N` flag from the process arguments (also accepts
-/// `--shards=N`), defaulting to `default`. The value sets the engine's
-/// row-range shard count (`EvalConfig::shards`); results are bit-identical
-/// at any setting — the flag exists to exercise and measure the sharded
-/// execution path. Exits with status 2 and a usage message when the
-/// value is missing, non-numeric, or zero.
-pub fn shards_arg(default: usize) -> usize {
-    positive_flag_arg("shards", default)
-}
-
 /// Parses a `--pool-reuse R` flag from the process arguments (also accepts
 /// `--pool-reuse=R`), defaulting to `default`. The value is the number of
 /// back-to-back parallel searches timed against the *same* warm worker
@@ -185,79 +174,6 @@ pub fn shards_arg(default: usize) -> usize {
 /// usage message when the value is missing, non-numeric, or zero.
 pub fn pool_reuse_arg(default: usize) -> usize {
     positive_flag_arg("pool-reuse", default)
-}
-
-/// Which shard-executor backend a `--executor` flag selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorChoice {
-    /// The default in-process code path: sharded passes run on the local
-    /// kernels with no executor dispatch at all.
-    InProcess,
-    /// Persistent `sisd-exec-worker` processes fed over pipes.
-    ProcPool,
-    /// The wire protocol over a loopback TCP connection.
-    Socket,
-}
-
-impl ExecutorChoice {
-    /// The spelling the `--executor` flag accepts for this choice.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutorChoice::InProcess => "inprocess",
-            ExecutorChoice::ProcPool => "procpool",
-            ExecutorChoice::Socket => "socket",
-        }
-    }
-}
-
-/// Parses a `--executor {inprocess,procpool,socket}` flag from the
-/// process arguments (also accepts `--executor=...`), defaulting to
-/// [`ExecutorChoice::InProcess`]. Results are bit-identical with any
-/// backend; the flag exists to exercise and measure the executor
-/// transports. Exits with status 2 and a usage message on an unknown
-/// backend name.
-pub fn executor_arg() -> ExecutorChoice {
-    match flag_value("executor").as_deref() {
-        None | Some("inprocess") => ExecutorChoice::InProcess,
-        Some("procpool") => ExecutorChoice::ProcPool,
-        Some("socket") => ExecutorChoice::Socket,
-        Some(other) => die_usage(&format!(
-            "--executor must be one of inprocess|procpool|socket, got '{other}'"
-        )),
-    }
-}
-
-/// Builds the leaked shard-executor backend a `--executor` choice asks
-/// for, reporting into `obs`: the disabled handle for `inprocess`, a
-/// worker pool (of `sisd-exec-worker` siblings of the current binary)
-/// for `procpool`, and a loopback server plus socket client for
-/// `socket`. Exits with status 2 when the backend cannot be set up —
-/// a missing worker binary or an unbindable loopback port is an
-/// environment problem, not a measurement.
-pub fn executor_handle(
-    choice: ExecutorChoice,
-    obs: sisd_obs::ObsHandle,
-) -> sisd_frontier::ExecHandle {
-    match choice {
-        ExecutorChoice::InProcess => sisd_frontier::ExecHandle::disabled(),
-        ExecutorChoice::ProcPool => {
-            let program = sisd_exec::default_worker_path();
-            if !program.is_file() {
-                die_usage(&format!(
-                    "--executor procpool needs the worker binary at {} \
-                     (build it with `cargo build -p sisd-exec`, or set SISD_EXEC_WORKER)",
-                    program.display()
-                ));
-            }
-            sisd_exec::ProcessPoolExecutor::leaked(sisd_exec::ProcessPoolConfig::default(), obs)
-        }
-        ExecutorChoice::Socket => match sisd_exec::spawn_loopback_server() {
-            Ok(addr) => {
-                sisd_exec::SocketExecutor::leaked(addr.to_string(), Default::default(), obs)
-            }
-            Err(e) => die_usage(&format!("--executor socket: loopback server: {e}")),
-        },
-    }
 }
 
 /// Parses a `--trace-out PATH` flag from the process arguments (also

@@ -12,7 +12,6 @@
 use crate::parse::ParseError;
 use sisd_data::csv::CsvError;
 use sisd_data::snap::SnapError;
-use sisd_data::wire::WireError;
 use sisd_linalg::CholeskyError;
 use sisd_model::ModelError;
 
@@ -27,8 +26,6 @@ pub enum SisdError {
     Parse(ParseError),
     /// Dense factorization breakdown (`sisd-linalg`).
     Linalg(CholeskyError),
-    /// Shard-executor transport or framing failure (`sisd-data::wire`).
-    Wire(WireError),
     /// Snapshot encode/decode or persistence failure (`sisd-data::snap`).
     Snap(SnapError),
 }
@@ -43,7 +40,6 @@ impl std::fmt::Display for SisdError {
             SisdError::Csv(e) => write!(f, "data: {e}"),
             SisdError::Parse(e) => write!(f, "parse: {e}"),
             SisdError::Linalg(e) => write!(f, "linalg: {e}"),
-            SisdError::Wire(e) => write!(f, "executor: {e}"),
             SisdError::Snap(e) => write!(f, "snapshot: {e}"),
         }
     }
@@ -56,7 +52,6 @@ impl std::error::Error for SisdError {
             SisdError::Csv(e) => Some(e),
             SisdError::Parse(e) => Some(e),
             SisdError::Linalg(e) => Some(e),
-            SisdError::Wire(e) => Some(e),
             SisdError::Snap(e) => Some(e),
         }
     }
@@ -86,12 +81,6 @@ impl From<CholeskyError> for SisdError {
     }
 }
 
-impl From<WireError> for SisdError {
-    fn from(e: WireError) -> Self {
-        SisdError::Wire(e)
-    }
-}
-
 impl From<SnapError> for SisdError {
     fn from(e: SnapError) -> Self {
         SisdError::Snap(e)
@@ -108,16 +97,13 @@ mod tests {
         let c: SisdError = CsvError::Malformed("ragged".into()).into();
         let p: SisdError = ParseError::MissingOperator("x".into()).into();
         let l: SisdError = CholeskyError { pivot: 3 }.into();
-        let w: SisdError = WireError::Timeout.into();
         let s: SisdError = SnapError::Corrupt("bad crc".into()).into();
         assert!(matches!(m, SisdError::Model(_)));
         assert!(matches!(c, SisdError::Csv(_)));
         assert!(matches!(p, SisdError::Parse(_)));
         assert!(matches!(l, SisdError::Linalg(_)));
-        assert!(matches!(w, SisdError::Wire(_)));
         assert!(matches!(s, SisdError::Snap(_)));
         assert!(s.to_string().contains("corrupt"));
-        assert!(w.to_string().contains("timed out"));
     }
 
     #[test]

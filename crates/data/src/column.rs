@@ -90,24 +90,6 @@ impl Column {
         }
     }
 
-    /// The rows `range` of this column as an owned column of the same
-    /// type. Categorical level codes and labels are preserved verbatim, so
-    /// a condition evaluated on the slice matches exactly the rows it
-    /// matches on the original — the contract row-range sharding
-    /// ([`crate::shard`]) relies on.
-    ///
-    /// # Panics
-    /// Panics when `range` exceeds the column length.
-    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> Column {
-        match self {
-            Column::Numeric(v) => Column::Numeric(v[range].to_vec()),
-            Column::Categorical { codes, labels } => Column::Categorical {
-                codes: codes[range].to_vec(),
-                labels: labels.clone(),
-            },
-        }
-    }
-
     /// Value of row `i` rendered for display.
     pub fn display_value(&self, i: usize) -> String {
         match self {

@@ -12,12 +12,6 @@
 //! * [`kernels`] — word-level fused AND/popcount primitives over bitset
 //!   word slices, the substrate of the `sisd-frontier` batched refinement
 //!   kernels,
-//! * [`shard`] — word-aligned row-range sharding: [`ShardPlan`] partitions
-//!   the row space so bitset words never straddle shards,
-//!   [`ShardedDataset`] carries per-shard column/target views, and
-//!   [`BitSet::concat_words`] merges shard-local masks back bit-exactly,
-//! * [`wire`] — the length-prefixed frame codec moving shard count/word
-//!   traffic between processes for the `sisd-exec` executor backends,
 //! * [`snap`] — the versioned, per-section CRC32-checksummed snapshot
 //!   container (plus crash-safe [`snap::atomic_write`]) that durable
 //!   session state serializes through,
@@ -31,13 +25,10 @@ pub mod csv;
 pub mod datasets;
 pub mod discretize;
 pub mod kernels;
-pub mod shard;
 pub mod snap;
 pub mod table;
-pub mod wire;
 
 pub use bitset::BitSet;
 pub use column::Column;
 pub use discretize::{discretize, discretize_attribute, Binning};
-pub use shard::{ShardPlan, ShardedDataset};
 pub use table::Dataset;

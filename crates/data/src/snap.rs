@@ -16,12 +16,11 @@
 //!
 //! The CRC covers the section *header and* payload (id + length + bytes),
 //! so a bit flip in the length field is caught by the checksum rather than
-//! by whatever the shifted framing happens to decode to. The format reuses
-//! the `wire` framing discipline: section lengths are capped at
-//! [`MAX_SECTION_BYTES`] and element counts are validated against the
-//! remaining payload *before* any allocation, so no input bytes — torn
-//! write, bit flip, wrong file — can cause a panic, a hang, or an
-//! unbounded allocation. Every failure decodes to a [`SnapError`].
+//! by whatever the shifted framing happens to decode to. Section lengths
+//! are capped at [`MAX_SECTION_BYTES`] and element counts are validated
+//! against the remaining payload *before* any allocation, so no input
+//! bytes — torn write, bit flip, wrong file — can cause a panic, a hang,
+//! or an unbounded allocation. Every failure decodes to a [`SnapError`].
 //!
 //! Readers consume sections in a fixed declared order ([`SnapReader::
 //! section`] takes the expected id), which keeps the format canonical:

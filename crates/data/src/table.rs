@@ -6,7 +6,6 @@
 
 use crate::bitset::BitSet;
 use crate::column::Column;
-use crate::shard::{shard_members, ShardPlan};
 use sisd_linalg::Matrix;
 
 /// A dataset with a description part and a real-valued target part.
@@ -192,32 +191,6 @@ impl Dataset {
         self.target_mean(&BitSet::full(self.n()))
     }
 
-    /// [`Dataset::target_mean`] aggregated shard by shard: each shard's
-    /// members are folded into one running accumulator **in shard order**.
-    /// Because a [`ShardPlan`]'s shards are contiguous and ascending, the
-    /// fold performs exactly the additions of the full-dataset scan in
-    /// exactly the same order, so the result is **bit-identical** to
-    /// `target_mean(ext)` for any shard count — the determinism contract
-    /// of the sharded evaluation path. (Per-shard partial sums combined at
-    /// the end would *not* be: float addition is non-associative.)
-    ///
-    /// # Panics
-    /// Panics when the extension is empty or the plan's row count differs
-    /// from the dataset's.
-    pub fn target_mean_sharded(&self, ext: &BitSet, plan: &ShardPlan) -> Vec<f64> {
-        assert_eq!(plan.n(), self.n(), "target_mean_sharded: plan mismatch");
-        let cnt = ext.count();
-        assert!(cnt > 0, "target_mean_sharded: empty extension");
-        let mut mean = vec![0.0; self.dy()];
-        for s in 0..plan.shards() {
-            for i in shard_members(ext, plan, s) {
-                sisd_linalg::add_assign(&mut mean, self.targets.row(i));
-            }
-        }
-        sisd_linalg::scale(1.0 / cnt as f64, &mut mean);
-        mean
-    }
-
     /// Empirical (population) covariance of the targets over an extension,
     /// centred at the extension's own mean.
     pub fn target_covariance(&self, ext: &BitSet) -> Matrix {
@@ -256,63 +229,6 @@ impl Dataset {
             acc += p * p;
         }
         acc / cnt as f64
-    }
-
-    /// [`Dataset::target_variance_along`] aggregated shard by shard, with
-    /// the same in-shard-order fold as [`Dataset::target_mean_sharded`]:
-    /// both passes (mean, then sum of squared projections) visit rows in
-    /// the exact order of the unsharded scan, so the result is
-    /// bit-identical for any shard count.
-    ///
-    /// # Panics
-    /// Panics on an empty extension, a direction of the wrong length, or a
-    /// plan over a different row count.
-    pub fn target_variance_along_sharded(&self, ext: &BitSet, w: &[f64], plan: &ShardPlan) -> f64 {
-        assert_eq!(plan.n(), self.n(), "target_variance_along_sharded: plan");
-        let cnt = ext.count();
-        assert!(cnt > 0, "target_variance_along_sharded: empty extension");
-        assert_eq!(
-            w.len(),
-            self.dy(),
-            "target_variance_along_sharded: bad direction"
-        );
-        let mean = self.target_mean_sharded(ext, plan);
-        let proj_mean = sisd_linalg::dot(&mean, w);
-        let mut acc = 0.0;
-        for s in 0..plan.shards() {
-            for i in shard_members(ext, plan, s) {
-                let p = sisd_linalg::dot(self.targets.row(i), w) - proj_mean;
-                acc += p * p;
-            }
-        }
-        acc / cnt as f64
-    }
-
-    /// The rows `range` of this dataset as an owned dataset with the same
-    /// columns and target names — the per-shard view constructor of
-    /// [`crate::shard::ShardedDataset`]. Shard-local row `j` carries
-    /// exactly the values of full-dataset row `range.start + j`.
-    ///
-    /// # Panics
-    /// Panics when `range` exceeds the row count.
-    pub fn slice_rows(&self, range: std::ops::Range<usize>) -> Dataset {
-        assert!(range.end <= self.n(), "slice_rows: range out of bounds");
-        let dy = self.dy();
-        let targets = Matrix::from_vec(
-            range.len(),
-            dy,
-            self.targets.as_slice()[range.start * dy..range.end * dy].to_vec(),
-        );
-        Dataset::new(
-            format!("{}[{}..{})", self.name, range.start, range.end),
-            self.desc_names.clone(),
-            self.desc_cols
-                .iter()
-                .map(|c| c.slice_rows(range.clone()))
-                .collect(),
-            self.target_names.clone(),
-            targets,
-        )
     }
 
     /// Scatter matrix `Σ_{i∈I} (ŷᵢ − ŷ_I)(ŷᵢ − ŷ_I)ᵀ / |I|` of an
@@ -404,60 +320,6 @@ mod tests {
         let direct = d.target_variance_along(&ext, &w);
         let via_scatter = d.target_scatter(&ext).quad_form(&w);
         assert!((direct - via_scatter).abs() < 1e-10);
-    }
-
-    #[test]
-    fn sharded_statistics_are_bit_identical_to_unsharded() {
-        // Irrational-ish values so any reordering of the float additions
-        // would show up in the bits.
-        let n = 150;
-        let targets = Matrix::from_vec(
-            n,
-            2,
-            (0..2 * n)
-                .map(|k| ((k * k) as f64).sqrt().sin() * 1e3)
-                .collect(),
-        );
-        let d = Dataset::new(
-            "s",
-            vec!["x".into()],
-            vec![Column::Numeric((0..n).map(|i| i as f64).collect())],
-            vec!["a".into(), "b".into()],
-            targets,
-        );
-        let ext = BitSet::from_fn(n, |i| i % 3 != 1);
-        let mean = d.target_mean(&ext);
-        let w = vec![0.6, 0.8];
-        let var = d.target_variance_along(&ext, &w);
-        for s in [1usize, 2, 3, 7] {
-            let plan = ShardPlan::new(n, s);
-            let smean = d.target_mean_sharded(&ext, &plan);
-            for (a, b) in smean.iter().zip(&mean) {
-                assert_eq!(a.to_bits(), b.to_bits(), "shards={s}");
-            }
-            assert_eq!(
-                d.target_variance_along_sharded(&ext, &w, &plan).to_bits(),
-                var.to_bits(),
-                "shards={s}"
-            );
-        }
-    }
-
-    #[test]
-    fn slice_rows_preserves_values_and_shapes() {
-        let d = toy();
-        let s = d.slice_rows(1..3);
-        assert_eq!(s.n(), 2);
-        assert_eq!(s.dx(), 2);
-        assert_eq!(s.target_row(0), d.target_row(1));
-        assert_eq!(s.target_row(1), d.target_row(2));
-        assert_eq!(
-            s.desc_col(0).display_value(1),
-            d.desc_col(0).display_value(2)
-        );
-        let empty = d.slice_rows(4..4);
-        assert_eq!(empty.n(), 0);
-        assert_eq!(empty.dy(), 2);
     }
 
     #[test]

@@ -26,13 +26,12 @@
 //! A candidate rejected by a support filter, a dedup check, or a bound
 //! predicate therefore never writes a single word. Both passes split into
 //! contiguous work items ((parent, row-block) counts; survivor chunks)
-//! processed on scoped OS threads and merged in item order, so the emitted
-//! child sequence is **identical at any thread count** — exactly the
-//! sequence the serial per-candidate `BitSet::and` loop produced, and
-//! bit-identical to the single-pass reference
+//! processed on the persistent worker pool and merged in item order, so
+//! the emitted child sequence is **identical at any thread count** —
+//! exactly the sequence the serial per-candidate `BitSet::and` loop
+//! produced, and bit-identical to the single-pass reference
 //! ([`FrontierBuilder::refine_parents_single_pass`]).
 
-use crate::exec::ExecHandle;
 use crate::matrix::MaskMatrix;
 use sisd_data::{kernels, BitSet};
 use sisd_obs::{Metric, ObsHandle};
@@ -56,11 +55,6 @@ pub struct FrontierConfig {
     /// Observability handle refinement counters and spans report into.
     /// Disabled by default; never changes refinement output.
     pub obs: ObsHandle,
-    /// Shard executor the *sharded* refinement passes dispatch through.
-    /// Disabled by default (local kernels); the dense builder ignores it.
-    /// Never changes refinement output — executor failures fall back to
-    /// the local kernels per shard (see [`crate::exec`]).
-    pub exec: ExecHandle,
 }
 
 impl Default for FrontierConfig {
@@ -70,7 +64,6 @@ impl Default for FrontierConfig {
             threads: 1,
             pool: PoolHandle::global(),
             obs: ObsHandle::disabled(),
-            exec: ExecHandle::disabled(),
         }
     }
 }
@@ -115,7 +108,7 @@ pub struct ChildBatch {
 }
 
 impl ChildBatch {
-    pub(crate) fn with_shape(n: usize, stride: usize) -> Self {
+    fn with_shape(n: usize, stride: usize) -> Self {
         Self {
             n,
             stride,
@@ -126,12 +119,7 @@ impl ChildBatch {
 
     /// Assembles a batch whose metadata and word arena were produced by
     /// the two-pass (count-first) refinement.
-    pub(crate) fn from_parts(
-        n: usize,
-        stride: usize,
-        meta: Vec<ChildMeta>,
-        words: Vec<u64>,
-    ) -> Self {
+    fn from_parts(n: usize, stride: usize, meta: Vec<ChildMeta>, words: Vec<u64>) -> Self {
         debug_assert_eq!(words.len(), meta.len() * stride);
         Self {
             n,
@@ -177,7 +165,7 @@ impl ChildBatch {
         BitSet::from_words(self.child_words(i).to_vec(), self.n)
     }
 
-    pub(crate) fn push(&mut self, meta: ChildMeta, child_words: &[u64]) {
+    fn push(&mut self, meta: ChildMeta, child_words: &[u64]) {
         self.meta.push(meta);
         self.words.extend_from_slice(child_words);
     }
@@ -192,13 +180,13 @@ impl ChildBatch {
 /// rows, so a single wide parent (e.g. the root of a level-1 beam) still
 /// splits across workers. Small enough to parallelize short condition
 /// languages, large enough that an item amortizes its scheduling.
-pub(crate) const BLOCK_ROWS: usize = 32;
+const BLOCK_ROWS: usize = 32;
 
 /// Smallest number of work items worth a worker thread: even with the
 /// persistent pool, handing an item to a worker costs a queue round-trip,
 /// so small frontiers run inline regardless of the configured thread
 /// count.
-pub(crate) const MIN_ITEMS_PER_WORKER: usize = 2;
+const MIN_ITEMS_PER_WORKER: usize = 2;
 
 /// Parents per grid-kernel tile in the count pass: each cache-resident
 /// row block is ANDed against up to this many parents in one pass
@@ -206,7 +194,7 @@ pub(crate) const MIN_ITEMS_PER_WORKER: usize = 2;
 /// block once per parent. Eight parents × a typical 128-word stride is
 /// ~8 KiB of parent words — comfortably L1-resident next to the block —
 /// while still splitting a wide beam into enough tiles to parallelize.
-pub(crate) const PARENT_TILE: usize = 8;
+const PARENT_TILE: usize = 8;
 
 /// Matrix size (words) above which *serial* multi-parent refinement takes
 /// the two-pass grid route instead of the fused per-parent loop. The grid
@@ -216,7 +204,7 @@ pub(crate) const PARENT_TILE: usize = 8;
 /// fused loop's single cache-resident pass per parent is faster than the
 /// two-pass split's extra count buffer walk. Both routes are bit-identical
 /// by the determinism contract, so this is a pure speed knob.
-pub(crate) const GRID_MIN_MATRIX_WORDS: usize = 1 << 17;
+const GRID_MIN_MATRIX_WORDS: usize = 1 << 17;
 
 /// Smallest kernel workload (words ANDed) worth a worker thread. The
 /// fused kernels stream several words per nanosecond, so a worker must
@@ -225,35 +213,20 @@ pub(crate) const GRID_MIN_MATRIX_WORDS: usize = 1 << 17;
 /// branch-and-bound's per-node refinement (one parent against a small
 /// language) stays single-threaded at any configured thread count — its
 /// parallelism lives in `score_all`, not here.
-pub(crate) const MIN_WORDS_PER_WORKER: usize = 1 << 15;
+const MIN_WORDS_PER_WORKER: usize = 1 << 15;
 
 /// Pass-1 sentinel: the dense count of a `(parent, row)` pair the
 /// `allowed` filter rejected. Impossible as a real support (`≤ n`), so the
 /// serial filter distinguishes "skipped" from "counted" without consulting
 /// `allowed` a second time.
-pub(crate) const SKIPPED: usize = usize::MAX;
+const SKIPPED: usize = usize::MAX;
 
-/// Splits `len` work units into at most `workers` contiguous chunks and
-/// runs `run(chunk_index, lo..hi)` on the pool's workers, returning the
-/// outputs in chunk order. The shared deterministic fan-out of both
-/// refinement passes: outputs are merged in chunk (= serial) order, so
-/// scheduling never reorders anything.
-pub(crate) fn run_chunked<T: Send>(
-    pool: PoolHandle,
-    len: usize,
-    workers: usize,
-    run: impl Fn(usize, std::ops::Range<usize>) -> T + Sync,
-) -> Vec<T> {
-    pool.run_chunked(len, workers, run)
-}
-
-/// Pass-2 fan-out shared by the unsharded and sharded builders: writes
-/// each survivor's `stride`-word arena slot via `write(meta, out)` — a
-/// pure function of the child's metadata — chunking survivors over the
-/// pool's workers when the workload clears the worker thresholds.
-/// Disjoint output slices and pure per-child writes keep the arena
-/// bit-identical at any thread count.
-pub(crate) fn materialize_survivors(
+/// Pass-2 fan-out: writes each survivor's `stride`-word arena slot via
+/// `write(meta, out)` — a pure function of the child's metadata —
+/// chunking survivors over the pool's workers when the workload clears
+/// the worker thresholds. Disjoint output slices and pure per-child
+/// writes keep the arena bit-identical at any thread count.
+fn materialize_survivors(
     pool: PoolHandle,
     threads: usize,
     stride: usize,
@@ -282,18 +255,18 @@ pub(crate) fn materialize_survivors(
 /// reported into the obs registry in one batch — the disabled path pays
 /// only dead local increments.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct RefineTally {
+struct RefineTally {
     /// (parent, row) pairs whose support was actually counted.
-    pub counted: u64,
+    counted: u64,
     /// Pairs rejected by the support floor/ceiling.
-    pub count_pruned: u64,
+    count_pruned: u64,
     /// Pairs rejected by the caller's keep predicate.
-    pub dedup_dropped: u64,
+    dedup_dropped: u64,
     /// Survivors materialized into the batch.
-    pub materialized: u64,
+    materialized: u64,
 }
 
-pub(crate) fn record_refine(obs: ObsHandle, tally: RefineTally) {
+fn record_refine(obs: ObsHandle, tally: RefineTally) {
     if !obs.enabled() {
         return;
     }
@@ -443,10 +416,12 @@ impl<'m> FrontierBuilder<'m> {
             }
             out
         };
+        // Outputs come back in chunk (= item) order, so scheduling never
+        // reorders anything.
         let gathered: Vec<Vec<usize>> =
-            run_chunked(self.config.pool, n_items, workers, |_, items| {
-                count_items(items)
-            });
+            self.config
+                .pool
+                .run_chunked(n_items, workers, |_, items| count_items(items));
         let mut counts = vec![SKIPPED; parents.len() * rows];
         let mut item = 0usize;
         for part in &gathered {
@@ -650,9 +625,9 @@ impl<'m> FrontierBuilder<'m> {
             return run_items(&items);
         }
         let parts: Vec<ChildBatch> =
-            run_chunked(self.config.pool, items.len(), workers, |_, chunk| {
-                run_items(&items[chunk])
-            });
+            self.config
+                .pool
+                .run_chunked(items.len(), workers, |_, chunk| run_items(&items[chunk]));
         // Merge in chunk (= item = serial) order.
         let mut out = ChildBatch::with_shape(self.matrix.n(), stride);
         out.meta.reserve(parts.iter().map(ChildBatch::len).sum());

@@ -35,18 +35,6 @@
 //!   `threads > 1` both passes split into contiguous work items merged in
 //!   item order.
 //!
-//! Row-range sharding ([`sharded`]) layers one more axis on top: a
-//! [`ShardedMaskMatrix`] keeps one matrix per word-aligned shard of a
-//! [`sisd_data::ShardPlan`], and [`ShardedFrontierBuilder`] /
-//! [`MaskStore`] refine count-first over `(parent, shard, row-block)`
-//! items: pass 1 ships only per-shard counts (summed in shard order —
-//! exact integers), the filters and keep predicate run on the global
-//! totals, and survivors' words are materialized shard by shard and
-//! concatenated in shard order (exact by word alignment), so the sharded
-//! batch is bit-identical to the unsharded one at any shard count — and a
-//! candidate rejected by any filter costs `S` integers, not `S` word
-//! rows.
-//!
 //! # Determinism contract
 //!
 //! [`FrontierBuilder::refine_parents`] returns children ordered by
@@ -57,18 +45,13 @@
 //! [`dedup_in_order`], top-k selection, batch scoring through
 //! `sisd-search`'s evaluator) therefore behave as if the search were
 //! single-threaded, mirroring the `Evaluator::score_all` contract one
-//! layer up. [`ShardedFrontierBuilder::refine_parents`] extends the same
-//! contract across shard counts.
+//! layer up.
 
 pub mod builder;
-pub mod exec;
 pub mod matrix;
-pub mod sharded;
 
 pub use builder::{
     dedup_in_order, refine_block, ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig,
     ParentSpec,
 };
-pub use exec::{ExecHandle, ShardExecutor};
 pub use matrix::MaskMatrix;
-pub use sharded::{MaskStore, ShardedFrontierBuilder, ShardedMaskMatrix};

@@ -29,8 +29,8 @@ pub(crate) fn next_lineage() -> u64 {
 /// iteration paths and stop at a finite tolerance, so scores agree only to
 /// roughly `convergence_tol × conditioning`, not bitwise. Tests and the
 /// bench-parity gate pin agreement at this constant with refits converged
-/// to `1e-9`; exactness claims elsewhere (cached vs uncached scoring,
-/// sharded vs unsharded) remain bit-identical and are unaffected by warm
+/// to `1e-9`; exactness claims elsewhere (cached vs uncached scoring, any
+/// thread count) remain bit-identical and are unaffected by warm
 /// starting.
 pub const WARM_COLD_SCORE_TOL: f64 = 1e-6;
 
@@ -595,48 +595,6 @@ impl BackgroundModel {
         let mut out = Vec::new();
         for (idx, cell) in self.cells.iter().enumerate() {
             let c = cell.ext.intersection_count(ext);
-            if c > 0 {
-                out.push((idx, c));
-            }
-        }
-        out
-    }
-
-    /// [`BackgroundModel::cell_counts`] aggregated from per-shard partial
-    /// counts: each shard contributes the intersection count of its own
-    /// word range (a zero-copy slice on both sides, by the plan's
-    /// word-alignment invariant), and the per-shard counts are summed.
-    /// Counts are exact integers, so the signature is **identical** to
-    /// the unsharded one for any shard count — no part of the statistics
-    /// query ever touches a whole-dataset mask traversal.
-    pub fn cell_counts_sharded(
-        &self,
-        ext: &BitSet,
-        plan: &sisd_data::ShardPlan,
-    ) -> Vec<(usize, usize)> {
-        self.cell_counts_sharded_with(ext, plan, |cell, ext| {
-            sisd_data::shard::sharded_intersection_count(cell, ext, plan)
-        })
-    }
-
-    /// [`BackgroundModel::cell_counts_sharded`] with the per-cell sharded
-    /// intersection count supplied by the caller — the seam that lets an
-    /// engine route the fold through a remote shard executor (which must
-    /// return the same exact integer the local kernels would, keeping the
-    /// signature identical).
-    pub fn cell_counts_sharded_with<F>(
-        &self,
-        ext: &BitSet,
-        plan: &sisd_data::ShardPlan,
-        mut count: F,
-    ) -> Vec<(usize, usize)>
-    where
-        F: FnMut(&BitSet, &BitSet) -> usize,
-    {
-        assert_eq!(plan.n(), self.n, "cell_counts_sharded: plan row count");
-        let mut out = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            let c = count(&cell.ext, ext);
             if c > 0 {
                 out.push((idx, c));
             }

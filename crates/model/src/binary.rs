@@ -154,97 +154,17 @@ impl BinaryBackgroundModel {
         self.cells = out;
     }
 
-    /// Indices and in-extension counts of cells intersecting `ext` — the
-    /// cell-count signature, mirroring
-    /// [`crate::BackgroundModel::cell_counts`].
-    pub fn cell_counts(&self, ext: &BitSet) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            let c = cell.ext.intersection_count(ext);
-            if c > 0 {
-                out.push((idx, c));
-            }
-        }
-        out
-    }
-
-    /// [`BinaryBackgroundModel::cell_counts`] aggregated from per-shard
-    /// partial counts (zero-copy word slices per shard, summed — exact
-    /// integers, identical to the unsharded signature for any shard
-    /// count).
-    pub fn cell_counts_sharded(
-        &self,
-        ext: &BitSet,
-        plan: &sisd_data::ShardPlan,
-    ) -> Vec<(usize, usize)> {
-        self.cell_counts_sharded_with(ext, plan, |cell, ext| {
-            sisd_data::shard::sharded_intersection_count(cell, ext, plan)
-        })
-    }
-
-    /// [`BinaryBackgroundModel::cell_counts_sharded`] with the per-cell
-    /// sharded intersection count supplied by the caller — the seam that
-    /// lets an engine route the fold through a remote shard executor
-    /// (which must return the same exact integer the local kernels would,
-    /// keeping the signature identical).
-    pub fn cell_counts_sharded_with<F>(
-        &self,
-        ext: &BitSet,
-        plan: &sisd_data::ShardPlan,
-        mut count: F,
-    ) -> Vec<(usize, usize)>
-    where
-        F: FnMut(&BitSet, &BitSet) -> usize,
-    {
-        assert_eq!(plan.n(), self.n, "cell_counts_sharded: plan row count");
-        let mut out = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            let c = count(&cell.ext, ext);
-            if c > 0 {
-                out.push((idx, c));
-            }
-        }
-        out
-    }
-
     /// Expected subgroup mean and its normal-approximation sd for an
-    /// arbitrary candidate extension. Streams the cells without building
-    /// a signature vector — the allocation-free unsharded hot path.
+    /// arbitrary candidate extension.
     pub fn location_stats(&self, ext: &BitSet) -> Result<BinaryLocationStats, ModelError> {
-        self.stats_from_counts(
-            self.cells
-                .iter()
-                .enumerate()
-                .map(|(g, cell)| (g, cell.ext.intersection_count(ext)))
-                .filter(|&(_, c)| c > 0),
-        )
-    }
-
-    /// [`BinaryBackgroundModel::location_stats`] over a precomputed
-    /// cell-count signature (from [`BinaryBackgroundModel::cell_counts`]
-    /// or its sharded counterpart, on this model in its current state).
-    /// Cells are visited in ascending index order either way, so the
-    /// accumulated statistics are bit-identical to the extension-based
-    /// query.
-    pub fn location_stats_for_counts(
-        &self,
-        counts: &[(usize, usize)],
-    ) -> Result<BinaryLocationStats, ModelError> {
-        self.stats_from_counts(counts.iter().copied())
-    }
-
-    /// The shared accumulation over `(cell index, count)` pairs in
-    /// ascending cell order — both entry points feed the same fold, so
-    /// their results are bit-identical.
-    fn stats_from_counts(
-        &self,
-        counts: impl Iterator<Item = (usize, usize)>,
-    ) -> Result<BinaryLocationStats, ModelError> {
         let mut m = 0usize;
         let mut mean = vec![0.0; self.dy];
         let mut var = vec![0.0; self.dy];
-        for (g, c) in counts {
-            let cell = &self.cells[g];
+        for cell in &self.cells {
+            let c = cell.ext.intersection_count(ext);
+            if c == 0 {
+                continue;
+            }
             m += c;
             for j in 0..self.dy {
                 mean[j] += c as f64 * cell.p[j];
@@ -278,37 +198,13 @@ impl BinaryBackgroundModel {
             });
         }
         let stats = self.location_stats(ext)?;
-        Ok(Self::ic_of_stats(&stats, observed))
-    }
-
-    /// [`BinaryBackgroundModel::location_ic`] over a precomputed
-    /// cell-count signature — the sharded evaluation entry point: the
-    /// signature comes from per-shard partial counts and the IC never
-    /// needs the materialized extension.
-    pub fn location_ic_for_counts(
-        &self,
-        counts: &[(usize, usize)],
-        observed: &[f64],
-    ) -> Result<f64, ModelError> {
-        if observed.len() != self.dy {
-            return Err(ModelError::Dimension {
-                expected: self.dy,
-                got: observed.len(),
-            });
-        }
-        let stats = self.location_stats_for_counts(counts)?;
-        Ok(Self::ic_of_stats(&stats, observed))
-    }
-
-    /// The shared IC formula over already-computed statistics.
-    fn ic_of_stats(stats: &BinaryLocationStats, observed: &[f64]) -> f64 {
         let mut ic = 0.0;
         for ((obs, mean), sd) in observed.iter().zip(&stats.mean).zip(&stats.sd) {
             let z = (obs - mean) / sd;
             ic += 0.5 * (2.0 * std::f64::consts::PI).ln() + sd.ln() + 0.5 * z * z;
         }
         // −log density → the per-attribute log-sd terms enter negatively.
-        ic
+        Ok(ic)
     }
 
     /// Assimilates a location pattern: tilts covered rows' log-odds so the

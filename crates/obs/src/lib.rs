@@ -118,18 +118,6 @@ pub enum Metric {
     RefitLastCycles,
     /// Constraints updated by the most recent refit (gauge).
     RefitLastConstraintsUpdated,
-    /// Shard-executor requests issued (loads, counts, materializes, folds).
-    ExecutorRequests,
-    /// Shard-executor request attempts retried after a timeout or error.
-    ExecutorRetries,
-    /// Shard-executor requests degraded to the local in-process kernels.
-    ExecutorFallbacks,
-    /// Bytes of request frames shipped to executor backends.
-    ExecutorBytesTx,
-    /// Bytes of response frames received from executor backends.
-    ExecutorBytesRx,
-    /// Nanoseconds spent inside executor round-trips (retries included).
-    ExecutorRequestNs,
     /// Bytes written by session snapshot saves (finished containers only).
     SnapshotBytes,
     /// Nanoseconds spent encoding and durably writing snapshots.
@@ -142,7 +130,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metrics; the registry array length.
-    pub const COUNT: usize = 45;
+    pub const COUNT: usize = 39;
 
     /// Every metric, in registry order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -181,12 +169,6 @@ impl Metric {
         Metric::PoolQueueWaitNs,
         Metric::RefitLastCycles,
         Metric::RefitLastConstraintsUpdated,
-        Metric::ExecutorRequests,
-        Metric::ExecutorRetries,
-        Metric::ExecutorFallbacks,
-        Metric::ExecutorBytesTx,
-        Metric::ExecutorBytesRx,
-        Metric::ExecutorRequestNs,
         Metric::SnapshotBytes,
         Metric::SnapshotWriteNs,
         Metric::SnapshotRestoreNs,
@@ -237,12 +219,6 @@ impl Metric {
             Metric::PoolQueueWaitNs => "pool.queue_wait_ns",
             Metric::RefitLastCycles => "refit.last_cycles",
             Metric::RefitLastConstraintsUpdated => "refit.last_constraints_updated",
-            Metric::ExecutorRequests => "executor.requests",
-            Metric::ExecutorRetries => "executor.retries",
-            Metric::ExecutorFallbacks => "executor.fallbacks",
-            Metric::ExecutorBytesTx => "executor.bytes_tx",
-            Metric::ExecutorBytesRx => "executor.bytes_rx",
-            Metric::ExecutorRequestNs => "executor.request_ns",
             Metric::SnapshotBytes => "snapshot.bytes",
             Metric::SnapshotWriteNs => "snapshot.write_ns",
             Metric::SnapshotRestoreNs => "snapshot.restore_ns",
@@ -1016,23 +992,13 @@ impl fmt::Display for SearchReport {
             g(Metric::ModelFactorRebuilds),
             g(Metric::ModelFactorReuses),
         )?;
-        writeln!(
+        write!(
             f,
             "  pool    : {} worker(s), {} job(s), {} task(s) claimed, queue wait {}",
             g(Metric::PoolWorkers),
             g(Metric::PoolJobs),
             g(Metric::PoolTasks),
             fmt_ns(g(Metric::PoolQueueWaitNs)),
-        )?;
-        write!(
-            f,
-            "  executor: {} request(s), {} retried, {} fallback(s), {} B tx / {} B rx, {}",
-            g(Metric::ExecutorRequests),
-            g(Metric::ExecutorRetries),
-            g(Metric::ExecutorFallbacks),
-            g(Metric::ExecutorBytesTx),
-            g(Metric::ExecutorBytesRx),
-            fmt_ns(g(Metric::ExecutorRequestNs)),
         )
     }
 }
@@ -1308,9 +1274,7 @@ mod tests {
         reg.set(Metric::PoolWorkers, 4);
         let report = SearchReport::from_snapshot(reg.snapshot());
         let text = report.to_string();
-        for needle in [
-            "search", "eval", "frontier", "refit", "model", "pool", "executor",
-        ] {
+        for needle in ["search", "eval", "frontier", "refit", "model", "pool"] {
             assert!(text.contains(needle), "missing section {needle}:\n{text}");
         }
         assert!(text.contains("2 warm / 1 cold"), "{text}");

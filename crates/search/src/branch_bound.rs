@@ -31,17 +31,17 @@
 //! below it — is a subset of `E` of size at most `m`, so its whole
 //! subtree's IC is at most `max_{m' ≤ m} IC⋆_{m'}(E)`. That predicate is
 //! fed to the count-first frontier builder
-//! ([`sisd_frontier::MaskStore::refine_with_prune`]), which evaluates it on
-//! the support counts from the count-only pass — a child that cannot beat
-//! the incumbent is pruned before its extension words are ever written,
-//! not after it has been materialized and scored.
+//! ([`sisd_frontier::FrontierBuilder::refine_with_prune`]), which
+//! evaluates it on the support counts from the count-only pass — a child
+//! that cannot beat the incumbent is pruned before its extension words
+//! are ever written, not after it has been materialized and scored.
 
 use crate::eval::{Candidate, Evaluator};
 use crate::refine::{generate_conditions, RefineConfig};
 use crate::EvalConfig;
 use sisd_core::{Condition, DlParams, Intention, LocationPattern};
 use sisd_data::{BitSet, Dataset};
-use sisd_frontier::{FrontierConfig, MaskStore, ParentSpec};
+use sisd_frontier::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_model::BackgroundModel;
 
 /// Branch-and-bound configuration.
@@ -90,10 +90,9 @@ pub struct BranchBoundResult {
 struct Searcher<'a> {
     data: &'a Dataset,
     conditions: Vec<Condition>,
-    /// All condition masks, evaluated once (contiguously, or per row-range
-    /// shard when `cfg.eval.shards > 1`); every node's children are
+    /// All condition masks, evaluated once; every node's children are
     /// generated from its rows via `sisd-frontier`.
-    store: MaskStore,
+    masks: MaskMatrix,
     y: Vec<f64>,
     mu: f64,
     sigma2: f64,
@@ -152,9 +151,19 @@ impl<'a> Searcher<'a> {
     /// (top-`m`) sums into a running maximum per subset size. The final
     /// entry equals the old whole-node `optimistic_ic` exactly (same max
     /// over the same finite set of floats).
+    ///
+    /// Only finite target values enter the fold: a subset covering a
+    /// non-finite row scores non-finite and is rejected by the evaluator,
+    /// and every other subset is a subset of the finite values, which the
+    /// table bounds (`for_support` clamps larger supports to the last
+    /// entry). On finite data the table is the plain fold.
     fn support_bound(&self, ext: &BitSet) -> SupportBound {
-        let mut values: Vec<f64> = ext.iter().map(|i| self.y[i]).collect();
-        values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut values: Vec<f64> = ext
+            .iter()
+            .map(|i| self.y[i])
+            .filter(|y| y.is_finite())
+            .collect();
+        values.sort_by(f64::total_cmp);
         let n = values.len();
         let mut best_ic = vec![f64::NEG_INFINITY; n + 1];
         let (mut bottom, mut top) = (0.0f64, 0.0f64);
@@ -190,9 +199,8 @@ impl<'a> Searcher<'a> {
             return;
         }
         // Generate the node's children through the count-first frontier
-        // builder: pass 1 computes support counts only (per shard, summed
-        // in shard order, when sharding is on), the keep predicate below
-        // prunes on them, and only the survivors' extension words are
+        // builder: pass 1 computes support counts only, the keep predicate
+        // below prunes on them, and only the survivors' extension words are
         // materialized. Survivors are then scored as one owned batch
         // through the engine (parallel when `cfg.eval.threads > 1`;
         // identical results either way; extensions move into the scored
@@ -204,7 +212,6 @@ impl<'a> Searcher<'a> {
             threads: self.cfg.eval.threads,
             pool: self.cfg.eval.pool,
             obs: self.cfg.eval.obs,
-            exec: self.cfg.eval.exec,
         };
         // A child covering as many rows as its (non-root) parent is the
         // same extension with a strictly longer description: dominated,
@@ -223,8 +230,7 @@ impl<'a> Searcher<'a> {
         // prunes no more than the one-at-a-time sweep would.
         let incumbent = self.best_si;
         let mut bound_pruned = 0usize;
-        let children = self.store.refine_with_prune(
-            frontier_cfg,
+        let children = FrontierBuilder::new(&self.masks, frontier_cfg).refine_with_prune(
             &[ParentSpec { ext, max_support }],
             |_, row| row >= first_cond && !intention.conflicts_with(&self.conditions[row]),
             |_, _, support| {
@@ -280,12 +286,12 @@ pub fn branch_bound_search(
     let mu = model.row_mean(0)[0];
     let sigma2 = model.row_cov(0)[(0, 0)];
     let conditions = generate_conditions(data, &cfg.refine);
-    let store = MaskStore::evaluate(data, &conditions, cfg.eval.shards.max(1));
+    let masks = MaskMatrix::evaluate(data, &conditions);
     let ev = Evaluator::gaussian(data, model, cfg.dl, cfg.eval);
     let mut s = Searcher {
         data,
         conditions,
-        store,
+        masks,
         y: data.target_col(0),
         mu,
         sigma2,
@@ -382,21 +388,36 @@ mod tests {
 
     #[test]
     fn matches_exhaustive_search() {
-        let d = data(3, 60);
-        let model = BackgroundModel::from_empirical(&d).unwrap();
         let cfg = BranchBoundConfig {
             max_depth: 2,
             min_coverage: 3,
             ..BranchBoundConfig::default()
         };
-        let result = branch_bound_search(&d, &model, cfg.clone());
-        let mut model2 = BackgroundModel::from_empirical(&d).unwrap();
-        let brute = brute_force(&d, &mut model2, &cfg);
-        let bb = result.best.expect("found").score.si;
-        assert!(
-            (bb - brute).abs() < 1e-9,
-            "branch-and-bound {bb} vs exhaustive {brute}"
+        let clean = data(3, 60);
+        // One NaN target cell under a fixed prior: every subgroup covering
+        // row 5 scores NaN, so both searches must settle on the best
+        // subgroup that avoids it.
+        let mut targets = clean.targets().clone();
+        targets[(5, 0)] = f64::NAN;
+        let nan_cell = Dataset::new(
+            "bb-nan",
+            clean.desc_names().to_vec(),
+            clean.desc_cols().to_vec(),
+            clean.target_names().to_vec(),
+            targets,
         );
+        let prior = BackgroundModel::from_empirical(&clean).unwrap();
+        let nan_prior = BackgroundModel::new(60, vec![3.0], Matrix::identity(1)).unwrap();
+        for (d, model) in [(clean, prior), (nan_cell, nan_prior)] {
+            let result = branch_bound_search(&d, &model, cfg.clone());
+            let brute = brute_force(&d, &mut model.clone(), &cfg);
+            let bb = result.best.expect("found").score.si;
+            assert!(
+                (bb - brute).abs() < 1e-9,
+                "{}: branch-and-bound {bb} vs exhaustive {brute}",
+                d.name
+            );
+        }
     }
 
     #[test]

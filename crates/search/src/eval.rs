@@ -34,8 +34,8 @@ use sisd_core::{
     location_ic_of_stats, spread_si, Condition, ConditionOp, Intention, LocationPattern,
     LocationScore, SisdResult, SpreadScore,
 };
-use sisd_data::{BitSet, Dataset, ShardPlan};
-use sisd_frontier::{ExecHandle, FrontierConfig, MaskStore, ParentSpec};
+use sisd_data::{BitSet, Dataset};
+use sisd_frontier::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_model::{BackgroundModel, BinaryBackgroundModel, FactorCache, ModelError};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
@@ -52,12 +52,6 @@ pub struct EvalConfig {
     /// Worker threads for batch candidate evaluation. `1` keeps scoring on
     /// the calling thread; results are identical either way.
     pub threads: usize,
-    /// Row-range shards for mask construction, frontier refinement, and
-    /// statistics aggregation. `1` keeps the whole-dataset layout; any
-    /// `S > 1` runs the pipeline per word-aligned shard and merges in
-    /// shard order, with results **bit-identical** to the unsharded path
-    /// at any shard count.
-    pub shards: usize,
     /// The persistent worker pool every parallel stage runs on (the
     /// process-global pool by default), so one engine — and one
     /// [`crate::Miner`] — reuses the same workers across levels, searches,
@@ -68,23 +62,14 @@ pub struct EvalConfig {
     /// drives (frontier, model, pool gauges). Disabled by default; an
     /// enabled handle **never changes any result bit** — it only counts.
     pub obs: ObsHandle,
-    /// Shard-executor backend for the sharded count/materialize passes
-    /// and statistics folds (`sisd-exec` in-process / process-pool /
-    /// socket). Disabled by default (local kernels); only consulted when
-    /// `shards > 1`. Results are **bit-identical** with any backend —
-    /// counts and words are exact, and a failing backend degrades to the
-    /// local kernels per request (`executor.fallbacks`).
-    pub exec: ExecHandle,
 }
 
 impl Default for EvalConfig {
     fn default() -> Self {
         Self {
             threads: 1,
-            shards: 1,
             pool: PoolHandle::global(),
             obs: ObsHandle::disabled(),
-            exec: ExecHandle::disabled(),
         }
     }
 }
@@ -96,14 +81,6 @@ impl EvalConfig {
             threads: threads.max(1),
             ..Self::default()
         }
-    }
-
-    /// Sets the row-range shard count (floored at 1). Results are
-    /// identical at any value; the knob exercises the sharded execution
-    /// path end to end.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Sets the worker pool (e.g. a dedicated [`sisd_par::WorkerPool`]
@@ -120,48 +97,6 @@ impl EvalConfig {
         self.obs = obs;
         self
     }
-
-    /// Sets the shard-executor backend the sharded passes dispatch
-    /// through. Results are bit-identical with any backend (or with the
-    /// default disabled handle, which keeps everything on the local
-    /// kernels).
-    pub fn with_executor(mut self, exec: ExecHandle) -> Self {
-        self.exec = exec;
-        self
-    }
-}
-
-/// Sharded intersection count routed through a shard executor: each
-/// shard's partial count is one `and_count` request over the exact word
-/// slices the local fold would use, and the per-shard integers are
-/// summed in shard order. A failed request falls back to the local
-/// kernels for that shard (bumping `executor.fallbacks`), so the total
-/// is identical to [`sisd_data::shard::sharded_intersection_count`]
-/// whether the backend is healthy, flaky, or gone.
-fn exec_intersection_count(
-    exec: &'static dyn sisd_frontier::ShardExecutor,
-    obs: ObsHandle,
-    plan: &ShardPlan,
-    a: &BitSet,
-    b: &BitSet,
-) -> usize {
-    let mut total = 0usize;
-    for s in 0..plan.shards() {
-        let wr = plan.word_range(s);
-        if wr.is_empty() {
-            continue;
-        }
-        let aw = &a.words()[wr.clone()];
-        let bw = &b.words()[wr];
-        total += match exec.and_count(aw, bw) {
-            Ok(c) => c as usize,
-            Err(_) => {
-                obs.incr(Metric::ExecutorFallbacks);
-                sisd_data::kernels::and_count(aw, bw)
-            }
-        };
-    }
-    total
 }
 
 /// One candidate subgroup awaiting evaluation.
@@ -226,20 +161,10 @@ pub struct Evaluator<'a> {
     dl: sisd_core::DlParams,
     threads: usize,
     pool: PoolHandle,
-    /// `Some` when the engine aggregates statistics per row-range shard
-    /// (`EvalConfig::shards > 1`): cell counts sum exact per-shard word
-    /// slices, and float accumulators fold shard by shard in shard order,
-    /// so every score is bit-identical to the unsharded path.
-    plan: Option<ShardPlan>,
     backend: Backend<'a>,
     /// Metrics destination for batch scoring (and, via
     /// [`Evaluator::publish_stats`], the cache/pool gauges).
     obs: ObsHandle,
-    /// Shard-executor backend the sharded cell-count folds (and, through
-    /// [`run_beam_levels`]'s frontier config, the count/materialize
-    /// passes) dispatch through. Disabled → local kernels; any backend →
-    /// identical bits, with per-request local fallback on failure.
-    exec: ExecHandle,
     /// Batch-scored candidates dropped for a reason *other* than an empty
     /// extension — i.e. numeric model breakdown (`BadPrior`). Zero in
     /// healthy runs; see [`Evaluator::numeric_failures`].
@@ -274,14 +199,12 @@ impl<'a> Evaluator<'a> {
             dl,
             threads: cfg.threads.max(1),
             pool: cfg.pool,
-            plan: (cfg.shards > 1).then(|| ShardPlan::new(data.n(), cfg.shards)),
             backend: Backend::Gaussian {
                 model,
                 cache,
                 cell_sums: OnceLock::new(),
             },
             obs: cfg.obs,
-            exec: cfg.exec,
             numeric_failures: AtomicUsize::new(0),
         }
     }
@@ -298,10 +221,8 @@ impl<'a> Evaluator<'a> {
             dl,
             threads: cfg.threads.max(1),
             pool: cfg.pool,
-            plan: (cfg.shards > 1).then(|| ShardPlan::new(data.n(), cfg.shards)),
             backend: Backend::Bernoulli { model },
             obs: cfg.obs,
-            exec: cfg.exec,
             numeric_failures: AtomicUsize::new(0),
         }
     }
@@ -331,12 +252,6 @@ impl<'a> Evaluator<'a> {
         self.obs
     }
 
-    /// The shard-executor handle sharded passes dispatch through
-    /// (disabled means local kernels).
-    pub fn exec(&self) -> ExecHandle {
-        self.exec
-    }
-
     /// Samples the point-in-time gauges — factor-cache hit/miss/occupancy
     /// and worker-pool utilization — into the metrics registry. Cheap; a
     /// disabled handle makes it a no-op. Called at the end of every beam
@@ -361,12 +276,6 @@ impl<'a> Evaluator<'a> {
             obs.set(Metric::PoolTasks, pool.tasks_run());
             obs.set(Metric::PoolQueueWaitNs, pool.queue_wait_ns());
         }
-    }
-
-    /// Row-range shard count of the statistics aggregation (1 when
-    /// unsharded).
-    pub fn shards(&self) -> usize {
-        self.plan.as_ref().map_or(1, ShardPlan::shards)
     }
 
     /// Candidates dropped from batch scoring for a reason other than an
@@ -422,28 +331,14 @@ impl<'a> Evaluator<'a> {
                 return mean;
             }
         }
-        self.fallback_mean(ext)
-    }
-
-    /// The row-scan observed mean, aggregated per shard when the engine is
-    /// sharded. The sharded fold visits rows in exactly the unsharded
-    /// ascending order (see `Dataset::target_mean_sharded`), so the two
-    /// are bit-identical.
-    fn fallback_mean(&self, ext: &BitSet) -> Vec<f64> {
-        match &self.plan {
-            Some(plan) => self.data.target_mean_sharded(ext, plan),
-            None => self.data.target_mean(ext),
-        }
+        self.data.target_mean(ext)
     }
 
     /// Observed mean and SI breakdown of one candidate of the given
     /// description arity — the scoring core shared by the borrowing and
-    /// owning entry points. When the engine is sharded, the cell-count
-    /// signature is summed from per-shard word slices and the row-scan
-    /// mean folds shard by shard; both reproduce the unsharded bits
-    /// exactly. A NaN or infinite SI (say, from a NaN target value) is
-    /// rejected as [`ModelError::NonFinite`], so the batch paths count it
-    /// as a numeric failure and no ranking ever sees it.
+    /// owning entry points. A NaN or infinite SI (say, from a NaN target
+    /// value) is rejected as [`ModelError::NonFinite`], so the batch paths
+    /// count it as a numeric failure and no ranking ever sees it.
     fn score_parts(&self, arity: usize, ext: &BitSet) -> SisdResult<(Vec<f64>, LocationScore)> {
         if ext.count() == 0 {
             return Err(ModelError::EmptyExtension.into());
@@ -451,15 +346,7 @@ impl<'a> Evaluator<'a> {
         let dl = self.dl.location_dl(arity);
         let (observed_mean, ic) = match &self.backend {
             Backend::Gaussian { model, cache, .. } => {
-                let counts = match &self.plan {
-                    Some(plan) => match self.exec.get() {
-                        Some(exec) => model.cell_counts_sharded_with(ext, plan, |cell, ext| {
-                            exec_intersection_count(exec, self.obs, plan, cell, ext)
-                        }),
-                        None => model.cell_counts_sharded(ext, plan),
-                    },
-                    None => model.cell_counts(ext),
-                };
+                let counts = model.cell_counts(ext);
                 let observed = self.observed_mean(ext, &counts);
                 let stats =
                     model.location_stats_for_counts(&counts, &observed, Some(cache.as_ref()))?;
@@ -467,17 +354,8 @@ impl<'a> Evaluator<'a> {
                 (observed, ic)
             }
             Backend::Bernoulli { model } => {
-                let observed = self.fallback_mean(ext);
-                let counts = self.plan.as_ref().map(|plan| match self.exec.get() {
-                    Some(exec) => model.cell_counts_sharded_with(ext, plan, |cell, ext| {
-                        exec_intersection_count(exec, self.obs, plan, cell, ext)
-                    }),
-                    None => model.cell_counts_sharded(ext, plan),
-                });
-                let ic = match counts {
-                    Some(counts) => model.location_ic_for_counts(&counts, &observed)?,
-                    None => model.location_ic(ext, &observed)?,
-                };
+                let observed = self.data.target_mean(ext);
+                let ic = model.location_ic(ext, &observed)?;
                 (observed, ic)
             }
         };
@@ -759,13 +637,6 @@ pub(crate) struct BeamLevelsOutcome {
 /// level is then scored as one batch through the engine and the `width`
 /// best become the next frontier.
 ///
-/// With `ev.shards() > 1` the mask matrix is built per row-range shard and
-/// refinement runs count-first over `(parent, shard, row-block)` items:
-/// pass 1 ships only per-shard counts, the dedup/support filters run on
-/// the shard-summed totals, and only survivors are materialized (merged in
-/// shard order); statistics aggregate from per-shard partials inside the
-/// engine. The search result is bit-identical at any shard count.
-///
 /// Surviving extensions are materialized **once** from the frontier batch
 /// and move through scoring into the final patterns (owned batch
 /// evaluation). The next frontier *borrows* the `width` best scored
@@ -790,17 +661,18 @@ pub(crate) fn run_beam_levels(
     obs.incr(Metric::SearchRuns);
     let data = ev.data();
     let conditions = generate_conditions(data, &cfg.refine);
-    // Every condition mask, evaluated once for the whole search — one
-    // contiguous arena, or one arena per row-range shard when the engine
-    // is sharded; levels and strategies reuse the rows either way.
-    let store = MaskStore::evaluate(data, &conditions, ev.shards());
-    let frontier_cfg = FrontierConfig {
-        min_support: cfg.min_coverage,
-        threads: ev.threads(),
-        pool: ev.pool(),
-        obs: ev.obs(),
-        exec: ev.exec(),
-    };
+    // Every condition mask, evaluated once for the whole search into one
+    // contiguous arena; every level refines against the same rows.
+    let masks = MaskMatrix::evaluate(data, &conditions);
+    let builder = FrontierBuilder::new(
+        &masks,
+        FrontierConfig {
+            min_support: cfg.min_coverage,
+            threads: ev.threads(),
+            pool: ev.pool(),
+            obs,
+        },
+    );
     let max_cov =
         ((data.n() as f64 * cfg.max_coverage_fraction).floor() as usize).max(cfg.min_coverage);
 
@@ -856,10 +728,9 @@ pub(crate) fn run_beam_levels(
         match cfg.time_budget {
             // No budget: one batch, maximally parallel.
             None => {
-                let children =
-                    store.refine_with_prune(frontier_cfg, &parents, allowed, |p, row, _| {
-                        seen.insert(intention_key_with(level_parents[p].0, &conditions[row]))
-                    });
+                let children = builder.refine_with_prune(&parents, allowed, |p, row, _| {
+                    seen.insert(intention_key_with(level_parents[p].0, &conditions[row]))
+                });
                 push_children(&children, 0, &mut batch);
             }
             // Budgeted: refine in slices of one thread-round of parents so
@@ -873,8 +744,7 @@ pub(crate) fn run_beam_levels(
                         break;
                     }
                     let base = s * slice;
-                    let children = store.refine_with_prune(
-                        frontier_cfg,
+                    let children = builder.refine_with_prune(
                         chunk,
                         |p, row| allowed(base + p, row),
                         |p, row, _| {
@@ -1021,36 +891,6 @@ mod tests {
                 assert_eq!(a.score.ic.to_bits(), b.score.ic.to_bits(), "t={threads}");
                 assert_eq!(a.score.si.to_bits(), b.score.si.to_bits(), "t={threads}");
                 assert_eq!(a.observed_mean, b.observed_mean);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_count_does_not_change_results() {
-        let (data, mut model) = fixture();
-        // Heterogeneous cells so the sharded signature path is non-trivial.
-        let half = BitSet::from_indices(data.n(), 0..data.n() / 2);
-        let mean = data.target_mean(&half);
-        model.assimilate_location(&half, mean).unwrap();
-        let cands = candidates(&data, 40);
-        let serial = {
-            let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());
-            ev.score_all(&cands)
-        };
-        for shards in [1usize, 2, 3, 7] {
-            let ev = Evaluator::gaussian(
-                &data,
-                &model,
-                DlParams::default(),
-                EvalConfig::default().with_shards(shards),
-            );
-            assert_eq!(ev.shards(), shards);
-            let got = ev.score_all(&cands);
-            assert_eq!(got.len(), serial.len());
-            for (a, b) in got.iter().zip(&serial) {
-                assert_eq!(a.score.ic.to_bits(), b.score.ic.to_bits(), "s={shards}");
-                assert_eq!(a.score.si.to_bits(), b.score.si.to_bits(), "s={shards}");
-                assert_eq!(a.observed_mean, b.observed_mean, "s={shards}");
             }
         }
     }

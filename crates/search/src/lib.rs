@@ -30,14 +30,10 @@
 //! subsystem: condition masks are evaluated once per dataset into a
 //! contiguous bit-matrix, and per-level refinement (mask AND + coverage
 //! filters) runs on fused word kernels with deterministic parallelism.
-//! The engine's [`eval::EvalConfig`] (worker threads **and row-range
-//! shards**) is threaded from [`MinerConfig`] / [`BeamConfig`] /
+//! The engine's [`eval::EvalConfig`] (worker threads, worker pool and
+//! metrics handle) is threaded from [`MinerConfig`] / [`BeamConfig`] /
 //! [`BranchBoundConfig`] down to every scoring call and drives frontier
-//! generation too. With `shards > 1` the conjunctive strategies build
-//! their masks per word-aligned shard, refine over `(parent, shard,
-//! row-block)` items merged in shard order, and aggregate location
-//! statistics from per-shard partials — bit-identical results at any
-//! shard count.
+//! generation too — bit-identical results at any thread count.
 
 pub mod beam;
 pub mod binary_beam;

@@ -60,14 +60,6 @@ impl MinerConfig {
         self
     }
 
-    /// Sets the engine's row-range shard count; every search this miner
-    /// runs builds masks, refines frontiers, and aggregates statistics per
-    /// shard, with results bit-identical to the unsharded search.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.beam.eval = self.beam.eval.with_shards(shards);
-        self
-    }
-
     /// Pins every search this miner runs to one worker pool, so the same
     /// threads are reused across beam levels, searches, and model
     /// assimilations instead of being respawned. Results are identical on
@@ -85,17 +77,6 @@ impl MinerConfig {
     /// with any handle.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.beam.eval = self.beam.eval.with_obs(obs);
-        self
-    }
-
-    /// Routes the sharded count/materialize passes and statistics folds
-    /// of every search this miner runs through the given shard-executor
-    /// backend (see `sisd-exec`). Only consulted when the engine is
-    /// sharded (`with_shards(S > 1)`); results are bit-identical with any
-    /// backend, and a failing backend degrades to the local kernels per
-    /// request instead of failing the search.
-    pub fn with_executor(mut self, exec: sisd_frontier::ExecHandle) -> Self {
-        self.beam.eval = self.beam.eval.with_executor(exec);
         self
     }
 }
@@ -242,8 +223,8 @@ impl Miner {
     /// the snapshot was taken against (verified by content fingerprint —
     /// resuming against different data is a hard error, not a silently
     /// wrong model); `config` is supplied fresh, so a resumed session may
-    /// change thread/shard counts, pools, or sinks. Results are
-    /// bit-identical to the uninterrupted original under any of those.
+    /// change thread counts, pools, or sinks. Results are bit-identical
+    /// to the uninterrupted original under any of those.
     ///
     /// Every corrupted, truncated, or version-skewed input yields a clean
     /// `Err`; `snapshot.crc_failures` is bumped on the config's obs handle

@@ -40,13 +40,17 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// (`k = 4` gives the paper's 20/40/60/80th percentiles), deduplicated and
 /// excluding values equal to the sample min or max (conditions there would
 /// be trivially true/false).
+///
+/// NaN values (missing cells) are left out, so the split points describe
+/// the observed values only; a NaN row then satisfies no `x ≥ q` / `x ≤ q`
+/// condition. An all-NaN column has no split points.
 pub fn percentile_split_points(xs: &[f64], k: usize) -> Vec<f64> {
     assert!(k >= 1, "percentile_split_points: k must be >= 1");
-    let mut v = xs.to_vec();
+    let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
     if v.is_empty() {
         return Vec::new();
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("split points: NaN in data"));
+    v.sort_by(f64::total_cmp);
     let (min, max) = (v[0], v[v.len() - 1]);
     let mut out = Vec::with_capacity(k);
     for i in 1..=k {
@@ -122,6 +126,22 @@ mod tests {
     fn constant_column_yields_no_splits() {
         let xs = vec![2.0; 50];
         assert!(percentile_split_points(&xs, 4).is_empty());
+    }
+
+    #[test]
+    fn split_points_skip_a_nan_value() {
+        let clean: Vec<f64> = (1..=100).map(|i| i as f64).collect();
+        let mut xs = clean.clone();
+        xs.insert(37, f64::NAN);
+        assert_eq!(
+            percentile_split_points(&xs, 4),
+            percentile_split_points(&clean, 4)
+        );
+    }
+
+    #[test]
+    fn all_nan_column_yields_no_splits() {
+        assert!(percentile_split_points(&[f64::NAN; 20], 4).is_empty());
     }
 
     #[test]

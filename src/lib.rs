@@ -17,7 +17,6 @@
 pub use sisd_baselines as baselines;
 pub use sisd_core as core;
 pub use sisd_data as data;
-pub use sisd_exec as exec;
 pub use sisd_frontier as frontier;
 pub use sisd_linalg as linalg;
 pub use sisd_model as model;
@@ -35,7 +34,7 @@ pub mod prelude {
         DlParams, Intention, LocationPattern, LocationScore, SisdError, SisdResult, SpreadPattern,
         SpreadScore,
     };
-    pub use sisd_data::{datasets, BitSet, Column, Dataset, ShardPlan, ShardedDataset};
+    pub use sisd_data::{datasets, BitSet, Column, Dataset};
     pub use sisd_linalg::Matrix;
     pub use sisd_model::{BackgroundModel, BinaryBackgroundModel};
     pub use sisd_obs::{JsonlSink, Metric, NullSink, Obs, ObsHandle, RingSink, SearchReport};

@@ -300,11 +300,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Batch scoring and count-first refinement through the persistent
-    /// worker pool are bit-identical to the serial oracle at every
-    /// threads ∈ {1, 2, 4} × shards ∈ {1, 3, 7} combination, on the
-    /// global pool and on a dedicated pool alike — the "no output bit may
-    /// change" contract of the pool migration, including pool *reuse*:
-    /// every case after the first runs against already-warm workers.
+    /// worker pool are bit-identical to the serial oracle at every thread
+    /// count ∈ {1, 2, 4}, on the global pool and on a dedicated pool
+    /// alike — the "no output bit may change" contract of the pool
+    /// migration, including pool *reuse*: every case after the first runs
+    /// against already-warm workers.
     #[test]
     fn pooled_scoring_and_refinement_match_the_serial_oracle(seed in 0u64..10_000) {
         let data = bb_data(seed ^ 0x517c_c1b7_2722_0a95, 200 + (seed as usize) % 90);
@@ -335,21 +335,17 @@ proptest! {
 
         for pool in [PoolHandle::global(), dedicated_pool()] {
             for threads in [1usize, 2, 4] {
-                for shards in [1usize, 3, 7] {
-                    let cfg = EvalConfig::with_threads(threads)
-                        .with_shards(shards)
-                        .with_pool(pool);
-                    let ev = Evaluator::gaussian(&data, &model, Default::default(), cfg);
-                    let got = ev.score_all(&cands);
-                    prop_assert_eq!(got.len(), oracle.len());
-                    for (a, b) in got.iter().zip(&oracle) {
-                        prop_assert_eq!(&a.ext, &b.ext, "threads={} shards={}", threads, shards);
-                        prop_assert_eq!(
-                            a.score.si.to_bits(),
-                            b.score.si.to_bits(),
-                            "threads={} shards={} global={}", threads, shards, pool.is_global()
-                        );
-                    }
+                let cfg = EvalConfig::with_threads(threads).with_pool(pool);
+                let ev = Evaluator::gaussian(&data, &model, Default::default(), cfg);
+                let got = ev.score_all(&cands);
+                prop_assert_eq!(got.len(), oracle.len());
+                for (a, b) in got.iter().zip(&oracle) {
+                    prop_assert_eq!(&a.ext, &b.ext, "threads={}", threads);
+                    prop_assert_eq!(
+                        a.score.si.to_bits(),
+                        b.score.si.to_bits(),
+                        "threads={} global={}", threads, pool.is_global()
+                    );
                 }
                 let builder = FrontierBuilder::new(
                     &matrix,

@@ -2,10 +2,10 @@
 //!
 //! The `sisd-obs` layer's hard contract: an enabled metrics/tracing handle
 //! — counters, spans, and an event sink — must leave every search result
-//! bit-identical to the disabled-handle run, at any thread and shard
-//! count. These tests run full Gaussian beam searches over random datasets
-//! with obs off, obs on over a `NullSink` (counters only), and obs on over
-//! a `RingSink` (counters + event stream), and require bitwise equality of
+//! bit-identical to the disabled-handle run, at any thread count. These
+//! tests run full Gaussian beam searches over random datasets with obs
+//! off, obs on over a `NullSink` (counters only), and obs on over a
+//! `RingSink` (counters + event stream), and require bitwise equality of
 //! every pattern, plus self-consistent counters in the recorded report.
 
 use proptest::prelude::*;
@@ -16,8 +16,7 @@ use sisd::obs::{Metric, MetricKind, NullSink, Obs, ObsHandle, RingSink, TraceEve
 use sisd::search::{BeamConfig, BeamResult, BeamSearch, EvalConfig, Miner, MinerConfig};
 use sisd::stats::Xoshiro256pp;
 
-/// Random mixed-type dataset with a planted signal (same shape as the
-/// shard-parity suite's generator).
+/// Random mixed-type dataset with a planted signal.
 fn random_dataset(seed: u64, n: usize, dy: usize) -> Dataset {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let flag: Vec<bool> = (0..n).map(|_| rng.uniform() < 0.3).collect();
@@ -71,7 +70,7 @@ proptest! {
 
     /// Beam searches with an enabled obs handle (counters-only and with a
     /// live event sink) are bit-identical to the disabled-handle search at
-    /// threads {1, 4} × shards {1, 3}.
+    /// threads {1, 4}.
     #[test]
     fn obs_never_changes_beam_results(seed in 0u64..1_000) {
         let n = 80 + (seed as usize * 37) % 160;
@@ -86,49 +85,43 @@ proptest! {
         };
         let reference = BeamSearch::new(base.clone()).run(&data, &model);
         for threads in [1usize, 4] {
-            for shards in [1usize, 3] {
-                let eval = EvalConfig::with_threads(threads).with_shards(shards);
-                for (label, obs) in [
-                    ("disabled", ObsHandle::disabled()),
-                    ("null-sink", Obs::leaked(Box::new(NullSink))),
-                    ("ring-sink", Obs::leaked(Box::new(RingSink::new(4096)))),
-                ] {
-                    let cfg = BeamConfig {
-                        eval: eval.with_obs(obs),
-                        ..base.clone()
-                    };
-                    let got = BeamSearch::new(cfg).run(&data, &model);
-                    assert_same_results(
-                        &reference,
-                        &got,
-                        &format!("{label} t={threads} s={shards}"),
+            let eval = EvalConfig::with_threads(threads);
+            for (label, obs) in [
+                ("disabled", ObsHandle::disabled()),
+                ("null-sink", Obs::leaked(Box::new(NullSink))),
+                ("ring-sink", Obs::leaked(Box::new(RingSink::new(4096)))),
+            ] {
+                let cfg = BeamConfig {
+                    eval: eval.with_obs(obs),
+                    ..base.clone()
+                };
+                let got = BeamSearch::new(cfg).run(&data, &model);
+                assert_same_results(&reference, &got, &format!("{label} t={threads}"));
+                if let Some(snap) = obs.snapshot() {
+                    // The counters a run just recorded must be
+                    // self-consistent, whatever their exact values.
+                    prop_assert_eq!(snap.get(Metric::SearchRuns), 1, "{}", label);
+                    prop_assert_eq!(
+                        snap.get(Metric::FrontierRefineCalls),
+                        snap.get(Metric::FrontierGridDispatch)
+                            + snap.get(Metric::FrontierFusedDispatch),
+                        "{}: every refine call dispatches exactly once",
+                        label
                     );
-                    if let Some(snap) = obs.snapshot() {
-                        // The counters a run just recorded must be
-                        // self-consistent, whatever their exact values.
-                        prop_assert_eq!(snap.get(Metric::SearchRuns), 1, "{}", label);
-                        prop_assert_eq!(
-                            snap.get(Metric::FrontierRefineCalls),
-                            snap.get(Metric::FrontierGridDispatch)
-                                + snap.get(Metric::FrontierFusedDispatch),
-                            "{}: every refine call dispatches exactly once",
-                            label
-                        );
-                        prop_assert_eq!(
-                            snap.get(Metric::FrontierCandidates),
-                            snap.get(Metric::FrontierCountPruned)
-                                + snap.get(Metric::FrontierDedupDropped)
-                                + snap.get(Metric::FrontierMaterialized),
-                            "{}: every counted candidate is accounted for",
-                            label
-                        );
-                        prop_assert_eq!(
-                            snap.get(Metric::EvalScored),
-                            got.evaluated as u64,
-                            "{}: scored counter matches the result log",
-                            label
-                        );
-                    }
+                    prop_assert_eq!(
+                        snap.get(Metric::FrontierCandidates),
+                        snap.get(Metric::FrontierCountPruned)
+                            + snap.get(Metric::FrontierDedupDropped)
+                            + snap.get(Metric::FrontierMaterialized),
+                        "{}: every counted candidate is accounted for",
+                        label
+                    );
+                    prop_assert_eq!(
+                        snap.get(Metric::EvalScored),
+                        got.evaluated as u64,
+                        "{}: scored counter matches the result log",
+                        label
+                    );
                 }
             }
         }

@@ -7,7 +7,11 @@ use sisd::data::csv::dataset_from_csv_str;
 use sisd::data::{BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
 use sisd::model::{BackgroundModel, ModelError};
-use sisd::search::{BeamConfig, BeamSearch, Miner, MinerConfig, SphereConfig};
+use sisd::search::{
+    branch_bound_search, BeamConfig, BeamSearch, BranchBoundConfig, Miner, MinerConfig,
+    SphereConfig,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn tiny_config() -> MinerConfig {
     MinerConfig {
@@ -261,4 +265,146 @@ fn nan_target_cell_degrades_the_search_instead_of_panicking() {
         .expect("assimilation succeeds")
         .expect("a finite pattern is mined");
     assert!(it.location.score.si.is_finite());
+}
+
+/// Rows of every adversarial CSV below.
+const ADV_ROWS: usize = 40;
+
+/// The row that carries the hostile cell in the single-cell cases.
+const ADV_ROW: usize = 7;
+
+/// A `group,size,y` CSV of `ADV_ROWS` rows with the given `size` and `y`
+/// cell text per row; `y` is the only target.
+fn adversarial_csv(size: impl Fn(usize) -> String, y: impl Fn(usize) -> String) -> String {
+    let mut csv = String::from("group,size,y\n");
+    for i in 0..ADV_ROWS {
+        csv.push_str(&format!("g{},{},{}\n", i % 4, size(i), y(i)));
+    }
+    csv
+}
+
+/// A well-behaved target value with a group signal.
+fn plain_y(i: usize) -> f64 {
+    (i as f64 * 0.37).sin() + (i % 4) as f64
+}
+
+/// `text` in the hostile row, `plain` everywhere else.
+fn one_cell(i: usize, text: &str, plain: String) -> String {
+    if i == ADV_ROW {
+        text.to_string()
+    } else {
+        plain
+    }
+}
+
+/// One CSV per kind of hostile input a user's file can carry.
+fn adversarial_table() -> Vec<(&'static str, String)> {
+    let size = |i: usize| (i % 5).to_string();
+    let y = |i: usize| format!("{:e}", plain_y(i));
+    vec![
+        (
+            "nan-target",
+            adversarial_csv(size, |i| one_cell(i, "NaN", y(i))),
+        ),
+        (
+            "inf-target",
+            adversarial_csv(size, |i| one_cell(i, "inf", y(i))),
+        ),
+        (
+            "targets-near-1e300",
+            adversarial_csv(size, |i| format!("{:e}", 1e300 * (1.0 + 0.1 * plain_y(i)))),
+        ),
+        (
+            "targets-near-1e-300",
+            adversarial_csv(size, |i| format!("{:e}", 1e-300 * (1.0 + plain_y(i)))),
+        ),
+        ("constant-target", adversarial_csv(size, |_| "3.25".into())),
+        (
+            "duplicate-rows",
+            adversarial_csv(|i| size(i % 20), |i| y(i % 20)),
+        ),
+        (
+            "nan-descriptor-cell",
+            adversarial_csv(|i| one_cell(i, "NaN", size(i)), y),
+        ),
+        ("all-nan-descriptor", adversarial_csv(|_| "NaN".into(), y)),
+        (
+            "inf-descriptor-cell",
+            adversarial_csv(|i| one_cell(i, "inf", size(i)), y),
+        ),
+    ]
+}
+
+/// Every logged SI is finite, and the log is SI-sorted.
+fn assert_clean_log(case: &str, top: &[sisd::core::LocationPattern]) {
+    for p in top {
+        assert!(p.score.si.is_finite(), "{case}: logged SI {}", p.score.si);
+    }
+    for pair in top.windows(2) {
+        assert!(
+            pair[0].score.si >= pair[1].score.si,
+            "{case}: log out of SI order"
+        );
+    }
+}
+
+/// Runs one CSV through the miner (empirical and fixed prior: a search,
+/// a location step, a location+spread step) and through branch and bound
+/// (empirical and fixed prior). Any call may return `Err`; none may
+/// panic or surface a non-finite or out-of-order score.
+fn run_adversarial_case(case: &str, csv: &str) {
+    let data = dataset_from_csv_str(case, csv, &["y"]).expect("every adversarial CSV parses");
+    let n = data.n();
+    let miners = [
+        Miner::from_empirical(data.clone(), tiny_config()).ok(),
+        Miner::with_prior(data.clone(), vec![3.0], Matrix::identity(1), tiny_config()).ok(),
+    ];
+    for mut miner in miners.into_iter().flatten() {
+        assert_clean_log(case, &miner.search_locations().top);
+        if let Ok(Some(it)) = miner.step_location() {
+            assert!(it.location.score.si.is_finite(), "{case}: step SI");
+        }
+        if let Ok(Some(it)) = miner.step_with_spread() {
+            assert!(it.location.score.si.is_finite(), "{case}: spread-step SI");
+            if let Some(spread) = it.spread {
+                assert!(
+                    spread.score.si.is_finite(),
+                    "{case}: spread SI {}",
+                    spread.score.si
+                );
+            }
+        }
+    }
+
+    let cfg = BranchBoundConfig {
+        max_depth: 2,
+        min_coverage: 2,
+        ..BranchBoundConfig::default()
+    };
+    let models = [
+        BackgroundModel::from_empirical(&data).ok(),
+        BackgroundModel::new(n, vec![3.0], Matrix::identity(1)).ok(),
+    ];
+    for model in models.into_iter().flatten() {
+        let result = branch_bound_search(&data, &model, cfg.clone());
+        if let Some(best) = result.best {
+            assert!(best.score.si.is_finite(), "{case}: branch-and-bound SI");
+        }
+    }
+}
+
+/// Adversarial CSVs — NaN and infinite cells in targets and descriptors,
+/// an all-NaN descriptor column, extreme magnitudes, a constant target,
+/// duplicate rows — never panic any search entry point. Each case runs
+/// under `catch_unwind`, so a failing run names every case that panicked.
+#[test]
+fn adversarial_csvs_never_panic_and_log_finite_sorted_scores() {
+    let failed: Vec<&str> = adversarial_table()
+        .iter()
+        .filter(|(case, csv)| {
+            catch_unwind(AssertUnwindSafe(|| run_adversarial_case(case, csv))).is_err()
+        })
+        .map(|(case, _)| *case)
+        .collect();
+    assert!(failed.is_empty(), "cases that panicked: {failed:?}");
 }

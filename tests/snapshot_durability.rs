@@ -9,8 +9,8 @@
 //!    and any truncation of a valid snapshot yields `Err` — never a
 //!    panic, hang, or silently wrong model.
 //! 3. **Restore parity.** A restored miner's subsequent searches and
-//!    refits are bit-identical to the uninterrupted original, at every
-//!    combination of worker threads {1, 4} × row shards {1, 3}.
+//!    refits are bit-identical to the uninterrupted original, with worker
+//!    threads {1, 4} on either side of the snapshot.
 //! 4. **Crash safety.** A write torn at an arbitrary byte offset (the
 //!    `FailingWriter` fault injector) never corrupts the previous
 //!    durable snapshot.
@@ -39,8 +39,8 @@ fn quick_config() -> MinerConfig {
     }
 }
 
-fn config_at(threads: usize, shards: usize) -> MinerConfig {
-    quick_config().with_threads(threads).with_shards(shards)
+fn config_at(threads: usize) -> MinerConfig {
+    quick_config().with_threads(threads)
 }
 
 /// Mines a session: `iters` iterations on `synthetic_paper(seed)`, with a
@@ -136,26 +136,25 @@ proptest! {
 
 /// Acceptance: a restored miner's subsequent searches and refits are
 /// bit-identical to the uninterrupted original, across worker threads
-/// {1, 4} × row shards {1, 3} on both sides of the snapshot.
+/// {1, 4} on both sides of the snapshot.
 #[test]
-fn restored_sessions_are_bit_identical_across_threads_and_shards() {
-    for &(threads, shards) in &[(1usize, 1usize), (1, 3), (4, 1), (4, 3)] {
-        // The uninterrupted reference session, mined at this combo.
-        let original = mined_session(42, 2, true, config_at(threads, shards));
+fn restored_sessions_are_bit_identical_across_threads() {
+    for threads in [1usize, 4] {
+        // The uninterrupted reference session, mined at this thread count.
+        let original = mined_session(42, 2, true, config_at(threads));
         let bytes = original.snapshot_bytes().expect("snapshot");
-        // Restore at every combo: the execution plan must never leak
-        // into results, so each restored session must track the
+        // Restore at every thread count: the execution plan must never
+        // leak into results, so each restored session must track the
         // original bit-for-bit.
-        for &(rt, rs) in &[(1usize, 1usize), (1, 3), (4, 1), (4, 3)] {
+        for rt in [1usize, 4] {
             let (data, _) = synthetic_paper(42);
-            let mut restored =
-                Miner::restore_bytes(&bytes, data, config_at(rt, rs)).expect("restore");
+            let mut restored = Miner::restore_bytes(&bytes, data, config_at(rt)).expect("restore");
             assert_eq!(restored.iterations_done(), original.iterations_done());
             assert_eq!(
                 search_digest(&restored.search_locations()),
                 search_digest(&original.search_locations()),
-                "search after restore diverged: mined at ({threads},{shards}), \
-                 resumed at ({rt},{rs})"
+                "search after restore diverged: mined at {threads} thread(s), \
+                 resumed at {rt}"
             );
             // Continue both sessions one iteration and compare the refit
             // work and the mined pattern.
@@ -172,7 +171,7 @@ fn restored_sessions_are_bit_identical_across_threads_and_shards() {
             assert_eq!(
                 a.location.score.si.to_bits(),
                 b.location.score.si.to_bits(),
-                "post-restore SI bits diverged at ({rt},{rs})"
+                "post-restore SI bits diverged at {rt} thread(s)"
             );
             assert_eq!(
                 a.spread.map(|s| s.observed_variance.to_bits()),
@@ -181,7 +180,7 @@ fn restored_sessions_are_bit_identical_across_threads_and_shards() {
             assert_eq!(restored.last_refit_stats(), {
                 // The original clone used for stepping owns its stats.
                 let mut orig =
-                    Miner::restore_bytes(&bytes, synthetic_paper(42).0, config_at(threads, shards))
+                    Miner::restore_bytes(&bytes, synthetic_paper(42).0, config_at(threads))
                         .expect("restore reference");
                 orig.step_with_spread().expect("step").expect("pattern");
                 orig.last_refit_stats()
