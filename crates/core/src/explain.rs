@@ -124,7 +124,12 @@ pub fn explain_location(
             }
         })
         .collect();
-    attributes.sort_by(|a, b| b.z.abs().partial_cmp(&a.z.abs()).unwrap());
+    // Largest |z| first; a NaN z (say, from a NaN target value) ranks last.
+    attributes.sort_by(|a, b| {
+        a.z.is_nan()
+            .cmp(&b.z.is_nan())
+            .then_with(|| b.z.abs().total_cmp(&a.z.abs()))
+    });
     Ok(LocationExplanation {
         intention: intention.clone(),
         count: ext.count(),
@@ -196,6 +201,34 @@ mod tests {
         for a in &after.attributes {
             assert!(a.z.abs() < 1e-6, "post-assimilation z = {}", a.z);
         }
+    }
+
+    #[test]
+    fn a_nan_target_ranks_last_instead_of_panicking() {
+        // `from_empirical` rejects NaN targets, but a fixed prior accepts
+        // them; with dy = 2 the sort compares a NaN z with a finite one.
+        let n = 6;
+        let mut targets = Matrix::zeros(n, 2);
+        for i in 0..n {
+            targets[(i, 0)] = i as f64 * 0.1;
+            targets[(i, 1)] = 3.0 + i as f64;
+        }
+        targets[(1, 0)] = f64::NAN;
+        let data = Dataset::new(
+            "nan",
+            vec!["f".into()],
+            vec![Column::binary(&[true, true, true, false, false, false])],
+            vec!["y1".into(), "y2".into()],
+            targets,
+        );
+        let model = BackgroundModel::new(n, vec![0.5, 2.0], Matrix::identity(2)).unwrap();
+        let ext = BitSet::from_indices(n, 0..3);
+        let ex = explain_location(&model, &data, &Intention::empty(), &ext).unwrap();
+        assert_eq!(ex.attributes.len(), 2);
+        assert_eq!(ex.attributes[0].name, "y2");
+        assert!(ex.attributes[0].z.is_finite());
+        assert_eq!(ex.attributes[1].name, "y1");
+        assert!(ex.attributes[1].z.is_nan());
     }
 
     #[test]

@@ -21,9 +21,13 @@
 //! tail bits beyond the logical length are zero (so popcounts over whole
 //! words are exact).
 //!
-//! [`sum_rows`] is the one floating-point kernel here: it adds the target
-//! rows an extension selects, for the observed subgroup mean. Its SIMD
-//! lanes run across columns, so each column still adds its rows one at a
+//! The **row walks** visit the rows an extension selects, one set bit at
+//! a time in ascending order, and do one piece of per-row work each:
+//! [`sum_rows`] adds the target rows (for the observed subgroup mean),
+//! [`count_cells`] counts each row into its background-model parameter
+//! cell (the candidate's cell-count signature), and
+//! [`count_cells_sum_rows`] does both in the same walk. Their SIMD lanes
+//! run across target columns, so each column still adds its rows one at a
 //! time in ascending order, and the twin's bits equal the portable body's.
 
 /// Portable fused AND+popcount body; also instantiated inside the
@@ -163,21 +167,55 @@ fn and_count_grid_select_body(
     }
 }
 
-/// Portable row-sum body (see [`sum_rows`]; shapes asserted by the
-/// caller). Each selected row is added into `out` column by column.
+/// Portable row walk: `visit(i)` for every row `i` whose bit is set in
+/// `ext`, in ascending order.
+///
+/// Generic over the per-row work, as the grid bodies are over their row
+/// kernel: the AVX2 twin instantiates this same body, and the per-row
+/// closure inlined into it compiles with the wider ISA too.
 #[inline(always)]
-fn sum_rows_body(rows: &[f64], ext: &[u64], out: &mut [f64]) {
-    let width = out.len();
+fn walk_rows_body(ext: &[u64], mut visit: impl FnMut(usize)) {
     for (w, &word) in ext.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
-            let i = w * 64 + bits.trailing_zeros() as usize;
-            for (o, v) in out.iter_mut().zip(&rows[i * width..(i + 1) * width]) {
-                *o += v;
-            }
+            visit(w * 64 + bits.trailing_zeros() as usize);
             bits &= bits - 1;
         }
     }
+}
+
+/// Per-row work of [`sum_rows`]: adds row `i` of the `out.len()`-wide
+/// matrix `rows` into `out`, column by column.
+#[inline(always)]
+fn add_row(rows: &[f64], i: usize, out: &mut [f64]) {
+    let width = out.len();
+    for (o, v) in out.iter_mut().zip(&rows[i * width..(i + 1) * width]) {
+        *o += v;
+    }
+}
+
+/// Portable row-sum body (see [`sum_rows`]; shapes asserted by the
+/// caller).
+#[inline(always)]
+fn sum_rows_body(rows: &[f64], ext: &[u64], out: &mut [f64]) {
+    walk_rows_body(ext, |i| add_row(rows, i, out));
+}
+
+/// Portable fused walk (see [`count_cells_sum_rows`]; shapes asserted by
+/// the caller): counts row `i` into cell `cell_of_row[i]` and adds it into
+/// `out`.
+#[inline(always)]
+fn count_cells_sum_rows_body(
+    ext: &[u64],
+    cell_of_row: &[u32],
+    counts: &mut [usize],
+    rows: &[f64],
+    out: &mut [f64],
+) {
+    walk_rows_body(ext, |i| {
+        counts[cell_of_row[i] as usize] += 1;
+        add_row(rows, i, out);
+    });
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -186,7 +224,7 @@ mod x86 {
     //! the `count_ones` loops with the pshufb nibble-LUT algorithm once the
     //! features are enabled — roughly a 2–4× kernel speedup over the
     //! baseline-`x86-64` scalar lowering on the machines this repo targets.
-    //! `sum_rows` gets 4-lane instead of 2-lane column adds.
+    //! The row walks get 4-lane instead of 2-lane column adds.
 
     /// # Safety
     /// The caller must have verified AVX2 support (POPCNT is implied by
@@ -266,6 +304,26 @@ mod x86 {
     #[target_feature(enable = "avx2,popcnt")]
     pub(super) unsafe fn sum_rows(rows: &[f64], ext: &[u64], out: &mut [f64]) {
         super::sum_rows_body(rows, ext, out)
+    }
+
+    /// # Safety
+    /// See [`and_count`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn count_cells(ext: &[u64], cell_of_row: &[u32], counts: &mut [usize]) {
+        super::walk_rows_body(ext, |i| counts[cell_of_row[i] as usize] += 1)
+    }
+
+    /// # Safety
+    /// See [`and_count`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn count_cells_sum_rows(
+        ext: &[u64],
+        cell_of_row: &[u32],
+        counts: &mut [usize],
+        rows: &[f64],
+        out: &mut [f64],
+    ) {
+        super::count_cells_sum_rows_body(ext, cell_of_row, counts, rows, out)
     }
 
     /// The detection result, probed exactly once per process. The std
@@ -561,6 +619,73 @@ pub fn sum_rows(rows: &[f64], ext: &[u64], out: &mut [f64]) {
     sum_rows_body(rows, ext, out)
 }
 
+/// Asserts that `ext` holds one bit per entry of `cell_of_row`.
+fn check_walk_shape(ext: &[u64], cell_of_row: &[u32], name: &str) {
+    assert_eq!(
+        ext.len(),
+        cell_of_row.len().div_ceil(64),
+        "kernels::{name}: extension length mismatch"
+    );
+}
+
+/// Counts the rows `ext` selects into their cells: `counts[cell_of_row[i]]`
+/// goes up by one for every set bit `i`. `cell_of_row` maps each row to
+/// its cell (a background model's parameter partition); after the call,
+/// the nonzero entries of `counts` are the extension's **cell-count
+/// signature**. Counts are added to what `counts` holds, so a caller that
+/// reuses the buffer zeroes the touched entries between extensions.
+///
+/// One walk over the extension's rows, whatever the number of cells —
+/// unlike a per-cell intersection count, which reads every word of the
+/// extension once per cell.
+///
+/// # Panics
+/// Panics if `ext` is not ⌈`cell_of_row.len()` / 64⌉ words long, or if a
+/// selected row's cell is out of range of `counts`.
+pub fn count_cells(ext: &[u64], cell_of_row: &[u32], counts: &mut [usize]) {
+    check_walk_shape(ext, cell_of_row, "count_cells");
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2() {
+        // SAFETY: AVX2 support verified by the cached runtime probe.
+        unsafe { x86::count_cells(ext, cell_of_row, counts) };
+        return;
+    }
+    walk_rows_body(ext, |i| counts[cell_of_row[i] as usize] += 1)
+}
+
+/// [`count_cells`] and [`sum_rows`] in one walk over the rows `ext`
+/// selects: each row is counted into its cell and added into `out`. The
+/// counts are the same integers and `out` gets the same bits as the two
+/// kernels run one after the other, because each column still adds its
+/// rows one at a time in ascending order.
+///
+/// # Panics
+/// Panics on any shape [`count_cells`] or [`sum_rows`] rejects, or if
+/// `rows` does not hold one `out.len()`-wide row per entry of
+/// `cell_of_row`.
+pub fn count_cells_sum_rows(
+    ext: &[u64],
+    cell_of_row: &[u32],
+    counts: &mut [usize],
+    rows: &[f64],
+    out: &mut [f64],
+) {
+    check_walk_shape(ext, cell_of_row, "count_cells_sum_rows");
+    assert_eq!(
+        rows.len(),
+        cell_of_row.len() * out.len(),
+        "kernels::count_cells_sum_rows: rows are not one {}-wide row per cell entry",
+        out.len()
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2() {
+        // SAFETY: AVX2 support verified by the cached runtime probe.
+        unsafe { x86::count_cells_sum_rows(ext, cell_of_row, counts, rows, out) };
+        return;
+    }
+    count_cells_sum_rows_body(ext, cell_of_row, counts, rows, out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -850,6 +975,118 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Row-to-cell map of `n` rows over `cells` cells: every cell gets at
+    /// least one row, the rest are scattered pseudo-randomly.
+    fn cell_map(n: usize, cells: usize, seed: u64) -> Vec<u32> {
+        words(seed, n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| if i < cells { i } else { (w % cells as u64) as usize } as u32)
+            .collect()
+    }
+
+    /// The per-cell loop the row walk replaced: one intersection count of
+    /// the extension with each cell's row set.
+    fn per_cell_oracle(cell_of_row: &[u32], cells: usize, ext: &BitSet) -> Vec<usize> {
+        (0..cells)
+            .map(|g| {
+                let cell = BitSet::from_fn(ext.len(), |i| cell_of_row[i] as usize == g);
+                cell.intersection_count(ext)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_walks_match_the_per_cell_loop_and_sum_rows() {
+        // 300 rows: five words, the last one partial (44 rows).
+        let n = 300usize;
+        let mut sparse = words(52, n.div_ceil(64));
+        sparse[1] = 0;
+        sparse[3] = 0;
+        let extensions = [
+            BitSet::full(n),
+            BitSet::empty(n),
+            BitSet::from_words(words(51, n.div_ceil(64)), n),
+            BitSet::from_words(sparse, n),
+            BitSet::from_indices(n, [0, 63, 64, 255, 256, n - 1]),
+        ];
+        for cells in [1usize, 2, 7, 64, 130] {
+            let cell_of_row = cell_map(n, cells, 60 + cells as u64);
+            for dy in [1usize, 3, 16, 124, 125] {
+                let rows = targets(n, dy);
+                for (e, ext) in extensions.iter().enumerate() {
+                    let what = format!("cells={cells} dy={dy} extension {e}");
+                    let want_counts = per_cell_oracle(&cell_of_row, cells, ext);
+                    let mut want_sum = vec![0.0; dy];
+                    sum_rows(&rows, ext.words(), &mut want_sum);
+                    assert_same_bits(&want_sum, &add_assign_oracle(&rows, dy, ext), &what);
+
+                    let mut counts = vec![0usize; cells];
+                    let mut sum = vec![0.0; dy];
+                    count_cells_sum_rows_body(
+                        ext.words(),
+                        &cell_of_row,
+                        &mut counts,
+                        &rows,
+                        &mut sum,
+                    );
+                    assert_eq!(counts, want_counts, "portable fused {what}");
+                    assert_same_bits(&sum, &want_sum, &format!("portable fused {what}"));
+
+                    let mut counts = vec![0usize; cells];
+                    let mut sum = vec![0.0; dy];
+                    count_cells_sum_rows(ext.words(), &cell_of_row, &mut counts, &rows, &mut sum);
+                    assert_eq!(counts, want_counts, "dispatched fused {what}");
+                    assert_same_bits(&sum, &want_sum, &format!("dispatched fused {what}"));
+
+                    let mut counts = vec![0usize; cells];
+                    count_cells(ext.words(), &cell_of_row, &mut counts);
+                    assert_eq!(counts, want_counts, "dispatched count-only {what}");
+
+                    #[cfg(target_arch = "x86_64")]
+                    if x86::detect() {
+                        let mut counts = vec![0usize; cells];
+                        let mut sum = vec![0.0; dy];
+                        // SAFETY: AVX2 support verified just above.
+                        unsafe {
+                            x86::count_cells_sum_rows(
+                                ext.words(),
+                                &cell_of_row,
+                                &mut counts,
+                                &rows,
+                                &mut sum,
+                            )
+                        };
+                        assert_eq!(counts, want_counts, "AVX2 fused {what}");
+                        assert_same_bits(&sum, &want_sum, &format!("AVX2 fused {what}"));
+                        let mut counts = vec![0usize; cells];
+                        // SAFETY: AVX2 support verified just above.
+                        unsafe { x86::count_cells(ext.words(), &cell_of_row, &mut counts) };
+                        assert_eq!(counts, want_counts, "AVX2 count-only {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_walks_add_to_existing_counts_and_sums() {
+        let cell_of_row = [0u32, 1, 1, 0, 2];
+        let rows = [1.0, 2.0, 3.0, 4.0, 5.0];
+        let mut counts = vec![10usize, 0, 0];
+        let mut sum = vec![0.5];
+        count_cells_sum_rows(&[0b10110], &cell_of_row, &mut counts, &rows, &mut sum);
+        assert_eq!(counts, vec![10, 2, 1]);
+        assert_eq!(sum, vec![0.5 + 2.0 + 3.0 + 5.0]);
+        count_cells(&[], &[], &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "extension length mismatch")]
+    fn count_cells_rejects_a_short_extension() {
+        count_cells(&[u64::MAX], &[0u32; 65], &mut [0]);
     }
 
     #[test]

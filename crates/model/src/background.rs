@@ -212,7 +212,7 @@ impl FactorCache {
 
 /// Sufficient statistics of the subgroup-mean distribution for one
 /// extension, as needed by the location information content (Eq. 13).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocationStats {
     /// `|I|`.
     pub count: usize,
@@ -225,6 +225,18 @@ pub struct LocationStats {
     /// Mahalanobis distance `(ŷ_I − μ_I)ᵀ Cov(f_I)⁻¹ (ŷ_I − μ_I)` of the
     /// observed subgroup mean.
     pub mahalanobis: f64,
+}
+
+/// Reusable buffers of [`BackgroundModel::location_stats_with`]: the
+/// statistics it returns plus its working vectors. Start from
+/// `LocationScratch::default()`; the buffers grow on first use and are
+/// reused by every later call.
+#[derive(Debug, Clone, Default)]
+pub struct LocationScratch {
+    stats: LocationStats,
+    resid: Vec<f64>,
+    sig: Vec<(u64, u32, u32)>,
+    key: CovSignature,
 }
 
 /// Convergence statistics of one [`BackgroundModel::refit`] call. Deep
@@ -587,19 +599,29 @@ impl BackgroundModel {
         self.partition_epoch += 1;
     }
 
-    /// Indices and in-extension counts of cells intersecting `ext` — the
-    /// **cell-count signature** of a candidate extension. After
-    /// `refine(ext)` the count is either 0 or the full cell size, but
-    /// statistics queries run on arbitrary candidate extensions.
+    /// The cell of every row: entry `i` indexes [`BackgroundModel::cells`]
+    /// for row `i`. Read-only view of the partition, for callers that walk
+    /// a candidate's rows once (see [`sisd_data::kernels::count_cells`])
+    /// instead of intersecting it with every cell.
+    pub fn cell_of_row(&self) -> &[u32] {
+        &self.cell_of_row
+    }
+
+    /// Indices and in-extension counts of cells intersecting `ext`, in
+    /// ascending cell order — the **cell-count signature** of a candidate
+    /// extension. After `refine(ext)` the count is either 0 or the full
+    /// cell size, but statistics queries run on arbitrary candidate
+    /// extensions. One walk over the extension's rows, whatever the
+    /// number of cells.
     pub fn cell_counts(&self, ext: &BitSet) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (idx, cell) in self.cells.iter().enumerate() {
-            let c = cell.ext.intersection_count(ext);
-            if c > 0 {
-                out.push((idx, c));
-            }
-        }
-        out
+        assert_eq!(ext.len(), self.n, "cell_counts: extension length mismatch");
+        let mut dense = vec![0usize; self.cells.len()];
+        sisd_data::kernels::count_cells(ext.words(), &self.cell_of_row, &mut dense);
+        dense
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, c)| c > 0)
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -626,19 +648,45 @@ impl BackgroundModel {
 
     /// [`BackgroundModel::location_stats`] over a precomputed cell-count
     /// signature, optionally memoizing mixed-covariance factorizations in
-    /// `cache`. This is the entry point of `sisd-search`'s evaluation
-    /// engine, which computes the signature once per candidate and shares
-    /// it between the observed-mean aggregation and the model statistics.
+    /// `cache`. Allocates its result and working buffers;
+    /// [`BackgroundModel::location_stats_with`] is the same computation
+    /// through caller-owned buffers.
     ///
-    /// `counts` must come from [`BackgroundModel::cell_counts`] on this
-    /// model in its current state, and a non-`None` `cache` must only ever
-    /// be used with one model state (see [`FactorCache`]).
+    /// `counts` is the candidate's cell-count signature on this model in
+    /// its current state: `(cell, rows)` for every cell the extension
+    /// intersects, in ascending cell order, exactly as
+    /// [`BackgroundModel::cell_counts`] returns it or as the nonzero
+    /// entries of [`sisd_data::kernels::count_cells`] over
+    /// [`BackgroundModel::cell_of_row`] read in cell order. The order
+    /// matters: the model mean adds the cells in it. A non-`None` `cache`
+    /// must only ever be used with one model lineage (see
+    /// [`FactorCache`]).
     pub fn location_stats_for_counts(
         &self,
         counts: &[(usize, usize)],
         observed: &[f64],
         cache: Option<&FactorCache>,
     ) -> Result<LocationStats, ModelError> {
+        let mut scratch = LocationScratch::default();
+        self.location_stats_with(counts, observed, cache, &mut scratch)?;
+        Ok(scratch.stats)
+    }
+
+    /// [`BackgroundModel::location_stats_for_counts`] writing into
+    /// `scratch`, whose buffers are reused from call to call: this is the
+    /// entry point of `sisd-search`'s evaluation engine, which scores
+    /// thousands of candidates per beam level through one scratch and
+    /// allocates nothing per candidate once the buffers have grown (a
+    /// mixed-covariance factorization missing from `cache` still
+    /// allocates when it is built). Same arithmetic, same bits, same
+    /// contract on `counts` and `cache`.
+    pub fn location_stats_with<'s>(
+        &self,
+        counts: &[(usize, usize)],
+        observed: &[f64],
+        cache: Option<&FactorCache>,
+        scratch: &'s mut LocationScratch,
+    ) -> Result<&'s LocationStats, ModelError> {
         if observed.len() != self.dy {
             return Err(ModelError::Dimension {
                 expected: self.dy,
@@ -651,24 +699,38 @@ impl BackgroundModel {
         }
         let mf = m as f64;
 
-        let mut mean = vec![0.0; self.dy];
+        let LocationScratch {
+            stats,
+            resid,
+            sig,
+            key,
+        } = scratch;
+        let mean = &mut stats.mean;
+        mean.clear();
+        mean.resize(self.dy, 0.0);
         for &(g, c) in counts {
-            sisd_linalg::axpy(c as f64 / mf, &self.cells[g].mu, &mut mean);
+            sisd_linalg::axpy(c as f64 / mf, &self.cells[g].mu, mean);
         }
-        let mut resid = observed.to_vec();
-        sisd_linalg::sub_assign(&mut resid, &mean);
+        resid.clear();
+        resid.extend_from_slice(observed);
+        sisd_linalg::sub_assign(resid, mean);
 
         let single_cov = counts
             .iter()
             .all(|&(g, _)| self.cells[g].cov_id == self.cells[counts[0].0].cov_id);
 
+        // `r'A⁻¹r` as `‖L⁻¹r‖²`, solved in place in the residual buffer.
+        let inv_quad_form = |chol: &Cholesky, resid: &mut [f64]| {
+            chol.solve_lower_in_place(resid);
+            sisd_linalg::dot(resid, resid)
+        };
         let (log_det_cov, mahalanobis) = if single_cov {
             // Cov = Σ/|I| → log|Cov| = log|Σ| − dy·log|I|;
             // r'Cov⁻¹r = |I| · r'Σ⁻¹r.
             let g0 = counts[0].0;
             let chol = self.cells[g0].chol().ok_or(ModelError::BadPrior)?;
             let ld = chol.log_det() - self.dy as f64 * mf.ln();
-            let maha = mf * chol.inv_quad_form(&resid);
+            let maha = mf * inv_quad_form(chol, resid);
             (ld, maha)
         } else {
             // Dense: Cov = Σ_g c_g Σ_g / |I|², factorized once per
@@ -677,10 +739,12 @@ impl BackgroundModel {
             // (sorted by cov_id, counts aggregated as exact integers), so
             // cached and uncached paths produce identical bits even when
             // different cell partitions induce the same signature.
-            let mut sig: Vec<(u64, u32, u32)> = counts
-                .iter()
-                .map(|&(g, c)| (self.cells[g].cov_id, c as u32, g as u32))
-                .collect();
+            sig.clear();
+            sig.extend(
+                counts
+                    .iter()
+                    .map(|&(g, c)| (self.cells[g].cov_id, c as u32, g as u32)),
+            );
             sig.sort_unstable_by_key(|&(id, _, _)| id);
             sig.dedup_by(|b, a| {
                 if a.0 == b.0 {
@@ -690,9 +754,10 @@ impl BackgroundModel {
                     false
                 }
             });
+            let sig = &*sig;
             let build = || -> Result<Cholesky, ModelError> {
                 let mut cov = Matrix::zeros(self.dy, self.dy);
-                for &(_, c, g) in &sig {
+                for &(_, c, g) in sig {
                     let w = c as f64 / (mf * mf);
                     let sg = &self.cells[g as usize].sigma;
                     for (o, s) in cov.as_mut_slice().iter_mut().zip(sg.as_slice()) {
@@ -705,20 +770,19 @@ impl BackgroundModel {
             };
             let chol = match cache {
                 Some(cache) => {
-                    let key: CovSignature = sig.iter().map(|&(id, c, _)| (id, c)).collect();
-                    cache.get_or_build(self.lineage, &key, build)?
+                    key.clear();
+                    key.extend(sig.iter().map(|&(id, c, _)| (id, c)));
+                    cache.get_or_build(self.lineage, key, build)?
                 }
                 None => Arc::new(build()?),
             };
-            (chol.log_det(), chol.inv_quad_form(&resid))
+            (chol.log_det(), inv_quad_form(&chol, resid))
         };
 
-        Ok(LocationStats {
-            count: m,
-            mean,
-            log_det_cov,
-            mahalanobis,
-        })
+        stats.count = m;
+        stats.log_det_cov = log_det_cov;
+        stats.mahalanobis = mahalanobis;
+        Ok(stats)
     }
 
     /// Per-target-attribute marginal `(mean, sd)` of the subgroup-mean

@@ -9,19 +9,21 @@
 //! Candidate scoring — including multi-threading and factorization reuse —
 //! is delegated to the shared [`crate::eval::Evaluator`], and candidate
 //! *generation* to the batched `sisd-frontier` subsystem (condition masks
-//! evaluated once per search into a contiguous bit-matrix, refined
+//! evaluated once per search — once per [`crate::Miner`] for a miner's
+//! searches — into a contiguous bit-matrix, refined
 //! **count-first**: supports are counted with store-free fused kernels,
 //! the coverage filters and conjunction dedup run on the counts, and only
 //! surviving children's extensions are materialized); set
 //! [`EvalConfig::threads`] to parallelize both. Results are identical at
 //! any thread count.
 
-use crate::eval::{run_beam_levels, Evaluator};
+use crate::eval::{run_beam_levels, Evaluator, SearchLanguage};
 use crate::refine::RefineConfig;
 use crate::EvalConfig;
 use sisd_core::{DlParams, LocationPattern};
 use sisd_data::Dataset;
-use sisd_model::BackgroundModel;
+use sisd_model::{BackgroundModel, FactorCache};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Beam search configuration.
@@ -114,16 +116,7 @@ impl BeamSearch {
     /// cached lazily and thread-safely inside the model, so the model is
     /// only read).
     pub fn run(&self, data: &Dataset, model: &BackgroundModel) -> BeamResult {
-        let start = Instant::now();
-        let ev = Evaluator::gaussian(data, model, self.config.dl, self.config.eval);
-        let outcome = run_beam_levels(&ev, &self.config, start);
-        BeamResult {
-            top: outcome.top,
-            evaluated: outcome.evaluated,
-            elapsed: start.elapsed(),
-            timed_out: outcome.timed_out,
-            degraded: outcome.degraded,
-        }
+        self.run_with_cache(data, model, Arc::new(FactorCache::new()))
     }
 
     /// [`BeamSearch::run`] with an externally-owned factor cache, so
@@ -135,12 +128,29 @@ impl BeamSearch {
         &self,
         data: &Dataset,
         model: &BackgroundModel,
-        cache: std::sync::Arc<sisd_model::FactorCache>,
+        cache: Arc<FactorCache>,
+    ) -> BeamResult {
+        self.run_in_language(data, model, cache, &OnceLock::new())
+    }
+
+    /// [`BeamSearch::run_with_cache`] over a description language that is
+    /// built into `language` on first use and reused after that: a
+    /// [`crate::Miner`] passes its own, so the conditions and their masks
+    /// are evaluated once for all of its searches. The language is a pure
+    /// function of the dataset and `config.refine`, so every search sees
+    /// the same one either way.
+    pub(crate) fn run_in_language(
+        &self,
+        data: &Dataset,
+        model: &BackgroundModel,
+        cache: Arc<FactorCache>,
+        language: &OnceLock<SearchLanguage>,
     ) -> BeamResult {
         let start = Instant::now();
         let ev =
             Evaluator::gaussian_with_cache(data, model, self.config.dl, self.config.eval, cache);
-        let outcome = run_beam_levels(&ev, &self.config, start);
+        let language = language.get_or_init(|| SearchLanguage::new(data, &self.config.refine));
+        let outcome = run_beam_levels(&ev, &self.config, language, start);
         BeamResult {
             top: outcome.top,
             evaluated: outcome.evaluated,

@@ -13,7 +13,7 @@
 //! indicators as real values. `config.eval.threads` parallelizes candidate
 //! evaluation here too, with identical results at any thread count.
 
-use crate::eval::{run_beam_levels, Evaluator};
+use crate::eval::{run_beam_levels, Evaluator, SearchLanguage};
 use crate::BeamConfig;
 use sisd_core::LocationPattern;
 use sisd_data::Dataset;
@@ -48,7 +48,8 @@ pub fn binary_beam_search(
 ) -> BinaryBeamResult {
     let start = Instant::now();
     let ev = Evaluator::bernoulli(data, model, config.dl, config.eval);
-    let outcome = run_beam_levels(&ev, config, start);
+    let language = SearchLanguage::new(data, &config.refine);
+    let outcome = run_beam_levels(&ev, config, &language, start);
     BinaryBeamResult {
         top: outcome.top,
         evaluated: outcome.evaluated,

@@ -15,31 +15,44 @@
 //!   are memoized per **cell-count signature** in a
 //!   [`sisd_model::FactorCache`] that lives and dies with the evaluator.
 //!   There is no warm-up protocol and no panic path for a missing factor.
-//! * **Observed-mean aggregation.** The subgroup mean of a candidate whose
-//!   extension is exactly a union of parameter cells is assembled from
-//!   precomputed per-cell target sums instead of a full row scan; the cell
-//!   intersection counts are computed once per candidate and shared with
-//!   the model-statistics query.
+//! * **One row walk per candidate.** On the Gaussian backend a candidate's
+//!   cell-count signature and its target row sum come from a single walk
+//!   over its rows ([`sisd_data::kernels::count_cells_sum_rows`] over the
+//!   model's row-to-cell map), so a candidate costs `O(|I| · dy)` however
+//!   many cells the partition has. The signature feeds the model
+//!   statistics; the sum becomes the observed mean — except for a
+//!   candidate that is exactly a union of parameter cells, whose mean is
+//!   assembled from precomputed per-cell target sums.
 //! * **Deterministic parallelism.** [`Evaluator::score_all`] splits a
 //!   batch into contiguous chunks, scores them on the persistent
 //!   `sisd-par` worker pool, and merges in chunk order. Each candidate's
 //!   arithmetic is independent of every other's, so the results are
 //!   **bit-identical at any thread count** — searches may be parallelized
 //!   without changing their output.
+//!
+//! Scoring runs through a per-chunk workspace (per-cell counts, the
+//! signature, the observed mean and the model's statistics buffers), so
+//! a candidate allocates nothing of its own; the beam loop below scores
+//! its children straight from the frontier's arena into compact records
+//! and builds a pattern only for what the top-k log or the next beam
+//! keeps.
 
-use crate::refine::generate_conditions;
+use crate::refine::{generate_conditions, RefineConfig};
 use crate::BeamConfig;
 use sisd_core::SisdError;
 use sisd_core::{
-    location_ic_of_stats, spread_si, Condition, ConditionOp, Intention, LocationPattern,
-    LocationScore, SisdResult, SpreadScore,
+    location_ic_of_stats, spread_si, Condition, Intention, LocationPattern, LocationScore,
+    SisdResult, SpreadScore,
 };
-use sisd_data::{BitSet, Dataset};
-use sisd_frontier::{FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
-use sisd_model::{BackgroundModel, BinaryBackgroundModel, FactorCache, ModelError};
+use sisd_data::{kernels, BitSet, Dataset};
+use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
+use sisd_model::{
+    BackgroundModel, BinaryBackgroundModel, FactorCache, LocationScratch, ModelError,
+};
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -151,6 +164,89 @@ enum Backend<'a> {
     },
     /// The Bernoulli MaxEnt model for 0/1 targets (§V extension).
     Bernoulli { model: &'a BinaryBackgroundModel },
+}
+
+/// Everything the scoring core writes while it scores one candidate,
+/// allocated once per chunk of candidates and reused for each of them.
+struct Workspace {
+    /// Rows of the current candidate in each parameter cell (Gaussian);
+    /// all zero between candidates.
+    cell_rows: Vec<usize>,
+    /// The nonzero entries of `cell_rows` in cell order: the candidate's
+    /// cell-count signature.
+    signature: Vec<(usize, usize)>,
+    /// The current candidate's observed target mean.
+    mean: Vec<f64>,
+    /// The model statistics and their working vectors (Gaussian).
+    stats: LocationScratch,
+    /// The current candidate's extension, refilled from its words for the
+    /// Bernoulli model, which takes a [`BitSet`].
+    ext: BitSet,
+}
+
+/// The scored children of one beam level, kept compact: a record per
+/// successfully scored child, and one flat buffer of observed means
+/// holding only the records the top-k log might keep (see
+/// [`LevelRec::mean`]). Buffers are cleared, not freed, between levels.
+#[derive(Default)]
+struct LevelScores {
+    recs: Vec<LevelRec>,
+    means: Vec<f64>,
+}
+
+/// One scored child: which frontier batch and which child of it, its
+/// score, and the slot of its observed mean in [`LevelScores::means`].
+#[derive(Debug, Clone, Copy)]
+struct LevelRec {
+    batch: usize,
+    child: usize,
+    score: LocationScore,
+    /// Slot `s` holds `means[s * dy..(s + 1) * dy]`; [`NO_MEAN`] when the
+    /// child's SI could not enter the top-k log, so its mean was dropped.
+    mean: usize,
+}
+
+/// [`LevelRec::mean`] of a child whose mean was not kept.
+const NO_MEAN: usize = usize::MAX;
+
+impl LevelScores {
+    /// Empties the buffers, with room for `children` records. Reserving
+    /// the exact size up front keeps a large level from doubling its
+    /// record buffer (and briefly holding both copies).
+    fn reset(&mut self, children: usize) {
+        self.recs.clear();
+        self.means.clear();
+        self.recs.reserve_exact(children);
+    }
+
+    /// Appends `other`'s records and means, moving its mean slots past
+    /// this level's.
+    fn append(&mut self, other: &LevelScores, dy: usize) {
+        let base = self.means.len() / dy.max(1);
+        self.recs.extend(other.recs.iter().map(|&rec| LevelRec {
+            mean: if rec.mean == NO_MEAN {
+                NO_MEAN
+            } else {
+                base + rec.mean
+            },
+            ..rec
+        }));
+        self.means.extend_from_slice(&other.means);
+    }
+}
+
+/// Files `item`, of SI `si`, into `items` — sorted by SI descending, ties
+/// in arrival order, at most `k` long — and returns whether it got in:
+/// the admission rule of the top-k log, shared by the log itself and by
+/// the scoring loop's filter on which means to keep.
+fn admit<T>(items: &mut Vec<T>, k: usize, si: f64, si_of: impl Fn(&T) -> f64, item: T) -> bool {
+    let pos = items.partition_point(|q| si_of(q) >= si);
+    if pos >= k {
+        return false;
+    }
+    items.insert(pos, item);
+    items.truncate(k);
+    true
 }
 
 /// The candidate-evaluation engine. See the module docs for the contract;
@@ -295,75 +391,129 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Observed subgroup mean of `ext`, given its cell-count signature.
-    ///
-    /// When every intersected cell is *fully* inside the extension the mean
-    /// is assembled from per-cell target sums (`O(cells · dy)`) instead of
-    /// a row scan (`O(|I| · dy)`) — the case for re-scored assimilated
-    /// subgroups and any candidate aligned with the constraint partition.
-    fn observed_mean(&self, ext: &BitSet, counts: &[(usize, usize)]) -> Vec<f64> {
-        if let Backend::Gaussian {
-            model, cell_sums, ..
-        } = &self.backend
-        {
-            let cells = model.cells();
-            if !counts.is_empty() && counts.iter().all(|&(g, c)| c == cells[g].count) {
-                let sums = cell_sums.get_or_init(|| {
-                    cells
-                        .iter()
-                        .map(|cell| {
-                            let mut s = vec![0.0; self.data.dy()];
-                            sisd_data::kernels::sum_rows(
-                                self.data.targets().as_slice(),
-                                cell.ext.words(),
-                                &mut s,
-                            );
-                            s
-                        })
-                        .collect()
-                });
-                let m: usize = counts.iter().map(|&(_, c)| c).sum();
-                let mut mean = vec![0.0; self.data.dy()];
-                for &(g, _) in counts {
-                    sisd_linalg::add_assign(&mut mean, &sums[g]);
-                }
-                sisd_linalg::scale(1.0 / m as f64, &mut mean);
-                return mean;
-            }
+    /// A fresh scoring workspace shaped for this engine's backend.
+    fn workspace(&self) -> Workspace {
+        let (cells, n) = match &self.backend {
+            Backend::Gaussian { model, .. } => (model.n_cells(), 0),
+            Backend::Bernoulli { .. } => (0, self.data.n()),
+        };
+        Workspace {
+            cell_rows: vec![0; cells],
+            signature: Vec::new(),
+            mean: vec![0.0; self.data.dy()],
+            stats: LocationScratch::default(),
+            ext: BitSet::empty(n),
         }
-        self.data.target_mean(ext)
     }
 
     /// Observed mean and SI breakdown of one candidate of the given
-    /// description arity — the scoring core shared by the borrowing and
-    /// owning entry points. A NaN or infinite SI (say, from a NaN target
-    /// value) is rejected as [`ModelError::NonFinite`], so the batch paths
-    /// count it as a numeric failure and no ranking ever sees it.
-    fn score_parts(&self, arity: usize, ext: &BitSet) -> SisdResult<(Vec<f64>, LocationScore)> {
-        if ext.count() == 0 {
-            return Err(ModelError::EmptyExtension.into());
-        }
+    /// description arity, from its extension's words — the scoring core
+    /// every entry point shares. Leaves the observed mean in `ws.mean`.
+    ///
+    /// On the Gaussian backend one walk over the candidate's rows yields
+    /// its cell-count signature and its target row sum. The mean is that
+    /// sum over the row count — the same bits as
+    /// [`Dataset::target_mean`] — unless every intersected cell lies
+    /// wholly inside the extension: then it is assembled from per-cell
+    /// target sums, the case for re-scored assimilated subgroups and any
+    /// candidate aligned with the constraint partition.
+    ///
+    /// A NaN or infinite SI (say, from a NaN target value) is rejected as
+    /// [`ModelError::NonFinite`], so the batch paths count it as a numeric
+    /// failure and no ranking ever sees it.
+    fn score_words(
+        &self,
+        arity: usize,
+        ext: &[u64],
+        ws: &mut Workspace,
+    ) -> SisdResult<LocationScore> {
         let dl = self.dl.location_dl(arity);
-        let (observed_mean, ic) = match &self.backend {
-            Backend::Gaussian { model, cache, .. } => {
-                let counts = model.cell_counts(ext);
-                let observed = self.observed_mean(ext, &counts);
+        let ic = match &self.backend {
+            Backend::Gaussian {
+                model,
+                cache,
+                cell_sums,
+            } => {
+                let Workspace {
+                    cell_rows,
+                    signature,
+                    mean,
+                    stats,
+                    ..
+                } = ws;
+                mean.fill(0.0);
+                kernels::count_cells_sum_rows(
+                    ext,
+                    model.cell_of_row(),
+                    cell_rows,
+                    self.data.targets().as_slice(),
+                    mean,
+                );
+                signature.clear();
+                let mut m = 0usize;
+                for (g, c) in cell_rows.iter_mut().enumerate() {
+                    if *c > 0 {
+                        signature.push((g, *c));
+                        m += *c;
+                        *c = 0;
+                    }
+                }
+                if m == 0 {
+                    return Err(ModelError::EmptyExtension.into());
+                }
+                let cells = model.cells();
+                if signature.iter().all(|&(g, c)| c == cells[g].count) {
+                    let sums = cell_sums.get_or_init(|| {
+                        cells
+                            .iter()
+                            .map(|cell| {
+                                let mut s = vec![0.0; self.data.dy()];
+                                kernels::sum_rows(
+                                    self.data.targets().as_slice(),
+                                    cell.ext.words(),
+                                    &mut s,
+                                );
+                                s
+                            })
+                            .collect()
+                    });
+                    mean.fill(0.0);
+                    for &(g, _) in signature.iter() {
+                        sisd_linalg::add_assign(mean, &sums[g]);
+                    }
+                }
+                sisd_linalg::scale(1.0 / m as f64, mean);
                 let stats =
-                    model.location_stats_for_counts(&counts, &observed, Some(cache.as_ref()))?;
-                let ic = location_ic_of_stats(&stats, model.dy());
-                (observed, ic)
+                    model.location_stats_with(signature, mean, Some(cache.as_ref()), stats)?;
+                location_ic_of_stats(stats, model.dy())
             }
             Backend::Bernoulli { model } => {
-                let observed = self.data.target_mean(ext);
-                let ic = model.location_ic(ext, &observed)?;
-                (observed, ic)
+                ws.ext.copy_from_words(ext);
+                if ws.ext.count() == 0 {
+                    return Err(ModelError::EmptyExtension.into());
+                }
+                ws.mean.copy_from_slice(&self.data.target_mean(&ws.ext));
+                model.location_ic(&ws.ext, &ws.mean)?
             }
         };
         let si = ic / dl;
         if !si.is_finite() {
             return Err(ModelError::NonFinite.into());
         }
-        Ok((observed_mean, LocationScore { ic, dl, si }))
+        Ok(LocationScore { ic, dl, si })
+    }
+
+    /// [`Evaluator::score_words`] for the batch paths: a failure is noted
+    /// (see [`Evaluator::numeric_failures`]) and comes back as `None`.
+    fn score_or_note(
+        &self,
+        arity: usize,
+        ext: &[u64],
+        ws: &mut Workspace,
+    ) -> Option<LocationScore> {
+        self.score_words(arity, ext, ws)
+            .map_err(|e| self.note_failure(&e))
+            .ok()
     }
 
     /// Scores one location candidate through the same IC formula as
@@ -373,33 +523,14 @@ impl<'a> Evaluator<'a> {
     /// summation order than `Dataset::target_mean`. Bit-identity is
     /// guaranteed *within* the engine at any thread count.
     pub fn score_location(&self, intention: &Intention, ext: &BitSet) -> SisdResult<Scored> {
-        let (observed_mean, score) = self.score_parts(intention.len(), ext)?;
+        let mut ws = self.workspace();
+        let score = self.score_words(intention.len(), ext.words(), &mut ws)?;
         Ok(Scored {
             intention: intention.clone(),
             ext: ext.clone(),
-            observed_mean,
+            observed_mean: ws.mean,
             score,
         })
-    }
-
-    /// [`Evaluator::score_location`] taking the candidate by value: the
-    /// intention and extension **move** into the returned [`Scored`]
-    /// (and onward into the [`LocationPattern`]) instead of being cloned
-    /// per result — an extension materialized once from a frontier batch
-    /// is the same heap allocation the final pattern carries.
-    fn score_owned(&self, candidate: Candidate) -> Option<Scored> {
-        match self.score_parts(candidate.intention.len(), &candidate.ext) {
-            Ok((observed_mean, score)) => Some(Scored {
-                intention: candidate.intention,
-                ext: candidate.ext,
-                observed_mean,
-                score,
-            }),
-            Err(e) => {
-                self.note_failure(&e);
-                None
-            }
-        }
     }
 
     /// Scores a spread candidate (direction `w`, centred on the subgroup's
@@ -429,6 +560,11 @@ impl<'a> Evaluator<'a> {
     /// they are computed.
     const MIN_CHUNK: usize = 16;
 
+    /// Workers a batch of `len` candidates is split over (1: inline).
+    fn workers_for(&self, len: usize) -> usize {
+        self.threads.min(len.div_ceil(Self::MIN_CHUNK))
+    }
+
     /// Scores a batch, returning one entry per input candidate in input
     /// order (`None` where scoring failed, e.g. an empty extension).
     ///
@@ -444,18 +580,21 @@ impl<'a> Evaluator<'a> {
         obs.incr(Metric::EvalBatches);
         let _score_span = obs.span(Metric::EvalScoreNs);
         let score_chunk = |chunk: &[Candidate]| -> Vec<Option<Scored>> {
+            let mut ws = self.workspace();
             chunk
                 .iter()
-                .map(|c| match self.score_location(&c.intention, &c.ext) {
-                    Ok(s) => Some(s),
-                    Err(e) => {
-                        self.note_failure(&e);
-                        None
-                    }
+                .map(|c| {
+                    let score = self.score_or_note(c.intention.len(), c.ext.words(), &mut ws)?;
+                    Some(Scored {
+                        intention: c.intention.clone(),
+                        ext: c.ext.clone(),
+                        observed_mean: ws.mean.clone(),
+                        score,
+                    })
                 })
                 .collect()
         };
-        let workers = self.threads.min(candidates.len().div_ceil(Self::MIN_CHUNK));
+        let workers = self.workers_for(candidates.len());
         let out: Vec<Option<Scored>> = if workers <= 1 {
             score_chunk(candidates)
         } else {
@@ -488,20 +627,29 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::try_score_all`] taking the batch by value: every
     /// candidate's intention and extension **move** into its `Scored` slot
     /// instead of being cloned (same scores, same order, same threading
-    /// contract). This is the batch boundary fix for the frontier arena:
-    /// a dedup-surviving extension is allocated once when it leaves the
-    /// `ChildBatch` and that allocation is the one the final
-    /// `LocationPattern` owns.
+    /// contract), so an extension allocated once for a candidate is the
+    /// allocation its final `LocationPattern` owns.
     pub fn try_score_all_owned(&self, candidates: Vec<Candidate>) -> Vec<Option<Scored>> {
         let obs = self.obs;
         obs.incr(Metric::EvalBatches);
         let _score_span = obs.span(Metric::EvalScoreNs);
-        let workers = self.threads.min(candidates.len().div_ceil(Self::MIN_CHUNK));
-        let out: Vec<Option<Scored>> = if workers <= 1 {
-            candidates
-                .into_iter()
-                .map(|c| self.score_owned(c))
+        let score_part = |part: Vec<Candidate>| -> Vec<Option<Scored>> {
+            let mut ws = self.workspace();
+            part.into_iter()
+                .map(|c| {
+                    let score = self.score_or_note(c.intention.len(), c.ext.words(), &mut ws)?;
+                    Some(Scored {
+                        intention: c.intention,
+                        ext: c.ext,
+                        observed_mean: ws.mean.clone(),
+                        score,
+                    })
+                })
                 .collect()
+        };
+        let workers = self.workers_for(candidates.len());
+        let out: Vec<Option<Scored>> = if workers <= 1 {
+            score_part(candidates)
         } else {
             // Split the owned batch into contiguous per-worker chunks
             // (struct moves, no deep copies), score on the pool's workers
@@ -517,11 +665,7 @@ impl<'a> Evaluator<'a> {
             }
             parts.push(rest);
             self.pool
-                .run_consume(parts, workers, |part| {
-                    part.into_iter()
-                        .map(|c| self.score_owned(c))
-                        .collect::<Vec<_>>()
-                })
+                .run_consume(parts, workers, score_part)
                 .into_iter()
                 .flatten()
                 .collect()
@@ -543,54 +687,195 @@ impl<'a> Evaluator<'a> {
             .flatten()
             .collect()
     }
+
+    /// Scores children `range` of frontier batch number `batch`, all of
+    /// description arity `arity`, straight from the batch's word arena,
+    /// appending one [`LevelRec`] per success to `out`, in child order.
+    /// The batch-path contract of [`Evaluator::try_score_all`] holds —
+    /// same per-candidate core, chunks merged in order, bit-identical at
+    /// any thread count — but nothing is allocated per candidate: serial
+    /// scoring reuses `ws`, and each pooled chunk owns one workspace.
+    ///
+    /// A child's observed mean is kept only if the top-k log could still
+    /// take it: `log` holds the SIs already in the log (descending) and
+    /// `top_k` its size, and each chunk files its own children into a copy
+    /// of it under the log's rule ([`admit`]). The log itself only ever
+    /// sees more entries ahead of a child than its chunk's copy did, so
+    /// every child the log takes has its mean kept.
+    fn score_children(
+        &self,
+        (batch, children): (usize, &ChildBatch),
+        range: Range<usize>,
+        arity: usize,
+        (log, top_k): (&[f64], usize),
+        ws: &mut Workspace,
+        out: &mut LevelScores,
+    ) {
+        let obs = self.obs;
+        obs.incr(Metric::EvalBatches);
+        let _score_span = obs.span(Metric::EvalScoreNs);
+        let before = out.recs.len();
+        let dy = ws.mean.len();
+        let score_range = |range: Range<usize>, ws: &mut Workspace, out: &mut LevelScores| {
+            let mut gate = Vec::with_capacity(top_k + 1);
+            gate.extend_from_slice(log);
+            for child in range {
+                let Some(score) = self.score_or_note(arity, children.child_words(child), ws) else {
+                    continue;
+                };
+                let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
+                    let slot = out.means.len() / dy.max(1);
+                    out.means.extend_from_slice(&ws.mean);
+                    slot
+                } else {
+                    NO_MEAN
+                };
+                out.recs.push(LevelRec {
+                    batch,
+                    child,
+                    score,
+                    mean,
+                });
+            }
+        };
+        let workers = self.workers_for(range.len());
+        if workers <= 1 {
+            score_range(range, ws, out);
+        } else {
+            let lo = range.start;
+            let parts = self.pool.run_chunked(range.len(), workers, |_, chunk| {
+                let mut part = LevelScores::default();
+                part.reset(chunk.len());
+                score_range(
+                    lo + chunk.start..lo + chunk.end,
+                    &mut self.workspace(),
+                    &mut part,
+                );
+                part
+            });
+            for part in &parts {
+                out.append(part, dy);
+            }
+        }
+        if obs.enabled() {
+            obs.add(Metric::EvalScored, (out.recs.len() - before) as u64);
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
 // The shared level-wise beam loop
 // ----------------------------------------------------------------------
 
-/// Canonical fingerprint of one condition, the element of intention keys.
-fn condition_fingerprint(c: &Condition) -> (usize, u8, u64) {
-    match c.op {
-        ConditionOp::Ge(t) => (c.attr, 0u8, t.to_bits()),
-        ConditionOp::Le(t) => (c.attr, 1u8, t.to_bits()),
-        ConditionOp::Eq(l) => (c.attr, 2u8, u64::from(l)),
+/// The description language of a search, evaluated over its dataset:
+/// every base condition and its row mask. A standalone search builds it
+/// once; a [`crate::Miner`] builds it on its first search and every later
+/// search reuses it, since neither the dataset nor the condition settings
+/// change under a miner.
+#[derive(Debug, Clone)]
+pub(crate) struct SearchLanguage {
+    pub(crate) conditions: Vec<Condition>,
+    /// Every condition mask in one contiguous arena; every level of every
+    /// search refines against the same rows.
+    pub(crate) masks: MaskMatrix,
+}
+
+impl SearchLanguage {
+    pub(crate) fn new(data: &Dataset, refine: &RefineConfig) -> Self {
+        let conditions = generate_conditions(data, refine);
+        let masks = MaskMatrix::evaluate(data, &conditions);
+        Self { conditions, masks }
     }
 }
 
-/// Canonical key of a whole intention: sorted condition fingerprints, so
-/// that `a ∧ b` and `b ∧ a` are recognized as the same candidate. Tests
-/// pin dedup behavior with it; the production dedup pass keys children
-/// via [`intention_key_with`] without building them.
+/// Conjunctions of up to this many conditions have an inline
+/// [`ConjunctionKey`].
+const INLINE_ARITY: usize = 4;
+
+/// Canonical dedup key of a conjunction: its condition indices sorted
+/// ascending, so `a ∧ b` and `b ∧ a` are one key. Conditions are unique
+/// within a search (`generate_conditions` never emits two equal ones), so
+/// equal index sets are exactly equal conjunctions. Up to
+/// [`INLINE_ARITY`] indices sit inline, padded with `u32::MAX`, and cost
+/// no allocation; a longer conjunction spills to an exact owned copy.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ConjunctionKey {
+    Inline([u32; INLINE_ARITY]),
+    Spilled(Box<[u32]>),
+}
+
+impl ConjunctionKey {
+    /// The key of the empty conjunction.
+    const ROOT: Self = Self::Inline([u32::MAX; INLINE_ARITY]);
+
+    /// The sorted condition indices.
+    fn indices(&self) -> &[u32] {
+        match self {
+            Self::Inline(key) => {
+                let len = key
+                    .iter()
+                    .position(|&c| c == u32::MAX)
+                    .unwrap_or(INLINE_ARITY);
+                &key[..len]
+            }
+            Self::Spilled(key) => key,
+        }
+    }
+
+    /// The key of this conjunction with condition `row` added.
+    fn with(&self, row: usize) -> Self {
+        let row = u32::try_from(row).expect("condition index fits in u32");
+        let parent = self.indices();
+        let (lo, hi) = parent.split_at(parent.partition_point(|&c| c < row));
+        if parent.len() < INLINE_ARITY {
+            let mut key = [u32::MAX; INLINE_ARITY];
+            key[..lo.len()].copy_from_slice(lo);
+            key[lo.len()] = row;
+            key[lo.len() + 1..=parent.len()].copy_from_slice(hi);
+            Self::Inline(key)
+        } else {
+            Self::Spilled(lo.iter().chain([&row]).chain(hi).copied().collect())
+        }
+    }
+}
+
+/// Canonical key of a whole intention from its condition fingerprints,
+/// for tests that check a search log's intentions are unique as
+/// unordered condition sets.
 #[cfg(test)]
 pub(crate) fn intention_key(intention: &Intention) -> Vec<(usize, u8, u64)> {
+    use sisd_core::ConditionOp;
     let mut key: Vec<(usize, u8, u64)> = intention
         .conditions()
         .iter()
-        .map(condition_fingerprint)
+        .map(|c| match c.op {
+            ConditionOp::Ge(t) => (c.attr, 0u8, t.to_bits()),
+            ConditionOp::Le(t) => (c.attr, 1u8, t.to_bits()),
+            ConditionOp::Eq(l) => (c.attr, 2u8, u64::from(l)),
+        })
         .collect();
     key.sort_unstable();
     key
 }
 
-/// The canonical key of `parent ∧ cond` without materializing the child
-/// intention — the beam's dedup pass keys every generated child, but only
-/// builds the intention (a conditions-vector clone) for the keepers.
-fn intention_key_with(parent: &Intention, cond: &Condition) -> Vec<(usize, u8, u64)> {
-    let mut key: Vec<(usize, u8, u64)> = parent
-        .conditions()
-        .iter()
-        .chain(std::iter::once(cond))
-        .map(condition_fingerprint)
-        .collect();
-    key.sort_unstable();
-    key
+/// Where a top-k entry's pattern is.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Built at an earlier level's end: index into [`TopK::kept`].
+    Kept(usize),
+    /// Admitted from the level being scored: index of its record.
+    Pending(usize),
 }
 
-/// Bounded, sorted top-k pattern log.
+/// Bounded, sorted top-k pattern log over compact entries: a candidate is
+/// admitted on its SI alone, and its pattern is built only when its level
+/// ends ([`TopK::settle`]) and only if it is still in the log then.
 pub(crate) struct TopK {
     k: usize,
-    items: Vec<LocationPattern>,
+    /// Admitted entries by SI descending; ties keep push order.
+    items: Vec<(f64, Slot)>,
+    /// The settled patterns, in `items` order as of the last settle.
+    kept: Vec<LocationPattern>,
 }
 
 impl TopK {
@@ -598,20 +883,54 @@ impl TopK {
         Self {
             k,
             items: Vec::with_capacity(k + 1),
+            kept: Vec::new(),
         }
     }
 
-    pub(crate) fn push(&mut self, p: LocationPattern) {
-        let pos = self.items.partition_point(|q| q.score.si >= p.score.si);
-        if pos >= self.k {
-            return;
-        }
-        self.items.insert(pos, p);
-        self.items.truncate(self.k);
+    /// Offers level record `rec` with SI `si`: it is filed after every
+    /// entry of equal or higher SI, and the log is cut back to `k`.
+    fn push(&mut self, si: f64, rec: usize) {
+        admit(
+            &mut self.items,
+            self.k,
+            si,
+            |q| q.0,
+            (si, Slot::Pending(rec)),
+        );
     }
 
+    /// The SIs in the log, highest first, into `out`.
+    fn sis_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.items.iter().map(|q| q.0));
+    }
+
+    /// Builds the pattern of every entry still pending with `build(rec)`,
+    /// so the log owns all its patterns before the level's storage goes.
+    fn settle(&mut self, mut build: impl FnMut(usize) -> LocationPattern) {
+        // Entries never reorder and evictions only remove, so the kept
+        // indices still referenced ascend along `items`: one forward pass
+        // over the old patterns takes them and drops the evicted ones.
+        let mut old = std::mem::take(&mut self.kept).into_iter().enumerate();
+        self.kept.reserve(self.items.len());
+        for (i, (_, slot)) in self.items.iter_mut().enumerate() {
+            let pattern = match *slot {
+                Slot::Kept(j) => {
+                    old.find(|&(at, _)| at == j)
+                        .expect("a kept entry's pattern is still held")
+                        .1
+                }
+                Slot::Pending(rec) => build(rec),
+            };
+            self.kept.push(pattern);
+            *slot = Slot::Kept(i);
+        }
+    }
+
+    /// The log, once every level has been settled.
     pub(crate) fn into_vec(self) -> Vec<LocationPattern> {
-        self.items
+        debug_assert!(self.items.iter().all(|e| matches!(e.1, Slot::Kept(_))));
+        self.kept
     }
 }
 
@@ -623,49 +942,58 @@ pub(crate) struct BeamLevelsOutcome {
     pub(crate) degraded: usize,
 }
 
+/// A frontier parent: a pattern kept from the previous level (or the
+/// root).
+struct BeamParent {
+    intention: Intention,
+    ext: BitSet,
+    key: ConjunctionKey,
+}
+
 /// The level-wise beam search (paper §II-D), generic over the evaluation
 /// backend: generate each level's candidates through the batched frontier
 /// subsystem (`sisd-frontier` — count-first mask AND + coverage filters
-/// over the condition bit-matrix, parallel on `ev.threads()` workers,
-/// children in serial `(parent, condition)` order at any thread count),
-/// with the canonical-conjunction dedup running as the builder's keep
-/// predicate **between the count pass and materialization** — a duplicate
-/// conjunction is dropped on its support count alone and never has its
-/// extension words computed. Dedup still happens after the structural
-/// filters (so the outcome is independent of which parent reaches a
-/// conjunction first, exactly as in the serial nested loop); the whole
-/// level is then scored as one batch through the engine and the `width`
-/// best become the next frontier.
+/// over the language's condition bit-matrix, parallel on `ev.threads()`
+/// workers, children in serial `(parent, condition)` order at any thread
+/// count), with the canonical-conjunction dedup running as the builder's
+/// keep predicate **between the count pass and materialization** — a
+/// duplicate conjunction is dropped on its support count alone and never
+/// has its extension words computed. Dedup still happens after the
+/// structural filters (so the outcome is independent of which parent
+/// reaches a conjunction first, exactly as in the serial nested loop); the
+/// whole level is then scored through the engine and the `width` best
+/// become the next frontier.
 ///
-/// Surviving extensions are materialized **once** from the frontier batch
-/// and move through scoring into the final patterns (owned batch
-/// evaluation). The next frontier *borrows* the `width` best scored
-/// results of its level — each scored level is held back from the top-k
-/// log until the following level has been generated, then moved in
-/// unchanged (same push order as pushing eagerly), so no per-level parent
-/// clone exists at all (pinned by `tests/alloc_counts.rs`).
+/// A level allocates `O(width + top_k)`, not `O(candidates)`: children
+/// are scored straight from the `ChildBatch` arena into compact records
+/// (score plus a slot in one flat observed-mean buffer), the dedup key is
+/// inline, and the top-k log admits candidates on their SI. An
+/// `Intention`, an owned extension and a pattern are built only for a
+/// candidate that becomes a next-level parent or is still in the top-k
+/// log when its level ends. The log sees the same pushes in the same
+/// order as pushing every scored candidate as a pattern, so it is
+/// bit-identical to that.
 ///
 /// The wall-clock budget is honoured during both phases of a level:
 /// candidate *generation* checks it between frontier-parent slices, and
-/// batch *scoring* checks it between bounded slices (one thread-round of
-/// chunks), so overshoot is limited to one slice of generation plus one
-/// slice of scoring. Everything scored before expiry is still logged — a
-/// timed-out search reports every candidate it committed to, like the
-/// incremental searches it replaced.
+/// scoring checks it between bounded slices (one thread-round of chunks),
+/// so overshoot is limited to one slice of generation plus one slice of
+/// scoring. Everything scored before expiry is still logged — a timed-out
+/// search reports every candidate it committed to, like the incremental
+/// searches it replaced.
 pub(crate) fn run_beam_levels(
     ev: &Evaluator<'_>,
     cfg: &BeamConfig,
+    language: &SearchLanguage,
     start: Instant,
 ) -> BeamLevelsOutcome {
     let obs = ev.obs();
     obs.incr(Metric::SearchRuns);
     let data = ev.data();
-    let conditions = generate_conditions(data, &cfg.refine);
-    // Every condition mask, evaluated once for the whole search into one
-    // contiguous arena; every level refines against the same rows.
-    let masks = MaskMatrix::evaluate(data, &conditions);
+    let dy = data.dy();
+    let SearchLanguage { conditions, masks } = language;
     let builder = FrontierBuilder::new(
-        &masks,
+        masks,
         FrontierConfig {
             min_support: cfg.min_coverage,
             threads: ev.threads(),
@@ -679,66 +1007,53 @@ pub(crate) fn run_beam_levels(
     let mut top = TopK::new(cfg.top_k);
     let mut evaluated = 0usize;
     let mut timed_out = false;
-    let mut seen: HashSet<Vec<(usize, u8, u64)>> = HashSet::new();
-    // Level 1 refines the root; deeper levels refine the `width` best of
-    // the previous level, borrowed from that level's retained scored
-    // results (`pending`) via `frontier_idx`.
-    let root_intent = Intention::empty();
-    let root_ext = BitSet::full(data.n());
-    let mut pending: Vec<Scored> = Vec::new();
-    let mut frontier_idx: Vec<usize> = Vec::new();
+    // Keys of one level's conjunctions all have the level's arity, so no
+    // key can repeat across levels: the set is cleared (keeping its
+    // capacity) per level.
+    let mut seen: HashSet<ConjunctionKey> = HashSet::new();
+    let mut parents = vec![BeamParent {
+        intention: Intention::empty(),
+        ext: BitSet::full(data.n()),
+        key: ConjunctionKey::ROOT,
+    }];
+    let mut ws = ev.workspace();
+    let mut level = LevelScores::default();
+    let mut order: Vec<usize> = Vec::new();
+    let mut log_sis: Vec<f64> = Vec::with_capacity(cfg.top_k);
 
     for depth in 1..=cfg.max_depth {
         obs.incr(Metric::SearchLevels);
         let _level_span = obs.span(Metric::SearchLevelNs);
-        let level_parents: Vec<(&Intention, &BitSet)> = if depth == 1 {
-            vec![(&root_intent, &root_ext)]
-        } else {
-            frontier_idx
-                .iter()
-                .map(|&i| (&pending[i].intention, &pending[i].ext))
-                .collect()
-        };
         // The parent's own coverage caps its children: a child covering as
         // many rows as its parent is the same extension with a longer
         // description (dominated), so the per-parent ceiling is one less.
-        let parents: Vec<ParentSpec<'_>> = level_parents
+        let specs: Vec<ParentSpec<'_>> = parents
             .iter()
-            .map(|&(_, ext)| ParentSpec {
-                ext,
-                max_support: max_cov.min(ext.count().saturating_sub(1)),
+            .map(|p| ParentSpec {
+                ext: &p.ext,
+                max_support: max_cov.min(p.ext.count().saturating_sub(1)),
             })
             .collect();
-        let allowed = |p: usize, row: usize| !level_parents[p].0.conflicts_with(&conditions[row]);
-        // Sequential post-pass in the deterministic child order: attach
-        // intentions and materialize extensions — the batch holds exactly
-        // the dedup survivors, because the keep predicate below ran the
-        // first-wins signature check on the support counts.
-        let mut batch: Vec<Candidate> = Vec::new();
-        let push_children =
-            |children: &sisd_frontier::ChildBatch, base: usize, batch: &mut Vec<Candidate>| {
-                for i in 0..children.len() {
-                    let m = children.meta(i);
-                    batch.push(Candidate {
-                        intention: level_parents[base + m.parent].0.with(conditions[m.row]),
-                        ext: children.child_bitset(i),
-                    });
-                }
-            };
+        let allowed = |p: usize, row: usize| !parents[p].intention.conflicts_with(&conditions[row]);
+        seen.clear();
+        // Each frontier batch with the index of its first parent; the keep
+        // predicate ran the first-wins dedup on the support counts, so the
+        // batches hold exactly the survivors.
+        let mut batches: Vec<(usize, ChildBatch)> = Vec::new();
         match cfg.time_budget {
             // No budget: one batch, maximally parallel.
             None => {
-                let children = builder.refine_with_prune(&parents, allowed, |p, row, _| {
-                    seen.insert(intention_key_with(level_parents[p].0, &conditions[row]))
+                let children = builder.refine_with_prune(&specs, allowed, |p, row, _| {
+                    seen.insert(parents[p].key.with(row))
                 });
-                push_children(&children, 0, &mut batch);
+                batches.push((0, children));
             }
             // Budgeted: refine in slices of one thread-round of parents so
             // the elapsed check runs between slices; a slice, once
             // submitted, completes (bounded overshoot).
             Some(budget) => {
                 let slice = ev.threads().max(1);
-                for (s, chunk) in parents.chunks(slice).enumerate() {
+                for (s, chunk) in specs.chunks(slice).enumerate() {
                     if start.elapsed() > budget {
                         timed_out = true;
                         break;
@@ -747,71 +1062,108 @@ pub(crate) fn run_beam_levels(
                     let children = builder.refine_with_prune(
                         chunk,
                         |p, row| allowed(base + p, row),
-                        |p, row, _| {
-                            seen.insert(intention_key_with(
-                                level_parents[base + p].0,
-                                &conditions[row],
-                            ))
-                        },
+                        |p, row, _| seen.insert(parents[base + p].key.with(row)),
                     );
-                    push_children(&children, base, &mut batch);
+                    batches.push((base, children));
                 }
             }
         }
-        let scored = match cfg.time_budget {
-            // No budget: one batch, maximally parallel. Owned scoring:
-            // each keeper's extension moves through to its pattern.
-            None => ev.score_all_owned(batch),
-            // Budgeted: score in slices sized to one full thread-round so
-            // the elapsed check runs between slices; a slice, once
-            // submitted, completes (bounded overshoot).
-            Some(budget) => {
-                let slice = (ev.threads() * Evaluator::MIN_CHUNK).max(64);
-                let mut out = Vec::with_capacity(batch.len());
-                let mut rest = batch;
-                while !rest.is_empty() {
-                    if start.elapsed() > budget {
-                        timed_out = true;
-                        break;
+        drop(specs);
+        level.reset(batches.iter().map(|(_, c)| c.len()).sum());
+        top.sis_into(&mut log_sis);
+        let log = (log_sis.as_slice(), cfg.top_k);
+        'scoring: for (b, (_, children)) in batches.iter().enumerate() {
+            match cfg.time_budget {
+                // No budget: the batch in one go, maximally parallel.
+                None => ev.score_children(
+                    (b, children),
+                    0..children.len(),
+                    depth,
+                    log,
+                    &mut ws,
+                    &mut level,
+                ),
+                // Budgeted: score in slices sized to one full thread-round
+                // so the elapsed check runs between slices; a slice, once
+                // submitted, completes (bounded overshoot).
+                Some(budget) => {
+                    let slice = (ev.threads() * Evaluator::MIN_CHUNK).max(64);
+                    let mut lo = 0;
+                    while lo < children.len() {
+                        if start.elapsed() > budget {
+                            timed_out = true;
+                            break 'scoring;
+                        }
+                        let hi = children.len().min(lo + slice);
+                        ev.score_children((b, children), lo..hi, depth, log, &mut ws, &mut level);
+                        lo = hi;
                     }
-                    let tail = rest.split_off(rest.len().min(slice));
-                    out.extend(ev.score_all_owned(rest));
-                    rest = tail;
                 }
-                out
             }
-        };
-        evaluated += scored.len();
-        // The previous level's borrows ended with candidate generation:
-        // move its patterns into the log now, unchanged. The push
-        // sequence stays level by level in scored order — exactly the
-        // sequence eager pushing produced — so the top-k log is
-        // bit-identical; holding each level back for one iteration is
-        // what lets the next frontier borrow instead of clone.
-        for s in pending.drain(..) {
-            top.push(s.into_pattern());
         }
-        let done = timed_out || scored.is_empty();
-        if done {
-            for s in scored {
-                top.push(s.into_pattern());
+        evaluated += level.recs.len();
+        for (r, rec) in level.recs.iter().enumerate() {
+            top.push(rec.score.si, r);
+        }
+        // The parent and condition a record's child refines.
+        let origin = |batch: usize, child: usize| {
+            let (base, children) = &batches[batch];
+            let meta = children.meta(child);
+            (&parents[base + meta.parent], meta.row, children)
+        };
+        let done = timed_out || level.recs.is_empty();
+        // Select the next frontier (when another level follows): by SI
+        // descending, ties in scored order — the order a stable sort of
+        // the level produced — keeping the `width` best.
+        let mut next = Vec::new();
+        if !done && depth < cfg.max_depth {
+            let recs = &level.recs;
+            let by_si = |a: &usize, b: &usize| {
+                recs[*b]
+                    .score
+                    .si
+                    .total_cmp(&recs[*a].score.si)
+                    .then(a.cmp(b))
+            };
+            order.clear();
+            order.extend(0..recs.len());
+            if order.len() > cfg.width {
+                order.select_nth_unstable_by(cfg.width, by_si);
+                order.truncate(cfg.width);
             }
+            order.sort_unstable_by(by_si);
+            next = order
+                .iter()
+                .map(|&r| {
+                    let (parent, row, children) = origin(recs[r].batch, recs[r].child);
+                    BeamParent {
+                        intention: parent.intention.with(conditions[row]),
+                        ext: children.child_bitset(recs[r].child),
+                        key: parent.key.with(row),
+                    }
+                })
+                .collect();
+        }
+        // Patterns for the log's entries from this level, while their
+        // parents and arena words are still here.
+        top.settle(|r| {
+            let rec = &level.recs[r];
+            assert_ne!(
+                rec.mean, NO_MEAN,
+                "the log took a child whose mean was dropped"
+            );
+            let (parent, row, children) = origin(rec.batch, rec.child);
+            LocationPattern {
+                intention: parent.intention.with(conditions[row]),
+                extension: children.child_bitset(rec.child),
+                observed_mean: level.means[rec.mean * dy..(rec.mean + 1) * dy].to_vec(),
+                score: rec.score,
+            }
+        });
+        if done {
             break;
         }
-        // Select the next frontier: a stable index sort by SI descending
-        // reproduces the old sort-the-level order exactly (ties keep
-        // scored order). The keepers are indices into the retained level —
-        // no intention or extension is cloned.
-        let mut order: Vec<usize> = (0..scored.len()).collect();
-        order.sort_by(|&a, &b| scored[b].score.si.total_cmp(&scored[a].score.si));
-        order.truncate(cfg.width);
-        pending = scored;
-        frontier_idx = order;
-    }
-    // The last level was never followed by another generation pass: flush
-    // its retained results into the log.
-    for s in pending {
-        top.push(s.into_pattern());
+        parents = next;
     }
     ev.publish_stats();
 
@@ -1009,6 +1361,64 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s2.score.si, reference.si);
+    }
+
+    #[test]
+    fn conjunction_keys_ignore_order_and_stay_exact_past_the_inline_arity() {
+        let key = |rows: &[usize]| {
+            rows.iter()
+                .fold(ConjunctionKey::ROOT, |key, &row| key.with(row))
+        };
+        assert_eq!(ConjunctionKey::ROOT.indices(), &[] as &[u32]);
+        assert_eq!(key(&[7, 2, 5]), key(&[5, 7, 2]));
+        assert_eq!(key(&[7, 2, 5]).indices(), &[2, 5, 7]);
+        assert!(matches!(key(&[1, 2, 3, 4]), ConjunctionKey::Inline(_)));
+        assert_ne!(key(&[1, 2, 3]), key(&[1, 2, 4]));
+        // Five conditions spill to an owned copy, still order-free.
+        let spilled = key(&[9, 0, 4, 6, 2]);
+        assert!(matches!(spilled, ConjunctionKey::Spilled(_)));
+        assert_eq!(spilled, key(&[2, 4, 6, 9, 0]));
+        assert_eq!(spilled.indices(), &[0, 2, 4, 6, 9]);
+        assert_ne!(spilled, key(&[9, 0, 4, 6, 3]));
+    }
+
+    #[test]
+    fn top_k_log_equals_a_stable_sort_of_every_push() {
+        use sisd_stats::Xoshiro256pp;
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let pattern = |si: f64, tag: usize| LocationPattern {
+            intention: Intention::empty(),
+            extension: BitSet::empty(tag + 1),
+            observed_mean: vec![],
+            score: LocationScore {
+                ic: si,
+                dl: 1.0,
+                si,
+            },
+        };
+        for k in [0usize, 1, 5, 40] {
+            let mut top = TopK::new(k);
+            let mut pushed: Vec<(f64, usize)> = Vec::new();
+            for _level in 0..4 {
+                let base = pushed.len();
+                // Coarse SIs, so ties across and within levels are common.
+                let sis: Vec<f64> = (0..30).map(|_| rng.below(12) as f64).collect();
+                for (r, &si) in sis.iter().enumerate() {
+                    top.push(si, r);
+                    pushed.push((si, base + r));
+                }
+                top.settle(|r| pattern(sis[r], base + r));
+            }
+            // Stable sort by SI descending: ties keep push order.
+            pushed.sort_by(|a, b| b.0.total_cmp(&a.0));
+            pushed.truncate(k);
+            let got: Vec<(f64, usize)> = top
+                .into_vec()
+                .iter()
+                .map(|p| (p.score.si, p.extension.len() - 1))
+                .collect();
+            assert_eq!(got, pushed, "k={k}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! distribution so the next iteration looks for *non-redundant* patterns.
 
 use crate::beam::{BeamConfig, BeamResult, BeamSearch};
-use crate::eval::EvalConfig;
+use crate::eval::{EvalConfig, SearchLanguage};
 use crate::sphere::{mine_spread_pattern, SphereConfig};
 use sisd_core::{DlParams, LocationPattern, SisdError, SpreadPattern};
 use sisd_data::snap::{atomic_write, put_u64, SnapCursor, SnapError, SnapReader, SnapWriter};
@@ -14,7 +14,7 @@ use sisd_data::Dataset;
 use sisd_model::{BackgroundModel, FactorCache, ModelError, RefitStats};
 use sisd_obs::{Metric, NullSink, Obs, ObsHandle, SearchReport};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Section id of the miner metadata (iteration counter + dataset stamp).
@@ -116,6 +116,11 @@ pub struct Miner {
     /// within a lineage — so assimilating a pattern extends the cache
     /// instead of invalidating it.
     factor_cache: Arc<FactorCache>,
+    /// The description language (conditions and their row masks), built
+    /// on the first search and reused by every later one: the dataset and
+    /// the condition settings never change under a miner. Built lazily so
+    /// setting up or restoring a miner does not pay for it.
+    language: OnceLock<SearchLanguage>,
 }
 
 impl Clone for Miner {
@@ -141,6 +146,7 @@ impl Clone for Miner {
             obs,
             owns_obs,
             factor_cache: Arc::new(FactorCache::new()),
+            language: self.language.clone(),
         }
     }
 }
@@ -166,6 +172,7 @@ impl Miner {
             obs,
             owns_obs,
             factor_cache: Arc::new(FactorCache::new()),
+            language: OnceLock::new(),
         }
     }
 
@@ -368,12 +375,15 @@ impl Miner {
     /// `config.beam.eval.threads` workers through the shared engine, and
     /// mixed-covariance factorizations are memoized in the miner's
     /// persistent [`FactorCache`] — shared across all searches of this
-    /// miner's model lineage, surviving assimilations unchanged.
+    /// miner's model lineage, surviving assimilations unchanged. The
+    /// description language is evaluated over the data on the first
+    /// search and reused by every later one.
     pub fn search_locations(&self) -> BeamResult {
-        BeamSearch::new(self.config.beam.clone()).run_with_cache(
+        BeamSearch::new(self.config.beam.clone()).run_in_language(
             &self.data,
             &self.model,
             Arc::clone(&self.factor_cache),
+            &self.language,
         )
     }
 

@@ -135,6 +135,53 @@ mod tests {
         assert_eq!(generate_conditions(&d, &cfg).len(), 100);
     }
 
+    /// The beam's dedup keys a conjunction by its condition indices, which
+    /// is exact only if no two indices name equal conditions.
+    #[test]
+    fn conditions_are_pairwise_distinct() {
+        let n = 200;
+        let tied = Dataset::new(
+            "tied",
+            vec!["few".into(), "signed_zero".into(), "cat".into()],
+            vec![
+                // Heavy ties: several percentiles land on the same value.
+                Column::Numeric((0..n).map(|i| [0.0, 1.0, 1.0, 1.0, 2.0][i % 5]).collect()),
+                Column::Numeric(
+                    (0..n)
+                        .map(|i| match i % 4 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f64::NAN,
+                            _ => i as f64,
+                        })
+                        .collect(),
+                ),
+                Column::categorical_from_strs(
+                    &(0..n)
+                        .map(|i| ["a", "b", "a", "c"][i % 4])
+                        .collect::<Vec<_>>(),
+                ),
+            ],
+            vec!["t".into()],
+            Matrix::zeros(n, 1),
+        );
+        let crime = sisd_data::datasets::crime_synthetic(2018);
+        for d in [data(), tied, crime] {
+            for split_points in [1usize, 4, 9] {
+                let cfg = RefineConfig {
+                    split_points,
+                    ..RefineConfig::default()
+                };
+                let conds = generate_conditions(&d, &cfg);
+                for (i, a) in conds.iter().enumerate() {
+                    for b in &conds[i + 1..] {
+                        assert_ne!(a, b, "{}: {a:?} emitted twice", d.name);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn split_point_count_respected() {
         let d = data();

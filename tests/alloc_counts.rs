@@ -422,3 +422,85 @@ fn obs_layer_adds_zero_allocations_to_steady_state_beam_levels() {
          (disabled={disabled}, null-sink={null_sink})"
     );
 }
+
+use sisd::search::{Miner, MinerConfig};
+
+/// Two categorical attributes of `labels` levels each, so a depth-2 beam
+/// scores `2 × labels` root children and then, for each of its parents,
+/// the `labels` conditions on the attribute the parent does not use.
+fn two_attribute_dataset(n: usize, labels: usize) -> Dataset {
+    let mut rng = Xoshiro256pp::seed_from_u64(29);
+    let a: Vec<String> = (0..n).map(|i| format!("a{}", i % labels)).collect();
+    let b: Vec<String> = (0..n)
+        .map(|i| format!("b{}", (i / labels + i) % labels))
+        .collect();
+    let mut targets = Matrix::zeros(n, 2);
+    for i in 0..n {
+        targets[(i, 0)] = rng.normal() + (i % labels) as f64 * 0.1;
+        targets[(i, 1)] = rng.normal() - ((i / 3) % labels) as f64 * 0.05;
+    }
+    let column = |v: &[String]| {
+        Column::categorical_from_strs(&v.iter().map(String::as_str).collect::<Vec<_>>())
+    };
+    Dataset::new(
+        "two-attribute",
+        vec!["a".into(), "b".into()],
+        vec![column(&a), column(&b)],
+        vec!["y1".into(), "y2".into()],
+        targets,
+    )
+}
+
+#[test]
+fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
+    let _serial = serial();
+    // A beam level scores its children straight from the frontier arena
+    // into compact records and builds an intention, an extension and a
+    // pattern only for the `width` next-level parents and the top-k log's
+    // entries; the dedup key is inline and the miner's condition masks
+    // are built once. So two searches with the same `width` and `top_k`
+    // whose levels differ only in how many candidates they score must
+    // allocate nearly the same: fewer than one allocation per extra
+    // candidate, where scoring each candidate used to allocate its
+    // intention, extension, dedup key, observed mean and model-statistic
+    // vectors.
+    // Each (a, b) label pair covers N / labels² ≥ 8 rows at 32 labels,
+    // above the default minimum coverage.
+    const N: usize = 8192;
+    let config = MinerConfig {
+        beam: BeamConfig {
+            width: 8,
+            max_depth: 2,
+            top_k: 10,
+            ..BeamConfig::default()
+        },
+        ..MinerConfig::default()
+    };
+    let measure = |labels: usize| -> (usize, usize) {
+        let miner = Miner::from_empirical(two_attribute_dataset(N, labels), config.clone())
+            .expect("model fits");
+        // The first search builds the condition masks and warms the
+        // model's lazy factors; the counted ones are steady state.
+        let warm = miner.search_locations();
+        assert_eq!(warm.top.len(), 10);
+        let mut best = usize::MAX;
+        for _ in 0..3 {
+            let (res, a, _) = counted(|| miner.search_locations());
+            assert_eq!(res.evaluated, warm.evaluated);
+            best = best.min(a);
+        }
+        (warm.evaluated, best)
+    };
+    let (few, few_allocs) = measure(8);
+    let (many, many_allocs) = measure(32);
+    assert!(
+        many >= few + 200,
+        "the wider language must score many more candidates: {few} vs {many}"
+    );
+    let extra = many - few;
+    assert!(
+        many_allocs < few_allocs + extra,
+        "a beam level must allocate O(width + top_k), not per candidate: \
+         {few_allocs} allocations for {few} candidates, {many_allocs} for {many}"
+    );
+}
