@@ -8,7 +8,10 @@
 //! search, assimilate them one by one, and time `assimilate + refit` at
 //! each step. Absolute numbers are far below the paper's Matlab timings;
 //! the *shape* to check is growth with the number of constraints, the
-//! Mammals blow-up (dy = 124), and spread staying flat.
+//! Mammals blow-up (dy = 124), and spread staying flat. Each iteration's
+//! cell also shows the refit's cycle count in parentheses, so a swing in
+//! milliseconds reads as more work (more cycles) or as timing jitter (the
+//! same cycles).
 
 use sisd_bench::{print_table, section};
 use sisd_core::LocationPattern;
@@ -24,7 +27,9 @@ const ITERS: usize = 20;
 
 struct Timing {
     init_ms: f64,
-    per_iter_ms: Vec<f64>,
+    /// Milliseconds of `assimilate + refit`, and the refit's cycles, per
+    /// iteration.
+    per_iter: Vec<(f64, usize)>,
 }
 
 /// Top-`k` distinct-extension patterns from one beam search on the initial
@@ -63,19 +68,16 @@ fn time_location_updates(data: &Dataset, patterns: &[LocationPattern]) -> Timing
     let t0 = Instant::now();
     let mut model = BackgroundModel::from_empirical(data).expect("model");
     let init_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut per_iter_ms = Vec::new();
+    let mut per_iter = Vec::new();
     for p in patterns {
         let t = Instant::now();
         model
             .assimilate_location(&p.extension, p.observed_mean.clone())
             .expect("update");
-        let _ = model.refit(1e-7, 200).expect("refit");
-        per_iter_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let stats = model.refit(1e-7, 200).expect("refit");
+        per_iter.push((t.elapsed().as_secs_f64() * 1e3, stats.cycles));
     }
-    Timing {
-        init_ms,
-        per_iter_ms,
-    }
+    Timing { init_ms, per_iter }
 }
 
 fn time_spread_updates(data: &Dataset, patterns: &[LocationPattern]) -> Timing {
@@ -86,7 +88,7 @@ fn time_spread_updates(data: &Dataset, patterns: &[LocationPattern]) -> Timing {
         random_starts: 2,
         ..SphereConfig::default()
     };
-    let mut per_iter_ms = Vec::new();
+    let mut per_iter = Vec::new();
     for p in patterns {
         // Following the paper's protocol, the location of each subgroup is
         // assimilated first (untimed), then the spread update is timed.
@@ -100,17 +102,16 @@ fn time_spread_updates(data: &Dataset, patterns: &[LocationPattern]) -> Timing {
         model
             .assimilate_spread(&p.extension, w, center, observed)
             .expect("update");
-        let _ = model.refit(1e-7, 200).expect("refit");
-        per_iter_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let stats = model.refit(1e-7, 200).expect("refit");
+        per_iter.push((t.elapsed().as_secs_f64() * 1e3, stats.cycles));
     }
-    Timing {
-        init_ms,
-        per_iter_ms,
-    }
+    Timing { init_ms, per_iter }
 }
 
 fn main() {
-    section("Table II — background-update runtimes (ms per iteration)");
+    section(
+        "Table II — background-update runtimes (ms per iteration, refit cycles in parentheses)",
+    );
 
     let (gse, _) = german_socio_synthetic(2018);
     let wq = water_quality_synthetic(2018);
@@ -142,6 +143,10 @@ fn main() {
 
     let mut rows = Vec::new();
     let fmt = |v: Option<f64>| v.map(|x| format!("{x:.2}")).unwrap_or_else(|| "-".into());
+    let fmt_iter = |v: Option<&(f64, usize)>| {
+        v.map(|(ms, cycles)| format!("{ms:.2} ({cycles})"))
+            .unwrap_or_else(|| "-".into())
+    };
     rows.push({
         let mut r = vec!["Init".to_string()];
         for t in &loc_timings {
@@ -155,10 +160,10 @@ fn main() {
     for i in 0..ITERS {
         let mut r = vec![(i + 1).to_string()];
         for t in &loc_timings {
-            r.push(fmt(t.per_iter_ms.get(i).copied()));
+            r.push(fmt_iter(t.per_iter.get(i)));
         }
         for t in &spread_timings {
-            r.push(fmt(t.as_ref().and_then(|t| t.per_iter_ms.get(i).copied())));
+            r.push(fmt_iter(t.as_ref().and_then(|t| t.per_iter.get(i))));
         }
         rows.push(r);
     }

@@ -64,9 +64,15 @@ impl SpreadPattern {
 
     /// One-line report including the direction's largest components.
     pub fn summary(&self, data: &Dataset) -> String {
-        // Show the direction coordinates with the largest magnitude.
+        // Show the direction coordinates with the largest magnitude; a NaN
+        // weight (the fields are public) sorts last instead of panicking.
         let mut idx: Vec<usize> = (0..self.w.len()).collect();
-        idx.sort_by(|&a, &b| self.w[b].abs().partial_cmp(&self.w[a].abs()).unwrap());
+        idx.sort_by(|&a, &b| {
+            let (wa, wb) = (self.w[a], self.w[b]);
+            wa.is_nan()
+                .cmp(&wb.is_nan())
+                .then_with(|| wb.abs().total_cmp(&wa.abs()))
+        });
         let top: Vec<String> = idx
             .iter()
             .take(3)
@@ -148,5 +154,33 @@ mod tests {
         let s = p.summary(&d);
         assert!(s.contains("y2:-0.990"), "{s}");
         assert!(s.contains("ratio 0.25"));
+    }
+
+    #[test]
+    fn spread_summary_tolerates_a_nan_weight() {
+        let d = Dataset::new(
+            "t3",
+            vec!["f".into()],
+            vec![Column::binary(&[true, false, true, false])],
+            vec!["y1".into(), "y2".into(), "y3".into()],
+            Matrix::zeros(4, 3),
+        );
+        let p = SpreadPattern {
+            extension: BitSet::full(4),
+            intention: Intention::empty(),
+            w: vec![f64::NAN, 0.6, 0.8],
+            observed_variance: 0.5,
+            score: SpreadScore {
+                ic: 3.0,
+                dl: 2.0,
+                si: 1.5,
+                observed: 0.5,
+                expected: 2.0,
+            },
+        };
+        let s = p.summary(&d);
+        // Finite weights come first, largest magnitude first; the NaN
+        // weight sorts last and is not shown.
+        assert!(s.contains("w=[y3:+0.800, y2:+0.600]"), "{s}");
     }
 }

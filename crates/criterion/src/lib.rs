@@ -9,7 +9,7 @@
 //! fixed-iteration timer that reports the median wall-clock time per
 //! iteration. Positional CLI arguments act as criterion-style substring
 //! filters on `group/id` paths (`cargo bench --bench bench_frontier --
-//! kernels` times only the grid-kernel groups). Numbers are indicative, not
+//! frontier_generation` times only that group). Numbers are indicative, not
 //! statistically rigorous; swap the workspace `criterion` dependency back
 //! to crates.io for real measurements.
 
@@ -24,8 +24,8 @@ const SAMPLES: usize = 10;
 /// Substring filters parsed from the bench binary's CLI, criterion-style:
 /// every non-flag argument is a filter, and a benchmark runs when its
 /// `group/id` path contains any filter (all benchmarks run when no filter
-/// is given). So `cargo bench --bench bench_frontier -- kernels` times
-/// only the grid-kernel groups. Flags (arguments starting with `-`, e.g.
+/// is given). So `cargo bench --bench bench_frontier -- frontier_generation`
+/// times only that group. Flags (arguments starting with `-`, e.g.
 /// the `--bench` cargo appends) are ignored.
 fn filters() -> &'static [String] {
     static FILTERS: OnceLock<Vec<String>> = OnceLock::new();

@@ -4,9 +4,10 @@
 //! condition masks per level. Doing that through [`crate::BitSet::and`]
 //! costs an allocation plus a second popcount traversal per candidate;
 //! these kernels fuse the AND with the popcount in a single pass over the
-//! words and write (at most) into a caller-owned scratch buffer. The
-//! `sisd-frontier` crate builds its block kernels (`and_count_many` over a
-//! contiguous arena, `refine_block`) on top of these primitives.
+//! words, and write a child's words only when asked to. The
+//! `sisd-frontier` crate's refinement loop counts a block of its
+//! contiguous mask arena with [`and_count_many_select`] and writes each
+//! survivor with [`and_into`].
 //!
 //! **Runtime SIMD dispatch.** The portable bodies are plain Rust; on
 //! `x86_64` each public kernel also carries an AVX2+POPCNT-compiled twin
@@ -41,20 +42,8 @@ fn and_count_body(a: &[u64], b: &[u64]) -> usize {
         .sum()
 }
 
-/// Portable fused AND-store-popcount body (see [`and_count_body`]).
-#[inline(always)]
-fn and_into_count_body(a: &[u64], b: &[u64], out: &mut [u64]) -> usize {
-    let mut count = 0usize;
-    for ((x, y), o) in a.iter().zip(b).zip(out.iter_mut()) {
-        *o = x & y;
-        count += o.count_ones() as usize;
-    }
-    count
-}
-
-/// Portable fused AND-store body without the popcount — the pass-2
-/// (materialize-only) twin of [`and_into_count_body`], for callers that
-/// already know the intersection count from a count-only pass.
+/// Portable AND-store body, for callers that already know the
+/// intersection count from a count-only kernel.
 #[inline(always)]
 fn and_into_body(a: &[u64], b: &[u64], out: &mut [u64]) {
     for ((x, y), o) in a.iter().zip(b).zip(out.iter_mut()) {
@@ -94,85 +83,12 @@ fn and_count_many_select_body(
     }
 }
 
-/// Portable unrolled fused AND+popcount: four independent accumulators
-/// over `u64x4`-shaped chunks, so the scalar lowering keeps four popcount
-/// dependency chains in flight (and the feature-gated instantiation
-/// vectorizes cleanly to 256-bit lanes). Bit-identical to
-/// [`and_count_body`] — popcount sums are associative.
-#[inline(always)]
-fn and_count_unrolled_body(a: &[u64], b: &[u64]) -> usize {
-    let split = a.len() & !3;
-    let (a4, a_tail) = a.split_at(split);
-    let (b4, b_tail) = b.split_at(split);
-    let (mut c0, mut c1, mut c2, mut c3) = (0usize, 0usize, 0usize, 0usize);
-    for (x, y) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
-        c0 += (x[0] & y[0]).count_ones() as usize;
-        c1 += (x[1] & y[1]).count_ones() as usize;
-        c2 += (x[2] & y[2]).count_ones() as usize;
-        c3 += (x[3] & y[3]).count_ones() as usize;
-    }
-    let mut count = c0 + c1 + c2 + c3;
-    for (x, y) in a_tail.iter().zip(b_tail) {
-        count += (x & y).count_ones() as usize;
-    }
-    count
-}
-
-/// Multi-parent grid body: each block row is loaded once and ANDed
-/// against every parent while it is cache-resident (row outer, parents
-/// inner — the opposite nesting of a per-parent [`and_count_many_body`]
-/// loop, which re-streams the whole block once per parent). `counts` is
-/// parent-major: `counts[p * rows + j]`.
-///
-/// Generic over the per-row kernel because the best inner body differs
-/// by ISA: the AVX2 instantiation wants [`and_count_body`] (LLVM fully
-/// vectorizes the plain zip-sum), while the portable fallback wants
-/// [`and_count_unrolled_body`] (the 4-way split keeps scalar popcount
-/// chains independent, which the zip-sum does not).
-#[inline(always)]
-fn and_count_grid_body(
-    parents: &[&[u64]],
-    block: &[u64],
-    rows: usize,
-    counts: &mut [usize],
-    row_kernel: impl Fn(&[u64], &[u64]) -> usize,
-) {
-    let stride = parents[0].len();
-    for (j, row) in block.chunks_exact(stride).enumerate() {
-        for (p, parent) in parents.iter().enumerate() {
-            counts[p * rows + j] = row_kernel(parent, row);
-        }
-    }
-}
-
-/// Selective grid body: like [`and_count_grid_body`] but only the
-/// `(p, j)` cells with `select[p * rows + j] == true` are computed;
-/// deselected `counts` entries stay untouched.
-#[inline(always)]
-fn and_count_grid_select_body(
-    parents: &[&[u64]],
-    block: &[u64],
-    rows: usize,
-    select: &[bool],
-    counts: &mut [usize],
-    row_kernel: impl Fn(&[u64], &[u64]) -> usize,
-) {
-    let stride = parents[0].len();
-    for (j, row) in block.chunks_exact(stride).enumerate() {
-        for (p, parent) in parents.iter().enumerate() {
-            if select[p * rows + j] {
-                counts[p * rows + j] = row_kernel(parent, row);
-            }
-        }
-    }
-}
-
 /// Portable row walk: `visit(i)` for every row `i` whose bit is set in
 /// `ext`, in ascending order.
 ///
-/// Generic over the per-row work, as the grid bodies are over their row
-/// kernel: the AVX2 twin instantiates this same body, and the per-row
-/// closure inlined into it compiles with the wider ISA too.
+/// Generic over the per-row work: the AVX2 twin instantiates this same
+/// body, and the per-row closure inlined into it compiles with the wider
+/// ISA too.
 #[inline(always)]
 fn walk_rows_body(ext: &[u64], mut visit: impl FnMut(usize)) {
     for (w, &word) in ext.iter().enumerate() {
@@ -237,13 +153,6 @@ mod x86 {
     /// # Safety
     /// See [`and_count`].
     #[target_feature(enable = "avx2,popcnt")]
-    pub(super) unsafe fn and_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> usize {
-        super::and_into_count_body(a, b, out)
-    }
-
-    /// # Safety
-    /// See [`and_count`].
-    #[target_feature(enable = "avx2,popcnt")]
     pub(super) unsafe fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
         super::and_into_body(a, b, out)
     }
@@ -265,38 +174,6 @@ mod x86 {
         counts: &mut [usize],
     ) {
         super::and_count_many_select_body(parent, block, select, counts)
-    }
-
-    /// # Safety
-    /// See [`and_count`].
-    #[target_feature(enable = "avx2,popcnt")]
-    pub(super) unsafe fn and_count_grid(
-        parents: &[&[u64]],
-        block: &[u64],
-        rows: usize,
-        counts: &mut [usize],
-    ) {
-        super::and_count_grid_body(parents, block, rows, counts, super::and_count_body)
-    }
-
-    /// # Safety
-    /// See [`and_count`].
-    #[target_feature(enable = "avx2,popcnt")]
-    pub(super) unsafe fn and_count_grid_select(
-        parents: &[&[u64]],
-        block: &[u64],
-        rows: usize,
-        select: &[bool],
-        counts: &mut [usize],
-    ) {
-        super::and_count_grid_select_body(
-            parents,
-            block,
-            rows,
-            select,
-            counts,
-            super::and_count_body,
-        )
     }
 
     /// # Safety
@@ -362,32 +239,10 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
     and_count_body(a, b)
 }
 
-/// `out = a & b` and `popcount(a & b)` in one fused pass. `out` is a
-/// caller-owned scratch buffer, so a frontier loop intersecting one parent
-/// against thousands of masks allocates nothing for candidates that fail
-/// its support filter.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn and_into_count(a: &[u64], b: &[u64], out: &mut [u64]) -> usize {
-    assert_eq!(a.len(), b.len(), "kernels::and_into_count: length mismatch");
-    assert_eq!(
-        a.len(),
-        out.len(),
-        "kernels::and_into_count: scratch length mismatch"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if x86::avx2() {
-        // SAFETY: AVX2 support verified by the cached runtime probe.
-        return unsafe { x86::and_into_count(a, b, out) };
-    }
-    and_into_count_body(a, b, out)
-}
-
-/// `out = a & b` without the popcount — the pass-2 materialization kernel
-/// for callers that already know the intersection count from a count-only
-/// pass ([`and_count_many`] / [`and_count_many_select`]) and only need the
-/// surviving child's words written.
+/// `out = a & b` without the popcount — the materialization kernel for
+/// callers that already know the intersection count from a count-only
+/// kernel ([`and_count_many`] / [`and_count_many_select`]) and only need
+/// the surviving child's words written.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -440,10 +295,10 @@ pub fn and_count_many(parent: &[u64], block: &[u64], counts: &mut [usize]) {
 /// [`and_count_many`] restricted to the rows with `select[j] == true`:
 /// fused AND+popcounts for the selected rows of the block, **without
 /// writing any child words** and without touching the `counts` entries of
-/// deselected rows. This is the pass-1 (count-only) kernel of count-first
-/// frontier refinement — a whole block of (parent × mask) support counts
-/// streams through the cache with no store traffic at all, so candidates
-/// that a support filter or bound predicate will reject never materialize
+/// deselected rows. This is the count kernel of count-first frontier
+/// refinement — a whole block of (parent × mask) support counts streams
+/// through the cache with no store traffic at all, so candidates that a
+/// support filter or bound predicate will reject never materialize
 /// anything.
 ///
 /// # Panics
@@ -476,114 +331,6 @@ pub fn and_count_many_select(parent: &[u64], block: &[u64], select: &[bool], cou
         return;
     }
     and_count_many_select_body(parent, block, select, counts)
-}
-
-/// Validates the grid layout contract shared by [`and_count_grid`] and
-/// [`and_count_grid_select`] and returns the number of block rows.
-///
-/// The grid is parent-major: cell `(p, j)` of a `parents.len() × rows`
-/// grid lives at index `p * rows + j`, where `rows = cells / parents.len()`
-/// and `cells` is the length of the caller's `counts` (and `select`)
-/// buffer.
-fn grid_rows(parents: &[&[u64]], block: &[u64], cells: usize, name: &str) -> usize {
-    let np = parents.len();
-    assert!(np > 0, "kernels::{name}: at least one parent required");
-    let stride = parents[0].len();
-    assert!(
-        parents.iter().all(|p| p.len() == stride),
-        "kernels::{name}: parent stride mismatch"
-    );
-    assert_eq!(
-        cells % np,
-        0,
-        "kernels::{name}: counts length must be a multiple of the parent count"
-    );
-    let rows = cells / np;
-    assert_eq!(
-        block.len(),
-        stride * rows,
-        "kernels::{name}: block length mismatch"
-    );
-    rows
-}
-
-/// Multi-parent tiled [`and_count_many`]: one pass over the block serves
-/// **all** `parents`, instead of re-streaming the block once per parent.
-///
-/// `block` is the usual row-major arena of `rows` rows of
-/// `parents[0].len()` words; `counts` is parent-major with
-/// `counts[p * rows + j]` receiving `popcount(parents[p] & row j)`, where
-/// `rows = counts.len() / parents.len()`. Each cache-resident block row
-/// is loaded once and ANDed against every parent — on a beam of width P
-/// this cuts block traffic by ~P× versus the per-parent loop, which is
-/// exactly the frontier's parent × mask product.
-///
-/// Bit-identical to running [`and_count_many`] once per parent (each cell
-/// is an independent pure popcount).
-///
-/// # Panics
-/// Panics if `parents` is empty, the parents' strides differ,
-/// `counts.len()` is not a multiple of `parents.len()`, or
-/// `block.len() != stride * rows`.
-pub fn and_count_grid(parents: &[&[u64]], block: &[u64], counts: &mut [usize]) {
-    let rows = grid_rows(parents, block, counts.len(), "and_count_grid");
-    if parents[0].is_empty() {
-        counts.fill(0);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if x86::avx2() {
-        // SAFETY: AVX2 support verified by the cached runtime probe.
-        unsafe { x86::and_count_grid(parents, block, rows, counts) };
-        return;
-    }
-    and_count_grid_body(parents, block, rows, counts, and_count_unrolled_body)
-}
-
-/// [`and_count_grid`] restricted to the grid cells with
-/// `select[p * rows + j] == true`; deselected `counts` entries stay
-/// untouched (same contract as [`and_count_many_select`], widened to P
-/// parents). This is the pass-1 kernel of multi-parent count-first
-/// refinement: one block pass computes the support counts of a whole
-/// parent tile while skipping every (parent, mask) pair the caller's
-/// language or dedup rules disallow.
-///
-/// # Panics
-/// As [`and_count_grid`], plus if `select.len() != counts.len()`.
-pub fn and_count_grid_select(
-    parents: &[&[u64]],
-    block: &[u64],
-    select: &[bool],
-    counts: &mut [usize],
-) {
-    let rows = grid_rows(parents, block, counts.len(), "and_count_grid_select");
-    assert_eq!(
-        select.len(),
-        counts.len(),
-        "kernels::and_count_grid_select: select length mismatch"
-    );
-    if parents[0].is_empty() {
-        for (c, &sel) in counts.iter_mut().zip(select) {
-            if sel {
-                *c = 0;
-            }
-        }
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if x86::avx2() {
-        // SAFETY: AVX2 support verified by the cached runtime probe.
-        unsafe { x86::and_count_grid_select(parents, block, rows, select, counts) };
-        return;
-    }
-    and_count_grid_select_body(
-        parents,
-        block,
-        rows,
-        select,
-        counts,
-        and_count_unrolled_body,
-    )
 }
 
 /// Adds into `out` every row of `rows` selected by `ext`: row `i` of the
@@ -728,24 +475,9 @@ mod tests {
             assert_eq!(and_count(&a, &b), and_count_body(&a, &b));
             let mut s1 = vec![0u64; len];
             let mut s2 = vec![0u64; len];
-            assert_eq!(
-                and_into_count(&a, &b, &mut s1),
-                and_into_count_body(&a, &b, &mut s2)
-            );
+            and_into(&a, &b, &mut s1);
+            and_into_body(&a, &b, &mut s2);
             assert_eq!(s1, s2);
-        }
-    }
-
-    #[test]
-    fn and_into_count_matches_bitset_and() {
-        for len in [1usize, 63, 64, 65, 200, 777] {
-            let a = BitSet::from_words(words(3, len.div_ceil(64)), len);
-            let b = BitSet::from_words(words(4, len.div_ceil(64)), len);
-            let mut scratch = vec![0u64; a.words().len()];
-            let count = and_into_count(a.words(), b.words(), &mut scratch);
-            let expect = a.and(&b);
-            assert_eq!(scratch, expect.words(), "len={len}");
-            assert_eq!(count, expect.count(), "len={len}");
         }
     }
 
@@ -766,16 +498,15 @@ mod tests {
     }
 
     #[test]
-    fn and_into_matches_and_into_count() {
+    fn and_into_matches_bitset_and() {
         for len in [1usize, 63, 64, 65, 200, 777] {
-            let a = BitSet::from_words(words(11, len.div_ceil(64)), len);
-            let b = BitSet::from_words(words(12, len.div_ceil(64)), len);
-            let mut store_only = vec![0u64; a.words().len()];
-            let mut counted = vec![0u64; a.words().len()];
-            and_into(a.words(), b.words(), &mut store_only);
-            and_into_count(a.words(), b.words(), &mut counted);
-            assert_eq!(store_only, counted, "len={len}");
-            assert_eq!(store_only, a.and(&b).words(), "len={len}");
+            let a = BitSet::from_words(words(3, len.div_ceil(64)), len);
+            let b = BitSet::from_words(words(4, len.div_ceil(64)), len);
+            let mut out = vec![0u64; a.words().len()];
+            and_into(a.words(), b.words(), &mut out);
+            let expect = a.and(&b);
+            assert_eq!(out, expect.words(), "len={len}");
+            assert_eq!(and_count(a.words(), b.words()), expect.count(), "len={len}");
         }
     }
 
@@ -816,100 +547,6 @@ mod tests {
         assert_eq!(counts, vec![0, 7, 0]);
         let mut out: [u64; 0] = [];
         and_into(&[], &[], &mut out);
-    }
-
-    #[test]
-    fn unrolled_and_count_matches_simple_body() {
-        for len in [0usize, 1, 3, 4, 5, 7, 8, 64, 129, 511] {
-            let a = words(21, len);
-            let b = words(22, len);
-            assert_eq!(
-                and_count_unrolled_body(&a, &b),
-                and_count_body(&a, &b),
-                "len={len}"
-            );
-        }
-    }
-
-    #[test]
-    fn and_count_grid_matches_per_parent_and_count_many() {
-        for (np, rows, len) in [
-            (1usize, 13usize, 300usize),
-            (3, 17, 190),
-            (8, 5, 64),
-            (5, 1, 65),
-        ] {
-            let stride = len.div_ceil(64);
-            let parent_sets: Vec<BitSet> = (0..np)
-                .map(|p| BitSet::from_words(words(400 + p as u64, stride), len))
-                .collect();
-            let parents: Vec<&[u64]> = parent_sets.iter().map(|p| p.words()).collect();
-            let block = words(777, stride * rows);
-            let mut grid = vec![0usize; np * rows];
-            and_count_grid(&parents, &block, &mut grid);
-            for (p, parent) in parents.iter().enumerate() {
-                let mut per_parent = vec![0usize; rows];
-                and_count_many(parent, &block, &mut per_parent);
-                assert_eq!(
-                    &grid[p * rows..(p + 1) * rows],
-                    &per_parent[..],
-                    "np={np} rows={rows} len={len} parent={p}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn and_count_grid_select_skips_deselected_cells() {
-        let (np, rows, len) = (4usize, 11usize, 200usize);
-        let stride = len.div_ceil(64);
-        let parent_sets: Vec<BitSet> = (0..np)
-            .map(|p| BitSet::from_words(words(500 + p as u64, stride), len))
-            .collect();
-        let parents: Vec<&[u64]> = parent_sets.iter().map(|p| p.words()).collect();
-        let block = words(888, stride * rows);
-        let select: Vec<bool> = (0..np * rows).map(|c| c % 3 != 1).collect();
-        const UNTOUCHED: usize = usize::MAX;
-        let mut got = vec![UNTOUCHED; np * rows];
-        and_count_grid_select(&parents, &block, &select, &mut got);
-        let mut full = vec![0usize; np * rows];
-        and_count_grid(&parents, &block, &mut full);
-        for c in 0..np * rows {
-            if select[c] {
-                assert_eq!(got[c], full[c], "cell {c}");
-            } else {
-                assert_eq!(got[c], UNTOUCHED, "deselected cell {c} must stay untouched");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_stride_grid_is_fine() {
-        let parents: Vec<&[u64]> = vec![&[], &[]];
-        let mut counts = vec![7usize; 6];
-        and_count_grid(&parents, &[], &mut counts);
-        assert_eq!(counts, vec![0; 6]);
-        let mut counts = vec![7usize; 6];
-        let select = [true, false, true, false, true, false];
-        and_count_grid_select(&parents, &[], &select, &mut counts);
-        assert_eq!(counts, vec![0, 7, 0, 7, 0, 7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "block length mismatch")]
-    fn grid_block_length_mismatch_panics() {
-        let parent: &[u64] = &[0u64; 2];
-        let mut counts = vec![0usize; 3];
-        and_count_grid(&[parent], &[0u64; 5], &mut counts);
-    }
-
-    #[test]
-    #[should_panic(expected = "parent stride mismatch")]
-    fn grid_parent_stride_mismatch_panics() {
-        let a: &[u64] = &[0u64; 2];
-        let b: &[u64] = &[0u64; 3];
-        let mut counts = vec![0usize; 2];
-        and_count_grid(&[a, b], &[0u64; 2], &mut counts);
     }
 
     /// Row-major `rows × width` values spread over many binades, so any

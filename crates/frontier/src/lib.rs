@@ -13,45 +13,32 @@
 //!   into one contiguous word arena (structure-of-arrays; see the type
 //!   docs for the exact layout). Search levels, strategies, and repeated
 //!   searches over the same dataset all reuse the same rows.
-//! * [`sisd_data::kernels`] + [`refine_block`] — **word-blocked kernels.**
-//!   The fused AND+popcount primitives live next to `BitSet` in
-//!   `sisd-data`: count-only block kernels
-//!   ([`sisd_data::kernels::and_count_many_select`]) for the counting
-//!   pass, a store-only AND ([`sisd_data::kernels::and_into`]) for
-//!   materialization, and the fused AND+store+popcount
-//!   ([`sisd_data::kernels::and_into_count`]) that [`refine_block`]
-//!   applies for the single-pass reference path.
-//! * [`FrontierBuilder`] — **count-first deterministic parallel
-//!   refinement.** Pass 1 computes support counts for every allowed
-//!   `(parent, row)` pair with *no store traffic*; the support filters
+//! * [`FrontierBuilder`] — **count-first refinement, fused per block.**
+//!   For each parent, a cache-resident block of matrix rows is counted
+//!   with the store-free
+//!   [`sisd_data::kernels::and_count_many_select`]; the support filters
 //!   and a caller-supplied keep predicate
 //!   ([`FrontierBuilder::refine_with_prune`] — dedup signature checks,
-//!   branch-and-bound optimistic bounds) run serially on the counts; pass
-//!   2 materializes only the survivors into a [`ChildBatch`] — metadata
-//!   plus one packed word arena. A rejected candidate never writes a
-//!   word, and a heap allocation is paid only when a surviving child is
-//!   materialized as a `BitSet` ([`ChildBatch::child_bitset`]). On the
-//!   calling thread the passes fuse per cache-resident block; with
-//!   `threads > 1` both passes split into contiguous work items merged in
-//!   item order.
+//!   branch-and-bound optimistic bounds) run on the counts; and only the
+//!   survivors are written ([`sisd_data::kernels::and_into`]) into a
+//!   [`ChildBatch`] — metadata plus one packed word arena — while the
+//!   block is still hot. A rejected candidate never writes a word, and a
+//!   heap allocation is paid only when a surviving child is materialized
+//!   as a `BitSet` ([`ChildBatch::child_bitset`]).
 //!
 //! # Determinism contract
 //!
-//! [`FrontierBuilder::refine_parents`] returns children ordered by
-//! `(parent, row)` — the exact visit order of the serial nested loop —
-//! **at any thread count**. Each child's words are a pure function of its
-//! parent and row, so the output is bit-identical however the work was
-//! scheduled. Order-sensitive post-passes (first-wins dedup via
-//! [`dedup_in_order`], top-k selection, batch scoring through
-//! `sisd-search`'s evaluator) therefore behave as if the search were
-//! single-threaded, mirroring the `Evaluator::score_all` contract one
-//! layer up.
+//! [`FrontierBuilder::refine_with_prune`] runs on the calling thread,
+//! returns children ordered by `(parent, row)` — the exact visit order of
+//! the serial nested loop — and consults the keep predicate in that same
+//! order, so a stateful first-wins dedup keeps exactly what the serial
+//! generate-and-dedup loop keeps. Each child's words are a pure function of
+//! its parent and row. Parallelism lives one layer up: `sisd-search`'s
+//! evaluator scores a batch on the worker pool with results bit-identical
+//! at any thread count.
 
 pub mod builder;
 pub mod matrix;
 
-pub use builder::{
-    dedup_in_order, refine_block, ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig,
-    ParentSpec,
-};
+pub use builder::{ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, ParentSpec};
 pub use matrix::MaskMatrix;

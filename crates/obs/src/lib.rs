@@ -69,15 +69,13 @@ pub enum Metric {
     FrontierDedupDropped,
     /// Survivors whose mask words were actually materialized.
     FrontierMaterialized,
-    /// Refinements routed through the parallel two-pass (grid-kernel) path.
+    /// Refinements routed through a grid-kernel path. Refinement has one
+    /// path, the fused loop, so this always reads 0; the name stays in the
+    /// registry because `stepbench`'s traced mode resolves it.
     FrontierGridDispatch,
-    /// Refinements routed through the fused serial path.
+    /// Refinements run (each one goes through the fused per-block loop).
     FrontierFusedDispatch,
-    /// Nanoseconds in the count-only pass of two-pass refinement (span).
-    FrontierCountNs,
-    /// Nanoseconds materializing survivors in two-pass refinement (span).
-    FrontierMaterializeNs,
-    /// Nanoseconds in fused serial refinement (span).
+    /// Nanoseconds in refinement (span).
     FrontierFusedNs,
     /// Warm-capable refit entries (includes the replay half of cold runs).
     RefitRuns,
@@ -130,7 +128,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metrics; the registry array length.
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 37;
 
     /// Every metric, in registry order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -147,8 +145,6 @@ impl Metric {
         Metric::FrontierMaterialized,
         Metric::FrontierGridDispatch,
         Metric::FrontierFusedDispatch,
-        Metric::FrontierCountNs,
-        Metric::FrontierMaterializeNs,
         Metric::FrontierFusedNs,
         Metric::RefitRuns,
         Metric::RefitColdRuns,
@@ -197,8 +193,6 @@ impl Metric {
             Metric::FrontierMaterialized => "frontier.materialized",
             Metric::FrontierGridDispatch => "frontier.grid_dispatch",
             Metric::FrontierFusedDispatch => "frontier.fused_dispatch",
-            Metric::FrontierCountNs => "frontier.count_ns",
-            Metric::FrontierMaterializeNs => "frontier.materialize_ns",
             Metric::FrontierFusedNs => "frontier.fused_ns",
             Metric::RefitRuns => "refit.runs",
             Metric::RefitColdRuns => "refit.cold_runs",
@@ -947,21 +941,13 @@ impl fmt::Display for SearchReport {
         )?;
         writeln!(
             f,
-            "  frontier: {} refine call(s) [{} two-pass / {} fused]: {} counted, {} count-pruned, \
-             {} dedup-dropped, {} materialized",
+            "  frontier: {} refine call(s): {} counted, {} count-pruned, {} dedup-dropped, \
+             {} materialized in {}",
             g(Metric::FrontierRefineCalls),
-            g(Metric::FrontierGridDispatch),
-            g(Metric::FrontierFusedDispatch),
             g(Metric::FrontierCandidates),
             g(Metric::FrontierCountPruned),
             g(Metric::FrontierDedupDropped),
             g(Metric::FrontierMaterialized),
-        )?;
-        writeln!(
-            f,
-            "            count {}, materialize {}, fused {}",
-            fmt_ns(g(Metric::FrontierCountNs)),
-            fmt_ns(g(Metric::FrontierMaterializeNs)),
             fmt_ns(g(Metric::FrontierFusedNs)),
         )?;
         let runs = g(Metric::RefitRuns);
@@ -1060,7 +1046,7 @@ mod tests {
         let h = Obs::leaked(Box::new(SharedRing(ring)));
         {
             let _outer = h.span(Metric::SearchLevelNs);
-            let _inner = h.span(Metric::FrontierCountNs);
+            let _inner = h.span(Metric::FrontierFusedNs);
         }
         let snap = h.snapshot().unwrap();
         // Durations are tiny but the counters must have been touched; the
@@ -1069,7 +1055,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         match events[0] {
             TraceEvent::Span { metric, depth, .. } => {
-                assert_eq!(metric, Metric::FrontierCountNs);
+                assert_eq!(metric, Metric::FrontierFusedNs);
                 assert_eq!(depth, 1);
             }
             other => panic!("unexpected event {other:?}"),
@@ -1085,7 +1071,7 @@ mod tests {
             TraceEvent::Span { dur_ns, .. } => dur_ns,
             _ => unreachable!(),
         };
-        assert_eq!(snap.get(Metric::FrontierCountNs), inner_ns);
+        assert_eq!(snap.get(Metric::FrontierFusedNs), inner_ns);
     }
 
     /// Forwards to a leaked ring so the test can inspect events while the

@@ -480,8 +480,7 @@ impl PoolHandle {
     /// Splits `0..len` into exactly `workers` contiguous ranges in serial
     /// order (`len.div_ceil(workers)` long, so trailing ranges may be
     /// empty) and maps `run(chunk_index, range)` over them, outputs in
-    /// chunk order. This reproduces the scoped-spawn chunking the
-    /// frontier used, range-for-range.
+    /// chunk order.
     pub fn run_chunked<T: Send>(
         &self,
         len: usize,
@@ -495,41 +494,6 @@ impl PoolHandle {
             lo..len.min(lo + chunk_len)
         };
         self.run_map(workers, workers, |c| run(c, range(c)))
-    }
-
-    /// Splits `data` into `chunk_len`-sized contiguous chunks and runs
-    /// `f(chunk_index, chunk)` on each with exclusive access, in up to
-    /// `workers` threads.
-    pub fn run_mut_chunks<T: Send>(
-        &self,
-        data: &mut [T],
-        chunk_len: usize,
-        workers: usize,
-        f: impl Fn(usize, &mut [T]) + Sync,
-    ) {
-        assert!(chunk_len > 0, "run_mut_chunks: chunk_len must be positive");
-        let len = data.len();
-        let total = len.div_ceil(chunk_len);
-        match self.pool_for(workers, total) {
-            Some(p) => {
-                let base = SendPtr(data.as_mut_ptr());
-                p.run_indexed(workers, total, &move |c| {
-                    let lo = c * chunk_len;
-                    let hi = len.min(lo + chunk_len);
-                    // SAFETY: chunks at distinct indices are disjoint
-                    // subslices of `data`, each index runs exactly once,
-                    // and the caller's &mut borrow outlives the run.
-                    let chunk =
-                        unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-                    f(c, chunk);
-                });
-            }
-            None => {
-                for (c, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                    f(c, chunk);
-                }
-            }
-        }
     }
 }
 
@@ -633,23 +597,6 @@ mod tests {
         for workers in [1, 3, 4] {
             let got = h.run_consume(inputs.clone(), workers, |s| s + "!");
             assert_eq!(got, expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn run_mut_chunks_covers_every_element_exactly_once() {
-        let h = WorkerPool::leaked();
-        for workers in [1, 2, 4] {
-            let mut data = vec![0u32; 1000];
-            h.run_mut_chunks(&mut data, 96, workers, |c, chunk| {
-                for (j, x) in chunk.iter_mut().enumerate() {
-                    *x += (c * 96 + j) as u32 + 1;
-                }
-            });
-            assert!(
-                data.iter().enumerate().all(|(i, &x)| x == i as u32 + 1),
-                "workers={workers}"
-            );
         }
     }
 

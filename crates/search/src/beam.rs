@@ -14,8 +14,8 @@
 //! **count-first**: supports are counted with store-free fused kernels,
 //! the coverage filters and conjunction dedup run on the counts, and only
 //! surviving children's extensions are materialized); set
-//! [`EvalConfig::threads`] to parallelize both. Results are identical at
-//! any thread count.
+//! [`EvalConfig::threads`] to parallelize scoring. Results are identical
+//! at any thread count.
 
 use crate::eval::{run_beam_levels, Evaluator, SearchLanguage};
 use crate::refine::RefineConfig;

@@ -32,7 +32,7 @@
 //! subtree's IC is at most `max_{m' ≤ m} IC⋆_{m'}(E)`. That predicate is
 //! fed to the count-first frontier builder
 //! ([`sisd_frontier::FrontierBuilder::refine_with_prune`]), which
-//! evaluates it on the support counts from the count-only pass — a child
+//! evaluates it on the support counts before writing any words — a child
 //! that cannot beat the incumbent is pruned before its extension words
 //! are ever written, not after it has been materialized and scored.
 
@@ -199,18 +199,17 @@ impl<'a> Searcher<'a> {
             return;
         }
         // Generate the node's children through the count-first frontier
-        // builder: pass 1 computes support counts only, the keep predicate
-        // below prunes on them, and only the survivors' extension words are
-        // materialized. Survivors are then scored as one owned batch
-        // through the engine (parallel when `cfg.eval.threads > 1`;
-        // identical results either way; extensions move into the scored
-        // results instead of being cloned). Exact scores don't depend on
-        // the incumbent, so batching before the in-order best/recurse
-        // sweep visits exactly the nodes the one-at-a-time search visited.
+        // builder: it counts supports without writing words, the keep
+        // predicate below prunes on the counts, and only the survivors'
+        // extension words are materialized. Survivors are then scored as
+        // one owned batch through the engine (parallel when
+        // `cfg.eval.threads > 1`; identical results either way; extensions
+        // move into the scored results instead of being cloned). Exact
+        // scores don't depend on the incumbent, so batching before the
+        // in-order best/recurse sweep visits exactly the nodes the
+        // one-at-a-time search visited.
         let frontier_cfg = FrontierConfig {
             min_support: self.cfg.min_coverage.max(1),
-            threads: self.cfg.eval.threads,
-            pool: self.cfg.eval.pool,
             obs: self.cfg.eval.obs,
         };
         // A child covering as many rows as its (non-root) parent is the

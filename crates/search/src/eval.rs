@@ -338,11 +338,6 @@ impl<'a> Evaluator<'a> {
         self.threads
     }
 
-    /// The worker pool parallel stages run on.
-    pub fn pool(&self) -> PoolHandle {
-        self.pool
-    }
-
     /// The metrics/tracing handle the engine reports to.
     pub fn obs(&self) -> ObsHandle {
         self.obs
@@ -953,12 +948,12 @@ struct BeamParent {
 /// The level-wise beam search (paper §II-D), generic over the evaluation
 /// backend: generate each level's candidates through the batched frontier
 /// subsystem (`sisd-frontier` — count-first mask AND + coverage filters
-/// over the language's condition bit-matrix, parallel on `ev.threads()`
-/// workers, children in serial `(parent, condition)` order at any thread
-/// count), with the canonical-conjunction dedup running as the builder's
-/// keep predicate **between the count pass and materialization** — a
-/// duplicate conjunction is dropped on its support count alone and never
-/// has its extension words computed. Dedup still happens after the
+/// over the language's condition bit-matrix on the calling thread,
+/// children in serial `(parent, condition)` order), with the
+/// canonical-conjunction dedup running as the builder's keep predicate
+/// **between counting and materialization** — a duplicate conjunction is
+/// dropped on its support count alone and never has its extension words
+/// computed. Dedup still happens after the
 /// structural filters (so the outcome is independent of which parent
 /// reaches a conjunction first, exactly as in the serial nested loop); the
 /// whole level is then scored through the engine and the `width` best
@@ -996,8 +991,6 @@ pub(crate) fn run_beam_levels(
         masks,
         FrontierConfig {
             min_support: cfg.min_coverage,
-            threads: ev.threads(),
-            pool: ev.pool(),
             obs,
         },
     );
@@ -1041,16 +1034,16 @@ pub(crate) fn run_beam_levels(
         // batches hold exactly the survivors.
         let mut batches: Vec<(usize, ChildBatch)> = Vec::new();
         match cfg.time_budget {
-            // No budget: one batch, maximally parallel.
+            // No budget: one batch.
             None => {
                 let children = builder.refine_with_prune(&specs, allowed, |p, row, _| {
                     seen.insert(parents[p].key.with(row))
                 });
                 batches.push((0, children));
             }
-            // Budgeted: refine in slices of one thread-round of parents so
-            // the elapsed check runs between slices; a slice, once
-            // submitted, completes (bounded overshoot).
+            // Budgeted: refine in slices of `threads` parents so the
+            // elapsed check runs between slices; a slice, once started,
+            // completes (bounded overshoot).
             Some(budget) => {
                 let slice = ev.threads().max(1);
                 for (s, chunk) in specs.chunks(slice).enumerate() {

@@ -29,11 +29,12 @@
 //! *generate* their candidates through the batched `sisd-frontier`
 //! subsystem: condition masks are evaluated once per dataset into a
 //! contiguous bit-matrix, and per-level refinement (mask AND + coverage
-//! filters) runs on fused word kernels with deterministic parallelism.
-//! The engine's [`eval::EvalConfig`] (worker threads, worker pool and
-//! metrics handle) is threaded from [`MinerConfig`] / [`BeamConfig`] /
-//! [`BranchBoundConfig`] down to every scoring call and drives frontier
-//! generation too — bit-identical results at any thread count.
+//! filters) runs on fused word kernels on the calling thread. The
+//! engine's [`eval::EvalConfig`] (worker threads, worker pool and metrics
+//! handle) is threaded from [`MinerConfig`] / [`BeamConfig`] /
+//! [`BranchBoundConfig`] down to every scoring call, which runs on the
+//! worker pool with bit-identical results at any thread count; frontier
+//! generation takes only its metrics handle.
 
 pub mod beam;
 pub mod binary_beam;

@@ -1,14 +1,14 @@
 //! Frontier parity: the batched `sisd-frontier` kernels and builder must be
 //! **identical** to the per-candidate `BitSet::and`/`count` loop they
-//! replaced — same children, same order, same words — across random masks,
-//! lengths crossing word boundaries, and thread counts; and the searches
-//! built on them must return bit-identical results to the pre-refactor
-//! serial generation path at 1 and 4 threads.
+//! replaced — same children, same order, same words — across random masks
+//! and lengths crossing word boundaries; and the searches built on them
+//! must return bit-identical results to the pre-refactor serial generation
+//! path at 1 and 4 threads.
 
 use proptest::prelude::*;
 use sisd::core::{ConditionOp, Intention, LocationPattern};
 use sisd::data::{kernels, BitSet, Column, Dataset};
-use sisd::frontier::{dedup_in_order, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
+use sisd::frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd::linalg::Matrix;
 use sisd::model::BackgroundModel;
 use sisd::search::{
@@ -48,6 +48,27 @@ fn reference_refine(
     out
 }
 
+/// Asserts that `got` holds exactly the reference children `expect`, in
+/// order, with the same supports and extension words.
+fn assert_matches_reference(
+    got: &ChildBatch,
+    expect: &[&(usize, usize, usize, BitSet)],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), expect.len(), "{}", what);
+    for (i, (p, row, support, ext)) in expect.iter().copied().enumerate() {
+        let m = got.meta(i);
+        prop_assert_eq!(
+            (m.parent, m.row, m.support),
+            (*p, *row, *support),
+            "{}",
+            what
+        );
+        prop_assert_eq!(&got.child_bitset(i), ext, "{}", what);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -74,10 +95,9 @@ proptest! {
     }
 
     /// The count-first builder's children — order, supports, and extension
-    /// words — are identical to the serial per-candidate loop **and** to
-    /// the single-pass (PR 4) builder at every thread count.
+    /// words — are identical to the serial per-candidate loop.
     #[test]
-    fn refine_parents_matches_per_candidate_loop(seed in 0u64..10_000) {
+    fn refine_matches_per_candidate_loop(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let n = 2 + (seed as usize * 13) % 260;
         let rows = 1 + (seed as usize) % 50;
@@ -98,36 +118,20 @@ proptest! {
             .iter()
             .map(|ext| ParentSpec { ext, max_support: ext.count().saturating_sub(1) })
             .collect();
-        for threads in [1usize, 2, 4] {
-            let builder = FrontierBuilder::new(
-                &matrix,
-                FrontierConfig { min_support, threads, ..FrontierConfig::default() },
-            );
-            let got = builder.refine_parents(&parents, allowed);
-            prop_assert_eq!(got.len(), expect.len(), "threads={}", threads);
-            for (i, (p, row, support, ext)) in expect.iter().enumerate() {
-                let m = got.meta(i);
-                prop_assert_eq!(m.parent, *p);
-                prop_assert_eq!(m.row, *row);
-                prop_assert_eq!(m.support, *support);
-                prop_assert_eq!(&got.child_bitset(i), ext, "threads={}", threads);
-            }
-            // Count-first vs the single-pass (PR 4) builder, bit for bit.
-            let single = builder.refine_parents_single_pass(&parents, allowed);
-            prop_assert_eq!(got.len(), single.len(), "threads={}", threads);
-            for i in 0..single.len() {
-                prop_assert_eq!(got.meta(i), single.meta(i), "threads={}", threads);
-                prop_assert_eq!(got.child_words(i), single.child_words(i), "threads={}", threads);
-            }
-        }
+        let builder = FrontierBuilder::new(
+            &matrix,
+            FrontierConfig { min_support, ..FrontierConfig::default() },
+        );
+        let got = builder.refine_with_prune(&parents, allowed, |_, _, _| true);
+        assert_matches_reference(&got, &expect.iter().collect::<Vec<_>>(), "keep all")?;
     }
 
-    /// `refine_with_prune` — the count-first path with a serial keep
-    /// predicate between counting and materialization — emits exactly the
-    /// single-pass builder's children post-filtered by the same predicate,
-    /// at every thread count. Exercised with a stateful first-wins dedup
-    /// predicate (the beam's use) and a support-threshold predicate shaped
-    /// like branch-and-bound's optimistic bound.
+    /// `refine_with_prune` — count-first refinement with a keep predicate
+    /// between counting and materialization — emits exactly the
+    /// per-candidate reference's children post-filtered by the same
+    /// predicate. Exercised with a stateful first-wins dedup predicate (the
+    /// beam's use) and a support-threshold predicate shaped like
+    /// branch-and-bound's optimistic bound.
     #[test]
     fn refine_with_prune_matches_filtered_single_pass(seed in 0u64..10_000) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x0694_6d1f_13b7_a55b);
@@ -138,153 +142,39 @@ proptest! {
         let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
         let parent_sets: Vec<BitSet> =
             (0..4).map(|_| random_mask(&mut rng, n, 0.75)).collect();
+        let parents_ref: Vec<(&BitSet, usize)> = parent_sets
+            .iter()
+            .map(|ext| (ext, ext.count().saturating_sub(1)))
+            .collect();
         let parents: Vec<ParentSpec<'_>> = parent_sets
             .iter()
             .map(|ext| ParentSpec { ext, max_support: ext.count().saturating_sub(1) })
             .collect();
         let allowed = |p: usize, row: usize| !(p + row * 2 + seed as usize).is_multiple_of(7);
+        let reference = reference_refine(&masks, &parents_ref, allowed, min_support);
+        let builder = FrontierBuilder::new(
+            &matrix,
+            FrontierConfig { min_support, ..FrontierConfig::default() },
+        );
 
-        // A stateful dedup predicate (support-keyed, first wins) and a
-        // stateless bound-style predicate (keep only supports above a
-        // per-parent threshold — monotone in support, like an optimistic
-        // bound against an incumbent).
+        // Case 1: a stateful first-wins dedup on support values.
+        let mut seen: HashSet<usize> = HashSet::new();
+        let got = builder.refine_with_prune(&parents, allowed, |_, _, support| {
+            seen.insert(support)
+        });
+        let mut seen_ref: HashSet<usize> = HashSet::new();
+        let expect: Vec<_> = reference.iter().filter(|c| seen_ref.insert(c.2)).collect();
+        assert_matches_reference(&got, &expect, "dedup")?;
+
+        // Case 2: a stateless bound-style predicate (keep only supports
+        // above a per-parent threshold — monotone in support, like an
+        // optimistic bound against an incumbent).
         let bound_floor = 1 + (seed as usize) % 8;
-
-        for threads in [1usize, 2, 4] {
-            let builder = FrontierBuilder::new(
-                &matrix,
-                FrontierConfig { min_support, threads, ..FrontierConfig::default() },
-            );
-            let single = builder.refine_parents_single_pass(&parents, allowed);
-
-            // Case 1: first-wins dedup on support values.
-            let mut seen: HashSet<usize> = HashSet::new();
-            let got = builder.refine_with_prune(&parents, allowed, |_, _, support| {
-                seen.insert(support)
-            });
-            let mut seen_ref: HashSet<usize> = HashSet::new();
-            let expect: Vec<usize> = (0..single.len())
-                .filter(|&i| seen_ref.insert(single.meta(i).support))
-                .collect();
-            prop_assert_eq!(got.len(), expect.len(), "dedup threads={}", threads);
-            for (k, &i) in expect.iter().enumerate() {
-                prop_assert_eq!(got.meta(k), single.meta(i), "dedup threads={}", threads);
-                prop_assert_eq!(got.child_words(k), single.child_words(i));
-            }
-
-            // Case 2: bound-style support-threshold predicate.
-            let got = builder.refine_with_prune(&parents, allowed, |p, _, support| {
-                support >= bound_floor + p
-            });
-            let expect: Vec<usize> = (0..single.len())
-                .filter(|&i| {
-                    let m = single.meta(i);
-                    m.support >= bound_floor + m.parent
-                })
-                .collect();
-            prop_assert_eq!(got.len(), expect.len(), "bound threads={}", threads);
-            for (k, &i) in expect.iter().enumerate() {
-                prop_assert_eq!(got.meta(k), single.meta(i), "bound threads={}", threads);
-                prop_assert_eq!(got.child_words(k), single.child_words(i));
-            }
-        }
-    }
-
-    /// The multi-parent grid kernels — one pass over a mask block serving
-    /// a whole parent tile — equal the per-parent `and_count_many` /
-    /// `and_count_many_select` loop they batch, for every parent count,
-    /// row count, and stride (including word-boundary straddles), with
-    /// and without a selection mask.
-    #[test]
-    fn grid_kernels_match_per_parent_loop(seed in 0u64..10_000) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xd1b5_4a32_d192_ed03);
-        let n = 1 + (seed as usize * 29) % 320;
-        let rows = 1 + (seed as usize) % 24;
-        let np = 1 + (seed as usize / 24) % 9;
-        let masks: Vec<BitSet> = (0..rows).map(|_| random_mask(&mut rng, n, 0.4)).collect();
-        let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
-        let block = matrix.block_words(0, rows);
-        let parent_sets: Vec<BitSet> =
-            (0..np).map(|_| random_mask(&mut rng, n, 0.6)).collect();
-        let parents: Vec<&[u64]> = parent_sets.iter().map(|p| p.words()).collect();
-
-        let mut grid = vec![0usize; np * rows];
-        kernels::and_count_grid(&parents, block, &mut grid);
-        let mut reference = vec![0usize; rows];
-        for (p, parent) in parents.iter().enumerate() {
-            kernels::and_count_many(parent, block, &mut reference);
-            prop_assert_eq!(
-                &grid[p * rows..(p + 1) * rows],
-                reference.as_slice(),
-                "parent {} of {}", p, np
-            );
-        }
-
-        let select: Vec<bool> = (0..np * rows)
-            .map(|c| !(c * 11 + seed as usize).is_multiple_of(3))
-            .collect();
-        let mut grid_sel = vec![usize::MAX; np * rows];
-        kernels::and_count_grid_select(&parents, block, &select, &mut grid_sel);
-        let mut ref_sel = vec![usize::MAX; rows];
-        for (p, parent) in parents.iter().enumerate() {
-            ref_sel.fill(usize::MAX);
-            kernels::and_count_many_select(
-                parent,
-                block,
-                &select[p * rows..(p + 1) * rows],
-                &mut ref_sel,
-            );
-            prop_assert_eq!(
-                &grid_sel[p * rows..(p + 1) * rows],
-                ref_sel.as_slice(),
-                "select parent {} of {}", p, np
-            );
-        }
-    }
-
-    /// Extension-hash dedup after (possibly parallel) refinement keeps
-    /// exactly the children a serial generate-and-dedup loop keeps.
-    #[test]
-    fn dedup_is_thread_invariant(seed in 0u64..10_000) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
-        let n = 40 + (seed as usize) % 100;
-        // Few distinct masks repeated: plenty of duplicate extensions.
-        let base: Vec<BitSet> = (0..3).map(|_| random_mask(&mut rng, n, 0.5)).collect();
-        let masks: Vec<BitSet> = (0..12).map(|j| base[j % 3].clone()).collect();
-        let matrix = MaskMatrix::from_bitsets(n, masks.clone());
-        let parent_sets: Vec<BitSet> = (0..3).map(|_| random_mask(&mut rng, n, 0.8)).collect();
-        let parents: Vec<ParentSpec<'_>> = parent_sets
-            .iter()
-            .map(|ext| ParentSpec { ext, max_support: n })
-            .collect();
-
-        // Extension-hash dedup over the child indices, keyed by the packed
-        // extension words.
-        let deduped = |threads: usize| {
-            let builder = FrontierBuilder::new(
-                &matrix,
-                FrontierConfig { min_support: 0, threads, ..FrontierConfig::default() },
-            );
-            let children = builder.refine_parents(&parents, |_, _| true);
-            let mut seen = HashSet::new();
-            let kept = dedup_in_order(
-                0..children.len(),
-                |&i| children.child_words(i).to_vec(),
-                &mut seen,
-            );
-            kept.into_iter()
-                .map(|i| (children.meta(i), children.child_bitset(i)))
-                .collect::<Vec<_>>()
-        };
-        let serial = deduped(1);
-        for threads in [2usize, 4] {
-            let got = deduped(threads);
-            prop_assert_eq!(got.len(), serial.len(), "threads={}", threads);
-            for ((am, ae), (bm, be)) in got.iter().zip(&serial) {
-                prop_assert_eq!((am.parent, am.row), (bm.parent, bm.row));
-                prop_assert_eq!(ae, be);
-            }
-        }
+        let got = builder.refine_with_prune(&parents, allowed, |p, _, support| {
+            support >= bound_floor + p
+        });
+        let expect: Vec<_> = reference.iter().filter(|c| c.2 >= bound_floor + c.0).collect();
+        assert_matches_reference(&got, &expect, "bound")?;
     }
 }
 
@@ -299,12 +189,12 @@ fn dedicated_pool() -> PoolHandle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Batch scoring and count-first refinement through the persistent
-    /// worker pool are bit-identical to the serial oracle at every thread
-    /// count ∈ {1, 2, 4}, on the global pool and on a dedicated pool
-    /// alike — the "no output bit may change" contract of the pool
-    /// migration, including pool *reuse*: every case after the first runs
-    /// against already-warm workers.
+    /// Batch scoring through the persistent worker pool is bit-identical to
+    /// the serial oracle at every thread count ∈ {1, 2, 4}, on the global
+    /// pool and on a dedicated pool alike — the "no output bit may change"
+    /// contract of the pool migration, including pool *reuse*: every case
+    /// after the first runs against already-warm workers. (Refinement runs
+    /// on the calling thread, so the pool has no refinement half to check.)
     #[test]
     fn pooled_scoring_and_refinement_match_the_serial_oracle(seed in 0u64..10_000) {
         let data = bb_data(seed ^ 0x517c_c1b7_2722_0a95, 200 + (seed as usize) % 90);
@@ -319,19 +209,6 @@ proptest! {
         let oracle = Evaluator::gaussian(&data, &model, Default::default(), EvalConfig::default())
             .score_all(&cands);
 
-        let n = data.n();
-        let masks: Vec<BitSet> = (0..40).map(|_| random_mask(&mut rng, n, 0.4)).collect();
-        let matrix = MaskMatrix::from_bitsets(n, masks.iter().cloned());
-        let parent_sets: Vec<BitSet> = (0..12).map(|_| random_mask(&mut rng, n, 0.7)).collect();
-        let parents: Vec<ParentSpec<'_>> = parent_sets
-            .iter()
-            .map(|ext| ParentSpec { ext, max_support: ext.count().saturating_sub(1) })
-            .collect();
-        let serial_builder = FrontierBuilder::new(
-            &matrix,
-            FrontierConfig { min_support: 2, threads: 1, ..FrontierConfig::default() },
-        );
-        let expect = serial_builder.refine_with_prune(&parents, |_, _| true, |_, _, s| s % 5 != 0);
 
         for pool in [PoolHandle::global(), dedicated_pool()] {
             for threads in [1usize, 2, 4] {
@@ -346,16 +223,6 @@ proptest! {
                         b.score.si.to_bits(),
                         "threads={} global={}", threads, pool.is_global()
                     );
-                }
-                let builder = FrontierBuilder::new(
-                    &matrix,
-                    FrontierConfig { min_support: 2, threads, pool, ..FrontierConfig::default() },
-                );
-                let got = builder.refine_with_prune(&parents, |_, _| true, |_, _, s| s % 5 != 0);
-                prop_assert_eq!(got.len(), expect.len(), "threads={}", threads);
-                for i in 0..expect.len() {
-                    prop_assert_eq!(got.meta(i), expect.meta(i), "threads={}", threads);
-                    prop_assert_eq!(got.child_words(i), expect.child_words(i), "threads={}", threads);
                 }
             }
         }
