@@ -77,7 +77,7 @@ fn per_candidate_loop(w: &Workload) -> Vec<(ChildMeta, BitSet)> {
     out
 }
 
-fn batched(w: &Workload) -> ChildBatch {
+fn batched(w: &Workload) -> ChildBatch<'_> {
     let parents: Vec<ParentSpec<'_>> = w
         .parents
         .iter()
@@ -96,7 +96,7 @@ fn batched(w: &Workload) -> ChildBatch {
     .refine_with_prune(&parents, |_, _| true, |_, _, _| true)
 }
 
-fn assert_identical(a: &ChildBatch, b: &[(ChildMeta, BitSet)]) {
+fn assert_identical(a: &ChildBatch<'_>, b: &[(ChildMeta, BitSet)]) {
     assert_eq!(a.len(), b.len(), "child counts differ");
     for (i, (meta, ext)) in b.iter().enumerate() {
         assert_eq!(a.meta(i), *meta);

@@ -6,8 +6,9 @@
 //! these kernels fuse the AND with the popcount in a single pass over the
 //! words, and write a child's words only when asked to. The
 //! `sisd-frontier` crate's refinement loop counts a block of its
-//! contiguous mask arena with [`and_count_many_select`] and writes each
-//! survivor with [`and_into`].
+//! contiguous mask arena with [`and_count_many_select`], and a consumer
+//! of its batches writes a surviving child's words with [`and_into`]
+//! when it needs them.
 //!
 //! **Runtime SIMD dispatch.** The portable bodies are plain Rust; on
 //! `x86_64` each public kernel also carries an AVX2+POPCNT-compiled twin
@@ -27,9 +28,21 @@
 //! [`sum_rows`] adds the target rows (for the observed subgroup mean),
 //! [`count_cells`] counts each row into its background-model parameter
 //! cell (the candidate's cell-count signature), and
-//! [`count_cells_sum_rows`] does both in the same walk. Their SIMD lanes
-//! run across target columns, so each column still adds its rows one at a
-//! time in ascending order, and the twin's bits equal the portable body's.
+//! [`count_cells_sum_rows`] does both in the same walk.
+//!
+//! The sums walk the extension once per **stripe** of at most 64 target
+//! columns. A stripe's running sums are a fixed-size array of accumulators
+//! that lives in registers for the whole walk (64 `f64`s are the sixteen
+//! 256-bit AVX2 registers) and is stored into `out` once, at the end, so a
+//! row costs its adds and nothing else: one pass with a scalar accumulator
+//! at `dy = 1`, two (64 + 60 columns) at `dy = 124`. The cells are counted
+//! during the first stripe. Stripe widths are powers of two up to 64, so a
+//! kernel body is compiled for seven widths only; a last stripe narrower
+//! than its width is shifted left over columns an earlier stripe already
+//! stored, whose lanes ride along and whose stored sums are put back. SIMD
+//! lanes run across columns, so each column still adds its rows one at a
+//! time in ascending order onto what `out` held, and every body's bits
+//! equal the per-row `out[j] += row[j]` loop's.
 
 /// Portable fused AND+popcount body; also instantiated inside the
 /// feature-gated wrapper, where the identical source compiles to vector
@@ -100,26 +113,110 @@ fn walk_rows_body(ext: &[u64], mut visit: impl FnMut(usize)) {
     }
 }
 
-/// Per-row work of [`sum_rows`]: adds row `i` of the `out.len()`-wide
-/// matrix `rows` into `out`, column by column.
+/// Widest stripe of target columns a row walk sums in registers.
+const MAX_STRIPE: usize = 64;
+
+/// One walk over the rows `ext` selects for the stripe of `W` columns
+/// starting at column `col`: each row's `W` values are added into
+/// accumulators that start from `out[col..col + W]` and stay in registers
+/// until the walk ends, when columns `col + skip..col + W` get their sums
+/// (the first `skip` keep what an earlier stripe stored). With `COUNT`,
+/// each row is also counted into cell `cell_of_row[i]`.
 #[inline(always)]
-fn add_row(rows: &[f64], i: usize, out: &mut [f64]) {
+fn sum_stripe<const W: usize, const COUNT: bool>(
+    rows: &[f64],
+    ext: &[u64],
+    (col, skip): (usize, usize),
+    (cell_of_row, counts): (&[u32], &mut [usize]),
+    out: &mut [f64],
+) {
     let width = out.len();
-    for (o, v) in out.iter_mut().zip(&rows[i * width..(i + 1) * width]) {
-        *o += v;
+    let mut acc: [f64; W] = out[col..col + W]
+        .try_into()
+        .expect("a stripe lies inside out");
+    walk_rows_body(ext, |i| {
+        if COUNT {
+            counts[cell_of_row[i] as usize] += 1;
+        }
+        let row: &[f64; W] = rows[i * width + col..][..W]
+            .try_into()
+            .expect("a stripe is W columns");
+        for (a, v) in acc.iter_mut().zip(row) {
+            *a += v;
+        }
+    });
+    // Store all `W` lanes in one fixed-size copy, which lets every lane
+    // stay in a register through the walk, then put back the `skip`
+    // columns an earlier stripe stored.
+    let mut stored = [0.0; W];
+    stored[..skip].copy_from_slice(&out[col..col + skip]);
+    out[col..col + W].copy_from_slice(&acc);
+    out[col..col + skip].copy_from_slice(&stored[..skip]);
+}
+
+/// [`sum_stripe`] at the runtime width `w`, one of the powers of two up to
+/// [`MAX_STRIPE`].
+#[inline(always)]
+fn sum_stripe_of_width<const COUNT: bool>(
+    w: usize,
+    rows: &[f64],
+    ext: &[u64],
+    stripe: (usize, usize),
+    cells: (&[u32], &mut [usize]),
+    out: &mut [f64],
+) {
+    match w {
+        1 => sum_stripe::<1, COUNT>(rows, ext, stripe, cells, out),
+        2 => sum_stripe::<2, COUNT>(rows, ext, stripe, cells, out),
+        4 => sum_stripe::<4, COUNT>(rows, ext, stripe, cells, out),
+        8 => sum_stripe::<8, COUNT>(rows, ext, stripe, cells, out),
+        16 => sum_stripe::<16, COUNT>(rows, ext, stripe, cells, out),
+        32 => sum_stripe::<32, COUNT>(rows, ext, stripe, cells, out),
+        64 => sum_stripe::<MAX_STRIPE, COUNT>(rows, ext, stripe, cells, out),
+        _ => unreachable!("stripe widths are powers of two up to {MAX_STRIPE}"),
     }
+}
+
+/// The stripes a `width`-column row sum takes, as `(w, col, skip)`: width
+/// `w`, first column `col`, and the `skip` leading columns an earlier
+/// stripe already covered. Full 64-column stripes come first; the rest
+/// takes the smallest power of two that covers it, shifted left to end at
+/// the last column, or — when that power exceeds `width` itself — the
+/// largest power of two that fits, and then one more stripe.
+fn stripes(width: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut next = 0usize;
+    std::iter::from_fn(move || {
+        if next == width {
+            return None;
+        }
+        let rest = width - next;
+        let cover = rest.next_power_of_two();
+        let w = if rest >= MAX_STRIPE {
+            MAX_STRIPE
+        } else if cover <= width {
+            cover
+        } else {
+            cover / 2
+        };
+        let col = next.min(width - w);
+        let stripe = (w, col, next - col);
+        next = col + w;
+        Some(stripe)
+    })
 }
 
 /// Portable row-sum body (see [`sum_rows`]; shapes asserted by the
 /// caller).
 #[inline(always)]
 fn sum_rows_body(rows: &[f64], ext: &[u64], out: &mut [f64]) {
-    walk_rows_body(ext, |i| add_row(rows, i, out));
+    for (w, col, skip) in stripes(out.len()) {
+        sum_stripe_of_width::<false>(w, rows, ext, (col, skip), (&[], &mut []), out);
+    }
 }
 
 /// Portable fused walk (see [`count_cells_sum_rows`]; shapes asserted by
-/// the caller): counts row `i` into cell `cell_of_row[i]` and adds it into
-/// `out`.
+/// the caller): counts row `i` into cell `cell_of_row[i]` during the first
+/// stripe and adds it into `out`.
 #[inline(always)]
 fn count_cells_sum_rows_body(
     ext: &[u64],
@@ -128,10 +225,18 @@ fn count_cells_sum_rows_body(
     rows: &[f64],
     out: &mut [f64],
 ) {
-    walk_rows_body(ext, |i| {
-        counts[cell_of_row[i] as usize] += 1;
-        add_row(rows, i, out);
-    });
+    if out.is_empty() {
+        walk_rows_body(ext, |i| counts[cell_of_row[i] as usize] += 1);
+        return;
+    }
+    for (w, col, skip) in stripes(out.len()) {
+        if col == 0 {
+            let cells = (cell_of_row, &mut *counts);
+            sum_stripe_of_width::<true>(w, rows, ext, (col, skip), cells, out);
+        } else {
+            sum_stripe_of_width::<false>(w, rows, ext, (col, skip), (&[], &mut []), out);
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -140,7 +245,9 @@ mod x86 {
     //! the `count_ones` loops with the pshufb nibble-LUT algorithm once the
     //! features are enabled — roughly a 2–4× kernel speedup over the
     //! baseline-`x86-64` scalar lowering on the machines this repo targets.
-    //! The row walks get 4-lane instead of 2-lane column adds.
+    //! The row walks get 4-lane instead of 2-lane column adds, so a
+    //! 64-column stripe fits the sixteen 256-bit registers (the baseline's
+    //! sixteen 128-bit ones hold half of it).
 
     /// # Safety
     /// The caller must have verified AVX2 support (POPCNT is implied by
@@ -592,7 +699,9 @@ mod tests {
         sparse[1] = 0;
         sparse[2] = 0;
         extensions.push(BitSet::from_words(sparse, n));
-        for dy in [1usize, 3, 4, 16, 124, 125] {
+        // Stripe edges: 63, 64 and 65 columns, and two full stripes with
+        // and without one more column.
+        for dy in [1usize, 3, 4, 16, 63, 64, 65, 124, 125, 128, 129] {
             let rows = targets(n, dy);
             for (e, ext) in extensions.iter().enumerate() {
                 let what = format!("dy={dy} extension {e}");
@@ -612,6 +721,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stripes_store_each_column_once_in_few_passes() {
+        assert_eq!(stripes(0).count(), 0);
+        for width in 1..=300usize {
+            let plan: Vec<(usize, usize, usize)> = stripes(width).collect();
+            let mut stored = 0;
+            for &(w, col, skip) in &plan {
+                assert!(w.is_power_of_two() && w <= MAX_STRIPE, "width={width}");
+                assert!(skip < w && col + w <= width, "width={width}");
+                assert_eq!(col + skip, stored, "width={width}: columns in order");
+                stored = col + w;
+            }
+            assert_eq!(stored, width);
+            // One pass per 64 columns; below 64, one more pass unless the
+            // width is a power of two.
+            let passes = if width >= MAX_STRIPE || width.is_power_of_two() {
+                width.div_ceil(MAX_STRIPE)
+            } else {
+                2
+            };
+            assert_eq!(plan.len(), passes, "width={width}: {plan:?}");
+        }
+        assert_eq!(stripes(1).collect::<Vec<_>>(), [(1, 0, 0)]);
+        assert_eq!(stripes(124).collect::<Vec<_>>(), [(64, 0, 0), (64, 60, 4)]);
     }
 
     /// Row-to-cell map of `n` rows over `cells` cells: every cell gets at
@@ -651,7 +786,7 @@ mod tests {
         ];
         for cells in [1usize, 2, 7, 64, 130] {
             let cell_of_row = cell_map(n, cells, 60 + cells as u64);
-            for dy in [1usize, 3, 16, 124, 125] {
+            for dy in [1usize, 3, 16, 63, 64, 65, 124, 125, 128, 129] {
                 let rows = targets(n, dy);
                 for (e, ext) in extensions.iter().enumerate() {
                     let what = format!("cells={cells} dy={dy} extension {e}");

@@ -4,28 +4,24 @@
 //! against every allowed row of a [`MaskMatrix`] and emits the children
 //! that pass the support filters and a caller-supplied keep predicate —
 //! the mask-AND + minimum-support half of level-wise candidate generation,
-//! batched. Children land in a [`ChildBatch`]: one packed word arena plus
-//! per-child metadata, instead of one heap allocation per child, so
-//! rejected candidates cost nothing and accepted ones cost an arena append.
+//! batched. Children land in a [`ChildBatch`]: per-child metadata only,
+//! borrowing the parents' words and the matrix, so a child's words are
+//! computed when a consumer asks for them, into the consumer's buffer.
 //!
-//! **Count first, materialize survivors, fused per block.** Each parent
-//! walks the matrix in cache-resident blocks of rows, and each block goes
-//! through three steps before the next one is read:
+//! **Count first, keep survivors, fused per block.** Each parent walks the
+//! matrix in cache-resident blocks of rows, and each block goes through
+//! two steps before the next one is read:
 //!
 //! 1. *Count* — fused AND+popcounts for the block's allowed rows via
 //!    [`sisd_data::kernels::and_count_many_select`], with **no store
 //!    traffic at all**.
 //! 2. *Filter* — the support floor/ceiling and the keep predicate (dedup
 //!    signature checks, branch-and-bound optimistic bounds) run on the
-//!    counts, in `(parent, row)` order.
-//! 3. *Materialize* — only the survivors' child words are computed
-//!    ([`sisd_data::kernels::and_into`]) and appended to the arena while
-//!    the block's rows are still in cache.
+//!    counts, in `(parent, row)` order, and a survivor's `(parent, row,
+//!    support)` is appended to the batch.
 //!
-//! A candidate rejected by a support filter, a dedup check, or a bound
-//! predicate therefore never writes a single word, and the emitted child
-//! sequence is exactly the one the serial per-candidate `BitSet::and` loop
-//! produces.
+//! Refinement writes no child words, and the emitted child sequence is
+//! exactly the one the serial per-candidate `BitSet::and` loop produces.
 
 use crate::matrix::MaskMatrix;
 use sisd_data::{kernels, BitSet};
@@ -75,22 +71,21 @@ pub struct ChildMeta {
     pub support: usize,
 }
 
-/// A batch of emitted children: per-child metadata plus all child
-/// extensions packed row-major into one contiguous word arena (the same
-/// layout as [`MaskMatrix`]). Materializing an owned [`BitSet`] via
-/// [`ChildBatch::child_bitset`] is deferred to the children that survive
-/// downstream filters (dedup, time budget), so a level that generates ten
-/// thousand candidates performs heap allocations only for the ones it
-/// keeps.
+/// A batch of emitted children: the metadata of each, borrowing the
+/// parents' words and the [`MaskMatrix`] they were refined against, so a
+/// child's extension is the AND of two borrowed rows, computed on demand:
+/// into a caller's buffer by [`ChildBatch::child_words_into`], or as an
+/// owned [`BitSet`] by [`ChildBatch::child_bitset`]. A level that keeps
+/// ten thousand candidates stores no child words, and allocates only for
+/// the children a consumer keeps.
 #[derive(Debug, Clone)]
-pub struct ChildBatch {
-    n: usize,
-    stride: usize,
+pub struct ChildBatch<'a> {
+    matrix: &'a MaskMatrix,
+    parents: Vec<&'a [u64]>,
     meta: Vec<ChildMeta>,
-    words: Vec<u64>,
 }
 
-impl ChildBatch {
+impl ChildBatch<'_> {
     /// Number of children in the batch.
     pub fn len(&self) -> usize {
         self.meta.len()
@@ -103,7 +98,7 @@ impl ChildBatch {
 
     /// Bit capacity (dataset row count) of every child extension.
     pub fn n(&self) -> usize {
-        self.n
+        self.matrix.n()
     }
 
     /// Metadata of all children, in emission order.
@@ -116,21 +111,27 @@ impl ChildBatch {
         self.meta[i]
     }
 
-    /// The packed extension words of child `i`.
-    pub fn child_words(&self, i: usize) -> &[u64] {
-        &self.words[i * self.stride..(i + 1) * self.stride]
+    /// Writes child `i`'s extension words — its parent's words ANDed with
+    /// its matrix row — into `out`, which holds one word per 64 rows.
+    ///
+    /// # Panics
+    /// Panics if `out` is not the matrix's stride long.
+    pub fn child_words_into(&self, i: usize, out: &mut [u64]) {
+        let m = self.meta[i];
+        kernels::and_into(self.parents[m.parent], self.matrix.row_words(m.row), out);
     }
 
-    /// Child `i`'s extension materialized as an owned [`BitSet`] (this is
-    /// the only allocating accessor — call it for keepers, not rejects).
+    /// Child `i`'s extension as an owned [`BitSet`] (the allocating
+    /// accessor — call it for keepers, not rejects).
     pub fn child_bitset(&self, i: usize) -> BitSet {
-        BitSet::from_words(self.child_words(i).to_vec(), self.n)
+        let mut words = vec![0; self.matrix.stride()];
+        self.child_words_into(i, &mut words);
+        BitSet::from_words(words, self.n())
     }
 }
 
-/// Matrix rows per block: one parent is counted, filtered and materialized
-/// against this many rows at a time, so the block's mask words are still
-/// cache-resident when its survivors are written.
+/// Matrix rows per block: one parent is counted and filtered against this
+/// many rows at a time, so the block's counts stay in a small stack array.
 const BLOCK_ROWS: usize = 32;
 
 /// Count-pass sentinel: the count of a `(parent, row)` pair the `allowed`
@@ -150,7 +151,7 @@ struct RefineTally {
     count_pruned: u64,
     /// Pairs rejected by the caller's keep predicate.
     dedup_dropped: u64,
-    /// Survivors materialized into the batch.
+    /// Survivors kept in the batch.
     materialized: u64,
 }
 
@@ -191,37 +192,38 @@ impl<'m> FrontierBuilder<'m> {
     ///
     /// `keep(parent, row, support)` is consulted **once per
     /// support-passing child, in `(parent, row)` order**, and a `false`
-    /// return drops the child before any of its words are computed. The
-    /// order makes stateful filters exact: a first-wins dedup signature
-    /// check behaves as in the serial nested loop, and a branch-and-bound
-    /// optimistic-bound predicate prunes doomed candidates before they are
-    /// materialized rather than after they are scored. Pass
-    /// `|_, _, _| true` to keep every support-passing child.
-    pub fn refine_with_prune<F, P>(
+    /// return drops the child. The order makes stateful filters exact: a
+    /// first-wins dedup signature check behaves as in the serial nested
+    /// loop, and a branch-and-bound optimistic-bound predicate prunes
+    /// doomed candidates on their counts rather than after they are
+    /// scored. Pass `|_, _, _| true` to keep every support-passing child.
+    ///
+    /// No child words are written: the batch borrows the parents' words
+    /// and the matrix, and computes a child's words when asked.
+    pub fn refine_with_prune<'a, F, P>(
         &self,
-        parents: &[ParentSpec<'_>],
+        parents: &[ParentSpec<'a>],
         allowed: F,
         mut keep: P,
-    ) -> ChildBatch
+    ) -> ChildBatch<'a>
     where
+        'm: 'a,
         F: Fn(usize, usize) -> bool,
         P: FnMut(usize, usize, usize) -> bool,
     {
         let rows = self.matrix.rows();
-        let stride = self.matrix.stride();
-        let mut out = ChildBatch {
-            n: self.matrix.n(),
-            stride,
-            meta: Vec::new(),
-            words: Vec::new(),
-        };
         for p in parents {
             assert_eq!(
                 p.ext.len(),
-                out.n,
+                self.matrix.n(),
                 "refine_with_prune: parent capacity mismatch"
             );
         }
+        let mut out = ChildBatch {
+            matrix: self.matrix,
+            parents: parents.iter().map(|p| p.ext.words()).collect(),
+            meta: Vec::new(),
+        };
         if parents.is_empty() || rows == 0 {
             return out;
         }
@@ -267,13 +269,6 @@ impl<'m> FrontierBuilder<'m> {
                         row,
                         support,
                     });
-                    let base = out.words.len();
-                    out.words.resize(base + stride, 0);
-                    kernels::and_into(
-                        parent_words,
-                        self.matrix.row_words(row),
-                        &mut out.words[base..],
-                    );
                 }
                 lo = hi;
             }
@@ -339,7 +334,7 @@ mod tests {
         out
     }
 
-    fn assert_same(got: &ChildBatch, expect: &[(ChildMeta, BitSet)]) {
+    fn assert_same(got: &ChildBatch<'_>, expect: &[(ChildMeta, BitSet)]) {
         assert_eq!(got.len(), expect.len());
         for (i, (meta, ext)) in expect.iter().enumerate() {
             assert_eq!(got.meta(i), *meta);
@@ -463,9 +458,13 @@ mod tests {
             .filter(|&i| seen2.insert(all.meta(i).row))
             .collect();
         assert_eq!(deduped.len(), expect.len());
+        let mut got = vec![0; matrix.stride()];
+        let mut want = vec![0; matrix.stride()];
         for (k, &i) in expect.iter().enumerate() {
             assert_eq!(deduped.meta(k), all.meta(i));
-            assert_eq!(deduped.child_words(k), all.child_words(i));
+            deduped.child_words_into(k, &mut got);
+            all.child_words_into(i, &mut want);
+            assert_eq!(got, want);
         }
     }
 }

@@ -20,11 +20,13 @@
 //!   and a caller-supplied keep predicate
 //!   ([`FrontierBuilder::refine_with_prune`] — dedup signature checks,
 //!   branch-and-bound optimistic bounds) run on the counts; and only the
-//!   survivors are written ([`sisd_data::kernels::and_into`]) into a
-//!   [`ChildBatch`] — metadata plus one packed word arena — while the
-//!   block is still hot. A rejected candidate never writes a word, and a
-//!   heap allocation is paid only when a surviving child is materialized
-//!   as a `BitSet` ([`ChildBatch::child_bitset`]).
+//!   survivors' `(parent, row, support)` are kept, in a [`ChildBatch`]
+//!   that borrows the parents and the matrix. Refinement writes no child
+//!   words: a consumer ANDs a child's parent and row
+//!   ([`sisd_data::kernels::and_into`]) when it needs the child's words —
+//!   into its own buffer ([`ChildBatch::child_words_into`]), or as an
+//!   owned `BitSet` ([`ChildBatch::child_bitset`]) for the children it
+//!   keeps.
 //!
 //! # Determinism contract
 //!
@@ -33,7 +35,7 @@
 //! the serial nested loop — and consults the keep predicate in that same
 //! order, so a stateful first-wins dedup keeps exactly what the serial
 //! generate-and-dedup loop keeps. Each child's words are a pure function of
-//! its parent and row. Parallelism lives one layer up: `sisd-search`'s
+//! its parent and row, whenever they are computed. Parallelism lives one layer up: `sisd-search`'s
 //! evaluator scores a batch on the worker pool with results bit-identical
 //! at any thread count.
 

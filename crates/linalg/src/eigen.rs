@@ -14,7 +14,7 @@ use crate::Matrix;
 /// Eigenvalues and eigenvectors of a symmetric matrix.
 #[derive(Debug, Clone)]
 pub struct SymEigen {
-    /// Eigenvalues in descending order.
+    /// Eigenvalues in descending order, any NaN last.
     pub values: Vec<f64>,
     /// Eigenvectors as matrix columns, `vectors.col(j)` pairs with
     /// `values[j]`. Stored row-major; use [`SymEigen::vector`] for access.
@@ -84,9 +84,14 @@ impl SymEigen {
             }
         }
 
-        // Sort by descending eigenvalue, permuting eigenvector columns.
+        // Sort by descending eigenvalue, NaN last (a NaN input entry spreads
+        // to the diagonal), permuting eigenvector columns. `+ 0.0` turns
+        // -0.0 into 0.0, so the two still tie and keep their index order.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&i, &j| m[(j, j)].partial_cmp(&m[(i, i)]).unwrap());
+        order.sort_by(|&i, &j| {
+            let (a, b) = (m[(i, i)] + 0.0, m[(j, j)] + 0.0);
+            a.is_nan().cmp(&b.is_nan()).then(b.total_cmp(&a))
+        });
         let mut values = Vec::with_capacity(n);
         let mut vectors = Matrix::zeros(n, n);
         for (newj, &oldj) in order.iter().enumerate() {
@@ -172,5 +177,19 @@ mod tests {
         assert!((e.values[0] - 14.0).abs() < 1e-8);
         assert!(e.values[1].abs() < 1e-8);
         assert!(e.values[2].abs() < 1e-8);
+    }
+
+    #[test]
+    fn nan_eigenvalues_sort_last_and_signed_zeros_tie() {
+        let e = SymEigen::new(&Matrix::from_diag(&[1.0, f64::NAN, 3.0]), 1e-12, 50);
+        assert_eq!(e.values[..2], [3.0, 1.0]);
+        assert!(e.values[2].is_nan());
+        // -0.0 and 0.0 are equal eigenvalues: they keep their index order.
+        let e = SymEigen::new(&Matrix::from_diag(&[-0.0, 0.0, 2.0]), 1e-12, 50);
+        let bits: Vec<u64> = e.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [2.0f64.to_bits(), (-0.0f64).to_bits(), 0.0f64.to_bits()]
+        );
     }
 }

@@ -67,7 +67,9 @@ pub enum Metric {
     /// Candidates rejected by the caller's keep predicate (beam dedup,
     /// branch-and-bound optimistic bound).
     FrontierDedupDropped,
-    /// Survivors whose mask words were actually materialized.
+    /// Survivors kept in a frontier batch: the candidates that passed the
+    /// support filters and the keep predicate. (Their words are computed
+    /// later, when a consumer reads them.)
     FrontierMaterialized,
     /// Refinements routed through a grid-kernel path. Refinement has one
     /// path, the fused loop, so this always reads 0; the name stays in the

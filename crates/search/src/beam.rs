@@ -12,8 +12,8 @@
 //! evaluated once per search — once per [`crate::Miner`] for a miner's
 //! searches — into a contiguous bit-matrix, refined
 //! **count-first**: supports are counted with store-free fused kernels,
-//! the coverage filters and conjunction dedup run on the counts, and only
-//! surviving children's extensions are materialized); set
+//! the coverage filters and conjunction dedup run on the counts, and a
+//! surviving child's extension words are computed when it is scored); set
 //! [`EvalConfig::threads`] to parallelize scoring. Results are identical
 //! at any thread count.
 

@@ -33,9 +33,10 @@
 //! Scoring runs through a per-chunk workspace (per-cell counts, the
 //! signature, the observed mean and the model's statistics buffers), so
 //! a candidate allocates nothing of its own; the beam loop below scores
-//! its children straight from the frontier's arena into compact records
-//! and builds a pattern only for what the top-k log or the next beam
-//! keeps.
+//! its children from the frontier's borrowed parent and mask words — each
+//! child's words ANDed into one per-chunk buffer just before it is scored
+//! — into compact records, and builds a pattern only for what the top-k
+//! log or the next beam keeps.
 
 use crate::refine::{generate_conditions, RefineConfig};
 use crate::BeamConfig;
@@ -44,6 +45,7 @@ use sisd_core::{
     location_ic_of_stats, spread_si, Condition, Intention, LocationPattern, LocationScore,
     SisdResult, SpreadScore,
 };
+use sisd_data::bitset::WORD_BITS;
 use sisd_data::{kernels, BitSet, Dataset};
 use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_model::{
@@ -684,8 +686,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scores children `range` of frontier batch number `batch`, all of
-    /// description arity `arity`, straight from the batch's word arena,
-    /// appending one [`LevelRec`] per success to `out`, in child order.
+    /// description arity `arity`, appending one [`LevelRec`] per success
+    /// to `out`, in child order. Each child's words are ANDed from its
+    /// parent and mask into one buffer per chunk just before it is scored.
     /// The batch-path contract of [`Evaluator::try_score_all`] holds —
     /// same per-candidate core, chunks merged in order, bit-identical at
     /// any thread count — but nothing is allocated per candidate: serial
@@ -699,7 +702,7 @@ impl<'a> Evaluator<'a> {
     /// every child the log takes has its mean kept.
     fn score_children(
         &self,
-        (batch, children): (usize, &ChildBatch),
+        (batch, children): (usize, &ChildBatch<'_>),
         range: Range<usize>,
         arity: usize,
         (log, top_k): (&[f64], usize),
@@ -714,8 +717,10 @@ impl<'a> Evaluator<'a> {
         let score_range = |range: Range<usize>, ws: &mut Workspace, out: &mut LevelScores| {
             let mut gate = Vec::with_capacity(top_k + 1);
             gate.extend_from_slice(log);
+            let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
             for child in range {
-                let Some(score) = self.score_or_note(arity, children.child_words(child), ws) else {
+                children.child_words_into(child, &mut words);
+                let Some(score) = self.score_or_note(arity, &words, ws) else {
                     continue;
                 };
                 let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
@@ -950,21 +955,23 @@ struct BeamParent {
 /// subsystem (`sisd-frontier` — count-first mask AND + coverage filters
 /// over the language's condition bit-matrix on the calling thread,
 /// children in serial `(parent, condition)` order), with the
-/// canonical-conjunction dedup running as the builder's keep predicate
-/// **between counting and materialization** — a duplicate conjunction is
-/// dropped on its support count alone and never has its extension words
-/// computed. Dedup still happens after the
-/// structural filters (so the outcome is independent of which parent
-/// reaches a conjunction first, exactly as in the serial nested loop); the
-/// whole level is then scored through the engine and the `width` best
-/// become the next frontier.
+/// canonical-conjunction dedup running as the builder's keep predicate on
+/// the support counts — a duplicate conjunction is dropped before it is
+/// scored. Dedup still happens after the structural filters, first wins
+/// in `(parent, condition)` order (exactly as in the serial nested loop),
+/// and it consults the `seen` set only where a duplicate can arise: the
+/// parents are distinct conjunctions, so two children `K_p ∪ {r}` and
+/// `K_q ∪ {r'}` of different parents can be equal only if `r ∈ K_q`, and
+/// a child through a condition in no parent's key is unique. The whole
+/// level is then scored through the engine and the `width` best become
+/// the next frontier.
 ///
 /// A level allocates `O(width + top_k)`, not `O(candidates)`: children
-/// are scored straight from the `ChildBatch` arena into compact records
-/// (score plus a slot in one flat observed-mean buffer), the dedup key is
-/// inline, and the top-k log admits candidates on their SI. An
-/// `Intention`, an owned extension and a pattern are built only for a
-/// candidate that becomes a next-level parent or is still in the top-k
+/// are scored from the `ChildBatch`'s borrowed parent and mask words into
+/// compact records (score plus a slot in one flat observed-mean buffer),
+/// the dedup key is inline, and the top-k log admits candidates on their
+/// SI. An `Intention`, an owned extension and a pattern are built only for
+/// a candidate that becomes a next-level parent or is still in the top-k
 /// log when its level ends. The log sees the same pushes in the same
 /// order as pushing every scored candidate as a pattern, so it is
 /// bit-identical to that.
@@ -1004,6 +1011,9 @@ pub(crate) fn run_beam_levels(
     // key can repeat across levels: the set is cleared (keeping its
     // capacity) per level.
     let mut seen: HashSet<ConjunctionKey> = HashSet::new();
+    // `in_a_key[c]`: condition `c` occurs in some parent's key, so a child
+    // through it may duplicate another parent's child.
+    let mut in_a_key = vec![false; conditions.len()];
     let mut parents = vec![BeamParent {
         intention: Intention::empty(),
         ext: BitSet::full(data.n()),
@@ -1029,16 +1039,24 @@ pub(crate) fn run_beam_levels(
             .collect();
         let allowed = |p: usize, row: usize| !parents[p].intention.conflicts_with(&conditions[row]);
         seen.clear();
+        in_a_key.fill(false);
+        for parent in &parents {
+            for &c in parent.key.indices() {
+                in_a_key[c as usize] = true;
+            }
+        }
+        let unique = |p: usize, row: usize, seen: &mut HashSet<ConjunctionKey>| {
+            !in_a_key[row] || seen.insert(parents[p].key.with(row))
+        };
         // Each frontier batch with the index of its first parent; the keep
         // predicate ran the first-wins dedup on the support counts, so the
         // batches hold exactly the survivors.
-        let mut batches: Vec<(usize, ChildBatch)> = Vec::new();
+        let mut batches: Vec<(usize, ChildBatch<'_>)> = Vec::new();
         match cfg.time_budget {
             // No budget: one batch.
             None => {
-                let children = builder.refine_with_prune(&specs, allowed, |p, row, _| {
-                    seen.insert(parents[p].key.with(row))
-                });
+                let children = builder
+                    .refine_with_prune(&specs, allowed, |p, row, _| unique(p, row, &mut seen));
                 batches.push((0, children));
             }
             // Budgeted: refine in slices of `threads` parents so the
@@ -1055,7 +1073,7 @@ pub(crate) fn run_beam_levels(
                     let children = builder.refine_with_prune(
                         chunk,
                         |p, row| allowed(base + p, row),
-                        |p, row, _| seen.insert(parents[base + p].key.with(row)),
+                        |p, row, _| unique(base + p, row, &mut seen),
                     );
                     batches.push((base, children));
                 }
@@ -1138,7 +1156,7 @@ pub(crate) fn run_beam_levels(
                 .collect();
         }
         // Patterns for the log's entries from this level, while their
-        // parents and arena words are still here.
+        // parents and batches are still here.
         top.settle(|r| {
             let rec = &level.recs[r];
             assert_ne!(
@@ -1153,6 +1171,7 @@ pub(crate) fn run_beam_levels(
                 score: rec.score,
             }
         });
+        drop(batches);
         if done {
             break;
         }

@@ -191,7 +191,9 @@ fn ascend(obj: &SpreadObjective, start: &[f64], cfg: &SphereConfig) -> (Vec<f64>
         let mut tangent = grad.clone();
         sisd_linalg::axpy(-radial, &w, &mut tangent);
         let tnorm = sisd_linalg::norm2(&tangent);
-        if tnorm < cfg.grad_tol * (1.0 + ic.abs()) {
+        // A NaN gradient (from a NaN target value) points nowhere: stop
+        // rather than step to a NaN direction.
+        if tnorm.is_nan() || tnorm < cfg.grad_tol * (1.0 + ic.abs()) {
             break;
         }
         // Backtracking line search with retraction.

@@ -51,7 +51,7 @@ fn reference_refine(
 /// Asserts that `got` holds exactly the reference children `expect`, in
 /// order, with the same supports and extension words.
 fn assert_matches_reference(
-    got: &ChildBatch,
+    got: &ChildBatch<'_>,
     expect: &[&(usize, usize, usize, BitSet)],
     what: &str,
 ) -> Result<(), TestCaseError> {
@@ -316,29 +316,35 @@ fn reference_beam(
 fn beam_search_is_bit_identical_to_the_pre_refactor_path() {
     let (data, _) = sisd::data::datasets::synthetic_paper(42);
     let model = BackgroundModel::from_empirical(&data).unwrap();
-    let cfg = BeamConfig {
-        width: 12,
-        max_depth: 3,
-        top_k: 60,
-        ..BeamConfig::default()
-    };
-    let (expect_top, expect_evaluated) = reference_beam(&data, &model, &cfg);
-    for threads in [1usize, 4] {
-        let cfg_t = BeamConfig {
-            eval: EvalConfig::with_threads(threads),
-            ..cfg.clone()
+    // At depth 4 the last levels' parents hold 2–3 conditions, so the
+    // beam's dedup checks only the children through a parent's condition,
+    // while the reference checks every key.
+    for (width, max_depth, top_k) in [(12usize, 3usize, 60usize), (8, 4, 40)] {
+        let cfg = BeamConfig {
+            width,
+            max_depth,
+            top_k,
+            ..BeamConfig::default()
         };
-        let result = BeamSearch::new(cfg_t).run(&data, &model);
-        assert_eq!(result.evaluated, expect_evaluated, "threads={threads}");
-        assert_eq!(result.top.len(), expect_top.len(), "threads={threads}");
-        for (a, b) in result.top.iter().zip(&expect_top) {
-            assert_eq!(a.extension, b.extension, "threads={threads}");
-            assert_eq!(a.intention, b.intention, "threads={threads}");
-            assert_eq!(
-                a.score.si.to_bits(),
-                b.score.si.to_bits(),
-                "threads={threads}: SI must be bit-identical to the pre-refactor path"
-            );
+        let (expect_top, expect_evaluated) = reference_beam(&data, &model, &cfg);
+        for threads in [1usize, 4] {
+            let what = format!("depth={max_depth} threads={threads}");
+            let cfg_t = BeamConfig {
+                eval: EvalConfig::with_threads(threads),
+                ..cfg.clone()
+            };
+            let result = BeamSearch::new(cfg_t).run(&data, &model);
+            assert_eq!(result.evaluated, expect_evaluated, "{what}");
+            assert_eq!(result.top.len(), expect_top.len(), "{what}");
+            for (a, b) in result.top.iter().zip(&expect_top) {
+                assert_eq!(a.extension, b.extension, "{what}");
+                assert_eq!(a.intention, b.intention, "{what}");
+                assert_eq!(
+                    a.score.si.to_bits(),
+                    b.score.si.to_bits(),
+                    "{what}: SI must be bit-identical to the pre-refactor path"
+                );
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! gracefully survive the pathological datasets a downstream user will
 //! eventually feed it.
 
-use sisd::core::{location_si, DlParams, Intention};
+use sisd::core::{location_si, DlParams, Intention, LocationPattern, LocationScore};
 use sisd::data::csv::dataset_from_csv_str;
 use sisd::data::{BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
@@ -217,6 +217,46 @@ fn unicode_names_roundtrip() {
     assert!(described.contains("Fläche_km²"));
     assert!(described.contains("groß"));
     assert_eq!(intent.evaluate(&data).to_indices(), vec![0, 2]);
+}
+
+/// One `NaN` cell in a two-target CSV: a spread search over a pattern that
+/// covers its row meets a NaN scatter matrix, whose eigenvalues are NaN.
+/// Sorting them must not panic; the search returns a pattern for the same
+/// rows.
+#[test]
+fn spread_search_survives_a_nan_target_cell() {
+    let mut csv = String::from("group,a,b\n");
+    for i in 0..40 {
+        let a = if i == 7 {
+            "NaN".to_string()
+        } else {
+            format!("{}", (i as f64 * 0.37).sin())
+        };
+        let b = (i as f64 * 0.11).cos() + (i % 3) as f64;
+        csv.push_str(&format!("g{},{a},{b}\n", i % 4));
+    }
+    let data = dataset_from_csv_str("nan-spread", &csv, &["a", "b"]).expect("NaN parses");
+    let miner = Miner::with_prior(
+        data.clone(),
+        vec![0.0, 0.0],
+        Matrix::identity(2),
+        tiny_config(),
+    )
+    .expect("prior");
+    let all = BitSet::full(data.n());
+    let location = LocationPattern {
+        intention: Intention::empty(),
+        observed_mean: data.target_mean(&all),
+        extension: all,
+        score: LocationScore {
+            ic: 0.0,
+            dl: 1.0,
+            si: 0.0,
+        },
+    };
+    let spread = miner.mine_spread(&location);
+    assert_eq!(spread.extension, location.extension);
+    assert_eq!(spread.w.len(), 2);
 }
 
 /// One `NaN` target cell: every candidate covering its row scores NaN.
