@@ -4,7 +4,9 @@
 //! flipping every bit with probability p (the "distortion") and tracks the
 //! SI of the subgroups induced by the three true descriptions, against a
 //! baseline of random subgroups of the same size. Patterns remain
-//! recoverable up to p ≈ 0.22–0.25.
+//! recoverable up to p ≈ 0.22–0.25. This harness prints the same series and
+//! asserts the figure's claims: it exits non-zero when any check below
+//! fails.
 
 use sisd_bench::{f2, print_table, print_tsv, section};
 use sisd_core::{location_si, Condition, ConditionOp, DlParams, Intention};
@@ -22,6 +24,8 @@ fn main() {
     let repeats = 10;
     let mut rows = Vec::new();
     let mut tsv = Vec::new();
+    // Per distortion level: the three mean SIs and the baseline's.
+    let mut series: Vec<([f64; 3], f64)> = Vec::new();
 
     for &p in &distortions {
         // Average over corruption seeds.
@@ -56,6 +60,7 @@ fn main() {
                 .si;
         }
         let r = repeats as f64;
+        series.push((sums.map(|sum| sum / r), baseline_sum / r));
         rows.push(vec![
             format!("{p:.3}"),
             f2(sums[0] / r),
@@ -93,4 +98,49 @@ fn main() {
          with distortion, staying far above the random baseline until p ≈ 0.22 and\n\
          approaching it around p ≈ 0.25–0.30."
     );
+
+    // The figure's claims, asserted. Level k is distortion 0.025·k.
+    let names = ["a3", "a4", "a5"];
+    let mut checks: Vec<(String, bool)> = Vec::new();
+    // SI decays with distortion: every column strictly decreases across
+    // all 15 levels (the smallest step, a4 from 0.325 to 0.350, is 0.29).
+    for (c, name) in names.iter().enumerate() {
+        let decreasing = series.windows(2).all(|w| w[1].0[c] < w[0].0[c]);
+        checks.push((
+            format!("SI {name}='1' strictly decreases over the 15 distortion levels"),
+            decreasing,
+        ));
+    }
+    // Recoverable until p ≈ 0.22: at every p <= 0.20 each column clears
+    // the random baseline by more than 2 SI (the smallest margin is 3.40,
+    // a4 at p = 0.20).
+    let margin = series[..=8]
+        .iter()
+        .flat_map(|(si, baseline)| si.map(|s| s - baseline))
+        .fold(f64::INFINITY, f64::min);
+    checks.push((
+        format!("at p <= 0.20 every column exceeds the baseline by {margin:.2} > 2"),
+        margin > 2.0,
+    ));
+    // Gone by p ≈ 0.30: there every column lies within 1 SI of the
+    // baseline (the largest gap is 0.78, a5).
+    let (at_030, baseline) = series[12];
+    let gap = at_030
+        .iter()
+        .map(|s| (s - baseline).abs())
+        .fold(0.0, f64::max);
+    checks.push((
+        format!("at p = 0.30 every column is within {gap:.2} < 1 of the baseline"),
+        gap < 1.0,
+    ));
+
+    section("Fig. 3 — checks");
+    for (what, ok) in &checks {
+        println!("{} {what}", if *ok { "ok  " } else { "FAIL" });
+    }
+    let failed = checks.iter().filter(|(_, ok)| !ok).count();
+    if failed > 0 {
+        eprintln!("fig3_noise: {failed} of {} checks failed", checks.len());
+        std::process::exit(1);
+    }
 }

@@ -43,6 +43,18 @@
 //! lanes run across columns, so each column still adds its rows one at a
 //! time in ascending order onto what `out` held, and every body's bits
 //! equal the per-row `out[j] += row[j]` loop's.
+//!
+//! The **sibling walk** [`count_cells_sum_lanes`] turns the lanes around
+//! for single-target data: its [`LANES`] lanes are up to 64 children
+//! `parent ∧ mask_j` of one parent, not target columns. One walk over the
+//! parent's rows reads each row's membership word (bit `j`: the row lies in
+//! `mask_j`), adds the row's target into every member lane's register
+//! accumulator and counts the row into its cell for every member lane; a
+//! non-member lane adds `+0.0`. At `dy = 1` a per-child walk is one chain of
+//! dependent adds per child, so one walk that carries 64 independent
+//! chains costs far less than 64 walks, and each lane's bits still equal
+//! its child's [`count_cells_sum_rows`]. With more target columns the
+//! per-child walk already fills the SIMD lanes with columns, so it stays.
 
 /// Portable fused AND+popcount body; also instantiated inside the
 /// feature-gated wrapper, where the identical source compiles to vector
@@ -239,6 +251,125 @@ fn count_cells_sum_rows_body(
     }
 }
 
+/// Lanes of a sibling walk: one per bit of a membership word.
+pub const LANES: usize = 64;
+
+/// Lanes one pass of a sibling walk holds in registers: 32 `f64`
+/// accumulators are eight of the sixteen 256-bit AVX2 registers, which
+/// leaves the rest for the row's values and the lane-select masks.
+const PASS_LANES: usize = 32;
+
+/// `SELECT_F64[b][k]` is all ones when bit `k` of `b` is set and zero
+/// otherwise: `f64::from_bits(y.to_bits() & SELECT_F64[b][k])` is `y` for
+/// a member lane and `+0.0` for any other, eight lanes per byte of a
+/// membership word.
+static SELECT_F64: [[u64; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            table[b][k] = if b >> k & 1 == 1 { u64::MAX } else { 0 };
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// `COUNT_U32[b][k]` is bit `k` of `b`: the count increments of eight
+/// lanes per byte of a membership word.
+static COUNT_U32: [[u32; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            table[b][k] = (b >> k & 1) as u32;
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// One walk over the rows `ext` selects for the sibling lanes
+/// `first..first + PASS_LANES`: row `i` is added into the accumulator of
+/// every lane whose bit is set in `members[i] & select`, and counted into
+/// that lane's entry of cell `cell_of_row[i]`; every other lane adds
+/// `+0.0`. The accumulators start at `+0.0` and stay in registers until the
+/// walk ends, when they are stored into `sums`. Each byte of the
+/// membership word picks eight lanes' masks and increments from a table,
+/// which costs fewer instructions per row than deriving them bit by bit.
+#[inline(always)]
+fn sum_lanes_pass(
+    ext: &[u64],
+    (members, select, first): (&[u64], u64, usize),
+    cell_of_row: &[u32],
+    counts: &mut [u32],
+    rows: &[f64],
+    sums: &mut [f64],
+) {
+    let mut acc = [0.0f64; PASS_LANES];
+    // The row loop of `walk_rows_body`, spelled out: a closure this large
+    // would be outlined, and compiled without the twin's wider ISA.
+    for (w, &word) in ext.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let i = w * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let bits = (members[i] & select) >> first;
+            let y = rows[i].to_bits();
+            let cell: &mut [u32; PASS_LANES] = (&mut counts
+                [cell_of_row[i] as usize * LANES + first..][..PASS_LANES])
+                .try_into()
+                .expect("a pass is PASS_LANES lanes");
+            for (q, (acc, cell)) in acc
+                .chunks_exact_mut(8)
+                .zip(cell.chunks_exact_mut(8))
+                .enumerate()
+            {
+                let byte = (bits >> (8 * q)) as u8 as usize;
+                for (a, m) in acc.iter_mut().zip(&SELECT_F64[byte]) {
+                    *a += f64::from_bits(y & m);
+                }
+                for (c, one) in cell.iter_mut().zip(&COUNT_U32[byte]) {
+                    *c += one;
+                }
+            }
+        }
+    }
+    sums.copy_from_slice(&acc);
+}
+
+/// Portable sibling walk (see [`count_cells_sum_lanes`]; shapes asserted
+/// by the caller): one pass per half of the lanes that `select` touches.
+#[inline(always)]
+fn count_cells_sum_lanes_body(
+    ext: &[u64],
+    (members, select): (&[u64], u64),
+    cell_of_row: &[u32],
+    counts: &mut [u32],
+    rows: &[f64],
+    sums: &mut [f64; LANES],
+) {
+    for (first, half) in sums.chunks_exact_mut(PASS_LANES).enumerate() {
+        let first = first * PASS_LANES;
+        if (select >> first) as u32 == 0 {
+            half.fill(0.0);
+            continue;
+        }
+        sum_lanes_pass(
+            ext,
+            (members, select, first),
+            cell_of_row,
+            counts,
+            rows,
+            half,
+        );
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2+POPCNT instantiations of the portable bodies. LLVM vectorizes
@@ -308,6 +439,20 @@ mod x86 {
         out: &mut [f64],
     ) {
         super::count_cells_sum_rows_body(ext, cell_of_row, counts, rows, out)
+    }
+
+    /// # Safety
+    /// See [`and_count`].
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn count_cells_sum_lanes(
+        ext: &[u64],
+        members: (&[u64], u64),
+        cell_of_row: &[u32],
+        counts: &mut [u32],
+        rows: &[f64],
+        sums: &mut [f64; super::LANES],
+    ) {
+        super::count_cells_sum_lanes_body(ext, members, cell_of_row, counts, rows, sums)
     }
 
     /// The detection result, probed exactly once per process. The std
@@ -538,6 +683,66 @@ pub fn count_cells_sum_rows(
         return;
     }
     count_cells_sum_rows_body(ext, cell_of_row, counts, rows, out)
+}
+
+/// [`count_cells_sum_rows`] for up to [`LANES`] single-target siblings
+/// `ext ∧ mask_j` in one walk over the rows `ext` selects. Bit `j` of
+/// `members[i]` says whether row `i` lies in sibling `j`'s mask, and
+/// `select` names the siblings to score. Each selected row is counted into
+/// `counts[cell_of_row[i] · LANES + j]` and its target `rows[i]` added into
+/// `sums[j]` for every selected sibling `j` it belongs to.
+///
+/// `sums` is overwritten: each lane starts from `+0.0` and adds, for every
+/// row of `ext` in ascending order, either the row's target (a member) or
+/// `+0.0`. Adding `+0.0` changes no bit of an accumulator that is not
+/// `−0.0`, and one that starts at `+0.0` never becomes `−0.0` (a sum is
+/// `−0.0` only when both terms are), so lane `j` gets exactly the bits
+/// [`count_cells_sum_rows`] gives on `ext ∧ mask_j` with a zeroed one-column
+/// `out`, and its counts the same integers. (A NaN sum is NaN in both, but
+/// Rust leaves unspecified which NaN an addition of two NaNs returns, so
+/// the payloads of two compilations of one sum may differ.) Unselected
+/// lanes sum to `+0.0` and count nothing.
+///
+/// The lanes run in two passes of 32 whose accumulators stay in registers;
+/// a half with no selected lane is skipped.
+///
+/// # Panics
+/// Panics if `ext` is not ⌈`cell_of_row.len()` / 64⌉ words long, if
+/// `members` or `rows` does not hold one entry per entry of `cell_of_row`,
+/// if there are more rows than a `u32` count holds, or if `counts` is not
+/// a whole number of [`LANES`]-wide cells or lacks a selected row's cell.
+pub fn count_cells_sum_lanes(
+    ext: &[u64],
+    (members, select): (&[u64], u64),
+    cell_of_row: &[u32],
+    counts: &mut [u32],
+    rows: &[f64],
+    sums: &mut [f64; LANES],
+) {
+    check_walk_shape(ext, cell_of_row, "count_cells_sum_lanes");
+    let n = cell_of_row.len();
+    assert!(
+        members.len() == n && rows.len() == n,
+        "kernels::count_cells_sum_lanes: members and rows must hold one entry per row"
+    );
+    assert!(
+        u32::try_from(n).is_ok(),
+        "kernels::count_cells_sum_lanes: {n} rows overflow a u32 count"
+    );
+    assert_eq!(
+        counts.len() % LANES,
+        0,
+        "kernels::count_cells_sum_lanes: counts are not {LANES} lanes per cell"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x86::avx2() {
+        // SAFETY: AVX2 support verified by the cached runtime probe.
+        unsafe {
+            x86::count_cells_sum_lanes(ext, (members, select), cell_of_row, counts, rows, sums)
+        };
+        return;
+    }
+    count_cells_sum_lanes_body(ext, (members, select), cell_of_row, counts, rows, sums)
 }
 
 #[cfg(test)]
@@ -837,6 +1042,164 @@ mod tests {
                         // SAFETY: AVX2 support verified just above.
                         unsafe { x86::count_cells(ext.words(), &cell_of_row, &mut counts) };
                         assert_eq!(counts, want_counts, "AVX2 count-only {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// One target per row from `values`, chosen pseudo-randomly.
+    fn pick_targets(n: usize, seed: u64, values: &[f64]) -> Vec<f64> {
+        words(seed, n)
+            .into_iter()
+            .zip(targets(n, 1))
+            .map(|(w, regular)| values.get(w as usize % 16).copied().unwrap_or(regular))
+            .collect()
+    }
+
+    /// The membership words of masks `64·block ..`: bit `j` of word `i` is
+    /// row `i` of mask `64·block + j`, one bit at a time.
+    fn membership(masks: &[BitSet], block: usize, n: usize) -> Vec<u64> {
+        let lanes = &masks[block * LANES..masks.len().min((block + 1) * LANES)];
+        (0..n)
+            .map(|i| {
+                lanes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, m)| m.contains(i))
+                    .fold(0, |w, (j, _)| w | 1 << j)
+            })
+            .collect()
+    }
+
+    /// Rust leaves unspecified which NaN an addition of two NaNs returns,
+    /// so two compilations of one sum may differ in a NaN's payload and
+    /// nowhere else: a NaN must meet a NaN, every other sum its own bits.
+    fn assert_same_sum(got: f64, want: f64, what: &str) {
+        if !(got.is_nan() && want.is_nan()) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+        }
+    }
+
+    /// [`count_cells_sum_lanes`] through the portable body (0), the
+    /// dispatcher (1) or the AVX2 twin (2), from zeroed counts and
+    /// poisoned sums.
+    fn run_lanes(
+        body: usize,
+        ext: &[u64],
+        members: (&[u64], u64),
+        cell_of_row: &[u32],
+        rows: &[f64],
+        cells: usize,
+    ) -> (Vec<u32>, [f64; LANES]) {
+        let mut counts = vec![0u32; cells * LANES];
+        let mut sums = [f64::NAN; LANES];
+        let out = (&mut counts[..], &mut sums);
+        match body {
+            0 => count_cells_sum_lanes_body(ext, members, cell_of_row, out.0, rows, out.1),
+            1 => count_cells_sum_lanes(ext, members, cell_of_row, out.0, rows, out.1),
+            #[cfg(target_arch = "x86_64")]
+            _ => {
+                assert!(x86::detect());
+                // SAFETY: AVX2 support verified just above.
+                unsafe { x86::count_cells_sum_lanes(ext, members, cell_of_row, out.0, rows, out.1) }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("the AVX2 twin exists on x86_64 only"),
+        }
+        (counts, sums)
+    }
+
+    #[test]
+    fn sibling_lanes_match_the_per_child_walk() {
+        let tiny = f64::MIN_POSITIVE / 3.0;
+        // Dense IEEE specials, whose sums overflow and turn NaN; and finite
+        // rows, where the signed zeros and subnormals show any non-member
+        // row that changes a lane's bits. An accumulator that could become
+        // -0.0 would turn +0.0 on its next non-member row.
+        let specials = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            tiny,
+            -tiny,
+            5e-324,
+            1e300,
+            -1e300,
+        ];
+        let finite = [-0.0, -0.0, 0.0, tiny, -5e-324];
+        let mut bodies = vec![(0, "portable"), (1, "dispatched")];
+        #[cfg(target_arch = "x86_64")]
+        if x86::detect() {
+            bodies.push((2, "AVX2"));
+        }
+        let shapes = [1usize, 63, 64, 65, 1994]
+            .into_iter()
+            .flat_map(|n| [1usize, 63, 64, 65, 130].map(|conditions| (n, conditions)));
+        for (k, (n, conditions)) in shapes.enumerate() {
+            let cells = [1usize, 2, 7, 64, 130][k % 5];
+            let cell_of_row = cell_map(n, cells, 70 + k as u64);
+            let bit = |seed: u64, i: usize, one_in: u64| {
+                words(seed ^ i as u64, 1)[0].is_multiple_of(one_in)
+            };
+            let masks: Vec<BitSet> = (0..conditions)
+                .map(|j| BitSet::from_fn(n, |i| !bit(j as u64 * 7919, i, 3)))
+                .collect();
+            let parents = [
+                BitSet::full(n),
+                BitSet::empty(n),
+                BitSet::from_indices(n, [n / 2]),
+                BitSet::from_fn(n, |i| !bit(k as u64 * 104_729, i, 4)),
+            ];
+            for (t, values) in [&specials[..], &finite[..]].into_iter().enumerate() {
+                let rows = pick_targets(n, 90 + k as u64 + t as u64, values);
+                for block in 0..conditions.div_ceil(LANES) {
+                    let members = membership(&masks, block, n);
+                    let lanes = (conditions - block * LANES).min(LANES);
+                    let all = u64::MAX >> (LANES - lanes);
+                    // Every lane of the block, and lanes picked from both
+                    // halves.
+                    let selects = [all, all & 0x8000_0003_f0f0_0001];
+                    for ((p, parent), select) in parents
+                        .iter()
+                        .enumerate()
+                        .flat_map(|p| selects.map(|s| (p, s)))
+                    {
+                        let what = format!(
+                            "n={n} conditions={conditions} cells={cells} targets {t} \
+                             block {block} parent {p} select {select:#x}"
+                        );
+                        let ext = parent.words();
+                        let got: Vec<_> = bodies
+                            .iter()
+                            .map(|&(b, _)| {
+                                run_lanes(b, ext, (&members, select), &cell_of_row, &rows, cells)
+                            })
+                            .collect();
+                        for j in 0..LANES {
+                            let mut want_counts = vec![0usize; cells];
+                            let mut want_sum = [0.0];
+                            if select >> j & 1 != 0 {
+                                let mut child = vec![0u64; ext.len()];
+                                and_into(ext, masks[block * LANES + j].words(), &mut child);
+                                count_cells_sum_rows(
+                                    &child,
+                                    &cell_of_row,
+                                    &mut want_counts,
+                                    &rows,
+                                    &mut want_sum,
+                                );
+                            }
+                            for ((counts, sums), (_, body)) in got.iter().zip(&bodies) {
+                                let what = format!("{body} {what} lane {j}");
+                                let lane_counts: Vec<usize> =
+                                    (0..cells).map(|g| counts[g * LANES + j] as usize).collect();
+                                assert_eq!(lane_counts, want_counts, "{what}");
+                                assert_same_sum(sums[j], want_sum[0], &what);
+                            }
+                        }
                     }
                 }
             }

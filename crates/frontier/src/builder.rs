@@ -78,6 +78,13 @@ pub struct ChildMeta {
 /// owned [`BitSet`] by [`ChildBatch::child_bitset`]. A level that keeps
 /// ten thousand candidates stores no child words, and allocates only for
 /// the children a consumer keeps.
+///
+/// Children come in `(parent, row)` order, so the children of one parent
+/// through one block of [`sisd_data::kernels::LANES`] matrix rows are
+/// consecutive: a consumer can score such a run of siblings in one walk
+/// over [`ChildBatch::parent_words`], reading which rows lie in each
+/// sibling's mask from the matrix's row-major view
+/// ([`MaskMatrix::lane_words`]), instead of ANDing each child.
 #[derive(Debug, Clone)]
 pub struct ChildBatch<'a> {
     matrix: &'a MaskMatrix,
@@ -85,7 +92,7 @@ pub struct ChildBatch<'a> {
     meta: Vec<ChildMeta>,
 }
 
-impl ChildBatch<'_> {
+impl<'a> ChildBatch<'a> {
     /// Number of children in the batch.
     pub fn len(&self) -> usize {
         self.meta.len()
@@ -109,6 +116,17 @@ impl ChildBatch<'_> {
     /// Metadata of child `i`.
     pub fn meta(&self, i: usize) -> ChildMeta {
         self.meta[i]
+    }
+
+    /// The matrix the children were refined against.
+    pub fn matrix(&self) -> &'a MaskMatrix {
+        self.matrix
+    }
+
+    /// The extension words of parent `p` (an index into the `parents`
+    /// slice passed to [`FrontierBuilder::refine_with_prune`]).
+    pub fn parent_words(&self, p: usize) -> &'a [u64] {
+        self.parents[p]
     }
 
     /// Writes child `i`'s extension words — its parent's words ANDed with

@@ -12,7 +12,10 @@
 //!   description language, evaluated once per dataset and packed row-major
 //!   into one contiguous word arena (structure-of-arrays; see the type
 //!   docs for the exact layout). Search levels, strategies, and repeated
-//!   searches over the same dataset all reuse the same rows.
+//!   searches over the same dataset all reuse the same rows. On request it
+//!   also keeps its transpose, one membership word per dataset row per 64
+//!   conditions ([`MaskMatrix::lane_words`]), from which a scorer reads 64
+//!   siblings' masks in one walk over their parent.
 //! * [`FrontierBuilder`] — **count-first refinement, fused per block.**
 //!   For each parent, a cache-resident block of matrix rows is counted
 //!   with the store-free

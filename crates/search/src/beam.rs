@@ -13,9 +13,10 @@
 //! searches — into a contiguous bit-matrix, refined
 //! **count-first**: supports are counted with store-free fused kernels,
 //! the coverage filters and conjunction dedup run on the counts, and a
-//! surviving child's extension words are computed when it is scored); set
-//! [`EvalConfig::threads`] to parallelize scoring. Results are identical
-//! at any thread count.
+//! surviving child's extension words are computed when it is scored, or,
+//! on single-target data, one walk over a parent's rows scores up to 64 of
+//! its children); set [`EvalConfig::threads`] to parallelize scoring.
+//! Results are identical at any thread count.
 
 use crate::eval::{run_beam_levels, Evaluator, SearchLanguage};
 use crate::refine::RefineConfig;

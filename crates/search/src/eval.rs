@@ -15,14 +15,19 @@
 //!   are memoized per **cell-count signature** in a
 //!   [`sisd_model::FactorCache`] that lives and dies with the evaluator.
 //!   There is no warm-up protocol and no panic path for a missing factor.
-//! * **One row walk per candidate.** On the Gaussian backend a candidate's
-//!   cell-count signature and its target row sum come from a single walk
-//!   over its rows ([`sisd_data::kernels::count_cells_sum_rows`] over the
-//!   model's row-to-cell map), so a candidate costs `O(|I| · dy)` however
-//!   many cells the partition has. The signature feeds the model
-//!   statistics; the sum becomes the observed mean — except for a
-//!   candidate that is exactly a union of parameter cells, whose mean is
-//!   assembled from precomputed per-cell target sums.
+//! * **One row walk per candidate, or per 64 siblings.** On the Gaussian
+//!   backend a candidate's cell-count signature and its target row sum
+//!   come from a single walk over its rows
+//!   ([`sisd_data::kernels::count_cells_sum_rows`] over the model's
+//!   row-to-cell map), so a candidate costs `O(|I| · dy)` however many
+//!   cells the partition has. On single-target data a beam level instead
+//!   walks each parent's rows once per block of 64 conditions
+//!   ([`sisd_data::kernels::count_cells_sum_lanes`]), which yields the
+//!   counts and sums of all the parent's children through that block, the
+//!   same integers and bits. The signature feeds the model statistics; the
+//!   sum becomes the observed mean — except for a candidate that is exactly
+//!   a union of parameter cells, whose mean is assembled from precomputed
+//!   per-cell target sums.
 //! * **Deterministic parallelism.** [`Evaluator::score_all`] splits a
 //!   batch into contiguous chunks, scores them on the persistent
 //!   `sisd-par` worker pool, and merges in chunk order. Each candidate's
@@ -30,10 +35,11 @@
 //!   **bit-identical at any thread count** — searches may be parallelized
 //!   without changing their output.
 //!
-//! Scoring runs through a per-chunk workspace (per-cell counts, the
-//! signature, the observed mean and the model's statistics buffers), so
-//! a candidate allocates nothing of its own; the beam loop below scores
-//! its children from the frontier's borrowed parent and mask words — each
+//! Scoring runs through a per-chunk workspace (per-cell and per-lane
+//! counts, the signature, the observed mean and the model's statistics
+//! buffers), so a candidate allocates nothing of its own; the beam loop
+//! below scores its children from the frontier's borrowed parent and mask
+//! words — siblings together on single-target data, otherwise each
 //! child's words ANDed into one per-chunk buffer just before it is scored
 //! — into compact records, and builds a pattern only for what the top-k
 //! log or the next beam keeps.
@@ -46,7 +52,8 @@ use sisd_core::{
     SisdResult, SpreadScore,
 };
 use sisd_data::bitset::WORD_BITS;
-use sisd_data::{kernels, BitSet, Dataset};
+use sisd_data::kernels::{self, LANES};
+use sisd_data::{BitSet, Dataset};
 use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_model::{
     BackgroundModel, BinaryBackgroundModel, FactorCache, LocationScratch, ModelError,
@@ -152,20 +159,67 @@ impl Scored {
 /// The model backend a candidate is scored against.
 enum Backend<'a> {
     /// The paper's Gaussian background distribution.
-    Gaussian {
-        model: &'a BackgroundModel,
-        /// Mixed-covariance factorizations memoized by covariance-value
-        /// signature. Shared (`Arc`) so a long-lived cache — e.g. the
-        /// [`crate::Miner`]'s, surviving across searches and assimilations
-        /// of one model lineage — can be plugged in; the default is a
-        /// private cache that lives and dies with the evaluator.
-        cache: Arc<FactorCache>,
-        /// Per-cell sums of the dataset's target rows, aligned with
-        /// `model.cells()`; built on first use.
-        cell_sums: OnceLock<Vec<Vec<f64>>>,
-    },
+    Gaussian(Gaussian<'a>),
     /// The Bernoulli MaxEnt model for 0/1 targets (§V extension).
     Bernoulli { model: &'a BinaryBackgroundModel },
+}
+
+/// The Gaussian backend.
+struct Gaussian<'a> {
+    model: &'a BackgroundModel,
+    /// Mixed-covariance factorizations memoized by covariance-value
+    /// signature. Shared (`Arc`) so a long-lived cache — e.g. the
+    /// [`crate::Miner`]'s, surviving across searches and assimilations of
+    /// one model lineage — can be plugged in; the default is a private
+    /// cache that lives and dies with the evaluator.
+    cache: Arc<FactorCache>,
+    /// Per-cell sums of the dataset's target rows, aligned with
+    /// `model.cells()`; built on first use.
+    cell_sums: OnceLock<Vec<Vec<f64>>>,
+}
+
+impl Gaussian<'_> {
+    /// The IC of the candidate whose cell-count signature is in
+    /// `ws.signature` and whose target row sum is in `ws.mean`, which is
+    /// left holding its observed mean: that sum over the row count — the
+    /// same bits as [`Dataset::target_mean`] — unless every intersected
+    /// cell lies wholly inside the candidate; then it is assembled from
+    /// per-cell target sums, the case for re-scored assimilated subgroups
+    /// and any candidate aligned with the constraint partition.
+    fn ic(&self, data: &Dataset, ws: &mut Workspace) -> SisdResult<f64> {
+        let Workspace {
+            signature,
+            mean,
+            stats,
+            ..
+        } = ws;
+        let m: usize = signature.iter().map(|&(_, c)| c).sum();
+        if m == 0 {
+            return Err(ModelError::EmptyExtension.into());
+        }
+        let cells = self.model.cells();
+        if signature.iter().all(|&(g, c)| c == cells[g].count) {
+            let sums = self.cell_sums.get_or_init(|| {
+                cells
+                    .iter()
+                    .map(|cell| {
+                        let mut s = vec![0.0; data.dy()];
+                        kernels::sum_rows(data.targets().as_slice(), cell.ext.words(), &mut s);
+                        s
+                    })
+                    .collect()
+            });
+            mean.fill(0.0);
+            for &(g, _) in signature.iter() {
+                sisd_linalg::add_assign(mean, &sums[g]);
+            }
+        }
+        sisd_linalg::scale(1.0 / m as f64, mean);
+        let stats =
+            self.model
+                .location_stats_with(signature, mean, Some(self.cache.as_ref()), stats)?;
+        Ok(location_ic_of_stats(stats, self.model.dy()))
+    }
 }
 
 /// Everything the scoring core writes while it scores one candidate,
@@ -184,6 +238,48 @@ struct Workspace {
     /// The current candidate's extension, refilled from its words for the
     /// Bernoulli model, which takes a [`BitSet`].
     ext: BitSet,
+    /// A sibling walk's per-lane counts, [`LANES`] per parameter cell
+    /// (sibling lanes only); all zero between walks.
+    lane_counts: Vec<u32>,
+    /// The cells the current sibling walk's parent covers, ascending.
+    touched: Vec<usize>,
+}
+
+impl Workspace {
+    /// Makes `touched` the cells that `ext` covers, in cell order.
+    fn touch_cells(&mut self, ext: &[u64], cell_of_row: &[u32]) {
+        kernels::count_cells(ext, cell_of_row, &mut self.cell_rows);
+        self.touched.clear();
+        for (g, c) in self.cell_rows.iter_mut().enumerate() {
+            if *c > 0 {
+                self.touched.push(g);
+                *c = 0;
+            }
+        }
+    }
+
+    /// Makes `signature` the nonzero counts of sibling lane `lane` over the
+    /// touched cells, in cell order. Branch-free: whether a sibling has
+    /// rows in a cell is a coin flip that a branch would mispredict.
+    fn lane_signature(&mut self, lane: usize) {
+        self.signature.clear();
+        self.signature.resize(self.touched.len(), (0, 0));
+        let mut len = 0;
+        for &g in &self.touched {
+            let c = self.lane_counts[g * LANES + lane] as usize;
+            self.signature[len] = (g, c);
+            len += usize::from(c > 0);
+        }
+        self.signature.truncate(len);
+    }
+
+    /// Zeroes the lane counts of the touched cells, the only ones a walk
+    /// over the touched cells' parent writes.
+    fn clear_lanes(&mut self) {
+        for &g in &self.touched {
+            self.lane_counts[g * LANES..(g + 1) * LANES].fill(0);
+        }
+    }
 }
 
 /// The scored children of one beam level, kept compact: a record per
@@ -297,11 +393,11 @@ impl<'a> Evaluator<'a> {
             dl,
             threads: cfg.threads.max(1),
             pool: cfg.pool,
-            backend: Backend::Gaussian {
+            backend: Backend::Gaussian(Gaussian {
                 model,
                 cache,
                 cell_sums: OnceLock::new(),
-            },
+            }),
             obs: cfg.obs,
             numeric_failures: AtomicUsize::new(0),
         }
@@ -355,7 +451,7 @@ impl<'a> Evaluator<'a> {
         if !obs.enabled() {
             return;
         }
-        if let Backend::Gaussian { cache, .. } = &self.backend {
+        if let Backend::Gaussian(Gaussian { cache, .. }) = &self.backend {
             obs.set(Metric::CacheHits, cache.hits());
             obs.set(Metric::CacheMisses, cache.misses());
             obs.set(Metric::CacheEntries, cache.len() as u64);
@@ -388,11 +484,30 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The Gaussian backend on single-target data: the one case in which a
+    /// beam level scores its children as sibling lanes
+    /// ([`kernels::count_cells_sum_lanes`]), 64 siblings per walk over
+    /// their parent's rows. With more target columns the per-child walk
+    /// already fills its SIMD lanes with a row's columns, while sibling
+    /// lanes would walk the parent once per column; the Bernoulli model
+    /// has no row walk.
+    fn sibling_lanes(&self) -> Option<&Gaussian<'a>> {
+        match &self.backend {
+            Backend::Gaussian(gaussian) if self.data.dy() == 1 => Some(gaussian),
+            _ => None,
+        }
+    }
+
     /// A fresh scoring workspace shaped for this engine's backend.
     fn workspace(&self) -> Workspace {
         let (cells, n) = match &self.backend {
-            Backend::Gaussian { model, .. } => (model.n_cells(), 0),
+            Backend::Gaussian(Gaussian { model, .. }) => (model.n_cells(), 0),
             Backend::Bernoulli { .. } => (0, self.data.n()),
+        };
+        let lanes = if self.sibling_lanes().is_some() {
+            cells * LANES
+        } else {
+            0
         };
         Workspace {
             cell_rows: vec![0; cells],
@@ -400,6 +515,8 @@ impl<'a> Evaluator<'a> {
             mean: vec![0.0; self.data.dy()],
             stats: LocationScratch::default(),
             ext: BitSet::empty(n),
+            lane_counts: vec![0; lanes],
+            touched: Vec::new(),
         }
     }
 
@@ -408,81 +525,32 @@ impl<'a> Evaluator<'a> {
     /// every entry point shares. Leaves the observed mean in `ws.mean`.
     ///
     /// On the Gaussian backend one walk over the candidate's rows yields
-    /// its cell-count signature and its target row sum. The mean is that
-    /// sum over the row count — the same bits as
-    /// [`Dataset::target_mean`] — unless every intersected cell lies
-    /// wholly inside the extension: then it is assembled from per-cell
-    /// target sums, the case for re-scored assimilated subgroups and any
-    /// candidate aligned with the constraint partition.
-    ///
-    /// A NaN or infinite SI (say, from a NaN target value) is rejected as
-    /// [`ModelError::NonFinite`], so the batch paths count it as a numeric
-    /// failure and no ranking ever sees it.
+    /// its cell-count signature and its target row sum, from which
+    /// [`Gaussian::ic`] takes the model statistics.
     fn score_words(
         &self,
         arity: usize,
         ext: &[u64],
         ws: &mut Workspace,
     ) -> SisdResult<LocationScore> {
-        let dl = self.dl.location_dl(arity);
         let ic = match &self.backend {
-            Backend::Gaussian {
-                model,
-                cache,
-                cell_sums,
-            } => {
-                let Workspace {
-                    cell_rows,
-                    signature,
-                    mean,
-                    stats,
-                    ..
-                } = ws;
-                mean.fill(0.0);
+            Backend::Gaussian(gaussian) => {
+                ws.mean.fill(0.0);
                 kernels::count_cells_sum_rows(
                     ext,
-                    model.cell_of_row(),
-                    cell_rows,
+                    gaussian.model.cell_of_row(),
+                    &mut ws.cell_rows,
                     self.data.targets().as_slice(),
-                    mean,
+                    &mut ws.mean,
                 );
-                signature.clear();
-                let mut m = 0usize;
-                for (g, c) in cell_rows.iter_mut().enumerate() {
+                ws.signature.clear();
+                for (g, c) in ws.cell_rows.iter_mut().enumerate() {
                     if *c > 0 {
-                        signature.push((g, *c));
-                        m += *c;
+                        ws.signature.push((g, *c));
                         *c = 0;
                     }
                 }
-                if m == 0 {
-                    return Err(ModelError::EmptyExtension.into());
-                }
-                let cells = model.cells();
-                if signature.iter().all(|&(g, c)| c == cells[g].count) {
-                    let sums = cell_sums.get_or_init(|| {
-                        cells
-                            .iter()
-                            .map(|cell| {
-                                let mut s = vec![0.0; self.data.dy()];
-                                kernels::sum_rows(
-                                    self.data.targets().as_slice(),
-                                    cell.ext.words(),
-                                    &mut s,
-                                );
-                                s
-                            })
-                            .collect()
-                    });
-                    mean.fill(0.0);
-                    for &(g, _) in signature.iter() {
-                        sisd_linalg::add_assign(mean, &sums[g]);
-                    }
-                }
-                sisd_linalg::scale(1.0 / m as f64, mean);
-                let stats =
-                    model.location_stats_with(signature, mean, Some(cache.as_ref()), stats)?;
-                location_ic_of_stats(stats, model.dy())
+                gaussian.ic(self.data, ws)?
             }
             Backend::Bernoulli { model } => {
                 ws.ext.copy_from_words(ext);
@@ -493,6 +561,15 @@ impl<'a> Evaluator<'a> {
                 model.location_ic(&ws.ext, &ws.mean)?
             }
         };
+        self.location_score(arity, ic)
+    }
+
+    /// The SI breakdown of a candidate of the given description arity and
+    /// information content. A NaN or infinite SI (say, from a NaN target
+    /// value) is rejected as [`ModelError::NonFinite`], so the batch paths
+    /// count it as a numeric failure and no ranking ever sees it.
+    fn location_score(&self, arity: usize, ic: f64) -> SisdResult<LocationScore> {
+        let dl = self.dl.location_dl(arity);
         let si = ic / dl;
         if !si.is_finite() {
             return Err(ModelError::NonFinite.into());
@@ -500,17 +577,21 @@ impl<'a> Evaluator<'a> {
         Ok(LocationScore { ic, dl, si })
     }
 
-    /// [`Evaluator::score_words`] for the batch paths: a failure is noted
-    /// (see [`Evaluator::numeric_failures`]) and comes back as `None`.
+    /// A score for the batch paths: a failure is noted (see
+    /// [`Evaluator::numeric_failures`]) and comes back as `None`.
+    fn noted(&self, score: SisdResult<LocationScore>) -> Option<LocationScore> {
+        score.map_err(|e| self.note_failure(&e)).ok()
+    }
+
+    /// [`Evaluator::score_words`] for the batch paths, through
+    /// [`Evaluator::noted`].
     fn score_or_note(
         &self,
         arity: usize,
         ext: &[u64],
         ws: &mut Workspace,
     ) -> Option<LocationScore> {
-        self.score_words(arity, ext, ws)
-            .map_err(|e| self.note_failure(&e))
-            .ok()
+        self.noted(self.score_words(arity, ext, ws))
     }
 
     /// Scores one location candidate through the same IC formula as
@@ -540,7 +621,7 @@ impl<'a> Evaluator<'a> {
         w: &[f64],
     ) -> SisdResult<SpreadScore> {
         match &self.backend {
-            Backend::Gaussian { model, .. } => {
+            Backend::Gaussian(Gaussian { model, .. }) => {
                 Ok(spread_si(model, self.data, intention, ext, w, &self.dl)?)
             }
             Backend::Bernoulli { .. } => Err(ModelError::SpreadSolve(
@@ -685,14 +766,92 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
+    /// Scores children `range` of `children`, all of description arity
+    /// `arity`, and hands each success to `each(child, score, mean)` in
+    /// child order; failures are noted.
+    ///
+    /// With [`Evaluator::sibling_lanes`], a run of consecutive children of
+    /// one parent through one block of [`LANES`] conditions is one group:
+    /// [`kernels::count_cells_sum_lanes`] walks the parent's rows once and
+    /// reads each row's membership word from the matrix's row-major view,
+    /// which yields every child's per-cell counts and target sum. A child's
+    /// signature is then its lane's nonzero counts over the cells the
+    /// parent covers, in cell order, and [`Gaussian::ic`] scores it — the
+    /// same integers and bits the per-child walk produces. Otherwise each
+    /// child's words are ANDed from its parent and mask into one buffer
+    /// just before it is scored.
+    fn score_each(
+        &self,
+        children: &ChildBatch<'_>,
+        range: Range<usize>,
+        arity: usize,
+        ws: &mut Workspace,
+        mut each: impl FnMut(usize, LocationScore, &[f64]),
+    ) {
+        let Some(gaussian) = self.sibling_lanes() else {
+            let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
+            for child in range {
+                children.child_words_into(child, &mut words);
+                if let Some(score) = self.score_or_note(arity, &words, ws) {
+                    each(child, score, &ws.mean);
+                }
+            }
+            return;
+        };
+        let cell_of_row = gaussian.model.cell_of_row();
+        let targets = self.data.targets().as_slice();
+        let metas = children.metas();
+        let mut sums = [0.0; LANES];
+        // The parent whose covered cells `ws.touched` holds.
+        let mut touched_by = None;
+        let mut lo = range.start;
+        while lo < range.end {
+            let (parent, block) = (metas[lo].parent, metas[lo].row / LANES);
+            let group = metas[lo..range.end]
+                .iter()
+                .take_while(|m| m.parent == parent && m.row / LANES == block)
+                .count();
+            let ext = children.parent_words(parent);
+            if touched_by != Some(parent) {
+                touched_by = Some(parent);
+                ws.touch_cells(ext, cell_of_row);
+            }
+            let select = metas[lo..lo + group]
+                .iter()
+                .fold(0u64, |s, m| s | 1 << (m.row % LANES));
+            let members = (children.matrix().lane_words(block), select);
+            kernels::count_cells_sum_lanes(
+                ext,
+                members,
+                cell_of_row,
+                &mut ws.lane_counts,
+                targets,
+                &mut sums,
+            );
+            for (child, meta) in (lo..).zip(&metas[lo..lo + group]) {
+                let lane = meta.row % LANES;
+                ws.lane_signature(lane);
+                ws.mean[0] = sums[lane];
+                let score = gaussian
+                    .ic(self.data, ws)
+                    .and_then(|ic| self.location_score(arity, ic));
+                if let Some(score) = self.noted(score) {
+                    each(child, score, &ws.mean);
+                }
+            }
+            ws.clear_lanes();
+            lo += group;
+        }
+    }
+
     /// Scores children `range` of frontier batch number `batch`, all of
-    /// description arity `arity`, appending one [`LevelRec`] per success
-    /// to `out`, in child order. Each child's words are ANDed from its
-    /// parent and mask into one buffer per chunk just before it is scored.
+    /// description arity `arity`, through [`Evaluator::score_each`],
+    /// appending one [`LevelRec`] per success to `out`, in child order.
     /// The batch-path contract of [`Evaluator::try_score_all`] holds —
-    /// same per-candidate core, chunks merged in order, bit-identical at
-    /// any thread count — but nothing is allocated per candidate: serial
-    /// scoring reuses `ws`, and each pooled chunk owns one workspace.
+    /// same per-candidate results, chunks merged in order, bit-identical
+    /// at any thread count — but nothing is allocated per candidate:
+    /// serial scoring reuses `ws`, and each pooled chunk owns one
+    /// workspace.
     ///
     /// A child's observed mean is kept only if the top-k log could still
     /// take it: `log` holds the SIs already in the log (descending) and
@@ -717,15 +876,10 @@ impl<'a> Evaluator<'a> {
         let score_range = |range: Range<usize>, ws: &mut Workspace, out: &mut LevelScores| {
             let mut gate = Vec::with_capacity(top_k + 1);
             gate.extend_from_slice(log);
-            let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
-            for child in range {
-                children.child_words_into(child, &mut words);
-                let Some(score) = self.score_or_note(arity, &words, ws) else {
-                    continue;
-                };
+            self.score_each(children, range, arity, ws, |child, score, mean| {
                 let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
                     let slot = out.means.len() / dy.max(1);
-                    out.means.extend_from_slice(&ws.mean);
+                    out.means.extend_from_slice(mean);
                     slot
                 } else {
                     NO_MEAN
@@ -736,7 +890,7 @@ impl<'a> Evaluator<'a> {
                     score,
                     mean,
                 });
-            }
+            });
         };
         let workers = self.workers_for(range.len());
         if workers <= 1 {

@@ -12,7 +12,7 @@ use sisd_core::{DlParams, LocationPattern, SisdError, SpreadPattern};
 use sisd_data::snap::{atomic_write, put_u64, SnapCursor, SnapError, SnapReader, SnapWriter};
 use sisd_data::Dataset;
 use sisd_model::{BackgroundModel, FactorCache, ModelError, RefitStats};
-use sisd_obs::{Metric, NullSink, Obs, ObsHandle, SearchReport};
+use sisd_obs::{Metric, ObsHandle, OwnedCounters, SearchReport};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -102,14 +102,15 @@ pub struct Miner {
     iterations_done: usize,
     /// The metrics registry every subsystem this miner drives reports to.
     /// Always enabled: when the config carries no handle the constructor
-    /// mints a private one over a [`NullSink`] (counters only, no events),
-    /// so [`Miner::search_report`] and [`Miner::last_refit_stats`] work
+    /// takes a private one (counters only, no events), so
+    /// [`Miner::search_report`] and [`Miner::last_refit_stats`] work
     /// unconditionally.
     obs: ObsHandle,
-    /// Whether `obs` is miner-private (minted here) rather than supplied
-    /// through [`MinerConfig`]; clones of a private registry get their own
-    /// fresh one instead of blending counters into ours.
-    owns_obs: bool,
+    /// The private registry behind `obs`, when it is not supplied through
+    /// [`MinerConfig`]; clones of a private registry get their own fresh
+    /// one instead of blending counters into ours. Dropping the miner
+    /// gives it back for the next miner.
+    owned_obs: Option<OwnedCounters>,
     /// Mixed-covariance factorizations shared across every search this
     /// miner runs. Entries are keyed by covariance-value signature and
     /// pinned to the model's lineage, and a `cov_id` never changes meaning
@@ -131,10 +132,12 @@ impl Clone for Miner {
         // miners' counters stay independent.
         let mut config = self.config.clone();
         let mut model = self.model.clone();
-        let (obs, owns_obs) = if self.owns_obs {
-            (Obs::leaked(Box::new(NullSink)), true)
-        } else {
-            (self.obs, false)
+        let (obs, owned_obs) = match self.owned_obs {
+            Some(_) => {
+                let owned = OwnedCounters::new();
+                (owned.handle(), Some(owned))
+            }
+            None => (self.obs, None),
         };
         config.beam.eval.obs = obs;
         model.set_obs(obs);
@@ -144,7 +147,7 @@ impl Clone for Miner {
             config,
             iterations_done: self.iterations_done,
             obs,
-            owns_obs,
+            owned_obs,
             factor_cache: Arc::new(FactorCache::new()),
             language: self.language.clone(),
         }
@@ -157,10 +160,11 @@ impl Miner {
     /// the config and the model.
     fn assemble(data: Dataset, mut model: BackgroundModel, mut config: MinerConfig) -> Self {
         let user_obs = config.beam.eval.obs;
-        let (obs, owns_obs) = if user_obs.enabled() {
-            (user_obs, false)
+        let (obs, owned_obs) = if user_obs.enabled() {
+            (user_obs, None)
         } else {
-            (Obs::leaked(Box::new(NullSink)), true)
+            let owned = OwnedCounters::new();
+            (owned.handle(), Some(owned))
         };
         config.beam.eval.obs = obs;
         model.set_obs(obs);
@@ -170,7 +174,7 @@ impl Miner {
             config,
             iterations_done: 0,
             obs,
-            owns_obs,
+            owned_obs,
             factor_cache: Arc::new(FactorCache::new()),
             language: OnceLock::new(),
         }
@@ -342,6 +346,9 @@ impl Miner {
 
     /// The metrics/tracing handle this miner reports to (always enabled;
     /// supply your own via [`MinerConfig::with_obs`] to add an event sink).
+    /// A private registry goes to the next miner when this one is dropped,
+    /// so a copy of its handle, or of a model cloned from this miner, must
+    /// not be used past this miner's life.
     pub fn obs(&self) -> ObsHandle {
         self.obs
     }

@@ -427,17 +427,23 @@ use sisd::search::{Miner, MinerConfig};
 
 /// Two categorical attributes of `labels` levels each, so a depth-2 beam
 /// scores `2 × labels` root children and then, for each of its parents,
-/// the `labels` conditions on the attribute the parent does not use.
-fn two_attribute_dataset(n: usize, labels: usize) -> Dataset {
+/// the `labels` conditions on the attribute the parent does not use; with
+/// the first `dy` of two target columns.
+fn two_attribute_dataset(n: usize, labels: usize, dy: usize) -> Dataset {
     let mut rng = Xoshiro256pp::seed_from_u64(29);
     let a: Vec<String> = (0..n).map(|i| format!("a{}", i % labels)).collect();
     let b: Vec<String> = (0..n)
         .map(|i| format!("b{}", (i / labels + i) % labels))
         .collect();
-    let mut targets = Matrix::zeros(n, 2);
+    let mut targets = Matrix::zeros(n, dy);
     for i in 0..n {
-        targets[(i, 0)] = rng.normal() + (i % labels) as f64 * 0.1;
-        targets[(i, 1)] = rng.normal() - ((i / 3) % labels) as f64 * 0.05;
+        let row = [
+            rng.normal() + (i % labels) as f64 * 0.1,
+            rng.normal() - ((i / 3) % labels) as f64 * 0.05,
+        ];
+        for (j, v) in row.into_iter().take(dy).enumerate() {
+            targets[(i, j)] = v;
+        }
     }
     let column = |v: &[String]| {
         Column::categorical_from_strs(&v.iter().map(String::as_str).collect::<Vec<_>>())
@@ -446,7 +452,7 @@ fn two_attribute_dataset(n: usize, labels: usize) -> Dataset {
         "two-attribute",
         vec!["a".into(), "b".into()],
         vec![column(&a), column(&b)],
-        vec!["y1".into(), "y2".into()],
+        ["y1", "y2"][..dy].iter().map(|&y| y.into()).collect(),
         targets,
     )
 }
@@ -465,7 +471,10 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
     // intention, extension, dedup key, observed mean and model-statistic
     // vectors.
     // Each (a, b) label pair covers N / labels² ≥ 8 rows at 32 labels,
-    // above the default minimum coverage.
+    // above the default minimum coverage. On one target column a level
+    // scores its children as sibling lanes, whose per-lane counts and
+    // covered-cell list live in the per-chunk workspace, so the same bound
+    // holds there.
     const N: usize = 8192;
     let config = MinerConfig {
         beam: BeamConfig {
@@ -476,8 +485,8 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
         },
         ..MinerConfig::default()
     };
-    let measure = |labels: usize| -> (usize, usize) {
-        let miner = Miner::from_empirical(two_attribute_dataset(N, labels), config.clone())
+    let measure = |labels: usize, dy: usize| -> (usize, usize) {
+        let miner = Miner::from_empirical(two_attribute_dataset(N, labels, dy), config.clone())
             .expect("model fits");
         // The first search builds the condition masks and warms the
         // model's lazy factors; the counted ones are steady state.
@@ -491,16 +500,18 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
         }
         (warm.evaluated, best)
     };
-    let (few, few_allocs) = measure(8);
-    let (many, many_allocs) = measure(32);
-    assert!(
-        many >= few + 200,
-        "the wider language must score many more candidates: {few} vs {many}"
-    );
-    let extra = many - few;
-    assert!(
-        many_allocs < few_allocs + extra,
-        "a beam level must allocate O(width + top_k), not per candidate: \
-         {few_allocs} allocations for {few} candidates, {many_allocs} for {many}"
-    );
+    for dy in [2, 1] {
+        let (few, few_allocs) = measure(8, dy);
+        let (many, many_allocs) = measure(32, dy);
+        assert!(
+            many >= few + 200,
+            "dy={dy}: the wider language must score many more candidates: {few} vs {many}"
+        );
+        let extra = many - few;
+        assert!(
+            many_allocs < few_allocs + extra,
+            "dy={dy}: a beam level must allocate O(width + top_k), not per candidate: \
+             {few_allocs} allocations for {few} candidates, {many_allocs} for {many}"
+        );
+    }
 }

@@ -326,26 +326,82 @@ fn beam_search_is_bit_identical_to_the_pre_refactor_path() {
             top_k,
             ..BeamConfig::default()
         };
-        let (expect_top, expect_evaluated) = reference_beam(&data, &model, &cfg);
+        let expect = reference_beam(&data, &model, &cfg);
         for threads in [1usize, 4] {
-            let what = format!("depth={max_depth} threads={threads}");
             let cfg_t = BeamConfig {
                 eval: EvalConfig::with_threads(threads),
                 ..cfg.clone()
             };
             let result = BeamSearch::new(cfg_t).run(&data, &model);
-            assert_eq!(result.evaluated, expect_evaluated, "{what}");
-            assert_eq!(result.top.len(), expect_top.len(), "{what}");
-            for (a, b) in result.top.iter().zip(&expect_top) {
-                assert_eq!(a.extension, b.extension, "{what}");
-                assert_eq!(a.intention, b.intention, "{what}");
-                assert_eq!(
-                    a.score.si.to_bits(),
-                    b.score.si.to_bits(),
-                    "{what}: SI must be bit-identical to the pre-refactor path"
-                );
-            }
+            assert_same_search(
+                &result,
+                &expect,
+                &format!("depth={max_depth} threads={threads}"),
+            );
         }
+    }
+}
+
+/// Asserts that a beam search scored as many candidates as the reference
+/// and logged the same patterns, bit for bit.
+fn assert_same_search(
+    result: &sisd::search::BeamResult,
+    (expect_top, expect_evaluated): &(Vec<LocationPattern>, usize),
+    what: &str,
+) {
+    assert!(!result.timed_out, "{what}");
+    assert_eq!(result.evaluated, *expect_evaluated, "{what}");
+    assert_eq!(result.top.len(), expect_top.len(), "{what}");
+    for (a, b) in result.top.iter().zip(expect_top) {
+        assert_eq!(a.extension, b.extension, "{what}");
+        assert_eq!(a.intention, b.intention, "{what}");
+        assert_eq!(
+            a.score.si.to_bits(),
+            b.score.si.to_bits(),
+            "{what}: SI must be bit-identical to the pre-refactor path"
+        );
+        let bits = |mean: &[f64]| mean.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.observed_mean), bits(&b.observed_mean), "{what}");
+    }
+}
+
+#[test]
+fn single_target_beam_over_many_cells_is_bit_identical_to_the_pre_refactor_path() {
+    // Single-target data, where beam levels score a parent's children as
+    // sibling lanes, against a model whose partition has many cells: each
+    // signature is built from a parent's covered cells, and a child covers
+    // some of them and misses others.
+    let data = sisd::data::datasets::crime_synthetic(5);
+    assert_eq!(data.dy(), 1);
+    let mut model = BackgroundModel::from_empirical(&data).unwrap();
+    let conditions = generate_conditions(&data, &Default::default());
+    for condition in conditions.iter().step_by(131).take(7) {
+        let ext = condition.evaluate(&data);
+        model
+            .assimilate_location(&ext, data.target_mean(&ext))
+            .unwrap();
+    }
+    assert!(model.n_cells() >= 20, "{} cells", model.n_cells());
+    let cfg = BeamConfig {
+        width: 8,
+        max_depth: 2,
+        top_k: 40,
+        min_coverage: 10,
+        ..BeamConfig::default()
+    };
+    let expect = reference_beam(&data, &model, &cfg);
+    // A budget that never expires still scores in slices of 64 children,
+    // which split the runs of siblings the lanes score together.
+    let never = Some(std::time::Duration::from_secs(24 * 3600));
+    for (threads, time_budget) in [(1usize, None), (2, None), (4, None), (1, never), (4, never)] {
+        let cfg_t = BeamConfig {
+            eval: EvalConfig::with_threads(threads),
+            time_budget,
+            ..cfg.clone()
+        };
+        let result = BeamSearch::new(cfg_t).run(&data, &model);
+        let what = format!("threads={threads} budget={time_budget:?}");
+        assert_same_search(&result, &expect, &what);
     }
 }
 
