@@ -36,6 +36,40 @@ fn bench_cholesky(c: &mut Criterion) {
             b.iter(|| chol.inv_quad_form(black_box(v)))
         });
     }
+    // Eight right-hand sides per call against one factor, the shape of a
+    // run of candidates on a location-only model; each call re-interleaves
+    // its residuals, as the model does. Every lane must have the bits of
+    // `inv_quad_form` on its own vector before anything is timed.
+    let dim = 124;
+    let lanes = Cholesky::LANES;
+    let chol = Cholesky::new(&spd(dim, &mut rng)).unwrap();
+    let rhs: Vec<Vec<f64>> = (0..lanes)
+        .map(|l| (0..dim).map(|i| ((i * lanes + l) as f64).sin()).collect())
+        .collect();
+    let mut interleaved = vec![0.0; lanes * dim];
+    let mut forms = [0.0; Cholesky::LANES];
+    let mut solve_lanes = |forms: &mut [f64; Cholesky::LANES]| {
+        for (l, v) in rhs.iter().enumerate() {
+            for (i, &x) in v.iter().enumerate() {
+                interleaved[i * lanes + l] = x;
+            }
+        }
+        chol.inv_quad_forms(&mut interleaved, forms);
+    };
+    solve_lanes(&mut forms);
+    for (l, v) in rhs.iter().enumerate() {
+        assert_eq!(
+            forms[l].to_bits(),
+            chol.inv_quad_form(v).to_bits(),
+            "lane {l} must have the bits of inv_quad_form"
+        );
+    }
+    group.bench_function(BenchmarkId::new("inv_quad_forms", dim), |b| {
+        b.iter(|| {
+            solve_lanes(&mut forms);
+            black_box(forms)
+        })
+    });
     group.finish();
 }
 

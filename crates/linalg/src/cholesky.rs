@@ -4,6 +4,15 @@
 //! `log |Σ|` and `Σ⁻¹ r` for the covariance of a subgroup mean; both come out
 //! of one LLᵀ factorization. The model updates (Thm. 1) additionally need
 //! linear solves against sums of covariances. All of that lives here.
+//!
+//! Scoring solves many residuals against one factor: on a location-only
+//! model every candidate of a beam level shares it. So besides the
+//! one-vector [`Cholesky::inv_quad_form`] there is a lane kernel,
+//! [`Cholesky::inv_quad_forms`], that runs [`Cholesky::LANES`] forward
+//! substitutions in one pass over the factor, each lane with exactly the
+//! operations of the one-vector form, so each lane's result has its bits.
+//! Like `sisd_data::kernels`, it has a portable body and an AVX2 twin
+//! compiled from the same source, picked by a cached runtime probe.
 
 use crate::Matrix;
 
@@ -370,6 +379,44 @@ impl Cholesky {
         crate::dot(&z, &z)
     }
 
+    /// Right-hand sides [`Cholesky::inv_quad_forms`] solves in one pass.
+    pub const LANES: usize = 8;
+
+    /// [`Cholesky::inv_quad_form`] of [`Cholesky::LANES`] right-hand sides
+    /// at once: `out[l] = ‖L⁻¹ b_l‖²`, and `b` is left holding each
+    /// `L⁻¹ b_l`.
+    ///
+    /// `b` is lane-interleaved: entry `i` of lane `l` is `b[LANES · i + l]`,
+    /// so the eight lanes of one entry sit side by side and one pass over
+    /// the factor advances all of them. Each lane takes exactly the steps
+    /// of [`Cholesky::solve_lower_in_place`] followed by
+    /// [`crate::dot`]`(z, z)` — every `b[i] -= L_ik · b[k]` (a multiply,
+    /// then a subtraction) for ascending `k`, the division by `L_ii`, then
+    /// the sum of squares in index order from `0.0` — so `out[l]` has the
+    /// bits of `inv_quad_form(b_l)`. Lanes never mix: a NaN, an infinity
+    /// or a zero in one lane leaves the others' bits alone, and a caller
+    /// with fewer than eight vectors fills the spare lanes with anything
+    /// and ignores their outputs.
+    ///
+    /// # Panics
+    /// Panics if `b.len() != LANES · dim()`.
+    pub fn inv_quad_forms(&self, b: &mut [f64], out: &mut [f64; Self::LANES]) {
+        let n = self.dim();
+        assert_eq!(
+            b.len(),
+            Self::LANES * n,
+            "inv_quad_forms: dimension mismatch"
+        );
+        let (rows, _) = b.as_chunks_mut::<{ Cholesky::LANES }>();
+        #[cfg(target_arch = "x86_64")]
+        if avx2() {
+            // SAFETY: AVX2 support verified by the cached runtime probe.
+            unsafe { inv_quad_forms_avx2(self.l.as_slice(), rows, out) };
+            return;
+        }
+        inv_quad_forms_body(self.l.as_slice(), rows, out)
+    }
+
     /// Dense inverse `A⁻¹` (column-by-column solve). Only used on the small
     /// (≤ dy) matrices of the model layer, never per data point.
     pub fn inverse(&self) -> Matrix {
@@ -404,6 +451,95 @@ impl Cholesky {
         }
         out
     }
+}
+
+/// One entry of every lane of [`Cholesky::inv_quad_forms`].
+type Lanes = [f64; Cholesky::LANES];
+
+/// Portable body of [`Cholesky::inv_quad_forms`] over the row-major factor
+/// `l` and the interleaved right-hand sides `rows` (`rows[i][lane]`); the
+/// AVX2 twin instantiates this same source, where each [`Lanes`] operation
+/// becomes two 256-bit instructions.
+///
+/// Rows are solved in blocks of 4 (then 2 and 1), the shape of
+/// `solve_lower_block`: a block's rows advance together over the solved
+/// prefix, which gives 4 × 8 independent subtraction chains, then solve
+/// the triangle inside the block one row after the other.
+#[inline(always)]
+fn inv_quad_forms_body(l: &[f64], rows: &mut [Lanes], out: &mut Lanes) {
+    let n = rows.len();
+    let mut i0 = 0;
+    while n - i0 >= 4 {
+        forward_lanes_block::<4>(l, rows, i0);
+        i0 += 4;
+    }
+    if n - i0 >= 2 {
+        forward_lanes_block::<2>(l, rows, i0);
+        i0 += 2;
+    }
+    if n - i0 == 1 {
+        forward_lanes_block::<1>(l, rows, i0);
+    }
+    // `dot(z, z)` per lane: the squares added in index order from `0.0`.
+    let mut acc: Lanes = [0.0; Cholesky::LANES];
+    for z in rows.iter() {
+        for (a, &v) in acc.iter_mut().zip(z) {
+            *a += v * v;
+        }
+    }
+    *out = acc;
+}
+
+/// Forward substitution of rows `i0..i0 + R` of every lane, with the rows
+/// before `i0` solved: the lane form of `Cholesky::solve_lower_block`.
+#[inline(always)]
+fn forward_lanes_block<const R: usize>(l: &[f64], rows: &mut [Lanes], i0: usize) {
+    let n = rows.len();
+    let factor: [&[f64]; R] = std::array::from_fn(|r| &l[(i0 + r) * n..][..=i0 + r]);
+    let mut acc: [Lanes; R] = std::array::from_fn(|r| rows[i0 + r]);
+    // The solved prefix: R rows × 8 lanes of independent chains over k.
+    for (k, zk) in rows[..i0].iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&factor) {
+            let lik = row[k];
+            for (a, &z) in a.iter_mut().zip(zk) {
+                *a -= lik * z;
+            }
+        }
+    }
+    // The triangle inside the block, one row after the other.
+    for (r, (a, row)) in acc.iter_mut().zip(&factor).enumerate() {
+        let i = i0 + r;
+        for (&lik, zk) in row[i0..i].iter().zip(&rows[i0..i]) {
+            for (a, &z) in a.iter_mut().zip(zk) {
+                *a -= lik * z;
+            }
+        }
+        let lii = row[i];
+        rows[i] = a.map(|v| v / lii);
+    }
+}
+
+/// The AVX2 instantiation of [`inv_quad_forms_body`]. Only `avx2` is
+/// enabled, not `fma`: a fused multiply-subtract would round once where
+/// the scalar solve rounds twice.
+///
+/// # Safety
+/// The caller must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn inv_quad_forms_avx2(l: &[f64], rows: &mut [Lanes], out: &mut Lanes) {
+    inv_quad_forms_body(l, rows, out)
+}
+
+/// Whether this CPU runs [`inv_quad_forms_avx2`], probed once per process.
+#[cfg(target_arch = "x86_64")]
+static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+
+/// Cached CPU-feature probe: one `OnceLock` read after the first call.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn avx2() -> bool {
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 #[cfg(test)]
@@ -613,6 +749,76 @@ mod tests {
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-10);
         }
+    }
+
+    /// Eight deterministic right-hand sides of length `n`, lane-interleaved,
+    /// one scale per lane.
+    fn interleaved_rhs(n: usize) -> Vec<f64> {
+        let scales = [1.0, 1e-3, 1e6, 0.5, 7.0, 1e-8, 3e3, 2.0];
+        (0..n * Cholesky::LANES)
+            .map(|e| scales[e % Cholesky::LANES] * ((e as f64) * 0.37 + 0.1).sin())
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernel_bodies_match_the_one_vector_solve() {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 33, 124] {
+            let mut a = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in 0..n {
+                    a[(i, j)] = ((i * 7 + j * 3) as f64 * 0.61).cos() / n as f64;
+                }
+            }
+            let mut a = a.mul_mat(&a.transpose());
+            a.add_diag(1.0);
+            let ch = Cholesky::new(&a).unwrap();
+            let b = interleaved_rhs(n);
+            let lanes = Cholesky::LANES;
+            let mut want_z = vec![0.0; b.len()];
+            let mut want = [0.0; Cholesky::LANES];
+            for lane in 0..lanes {
+                let v: Vec<f64> = (0..n).map(|i| b[i * lanes + lane]).collect();
+                want[lane] = ch.inv_quad_form(&v);
+                for (i, z) in ch.solve_lower(&v).into_iter().enumerate() {
+                    want_z[i * lanes + lane] = z;
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let run = |body: &dyn Fn(&mut [Lanes], &mut Lanes)| {
+                let mut z = b.clone();
+                let mut out = [f64::NAN; Cholesky::LANES];
+                body(z.as_chunks_mut().0, &mut out);
+                assert_eq!(bits(&out), bits(&want), "n={n}");
+                assert_eq!(bits(&z), bits(&want_z), "n={n}");
+            };
+            let l = ch.factor().as_slice();
+            run(&|rows, out| inv_quad_forms_body(l, rows, out));
+            run(&|rows, out| ch.inv_quad_forms(rows.as_flattened_mut(), out));
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 support verified just above.
+                run(&|rows, out| unsafe { inv_quad_forms_avx2(l, rows, out) });
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_kernel_dispatch_is_cached_in_a_oncelock() {
+        let ch = Cholesky::new(&spd3()).unwrap();
+        let mut b = interleaved_rhs(3);
+        ch.inv_quad_forms(&mut b, &mut [0.0; Cholesky::LANES]);
+        let cached = AVX2.get().expect("the first call populates the OnceLock");
+        assert_eq!(*cached, std::arch::is_x86_feature_detected!("avx2"));
+        assert_eq!(avx2(), *cached);
+    }
+
+    #[test]
+    #[should_panic(expected = "inv_quad_forms: dimension mismatch")]
+    fn lane_kernel_rejects_a_short_buffer() {
+        let ch = Cholesky::new(&spd3()).unwrap();
+        let mut b = vec![0.0; 3 * Cholesky::LANES - 1];
+        ch.inv_quad_forms(&mut b, &mut [0.0; Cholesky::LANES]);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! keeps the textbook loops they replaced and pins every path against them
 //! with `to_bits` equality: forward substitution for every `n` up to 130
 //! (so every `n mod 8` occurs several times) on well- and ill-conditioned
-//! factors, and the stored log-determinant after every kind of update.
+//! factors, the lane kernel `inv_quad_forms` lane by lane against the
+//! one-vector solve, and the stored log-determinant after every kind of
+//! update.
 
 use sisd_linalg::{Cholesky, CholeskyError, Matrix};
 
@@ -180,6 +182,97 @@ fn inv_quad_form_matches_the_row_loop_and_dot() {
                 want.to_bits(),
                 "inv_quad_form n={n} {kind}: {got} vs {want}"
             );
+        }
+    }
+}
+
+const LANES: usize = Cholesky::LANES;
+
+/// Interleaves `vectors` (at most `LANES`, all of length `n`) the way
+/// `inv_quad_forms` takes them; missing lanes are zero.
+fn interleave(vectors: &[Vec<f64>], n: usize) -> Vec<f64> {
+    let mut b = vec![0.0; LANES * n];
+    for (l, v) in vectors.iter().enumerate() {
+        for (i, &x) in v.iter().enumerate() {
+            b[i * LANES + l] = x;
+        }
+    }
+    b
+}
+
+/// Lane `l` of an interleaved buffer.
+fn lane(b: &[f64], l: usize) -> Vec<f64> {
+    b[l..].iter().step_by(LANES).copied().collect()
+}
+
+/// Solves `vectors` through `inv_quad_forms` and asserts that each live
+/// lane's output has the bits of `inv_quad_form` on its own vector and its
+/// solved entries the bits of `solve_lower_in_place`.
+fn assert_lanes_match_one_vector_solves(ch: &Cholesky, vectors: &[Vec<f64>], what: &str) {
+    let n = ch.dim();
+    let mut b = interleave(vectors, n);
+    let mut out = [f64::NAN; LANES];
+    ch.inv_quad_forms(&mut b, &mut out);
+    for (l, v) in vectors.iter().enumerate() {
+        let want = ch.inv_quad_form(v);
+        assert_eq!(
+            out[l].to_bits(),
+            want.to_bits(),
+            "{what} lane {l}: {} vs {want}",
+            out[l]
+        );
+        let mut z = v.clone();
+        ch.solve_lower_in_place(&mut z);
+        assert_same_bits(&lane(&b, l), &z, &format!("{what} lane {l} solved"));
+    }
+}
+
+#[test]
+fn inv_quad_forms_match_inv_quad_form_lane_by_lane() {
+    let mut rng = Rng(6);
+    let scales = [1.0, 1e-3, 1e6, 5.0, 1e-9, 2.5e3, 0.7, 1e12];
+    for n in 1..=130 {
+        for (kind, ch) in factors(n, &mut rng) {
+            let full: Vec<Vec<f64>> = scales.iter().map(|&s| rng.vector(n, s)).collect();
+            assert_lanes_match_one_vector_solves(&ch, &full, &format!("n={n} {kind}"));
+            // Runs with fewer live lanes, zeros in the rest.
+            for live in 1..LANES {
+                assert_lanes_match_one_vector_solves(
+                    &ch,
+                    &full[..live],
+                    &format!("n={n} {kind} live={live}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_non_finite_or_negative_zero_lane_leaves_the_others_alone() {
+    let mut rng = Rng(7);
+    for n in [1usize, 2, 5, 8, 13, 64, 124, 130] {
+        for (kind, ch) in factors(n, &mut rng) {
+            let clean: Vec<Vec<f64>> = (0..LANES).map(|_| rng.vector(n, 3.0)).collect();
+            let mut b = interleave(&clean, n);
+            let mut want = [0.0; LANES];
+            ch.inv_quad_forms(&mut b, &mut want);
+            for odd in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
+                for victim in [0, 3, LANES - 1] {
+                    let mut vectors = clean.clone();
+                    vectors[victim][n / 2] = odd;
+                    if odd == 0.0 {
+                        vectors[victim].iter_mut().for_each(|v| *v = -0.0);
+                    }
+                    let what = format!("n={n} {kind} lane {victim} = {odd}");
+                    assert_lanes_match_one_vector_solves(&ch, &vectors, &what);
+                    let mut b = interleave(&vectors, n);
+                    let mut got = [0.0; LANES];
+                    ch.inv_quad_forms(&mut b, &mut got);
+                    for l in (0..LANES).filter(|&l| l != victim) {
+                        assert_eq!(got[l].to_bits(), want[l].to_bits(), "{what}: lane {l}");
+                    }
+                }
+            }
         }
     }
 }

@@ -239,6 +239,59 @@ pub struct LocationScratch {
     key: CovSignature,
 }
 
+/// One candidate of [`BackgroundModel::location_stats_run`]: its cell-count
+/// signature and its observed mean.
+pub type LocationCandidate<'a> = (&'a [(usize, usize)], &'a [f64]);
+
+/// Reusable buffers of [`BackgroundModel::location_stats_run`]: one
+/// [`LocationScratch`] per slot of a run and the run's residuals,
+/// interleaved for [`Cholesky::inv_quad_forms`]. Start from
+/// `LocationRun::default()`; the buffers grow on first use.
+#[derive(Debug, Clone, Default)]
+pub struct LocationRun {
+    slots: Vec<LocationScratch>,
+    lanes: Vec<f64>,
+}
+
+/// The factor a prepared candidate's Mahalanobis term solves against.
+enum LocationFactor<'m> {
+    /// Every intersected cell has one covariance `Σ`: the cells' factor of
+    /// it, with `Cov(f_I) = Σ/|I|`.
+    Cell(&'m Cholesky),
+    /// The mixture `Σ_g c_g Σ_g / |I|²`, from the [`FactorCache`] or built
+    /// for this candidate.
+    Mixed(Arc<Cholesky>),
+}
+
+impl LocationFactor<'_> {
+    fn chol(&self) -> &Cholesky {
+        match self {
+            LocationFactor::Cell(chol) => chol,
+            LocationFactor::Mixed(chol) => chol,
+        }
+    }
+
+    /// The Mahalanobis term of a candidate of `count` rows from
+    /// `q = ‖L⁻¹r‖²`: `rᵀCov⁻¹r = |I| · rᵀΣ⁻¹r` against a cell factor.
+    #[inline(always)]
+    fn mahalanobis(&self, q: f64, count: usize) -> f64 {
+        match self {
+            LocationFactor::Cell(_) => count as f64 * q,
+            LocationFactor::Mixed(_) => q,
+        }
+    }
+
+    /// Solves the residual `scratch` was prepared with alone — `r'A⁻¹r` as
+    /// `‖L⁻¹r‖²`, in place in the residual buffer — and stores the
+    /// Mahalanobis term.
+    #[inline(always)]
+    fn solve(&self, scratch: &mut LocationScratch) {
+        let LocationScratch { stats, resid, .. } = scratch;
+        self.chol().solve_lower_in_place(resid);
+        stats.mahalanobis = self.mahalanobis(sisd_linalg::dot(resid, resid), stats.count);
+    }
+}
+
 /// Convergence statistics of one [`BackgroundModel::refit`] call. Deep
 /// interactive sessions accumulate many overlapping constraints; these
 /// counters let callers observe how much re-projection work each
@@ -680,6 +733,11 @@ impl BackgroundModel {
     /// mixed-covariance factorization missing from `cache` still
     /// allocates when it is built). Same arithmetic, same bits, same
     /// contract on `counts` and `cache`.
+    ///
+    /// This is the one-candidate case of
+    /// [`BackgroundModel::location_stats_run`]: the same preparation (count,
+    /// model mean, residual, log-determinant and factor), then the residual
+    /// solved alone.
     pub fn location_stats_with<'s>(
         &self,
         counts: &[(usize, usize)],
@@ -687,6 +745,98 @@ impl BackgroundModel {
         cache: Option<&FactorCache>,
         scratch: &'s mut LocationScratch,
     ) -> Result<&'s LocationStats, ModelError> {
+        self.prepare_location(counts, observed, cache, scratch)?
+            .solve(scratch);
+        Ok(&scratch.stats)
+    }
+
+    /// [`BackgroundModel::location_stats_with`] for a run of up to
+    /// [`Cholesky::LANES`] candidates, each a `(counts, observed)` pair
+    /// under the same contract: `each(slot, outcome)` receives, in slot
+    /// order, exactly the statistics (every bit) or the error
+    /// `location_stats_with` gives that candidate alone.
+    ///
+    /// Every candidate is prepared first, in slot order, so `cache` sees
+    /// the one-at-a-time loop's lookups in the same order. When every
+    /// prepared candidate then holds the same factor object — on a model
+    /// whose cells share one covariance, the cells' common factor — the
+    /// run's residuals are solved together in one pass over it
+    /// ([`Cholesky::inv_quad_forms`]); otherwise each is solved alone.
+    /// Factors are compared by identity, not by `cov_id`: incrementally
+    /// updated factors of one covariance id can differ in their bits.
+    ///
+    /// # Panics
+    /// Panics if the run holds more than [`Cholesky::LANES`] candidates.
+    pub fn location_stats_run(
+        &self,
+        run: &[LocationCandidate<'_>],
+        cache: Option<&FactorCache>,
+        scratch: &mut LocationRun,
+        mut each: impl FnMut(usize, Result<&LocationStats, ModelError>),
+    ) {
+        const LANES: usize = Cholesky::LANES;
+        assert!(
+            run.len() <= LANES,
+            "location_stats_run: a run holds at most {LANES} candidates"
+        );
+        let LocationRun { slots, lanes } = scratch;
+        if slots.len() < run.len() {
+            slots.resize_with(run.len(), LocationScratch::default);
+        }
+        let mut prepared: [Option<Result<LocationFactor<'_>, ModelError>>; LANES] =
+            Default::default();
+        for ((&(counts, observed), slot), prep) in run.iter().zip(&mut *slots).zip(&mut prepared) {
+            *prep = Some(self.prepare_location(counts, observed, cache, slot));
+        }
+        let mut factors = prepared.iter().flatten().flatten();
+        let shared = factors
+            .next()
+            .map(LocationFactor::chol)
+            .filter(|first| factors.all(|f| std::ptr::eq(f.chol(), *first)));
+        match shared {
+            Some(chol) => {
+                lanes.clear();
+                lanes.resize(LANES * self.dy, 0.0);
+                for (lane, (slot, prep)) in slots.iter().zip(&prepared).enumerate() {
+                    if let Some(Ok(_)) = prep {
+                        for (z, &r) in lanes[lane..].iter_mut().step_by(LANES).zip(&slot.resid) {
+                            *z = r;
+                        }
+                    }
+                }
+                let mut forms = [0.0; LANES];
+                chol.inv_quad_forms(lanes, &mut forms);
+                for ((slot, prep), q) in slots.iter_mut().zip(&prepared).zip(forms) {
+                    if let Some(Ok(factor)) = prep {
+                        slot.stats.mahalanobis = factor.mahalanobis(q, slot.stats.count);
+                    }
+                }
+            }
+            None => {
+                for (slot, prep) in slots.iter_mut().zip(&prepared) {
+                    if let Some(Ok(factor)) = prep {
+                        factor.solve(slot);
+                    }
+                }
+            }
+        }
+        for (j, (slot, outcome)) in slots.iter().zip(prepared.into_iter().flatten()).enumerate() {
+            each(j, outcome.map(|_| &slot.stats));
+        }
+    }
+
+    /// Everything of a candidate's location statistics but the solve:
+    /// `scratch.stats` gets the count, the model mean and the
+    /// log-determinant, `scratch.resid` the residual `observed − mean`, and
+    /// the factor its Mahalanobis term solves against is returned.
+    #[inline(always)]
+    fn prepare_location<'m>(
+        &'m self,
+        counts: &[(usize, usize)],
+        observed: &[f64],
+        cache: Option<&FactorCache>,
+        scratch: &mut LocationScratch,
+    ) -> Result<LocationFactor<'m>, ModelError> {
         if observed.len() != self.dy {
             return Err(ModelError::Dimension {
                 expected: self.dy,
@@ -719,19 +869,13 @@ impl BackgroundModel {
             .iter()
             .all(|&(g, _)| self.cells[g].cov_id == self.cells[counts[0].0].cov_id);
 
-        // `r'A⁻¹r` as `‖L⁻¹r‖²`, solved in place in the residual buffer.
-        let inv_quad_form = |chol: &Cholesky, resid: &mut [f64]| {
-            chol.solve_lower_in_place(resid);
-            sisd_linalg::dot(resid, resid)
-        };
-        let (log_det_cov, mahalanobis) = if single_cov {
+        let (log_det_cov, factor) = if single_cov {
             // Cov = Σ/|I| → log|Cov| = log|Σ| − dy·log|I|;
             // r'Cov⁻¹r = |I| · r'Σ⁻¹r.
             let g0 = counts[0].0;
             let chol = self.cells[g0].chol().ok_or(ModelError::BadPrior)?;
             let ld = chol.log_det() - self.dy as f64 * mf.ln();
-            let maha = mf * inv_quad_form(chol, resid);
-            (ld, maha)
+            (ld, LocationFactor::Cell(chol))
         } else {
             // Dense: Cov = Σ_g c_g Σ_g / |I|², factorized once per
             // covariance-value signature when a cache is supplied. The
@@ -776,13 +920,12 @@ impl BackgroundModel {
                 }
                 None => Arc::new(build()?),
             };
-            (chol.log_det(), inv_quad_form(&chol, resid))
+            (chol.log_det(), LocationFactor::Mixed(chol))
         };
 
         stats.count = m;
         stats.log_det_cov = log_det_cov;
-        stats.mahalanobis = mahalanobis;
-        Ok(stats)
+        Ok(factor)
     }
 
     /// Per-target-attribute marginal `(mean, sd)` of the subgroup-mean
@@ -808,6 +951,19 @@ impl BackgroundModel {
         Ok(out)
     }
 
+    /// `Ok` when every vector has `dy` entries, otherwise a
+    /// [`ModelError::Dimension`] that reports the length of the first one
+    /// that does not.
+    fn expect_dy(&self, vectors: &[&[f64]]) -> Result<(), ModelError> {
+        match vectors.iter().find(|v| v.len() != self.dy) {
+            Some(v) => Err(ModelError::Dimension {
+                expected: self.dy,
+                got: v.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Spread statistics of a candidate extension for direction `w` and
     /// centering vector `center` (normally the empirical subgroup mean).
     pub fn spread_stats(
@@ -816,12 +972,7 @@ impl BackgroundModel {
         w: &[f64],
         center: &[f64],
     ) -> Result<SpreadStats, ModelError> {
-        if w.len() != self.dy || center.len() != self.dy {
-            return Err(ModelError::Dimension {
-                expected: self.dy,
-                got: w.len(),
-            });
-        }
+        self.expect_dy(&[w, center])?;
         let counts = self.cell_counts(ext);
         let m: usize = counts.iter().map(|&(_, c)| c).sum();
         if m == 0 {
@@ -1234,12 +1385,7 @@ impl BackgroundModel {
         if ext.count() == 0 {
             return Err(ModelError::EmptyExtension);
         }
-        if w.len() != self.dy || center.len() != self.dy {
-            return Err(ModelError::Dimension {
-                expected: self.dy,
-                got: w.len(),
-            });
-        }
+        self.expect_dy(&[&w, &center])?;
         self.refine(ext);
         self.constraints.push(Constraint::Spread {
             ext: ext.clone(),
@@ -1950,6 +2096,251 @@ mod tests {
         ));
         let bad = BackgroundModel::new(4, vec![0.0], Matrix::from_diag(&[-1.0]));
         assert!(matches!(bad, Err(ModelError::BadPrior)));
+    }
+
+    /// The `got` of a [`ModelError::Dimension`].
+    fn got_len<T>(outcome: Result<T, ModelError>) -> usize {
+        match outcome {
+            Err(ModelError::Dimension { expected: 2, got }) => got,
+            Err(e) => panic!("expected a dimension error, got {e:?}"),
+            Ok(_) => panic!("expected a dimension error"),
+        }
+    }
+
+    #[test]
+    fn spread_stats_reports_the_length_that_mismatches() {
+        let (model, ext) = toy_model();
+        assert_eq!(got_len(model.spread_stats(&ext, &[1.0, 0.0], &[0.0; 5])), 5);
+        assert_eq!(got_len(model.spread_stats(&ext, &[1.0], &[0.0, 0.0])), 1);
+        assert_eq!(got_len(model.spread_stats(&ext, &[1.0; 3], &[0.0; 4])), 3);
+    }
+
+    #[test]
+    fn assimilate_spread_reports_the_length_that_mismatches() {
+        let (mut model, ext) = toy_model();
+        let w = vec![1.0, 0.0];
+        assert_eq!(
+            got_len(model.assimilate_spread(&ext, w.clone(), vec![0.0; 5], 0.8)),
+            5
+        );
+        assert_eq!(
+            got_len(model.assimilate_spread(&ext, vec![1.0], vec![0.0; 2], 0.8)),
+            1
+        );
+        assert!(model.constraints().is_empty());
+        model.assimilate_spread(&ext, w, vec![0.0; 2], 0.8).unwrap();
+    }
+
+    /// A candidate of [`BackgroundModel::location_stats_run`]: its
+    /// cell-count signature and its observed mean.
+    type RunCandidate = (Vec<(usize, usize)>, Vec<f64>);
+
+    /// Statistics or error, comparable bit for bit.
+    type StatsBits = Result<(usize, Vec<u64>, u64, u64), String>;
+
+    fn stats_bits(outcome: Result<&LocationStats, ModelError>) -> StatsBits {
+        outcome
+            .map(|s| {
+                (
+                    s.count,
+                    s.mean.iter().map(|v| v.to_bits()).collect(),
+                    s.log_det_cov.to_bits(),
+                    s.mahalanobis.to_bits(),
+                )
+            })
+            .map_err(|e| format!("{e:?}"))
+    }
+
+    /// Rows with probability `density`, from a splitmix64 stream.
+    fn random_ext(n: usize, seed: u64, density: f64) -> BitSet {
+        let mut state = seed;
+        BitSet::from_fn(n, |_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 > 1.0 - density
+        })
+    }
+
+    /// `k` candidates over random extensions, observed means their own.
+    fn random_candidates(
+        model: &BackgroundModel,
+        data: &Dataset,
+        seed: u64,
+        k: usize,
+    ) -> Vec<RunCandidate> {
+        (0..k as u64)
+            .map(|s| {
+                let ext = random_ext(data.n(), seed * 1000 + s, 0.1 + 0.05 * (s % 8) as f64);
+                (model.cell_counts(&ext), data.target_mean(&ext))
+            })
+            .collect()
+    }
+
+    /// Scores every run through `location_stats_run` and every candidate
+    /// alone through `location_stats_with`, each path with its own fresh
+    /// `FactorCache` when `cached`, and asserts that every slot got the
+    /// lone call's bits or error and that both caches counted the same
+    /// hits, misses and entries.
+    fn assert_runs_match_lone_calls(
+        model: &BackgroundModel,
+        runs: &[Vec<RunCandidate>],
+        cached: bool,
+    ) {
+        let (lone_cache, run_cache) = (FactorCache::new(), FactorCache::new());
+        let mut lone = LocationScratch::default();
+        let mut scratch = LocationRun::default();
+        for (r, run) in runs.iter().enumerate() {
+            let items: Vec<LocationCandidate<'_>> = run
+                .iter()
+                .map(|(counts, observed)| (counts.as_slice(), observed.as_slice()))
+                .collect();
+            let mut got = Vec::new();
+            model.location_stats_run(
+                &items,
+                cached.then_some(&run_cache),
+                &mut scratch,
+                |slot, outcome| got.push((slot, stats_bits(outcome))),
+            );
+            assert_eq!(got.len(), run.len(), "run {r}");
+            for (j, ((slot, bits), (counts, observed))) in got.into_iter().zip(run).enumerate() {
+                assert_eq!(slot, j, "run {r}");
+                let want = stats_bits(model.location_stats_with(
+                    counts,
+                    observed,
+                    cached.then_some(&lone_cache),
+                    &mut lone,
+                ));
+                assert_eq!(bits, want, "run {r} slot {j} cached={cached}");
+            }
+        }
+        let counters = |c: &FactorCache| (c.hits(), c.misses(), c.len());
+        assert_eq!(counters(&run_cache), counters(&lone_cache));
+    }
+
+    /// Runs of every length from 1 to 8 over `pool`, then runs that mix in
+    /// an empty signature, a wrong-length mean and non-finite observed
+    /// values.
+    fn runs_over(pool: &[RunCandidate], dy: usize) -> Vec<Vec<RunCandidate>> {
+        let mut runs: Vec<Vec<RunCandidate>> = (1..=8).map(|k| pool[..k].to_vec()).collect();
+        let mut faulty = pool[..8].to_vec();
+        faulty[1].0.clear();
+        faulty[4].1.push(0.0);
+        faulty[6].1[dy - 1] = f64::NAN;
+        runs.push(faulty);
+        let mut extremes = pool[..8].to_vec();
+        extremes[0].1[0] = f64::INFINITY;
+        extremes[3].1[0] = f64::NEG_INFINITY;
+        extremes[5].1.iter_mut().for_each(|v| *v = -0.0);
+        runs.push(extremes);
+        runs
+    }
+
+    #[test]
+    fn location_runs_match_lone_calls_on_a_single_covariance_model() {
+        use sisd_data::datasets::german_socio_synthetic;
+        let (data, _) = german_socio_synthetic(3);
+        let mut model = BackgroundModel::from_empirical(&data).unwrap();
+        // Factor the prior before the partition splits, as a search does,
+        // so that every cell holds that one factor object.
+        model
+            .location_stats(&BitSet::full(data.n()), &data.target_mean_all())
+            .unwrap();
+        for seed in 1..=3 {
+            let ext = random_ext(data.n(), seed, 0.3);
+            model
+                .assimilate_location(&ext, data.target_mean(&ext))
+                .unwrap();
+        }
+        assert!(model.n_cells() >= 4, "{} cells", model.n_cells());
+        let first = model.cells()[0].chol().unwrap();
+        assert!(model
+            .cells()
+            .iter()
+            .all(|c| std::ptr::eq(c.chol().unwrap(), first)));
+        let pool = random_candidates(&model, &data, 7, 16);
+        let mut runs = runs_over(&pool, data.dy());
+        runs.push(pool[8..].to_vec());
+        for cached in [false, true] {
+            assert_runs_match_lone_calls(&model, &runs, cached);
+        }
+    }
+
+    #[test]
+    fn location_runs_match_lone_calls_on_a_mixed_covariance_model() {
+        use sisd_data::datasets::water_quality_synthetic;
+        let data = water_quality_synthetic(5);
+        let dy = data.dy();
+        let mut model = BackgroundModel::from_empirical(&data).unwrap();
+        let loc = random_ext(data.n(), 11, 0.4);
+        model
+            .assimilate_location(&loc, data.target_mean(&loc))
+            .unwrap();
+        let spread = random_ext(data.n(), 12, 0.3);
+        let mut w = vec![0.0; dy];
+        w[0] = 0.6;
+        w[1] = 0.8;
+        let center = data.target_mean(&spread);
+        let expected = model.spread_stats(&spread, &w, &center).unwrap().expected;
+        model
+            .assimilate_spread(&spread, w, center, 0.5 * expected)
+            .unwrap();
+        let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert!(ids.len() >= 2, "cov_ids {ids:?}");
+
+        // Straddling extensions: distinct mixtures, each its own factor.
+        let distinct = random_candidates(&model, &data, 9, 16);
+        assert!(distinct.iter().all(|(counts, _)| {
+            counts
+                .iter()
+                .any(|&(g, _)| model.cells()[g].cov_id != model.cells()[counts[0].0].cov_id)
+        }));
+        // One extension under eight observed means: one mixture, so the
+        // cache hands every one of them the same factor.
+        let ext = random_ext(data.n(), 13, 0.25);
+        let counts = model.cell_counts(&ext);
+        let shared: Vec<RunCandidate> = (0..8)
+            .map(|s| {
+                let mut observed = data.target_mean(&ext);
+                observed.iter_mut().for_each(|v| *v += 0.1 * s as f64);
+                (counts.clone(), observed)
+            })
+            .collect();
+        // Rows of one cell only: the cell's own factor.
+        let cell = model.cells().iter().max_by_key(|c| c.count).expect("cells");
+        let inside: Vec<RunCandidate> = (0..8)
+            .map(|s| {
+                let sub = cell.ext.and(&random_ext(data.n(), 20 + s, 0.5));
+                (model.cell_counts(&sub), data.target_mean(&sub))
+            })
+            .collect();
+        let mixed: Vec<RunCandidate> = (0..8)
+            .map(|j| match j % 3 {
+                0 => shared[j].clone(),
+                1 => distinct[j].clone(),
+                _ => inside[j].clone(),
+            })
+            .collect();
+        let mut runs = runs_over(&distinct, dy);
+        runs.extend(runs_over(&shared, dy));
+        runs.extend(runs_over(&inside, dy));
+        runs.push(distinct[8..].to_vec());
+        runs.push(mixed);
+        for cached in [false, true] {
+            assert_runs_match_lone_calls(&model, &runs, cached);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a run holds at most 8 candidates")]
+    fn location_runs_hold_at_most_eight_candidates() {
+        let (model, ext) = toy_model();
+        let counts = model.cell_counts(&ext);
+        let run = vec![(counts.as_slice(), [0.0, 0.0].as_slice()); 9];
+        model.location_stats_run(&run, None, &mut LocationRun::default(), |_, _| {});
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //!   sum becomes the observed mean — except for a candidate that is exactly
 //!   a union of parameter cells, whose mean is assembled from precomputed
 //!   per-cell target sums.
+//! * **One forward substitution per eight candidates.** On data with more
+//!   than one target column a beam level hands its walked children to the
+//!   model in runs of up to eight
+//!   ([`sisd_model::BackgroundModel::location_stats_run`]). When every
+//!   candidate of a run solves against the same factor object — on a
+//!   location-only model, the cells' one factor — their Mahalanobis terms
+//!   come from one pass over it ([`sisd_linalg::Cholesky::inv_quad_forms`])
+//!   instead of eight, with each candidate's bits.
 //! * **Deterministic parallelism.** [`Evaluator::score_all`] splits a
 //!   batch into contiguous chunks, scores them on the persistent
 //!   `sisd-par` worker pool, and merges in chunk order. Each candidate's
@@ -36,13 +44,17 @@
 //!   without changing their output.
 //!
 //! Scoring runs through a per-chunk workspace (per-cell and per-lane
-//! counts, the signature, the observed mean and the model's statistics
-//! buffers), so a candidate allocates nothing of its own; the beam loop
-//! below scores its children from the frontier's borrowed parent and mask
-//! words — siblings together on single-target data, otherwise each
-//! child's words ANDed into one per-chunk buffer just before it is scored
-//! — into compact records, and builds a pattern only for what the top-k
-//! log or the next beam keeps.
+//! counts, the signature, the observed mean, the run of children waiting
+//! for their statistics and the model's statistics buffers), so a
+//! candidate allocates nothing of its own; the beam loop below scores its
+//! children from the frontier's borrowed parent and mask words — siblings
+//! together on single-target data, otherwise each child's words ANDed into
+//! one per-chunk buffer just before it is walked, and on the Gaussian
+//! backend its statistics solved with up to seven neighbours' — into
+//! compact records, and builds a pattern only for what the top-k log or
+//! the next beam keeps. `score_all`, `try_score_all*` and
+//! `score_location` score one candidate at a time, the path the parity
+//! suites compare the beam against.
 
 use crate::refine::{generate_conditions, RefineConfig};
 use crate::BeamConfig;
@@ -55,8 +67,10 @@ use sisd_data::bitset::WORD_BITS;
 use sisd_data::kernels::{self, LANES};
 use sisd_data::{BitSet, Dataset};
 use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
+use sisd_linalg::Cholesky;
 use sisd_model::{
-    BackgroundModel, BinaryBackgroundModel, FactorCache, LocationScratch, ModelError,
+    BackgroundModel, BinaryBackgroundModel, FactorCache, LocationCandidate, LocationRun,
+    LocationScratch, ModelError,
 };
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
@@ -179,23 +193,43 @@ struct Gaussian<'a> {
 }
 
 impl Gaussian<'_> {
-    /// The IC of the candidate whose cell-count signature is in
-    /// `ws.signature` and whose target row sum is in `ws.mean`, which is
-    /// left holding its observed mean: that sum over the row count — the
-    /// same bits as [`Dataset::target_mean`] — unless every intersected
-    /// cell lies wholly inside the candidate; then it is assembled from
-    /// per-cell target sums, the case for re-scored assimilated subgroups
-    /// and any candidate aligned with the constraint partition.
-    fn ic(&self, data: &Dataset, ws: &mut Workspace) -> SisdResult<f64> {
-        let Workspace {
-            signature,
-            mean,
-            stats,
-            ..
-        } = ws;
+    /// One walk over the rows `ext` selects: the candidate's cell-count
+    /// signature into `ws.signature` and its target row sum into `ws.mean`.
+    fn walk(&self, data: &Dataset, ext: &[u64], ws: &mut Workspace) {
+        ws.mean.fill(0.0);
+        kernels::count_cells_sum_rows(
+            ext,
+            self.model.cell_of_row(),
+            &mut ws.cell_rows,
+            data.targets().as_slice(),
+            &mut ws.mean,
+        );
+        ws.signature.clear();
+        for (g, c) in ws.cell_rows.iter_mut().enumerate() {
+            if *c > 0 {
+                ws.signature.push((g, *c));
+                *c = 0;
+            }
+        }
+    }
+
+    /// Turns the target row sum in `mean` of the candidate with cell-count
+    /// signature `signature` into its observed mean: that sum over the row
+    /// count — the same bits as [`Dataset::target_mean`] — unless every
+    /// intersected cell lies wholly inside the candidate; then it is
+    /// assembled from per-cell target sums, the case for re-scored
+    /// assimilated subgroups and any candidate aligned with the constraint
+    /// partition.
+    #[inline]
+    fn observed_mean(
+        &self,
+        data: &Dataset,
+        signature: &[(usize, usize)],
+        mean: &mut [f64],
+    ) -> Result<(), ModelError> {
         let m: usize = signature.iter().map(|&(_, c)| c).sum();
         if m == 0 {
-            return Err(ModelError::EmptyExtension.into());
+            return Err(ModelError::EmptyExtension);
         }
         let cells = self.model.cells();
         if signature.iter().all(|&(g, c)| c == cells[g].count) {
@@ -210,17 +244,56 @@ impl Gaussian<'_> {
                     .collect()
             });
             mean.fill(0.0);
-            for &(g, _) in signature.iter() {
+            for &(g, _) in signature {
                 sisd_linalg::add_assign(mean, &sums[g]);
             }
         }
         sisd_linalg::scale(1.0 / m as f64, mean);
+        Ok(())
+    }
+
+    /// The IC of the candidate whose cell-count signature is in
+    /// `ws.signature` and whose target row sum is in `ws.mean`, which is
+    /// left holding its observed mean ([`Gaussian::observed_mean`]).
+    fn ic(&self, data: &Dataset, ws: &mut Workspace) -> SisdResult<f64> {
+        let Workspace {
+            signature,
+            mean,
+            stats,
+            ..
+        } = ws;
+        self.observed_mean(data, signature, mean)?;
         let stats =
             self.model
                 .location_stats_with(signature, mean, Some(self.cache.as_ref()), stats)?;
         Ok(location_ic_of_stats(stats, self.model.dy()))
     }
 }
+
+/// Children of a beam level waiting for their model statistics: up to
+/// [`RUN`] consecutive children of one scoring range, walked one by one on
+/// `dy > 1` data, then handed together to
+/// [`BackgroundModel::location_stats_run`], which solves their residuals in
+/// one pass over the factor when they all hold the same one.
+#[derive(Default)]
+struct ChildRun {
+    /// How many slots are filled.
+    len: usize,
+    /// Each slot's child index in its batch.
+    children: [usize; RUN],
+    /// Each slot's cell-count signature ([`RUN`] buffers, swapped with
+    /// [`Workspace::signature`] rather than copied).
+    signatures: Vec<Vec<(usize, usize)>>,
+    /// Each slot's observed mean ([`RUN`] buffers of `dy`, swapped with
+    /// [`Workspace::mean`]).
+    means: Vec<Vec<f64>>,
+    /// The model statistics and their working vectors.
+    stats: LocationRun,
+}
+
+/// Children a [`ChildRun`] holds: the right-hand sides one pass over a
+/// factor solves.
+const RUN: usize = Cholesky::LANES;
 
 /// Everything the scoring core writes while it scores one candidate,
 /// allocated once per chunk of candidates and reused for each of them.
@@ -243,6 +316,8 @@ struct Workspace {
     lane_counts: Vec<u32>,
     /// The cells the current sibling walk's parent covers, ascending.
     touched: Vec<usize>,
+    /// The children walked but not yet solved (Gaussian, `dy > 1`).
+    run: ChildRun,
 }
 
 impl Workspace {
@@ -509,14 +584,24 @@ impl<'a> Evaluator<'a> {
         } else {
             0
         };
+        let dy = self.data.dy();
+        let run = match &self.backend {
+            Backend::Gaussian(_) if dy > 1 => ChildRun {
+                signatures: vec![Vec::new(); RUN],
+                means: vec![vec![0.0; dy]; RUN],
+                ..ChildRun::default()
+            },
+            _ => ChildRun::default(),
+        };
         Workspace {
             cell_rows: vec![0; cells],
             signature: Vec::new(),
-            mean: vec![0.0; self.data.dy()],
+            mean: vec![0.0; dy],
             stats: LocationScratch::default(),
             ext: BitSet::empty(n),
             lane_counts: vec![0; lanes],
             touched: Vec::new(),
+            run,
         }
     }
 
@@ -535,21 +620,7 @@ impl<'a> Evaluator<'a> {
     ) -> SisdResult<LocationScore> {
         let ic = match &self.backend {
             Backend::Gaussian(gaussian) => {
-                ws.mean.fill(0.0);
-                kernels::count_cells_sum_rows(
-                    ext,
-                    gaussian.model.cell_of_row(),
-                    &mut ws.cell_rows,
-                    self.data.targets().as_slice(),
-                    &mut ws.mean,
-                );
-                ws.signature.clear();
-                for (g, c) in ws.cell_rows.iter_mut().enumerate() {
-                    if *c > 0 {
-                        ws.signature.push((g, *c));
-                        *c = 0;
-                    }
-                }
+                gaussian.walk(self.data, ext, ws);
                 gaussian.ic(self.data, ws)?
             }
             Backend::Bernoulli { model } => {
@@ -779,7 +850,9 @@ impl<'a> Evaluator<'a> {
     /// parent covers, in cell order, and [`Gaussian::ic`] scores it — the
     /// same integers and bits the per-child walk produces. Otherwise each
     /// child's words are ANDed from its parent and mask into one buffer
-    /// just before it is scored.
+    /// just before it is walked; on the Gaussian backend (`dy > 1`) up to
+    /// [`RUN`] walked children then get their model statistics together
+    /// ([`Evaluator::solve_run`]).
     fn score_each(
         &self,
         children: &ChildBatch<'_>,
@@ -788,8 +861,12 @@ impl<'a> Evaluator<'a> {
         ws: &mut Workspace,
         mut each: impl FnMut(usize, LocationScore, &[f64]),
     ) {
-        let Some(gaussian) = self.sibling_lanes() else {
-            let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
+        if let Some(gaussian) = self.sibling_lanes() {
+            self.score_siblings(gaussian, children, range, arity, ws, each);
+            return;
+        }
+        let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
+        let Backend::Gaussian(gaussian) = &self.backend else {
             for child in range {
                 children.child_words_into(child, &mut words);
                 if let Some(score) = self.score_or_note(arity, &words, ws) {
@@ -798,6 +875,76 @@ impl<'a> Evaluator<'a> {
             }
             return;
         };
+        for child in range {
+            children.child_words_into(child, &mut words);
+            gaussian.walk(self.data, &words, ws);
+            if let Err(e) = gaussian.observed_mean(self.data, &ws.signature, &mut ws.mean) {
+                self.note_failure(&e.into());
+                continue;
+            }
+            let run = &mut ws.run;
+            run.children[run.len] = child;
+            std::mem::swap(&mut run.signatures[run.len], &mut ws.signature);
+            std::mem::swap(&mut run.means[run.len], &mut ws.mean);
+            run.len += 1;
+            if run.len == RUN {
+                self.solve_run(gaussian, arity, run, &mut each);
+            }
+        }
+        self.solve_run(gaussian, arity, &mut ws.run, &mut each);
+    }
+
+    /// Scores the children waiting in `run` from their signatures and
+    /// observed means through [`BackgroundModel::location_stats_run`] —
+    /// each child's statistics carry the bits [`Gaussian::ic`] computes for
+    /// it alone — hands each success to `each` in slot order, and empties
+    /// the run.
+    fn solve_run(
+        &self,
+        gaussian: &Gaussian<'_>,
+        arity: usize,
+        run: &mut ChildRun,
+        each: &mut impl FnMut(usize, LocationScore, &[f64]),
+    ) {
+        let ChildRun {
+            len,
+            children,
+            signatures,
+            means,
+            stats,
+        } = run;
+        if *len == 0 {
+            return;
+        }
+        let items: [LocationCandidate<'_>; RUN] =
+            std::array::from_fn(|j| (signatures[j].as_slice(), means[j].as_slice()));
+        let dy = self.data.dy();
+        gaussian.model.location_stats_run(
+            &items[..*len],
+            Some(gaussian.cache.as_ref()),
+            stats,
+            |j, outcome| {
+                let score = outcome
+                    .map_err(SisdError::from)
+                    .and_then(|s| self.location_score(arity, location_ic_of_stats(s, dy)));
+                if let Some(score) = self.noted(score) {
+                    each(children[j], score, &means[j]);
+                }
+            },
+        );
+        *len = 0;
+    }
+
+    /// [`Evaluator::score_each`] on single-target data: the sibling walk.
+    fn score_siblings(
+        &self,
+        gaussian: &Gaussian<'_>,
+        children: &ChildBatch<'_>,
+        range: Range<usize>,
+        arity: usize,
+        ws: &mut Workspace,
+        mut each: impl FnMut(usize, LocationScore, &[f64]),
+    ) {
         let cell_of_row = gaussian.model.cell_of_row();
         let targets = self.data.targets().as_slice();
         let metas = children.metas();

@@ -3,10 +3,12 @@
 //! replaced — same children, same order, same words — across random masks
 //! and lengths crossing word boundaries; and the searches built on them
 //! must return bit-identical results to the pre-refactor serial generation
-//! path at 1 and 4 threads.
+//! path at 1 and 4 threads — and, on multi-cell and mixed-covariance models
+//! of one and of many target columns, at 1, 2 and 4 threads and under a
+//! time budget.
 
 use proptest::prelude::*;
-use sisd::core::{ConditionOp, Intention, LocationPattern};
+use sisd::core::{Condition, ConditionOp, Intention, LocationPattern};
 use sisd::data::{kernels, BitSet, Column, Dataset};
 use sisd::frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd::linalg::Matrix;
@@ -365,6 +367,31 @@ fn assert_same_search(
     }
 }
 
+/// Runs the beam at 1, 2 and 4 threads, and at 1 and 4 threads under a
+/// budget that never expires (which still scores in slices of 64
+/// children, cutting the runs of children scored together short), and
+/// asserts that every setting logs exactly `reference_beam`'s patterns;
+/// returns how many the log holds.
+fn assert_beam_matches_the_reference(
+    data: &Dataset,
+    model: &BackgroundModel,
+    cfg: &BeamConfig,
+) -> usize {
+    let expect = reference_beam(data, model, cfg);
+    let never = Some(std::time::Duration::from_secs(24 * 3600));
+    for (threads, time_budget) in [(1usize, None), (2, None), (4, None), (1, never), (4, never)] {
+        let cfg_t = BeamConfig {
+            eval: EvalConfig::with_threads(threads),
+            time_budget,
+            ..cfg.clone()
+        };
+        let result = BeamSearch::new(cfg_t).run(data, model);
+        let what = format!("{} threads={threads} budget={time_budget:?}", data.name);
+        assert_same_search(&result, &expect, &what);
+    }
+    expect.0.len()
+}
+
 #[test]
 fn single_target_beam_over_many_cells_is_bit_identical_to_the_pre_refactor_path() {
     // Single-target data, where beam levels score a parent's children as
@@ -389,20 +416,91 @@ fn single_target_beam_over_many_cells_is_bit_identical_to_the_pre_refactor_path(
         min_coverage: 10,
         ..BeamConfig::default()
     };
-    let expect = reference_beam(&data, &model, &cfg);
-    // A budget that never expires still scores in slices of 64 children,
-    // which split the runs of siblings the lanes score together.
-    let never = Some(std::time::Duration::from_secs(24 * 3600));
-    for (threads, time_budget) in [(1usize, None), (2, None), (4, None), (1, never), (4, never)] {
-        let cfg_t = BeamConfig {
-            eval: EvalConfig::with_threads(threads),
-            time_budget,
-            ..cfg.clone()
-        };
-        let result = BeamSearch::new(cfg_t).run(&data, &model);
-        let what = format!("threads={threads} budget={time_budget:?}");
-        assert_same_search(&result, &expect, &what);
+    assert_beam_matches_the_reference(&data, &model, &cfg);
+}
+
+/// Factors the prior (as a model's first search does) and assimilates the
+/// location patterns of `conditions`, so the cells the assimilations split
+/// off all hold the prior's factor object.
+fn assimilate_locations(data: &Dataset, model: &mut BackgroundModel, conditions: &[Condition]) {
+    let full = BitSet::full(data.n());
+    model
+        .location_stats(&full, &data.target_mean(&full))
+        .unwrap();
+    for condition in conditions {
+        let ext = condition.evaluate(data);
+        model
+            .assimilate_location(&ext, data.target_mean(&ext))
+            .unwrap();
     }
+}
+
+#[test]
+fn wide_target_beam_over_one_covariance_is_bit_identical_to_the_pre_refactor_path() {
+    // Five target columns and three assimilated locations: one covariance
+    // over several cells, so every child of a level solves against the
+    // cells' one factor, eight at a time.
+    let (data, _) = sisd::data::datasets::german_socio_synthetic(3);
+    assert_eq!(data.dy(), 5);
+    let mut model = BackgroundModel::from_empirical(&data).unwrap();
+    let conditions = generate_conditions(&data, &Default::default());
+    let picked: Vec<Condition> = conditions.iter().step_by(17).take(3).copied().collect();
+    assimilate_locations(&data, &mut model, &picked);
+    assert!(model.n_cells() >= 4, "{} cells", model.n_cells());
+    let first = model.cells()[0].chol().unwrap();
+    assert!(model
+        .cells()
+        .iter()
+        .all(|c| std::ptr::eq(c.chol().unwrap(), first)));
+    let cfg = BeamConfig {
+        width: 8,
+        max_depth: 3,
+        top_k: 40,
+        min_coverage: 10,
+        ..BeamConfig::default()
+    };
+    assert_beam_matches_the_reference(&data, &model, &cfg);
+}
+
+#[test]
+fn wide_target_beam_over_mixed_covariances_is_bit_identical_to_the_pre_refactor_path() {
+    // Sixteen target columns after a spread assimilation on the best
+    // subgroup and a location assimilation on the runner-up. The best one
+    // stays a strong parent, and its children solve against the factor its
+    // cells share, eight at a time; children that straddle the spread
+    // solve against mixtures (distinct ones, or one the factor cache
+    // shares), one at a time. The log is long enough to hold every scored
+    // child, so every child's bits are compared.
+    let data = sisd::data::datasets::water_quality_synthetic(5);
+    assert_eq!(data.dy(), 16);
+    let mut model = BackgroundModel::from_empirical(&data).unwrap();
+    let cfg = BeamConfig {
+        width: 8,
+        max_depth: 2,
+        top_k: 40,
+        min_coverage: 10,
+        ..BeamConfig::default()
+    };
+    let first = BeamSearch::new(cfg.clone()).run(&data, &model);
+    let cfg = BeamConfig { top_k: 4096, ..cfg };
+    let (best, runner_up) = (&first.top[0].extension, &first.top[1].extension);
+    let mut w = vec![0.0; data.dy()];
+    w[0] = 0.6;
+    w[1] = 0.8;
+    let center = data.target_mean(best);
+    let expected = model.spread_stats(best, &w, &center).unwrap().expected;
+    model
+        .assimilate_spread(best, w, center, 0.5 * expected)
+        .unwrap();
+    model
+        .assimilate_location(runner_up, data.target_mean(runner_up))
+        .unwrap();
+    let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov_id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert!(ids.len() >= 2, "cov_ids {ids:?}");
+    let logged = assert_beam_matches_the_reference(&data, &model, &cfg);
+    assert!(logged < cfg.top_k, "{logged} children logged");
 }
 
 /// A single-target dataset with a planted subgroup, for branch-and-bound.
