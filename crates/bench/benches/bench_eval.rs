@@ -1,7 +1,8 @@
 //! Candidate-evaluation engine throughput: single- vs multi-threaded
 //! `Evaluator::score_all` on the mammals-scale setup (dy = 124, the
 //! dimensionality where one Cholesky factorization costs ~265 µs), plus
-//! the cell-signature memo's effect on the heterogeneous-covariance path.
+//! the engine against per-candidate core scoring on the
+//! heterogeneous-covariance path.
 //!
 //! The engine guarantees bit-identical scores at any thread count; this
 //! bench asserts that on every measured batch before timing it. Speedup at
@@ -66,10 +67,9 @@ fn bench_eval_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_eval_signature_memo(c: &mut Criterion) {
+fn bench_eval_dense_path(c: &mut Criterion) {
     // Heterogeneous covariances (post-spread-assimilation): the dense
-    // branch re-factorizes per candidate without the memo, once per
-    // distinct cell-count signature with it.
+    // branch factors each candidate's covariance mixture.
     let (data, _) = mammals_synthetic(7);
     let mut model = BackgroundModel::from_empirical(&data).expect("model");
     let mut rng = Xoshiro256pp::seed_from_u64(13);
@@ -80,9 +80,9 @@ fn bench_eval_signature_memo(c: &mut Criterion) {
     let v = data.target_variance_along(&half, &w);
     model.assimilate_spread(&half, w, mean, v).expect("spread");
 
-    // All candidates share one cell-count signature — 60 rows from each
-    // cell, but *different* rows — so the memo collapses 16 factorizations
-    // into one while every candidate still has its own residual solve.
+    // Every candidate takes 60 rows from each of the two cells, different
+    // rows each time, so each pays a dy = 124 factorization of the same
+    // mixture and its own residual solve.
     let inside: Vec<usize> = half.iter().collect();
     let outside: Vec<usize> = (0..data.n()).filter(|i| !half.contains(*i)).collect();
     let batch: Vec<Candidate> = (0..16)
@@ -98,37 +98,10 @@ fn bench_eval_signature_memo(c: &mut Criterion) {
         })
         .collect();
 
-    let mut group = c.benchmark_group("eval_dense_path_memo");
+    let mut group = c.benchmark_group("eval_dense_path");
     group.sample_size(10);
-    // Controlled comparison: identical per-candidate work except for the
-    // cache argument, so the gap is attributable to the memo alone.
-    let stats_pass = |cache: Option<&sisd_model::FactorCache>| {
-        batch
-            .iter()
-            .map(|cand| {
-                let counts = model.cell_counts(&cand.ext);
-                let observed = data.target_mean(&cand.ext);
-                model
-                    .location_stats_for_counts(&counts, &observed, cache)
-                    .expect("stats")
-                    .log_det_cov
-            })
-            .sum::<f64>()
-    };
-    group.bench_function("stats_with_signature_memo", |b| {
-        b.iter(|| {
-            // Fresh cache per pass: the first candidate of each signature
-            // pays the factorization, the rest reuse it.
-            let cache = sisd_model::FactorCache::new();
-            stats_pass(black_box(Some(&cache)))
-        })
-    });
-    group.bench_function("stats_without_memo", |b| {
-        b.iter(|| stats_pass(black_box(None)))
-    });
-    // End-to-end: the whole engine (memo + shared counts + aggregated
-    // means) against per-candidate core scoring — the sum of all engine
-    // savings, not the memo alone.
+    // End-to-end: the whole engine (shared counts, aggregated means)
+    // against per-candidate core scoring.
     group.bench_function("engine_batch_end_to_end", |b| {
         b.iter(|| {
             let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());
@@ -155,5 +128,5 @@ fn bench_eval_signature_memo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_eval_threads, bench_eval_signature_memo);
+criterion_group!(benches, bench_eval_threads, bench_eval_dense_path);
 criterion_main!(benches);

@@ -5,6 +5,9 @@
 //! (their order is all the search language uses); binary attributes are
 //! categorical with two levels.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
 /// A description attribute column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
@@ -23,20 +26,11 @@ impl Column {
     /// Builds a categorical column from string values, interning labels in
     /// first-appearance order.
     pub fn categorical_from_strs<S: AsRef<str>>(values: &[S]) -> Self {
-        let mut labels: Vec<String> = Vec::new();
-        let mut codes = Vec::with_capacity(values.len());
+        let mut interner = Interner::with_capacity(values.len());
         for v in values {
-            let v = v.as_ref();
-            let code = match labels.iter().position(|l| l == v) {
-                Some(p) => p as u32,
-                None => {
-                    labels.push(v.to_string());
-                    (labels.len() - 1) as u32
-                }
-            };
-            codes.push(code);
+            interner.push(Cow::Borrowed(v.as_ref()));
         }
-        Column::Categorical { codes, labels }
+        interner.finish()
     }
 
     /// Builds a binary categorical column with labels `"0"`/`"1"` from
@@ -95,6 +89,48 @@ impl Column {
         match self {
             Column::Numeric(v) => format!("{:.4}", v[i]),
             Column::Categorical { codes, labels } => labels[codes[i] as usize].clone(),
+        }
+    }
+}
+
+/// Builds a categorical column one value at a time: each label gets the
+/// next code on its first appearance, found again through a hash map, so
+/// interning costs O(rows) whatever the number of distinct labels.
+#[derive(Debug, Default)]
+pub(crate) struct Interner<'a> {
+    index: HashMap<Cow<'a, str>, u32>,
+    codes: Vec<u32>,
+    labels: Vec<String>,
+}
+
+impl<'a> Interner<'a> {
+    /// An empty interner with room for `rows` codes.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        Self {
+            codes: Vec::with_capacity(rows),
+            ..Self::default()
+        }
+    }
+
+    /// Appends the code of `value`, interning it if it is new.
+    pub(crate) fn push(&mut self, value: Cow<'a, str>) {
+        let code = match self.index.get(&*value) {
+            Some(&code) => code,
+            None => {
+                let code = self.labels.len() as u32;
+                self.labels.push(value.as_ref().to_owned());
+                self.index.insert(value, code);
+                code
+            }
+        };
+        self.codes.push(code);
+    }
+
+    /// The column of every value pushed so far.
+    pub(crate) fn finish(self) -> Column {
+        Column::Categorical {
+            codes: self.codes,
+            labels: self.labels,
         }
     }
 }

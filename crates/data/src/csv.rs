@@ -2,16 +2,17 @@
 //!
 //! The paper's tool ingests tabular files (Cortana's ARFF-like format); this
 //! reproduction supports plain CSV with a header row. Column typing is
-//! inferred: a column whose every non-empty cell parses as `f64` becomes
-//! numeric, anything else categorical. Which columns are targets is chosen
-//! by name at load time.
+//! inferred: a column whose every cell parses as `f64` becomes numeric,
+//! anything else (an empty cell included) categorical. Which columns are
+//! targets is chosen by name at load time.
 //!
 //! The writer exists so harness binaries can persist generated synthetic
 //! datasets for inspection.
 
-use crate::column::Column;
+use crate::column::{Column, Interner};
 use crate::table::Dataset;
 use sisd_linalg::Matrix;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -68,83 +69,194 @@ fn split_line(line: &str) -> Vec<String> {
     fields
 }
 
-/// Parses CSV text into `(header, rows)`.
-pub fn parse(text: &str) -> Result<(Vec<String>, Vec<Vec<String>>), CsvError> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = lines
-        .next()
-        .map(split_line)
-        .ok_or_else(|| CsvError::Malformed("empty file".into()))?;
-    let mut rows = Vec::new();
-    for (lineno, line) in lines.enumerate() {
-        let row = split_line(line);
-        if row.len() != header.len() {
-            return Err(CsvError::Malformed(format!(
-                "row {} has {} fields, header has {}",
-                lineno + 2,
-                row.len(),
-                header.len()
-            )));
+/// Calls `each(column, field)` for every field of `line`, in order, and
+/// returns how many there were. A line without a `"` byte is split into
+/// slices of the text itself; only a quoted line is unescaped into owned
+/// fields.
+fn each_field<'t>(line: &'t str, mut each: impl FnMut(usize, Cow<'t, str>)) -> usize {
+    let mut count = 0;
+    if line.as_bytes().contains(&b'"') {
+        for field in split_line(line) {
+            each(count, Cow::Owned(field));
+            count += 1;
         }
-        rows.push(row);
+    } else {
+        for field in line.split(',') {
+            each(count, Cow::Borrowed(field));
+            count += 1;
+        }
     }
-    Ok((header, rows))
+    count
+}
+
+/// `field` without its leading and trailing whitespace.
+fn trimmed(field: Cow<'_, str>) -> Cow<'_, str> {
+    match field {
+        Cow::Borrowed(s) => Cow::Borrowed(s.trim()),
+        Cow::Owned(s) => Cow::Owned(s.trim().to_owned()),
+    }
+}
+
+fn ragged(row: usize, fields: usize, width: usize) -> CsvError {
+    CsvError::Malformed(format!(
+        "row {} has {fields} fields, header has {width}",
+        row + 2
+    ))
+}
+
+/// What a header column becomes.
+#[derive(Clone, Copy)]
+enum Role {
+    /// Target column `j` (the first of the requested names it matches).
+    Target(usize),
+    /// Description column `d`, in header order among the non-targets.
+    Desc(usize),
+}
+
+/// A description column while it is read: its numbers, as long as every
+/// cell so far parsed, or its labels.
+enum Cells<'t> {
+    Numeric(Vec<f64>),
+    Categorical(Interner<'t>),
 }
 
 /// Loads a dataset from CSV text. Columns named in `target_names` become
 /// targets (and must be fully numeric); the rest become description
 /// attributes with inferred types.
+///
+/// The text is read in one streaming pass (after a count of its rows):
+/// target cells are parsed straight into the target matrix, and each
+/// description column is parsed into numbers for as long as all its cells
+/// are numeric. Only the columns that turn out categorical are read again,
+/// in one second pass that interns their labels. Errors are reported in a
+/// fixed order whatever their position in the file: an empty file, then
+/// the first row whose field count differs from the header's, then the
+/// first unknown target name, then the first non-numeric target cell of
+/// the first target (in `target_names` order) that has one.
 pub fn dataset_from_csv_str(
     name: &str,
     text: &str,
     target_names: &[&str],
 ) -> Result<Dataset, CsvError> {
-    let (header, rows) = parse(text)?;
-    let n = rows.len();
-    let mut target_idx = Vec::with_capacity(target_names.len());
-    for t in target_names {
-        let idx = header
-            .iter()
-            .position(|h| h == t)
-            .ok_or_else(|| CsvError::Malformed(format!("target column '{t}' not found")))?;
-        target_idx.push(idx);
-    }
+    let mut rows = text.lines().filter(|l| !l.trim().is_empty());
+    let header = rows
+        .next()
+        .map(split_line)
+        .ok_or_else(|| CsvError::Malformed("empty file".into()))?;
+    let width = header.len();
 
-    let mut targets = Matrix::zeros(n, target_idx.len());
-    for (j, &cidx) in target_idx.iter().enumerate() {
-        for (i, row) in rows.iter().enumerate() {
-            let v: f64 = row[cidx].trim().parse().map_err(|_| {
-                CsvError::Malformed(format!(
-                    "target '{}' row {} is not numeric: '{}'",
-                    header[cidx],
-                    i + 2,
-                    row[cidx]
-                ))
-            })?;
-            targets[(i, j)] = v;
+    let target_idx: Result<Vec<usize>, CsvError> = target_names
+        .iter()
+        .map(|t| {
+            header
+                .iter()
+                .position(|h| h == t)
+                .ok_or_else(|| CsvError::Malformed(format!("target column '{t}' not found")))
+        })
+        .collect();
+    let target_idx = match target_idx {
+        Ok(idx) => idx,
+        Err(unknown) => {
+            // A ragged row outranks an unknown target.
+            for (r, line) in rows.enumerate() {
+                let fields = each_field(line, |_, _| {});
+                if fields != width {
+                    return Err(ragged(r, fields, width));
+                }
+            }
+            return Err(unknown);
         }
-    }
+    };
 
+    let dy = target_idx.len();
+    let mut roles = Vec::with_capacity(width);
     let mut desc_names = Vec::new();
-    let mut desc_cols = Vec::new();
     for (cidx, cname) in header.iter().enumerate() {
-        if target_idx.contains(&cidx) {
-            continue;
+        match target_idx.iter().position(|&t| t == cidx) {
+            Some(j) => roles.push(Role::Target(j)),
+            None => {
+                roles.push(Role::Desc(desc_names.len()));
+                desc_names.push(cname.clone());
+            }
         }
-        let raw: Vec<&str> = rows.iter().map(|r| r[cidx].trim()).collect();
-        // Parse each cell at most once: a column is numeric iff every cell
-        // is non-empty and parses, otherwise it falls back to categorical.
-        let numeric: Option<Vec<f64>> = raw
-            .iter()
-            .map(|v| if v.is_empty() { None } else { v.parse().ok() })
-            .collect();
-        let col = match numeric {
-            Some(values) => Column::Numeric(values),
-            None => Column::categorical_from_strs(&raw),
-        };
-        desc_names.push(cname.clone());
-        desc_cols.push(col);
     }
+    // A target name requested twice fills its later slots from its first.
+    let repeats: Vec<(usize, usize)> = target_idx
+        .iter()
+        .enumerate()
+        .filter_map(|(j, &cidx)| match roles[cidx] {
+            Role::Target(first) if first != j => Some((j, first)),
+            _ => None,
+        })
+        .collect();
+
+    let n = rows.clone().count();
+    let mut targets = Matrix::zeros(n, dy);
+    let mut cols: Vec<Cells<'_>> = (0..desc_names.len())
+        .map(|_| Cells::Numeric(Vec::with_capacity(n)))
+        .collect();
+    // Per target: the first row whose cell does not parse, and that cell.
+    let mut bad: Vec<Option<(usize, String)>> = vec![None; dy];
+    for (r, line) in rows.clone().enumerate() {
+        let row = targets.row_mut(r);
+        let fields = each_field(line, |c, field| match roles.get(c) {
+            Some(&Role::Target(j)) => match field.trim().parse() {
+                Ok(v) => row[j] = v,
+                Err(_) => {
+                    if bad[j].is_none() {
+                        bad[j] = Some((r, field.into_owned()));
+                    }
+                }
+            },
+            Some(&Role::Desc(d)) => {
+                if let Cells::Numeric(values) = &mut cols[d] {
+                    // An empty cell does not parse either.
+                    match field.trim().parse() {
+                        Ok(v) => values.push(v),
+                        Err(_) => cols[d] = Cells::Categorical(Interner::with_capacity(n)),
+                    }
+                }
+            }
+            None => {}
+        });
+        if fields != width {
+            return Err(ragged(r, fields, width));
+        }
+        for &(j, first) in &repeats {
+            row[j] = row[first];
+        }
+    }
+    if let Some((j, (r, cell))) = bad
+        .into_iter()
+        .enumerate()
+        .find_map(|(j, b)| b.map(|b| (j, b)))
+    {
+        return Err(CsvError::Malformed(format!(
+            "target '{}' row {} is not numeric: '{cell}'",
+            header[target_idx[j]],
+            r + 2
+        )));
+    }
+
+    // Second pass, only over the columns that met a non-numeric cell.
+    if cols.iter().any(|col| matches!(col, Cells::Categorical(_))) {
+        for line in rows {
+            each_field(line, |c, field| {
+                if let Role::Desc(d) = roles[c] {
+                    if let Cells::Categorical(labels) = &mut cols[d] {
+                        labels.push(trimmed(field));
+                    }
+                }
+            });
+        }
+    }
+    let desc_cols = cols
+        .into_iter()
+        .map(|col| match col {
+            Cells::Numeric(values) => Column::Numeric(values),
+            Cells::Categorical(labels) => labels.finish(),
+        })
+        .collect();
 
     Ok(Dataset::new(
         name,
@@ -210,10 +322,11 @@ south,2.5,40,0.4
 
     #[test]
     fn parse_with_quotes_and_commas() {
-        let (header, rows) = parse(SAMPLE).unwrap();
-        assert_eq!(header, vec!["region", "score", "age", "outcome"]);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[2][0], "east, far");
+        let d = dataset_from_csv_str("s", SAMPLE, &["outcome"]).unwrap();
+        assert_eq!(d.desc_names(), &["region", "score", "age"]);
+        assert_eq!(d.n(), 3);
+        let region = d.desc_col(d.desc_index("region").unwrap());
+        assert_eq!(region.display_value(2), "east, far");
     }
 
     #[test]
@@ -253,8 +366,11 @@ south,2.5,40,0.4
     #[test]
     fn ragged_row_errors() {
         let bad = "a,b\n1,2\n3\n";
-        let err = parse(bad).unwrap_err();
-        assert!(err.to_string().contains("fields"));
+        let err = dataset_from_csv_str("s", bad, &["b"]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed csv: row 3 has 1 fields, header has 2"
+        );
     }
 
     #[test]
@@ -272,7 +388,9 @@ south,2.5,40,0.4
 
     #[test]
     fn empty_file_errors() {
-        assert!(parse("").is_err());
-        assert!(parse("\n\n").is_err());
+        for text in ["", "\n\n", " \r\n\t\n"] {
+            let err = dataset_from_csv_str("s", text, &[]).unwrap_err();
+            assert_eq!(err.to_string(), "malformed csv: empty file");
+        }
     }
 }

@@ -42,7 +42,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"SISDSNAP";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with [`SnapError::VersionSkew`].
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Hard cap on one section's payload length. A snapshot announcing a
 /// larger section is corrupt by definition — decoding fails before any

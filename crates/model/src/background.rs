@@ -6,19 +6,6 @@ use crate::solver::{solve_spread_lambda, SpreadCellStat};
 use sisd_data::{BitSet, Dataset};
 use sisd_linalg::{Cholesky, Matrix};
 use sisd_obs::{Metric, ObsHandle};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Process-global source of model lineage identifiers (see
-/// [`BackgroundModel::lineage_id`]). Every construction *and every clone*
-/// mints a fresh lineage, because two models that diverge after a clone can
-/// mint colliding `cov_id`s for different covariance values.
-static NEXT_LINEAGE: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn next_lineage() -> u64 {
-    NEXT_LINEAGE.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Documented tolerance at which warm-started (incremental) refits agree
 /// with a cold refit replayed from the base prior.
@@ -29,7 +16,7 @@ pub(crate) fn next_lineage() -> u64 {
 /// iteration paths and stop at a finite tolerance, so scores agree only to
 /// roughly `convergence_tol × conditioning`, not bitwise. Tests and the
 /// bench-parity gate pin agreement at this constant with refits converged
-/// to `1e-9`; exactness claims elsewhere (cached vs uncached scoring, any
+/// to `1e-9`; exactness claims elsewhere (batched vs lone scoring, any
 /// thread count) remain bit-identical and are unaffected by warm
 /// starting.
 pub const WARM_COLD_SCORE_TOL: f64 = 1e-6;
@@ -65,151 +52,6 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
-/// Thread-safe memo of mixed-covariance factorizations, keyed by a
-/// candidate extension's **covariance-value signature** — the vector of
-/// `(cov_id, rows of the candidate with that covariance)` pairs, sorted by
-/// `cov_id` with counts aggregated.
-///
-/// Two candidate extensions with the same signature induce the *same*
-/// subgroup-mean covariance `Cov(f_I) = Σ_g c_g Σ_g / |I|²`, so the
-/// `O(dy³)` factorization (and its `log_det`) can be shared; only the
-/// `O(dy²)` triangular solve against the candidate's own residual remains
-/// per-candidate. This is the dominant saving on the heterogeneous-
-/// covariance path (after spread assimilations), where beam levels score
-/// hundreds of candidates that straddle the same handful of cells.
-///
-/// **Why the cache survives assimilation.** Within one model *lineage* a
-/// `cov_id` permanently names one exact covariance bit-pattern: spread
-/// projections mint fresh ids for every covariance they modify, location
-/// projections never touch covariances, and refining the cell partition
-/// only copies ids onto sub-cells. A signature therefore denotes the same
-/// mixture — bit for bit — at every constraint epoch, and entries never
-/// need invalidating when patterns are assimilated: this is the
-/// `(cell signature, constraint epoch)` sharing rule with the epoch
-/// dimension collapsed, because the value a signature names is
-/// epoch-invariant by construction. Search engines keep one cache alive
-/// across a whole interactive session.
-///
-/// **Lineage pinning.** The id-stability argument holds only within one
-/// mutation history. Clones mint a fresh [`BackgroundModel::lineage_id`]
-/// (two diverged clones may reuse the same `cov_id` for different values),
-/// and the cache pins the first lineage it serves: requests from any other
-/// lineage are answered with a correct, freshly built factor that is not
-/// retained.
-///
-/// **Memory bound:** a dy×dy factor costs `8·dy²` bytes and arbitrary
-/// candidate streams can produce mostly-distinct signatures, so the cache
-/// stops admitting new entries past a fixed byte budget
-/// ([`FactorCache::MAX_BYTES`], ≥ 16 entries regardless of dy). Misses
-/// past the cap still return a correct, freshly built factor — identical
-/// bits, just not retained — so results never depend on cache occupancy.
-#[derive(Debug, Default)]
-pub struct FactorCache {
-    inner: Mutex<CacheInner>,
-    /// Calls answered from the memo (first-lock lookup). Misses are every
-    /// other call — lineage bypasses and builds, including builds that lose
-    /// the double-check race — so `hits + misses` equals total calls.
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Covariance-value signature of a candidate extension: `(cov_id, rows)`
-/// pairs, sorted by id, counts aggregated.
-pub type CovSignature = Vec<(u64, u32)>;
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Lineage of the model this cache serves, pinned on first use.
-    lineage: Option<u64>,
-    map: HashMap<CovSignature, Arc<Cholesky>>,
-}
-
-impl FactorCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct signatures memoized so far.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// Whether the cache has memoized anything yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Calls served from the memo without building a factor.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Calls that paid for a fresh factorization (lineage bypasses and
-    /// budget-evicted signatures included).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
-        // A poisoned lock only means another worker panicked mid-insert;
-        // the map itself is always in a consistent state (inserts are
-        // atomic `Arc` stores), so keep going.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Retained-factor byte budget (64 MiB): at dy = 124 that is ~540
-    /// entries, at dy = 16 it is the floor-free ~32k — far beyond any
-    /// realistic number of *repeated* signatures per search.
-    pub const MAX_BYTES: usize = 64 << 20;
-
-    /// Returns the memoized factor for `sig`, building it with `build`
-    /// (outside the lock, so concurrent misses on *different* signatures
-    /// never serialize on the `O(dy³)` work) on a miss. Racing builders of
-    /// the same signature compute identical factors; the first insert wins.
-    /// Entries beyond the [`FactorCache::MAX_BYTES`] budget — and requests
-    /// from a lineage other than the pinned one — are returned but not
-    /// retained.
-    fn get_or_build<E>(
-        &self,
-        lineage: u64,
-        sig: &[(u64, u32)],
-        build: impl FnOnce() -> Result<Cholesky, E>,
-    ) -> Result<Arc<Cholesky>, E> {
-        {
-            let mut inner = self.lock();
-            match inner.lineage {
-                None => inner.lineage = Some(lineage),
-                Some(pinned) if pinned != lineage => {
-                    drop(inner);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::new(build()?));
-                }
-                Some(_) => {
-                    if let Some(hit) = inner.map.get(sig) {
-                        let hit = Arc::clone(hit);
-                        drop(inner);
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(hit);
-                    }
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build()?);
-        let bytes_per_entry = 8 * built.dim() * built.dim();
-        let max_entries = (Self::MAX_BYTES / bytes_per_entry.max(1)).max(16);
-        let mut inner = self.lock();
-        if let Some(hit) = inner.map.get(sig) {
-            return Ok(Arc::clone(hit));
-        }
-        if inner.map.len() < max_entries {
-            inner.map.insert(sig.to_vec(), Arc::clone(&built));
-        }
-        Ok(built)
-    }
-}
-
 /// Sufficient statistics of the subgroup-mean distribution for one
 /// extension, as needed by the location information content (Eq. 13).
 #[derive(Debug, Clone, Default)]
@@ -236,7 +78,6 @@ pub struct LocationScratch {
     stats: LocationStats,
     resid: Vec<f64>,
     sig: Vec<(u64, u32, u32)>,
-    key: CovSignature,
 }
 
 /// One candidate of [`BackgroundModel::location_stats_run`]: its cell-count
@@ -258,9 +99,8 @@ enum LocationFactor<'m> {
     /// Every intersected cell has one covariance `Σ`: the cells' factor of
     /// it, with `Cov(f_I) = Σ/|I|`.
     Cell(&'m Cholesky),
-    /// The mixture `Σ_g c_g Σ_g / |I|²`, from the [`FactorCache`] or built
-    /// for this candidate.
-    Mixed(Arc<Cholesky>),
+    /// The mixture `Σ_g c_g Σ_g / |I|²`, built for this candidate.
+    Mixed(Cholesky),
 }
 
 impl LocationFactor<'_> {
@@ -452,7 +292,7 @@ impl Default for ProjectionScratch {
 
 /// The evolving FORSIED background distribution (paper Eq. 4): independent
 /// per-row multivariate normals whose parameters are shared within cells.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BackgroundModel {
     pub(crate) n: usize,
     pub(crate) dy: usize,
@@ -467,8 +307,6 @@ pub struct BackgroundModel {
     /// disturb. Extensions are immutable, so this only ever grows.
     pub(crate) adj: Vec<Vec<u32>>,
     pub(crate) next_cov_id: u64,
-    /// Identity of this model's mutation history (see `lineage_id`).
-    pub(crate) lineage: u64,
     /// Bumped whenever the cell partition changes (refinement or a cold
     /// reset); staleness signal for cached membership lists.
     pub(crate) partition_epoch: u64,
@@ -480,31 +318,6 @@ pub struct BackgroundModel {
     /// Metrics destination for refit/projection work. Disabled by default;
     /// never affects the numbers the model produces.
     pub(crate) obs: ObsHandle,
-}
-
-impl Clone for BackgroundModel {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            dy: self.dy,
-            cells: self.cells.clone(),
-            cell_of_row: self.cell_of_row.clone(),
-            constraints: self.constraints.clone(),
-            proj: self.proj.clone(),
-            adj: self.adj.clone(),
-            next_cov_id: self.next_cov_id,
-            // A clone may diverge and mint `cov_id`s that collide with the
-            // original's for *different* covariance values, so it gets a
-            // fresh lineage — `FactorCache`s pinned to the original will
-            // simply bypass (build uncached) for the clone.
-            lineage: next_lineage(),
-            partition_epoch: self.partition_epoch,
-            base_mu: self.base_mu.clone(),
-            base_sigma: self.base_sigma.clone(),
-            scratch: self.scratch.clone(),
-            obs: self.obs,
-        }
-    }
 }
 
 impl BackgroundModel {
@@ -529,7 +342,6 @@ impl BackgroundModel {
             proj: Vec::new(),
             adj: Vec::new(),
             next_cov_id: 1,
-            lineage: next_lineage(),
             partition_epoch: 0,
             base_mu: mu,
             base_sigma: sigma,
@@ -588,18 +400,7 @@ impl BackgroundModel {
         &self.constraints
     }
 
-    /// Identity of this model's mutation history. Within one lineage a
-    /// `cov_id` permanently denotes one covariance bit-pattern, which is
-    /// what lets [`FactorCache`] entries survive assimilation; clones mint
-    /// a fresh lineage because diverged histories may reuse ids.
-    pub fn lineage_id(&self) -> u64 {
-        self.lineage
-    }
-
-    /// Constraint epoch: the number of assimilated constraints. Together
-    /// with [`BackgroundModel::lineage_id`] this identifies a model state
-    /// for observability; note that [`FactorCache`] keys do *not* need it —
-    /// covariance-value signatures are epoch-invariant within a lineage.
+    /// Constraint epoch: the number of assimilated constraints.
     pub fn constraint_epoch(&self) -> usize {
         self.constraints.len()
     }
@@ -696,12 +497,11 @@ impl BackgroundModel {
         ext: &BitSet,
         observed: &[f64],
     ) -> Result<LocationStats, ModelError> {
-        self.location_stats_for_counts(&self.cell_counts(ext), observed, None)
+        self.location_stats_for_counts(&self.cell_counts(ext), observed)
     }
 
     /// [`BackgroundModel::location_stats`] over a precomputed cell-count
-    /// signature, optionally memoizing mixed-covariance factorizations in
-    /// `cache`. Allocates its result and working buffers;
+    /// signature. Allocates its result and working buffers;
     /// [`BackgroundModel::location_stats_with`] is the same computation
     /// through caller-owned buffers.
     ///
@@ -711,17 +511,14 @@ impl BackgroundModel {
     /// [`BackgroundModel::cell_counts`] returns it or as the nonzero
     /// entries of [`sisd_data::kernels::count_cells`] over
     /// [`BackgroundModel::cell_of_row`] read in cell order. The order
-    /// matters: the model mean adds the cells in it. A non-`None` `cache`
-    /// must only ever be used with one model lineage (see
-    /// [`FactorCache`]).
+    /// matters: the model mean adds the cells in it.
     pub fn location_stats_for_counts(
         &self,
         counts: &[(usize, usize)],
         observed: &[f64],
-        cache: Option<&FactorCache>,
     ) -> Result<LocationStats, ModelError> {
         let mut scratch = LocationScratch::default();
-        self.location_stats_with(counts, observed, cache, &mut scratch)?;
+        self.location_stats_with(counts, observed, &mut scratch)?;
         Ok(scratch.stats)
     }
 
@@ -729,10 +526,9 @@ impl BackgroundModel {
     /// `scratch`, whose buffers are reused from call to call: this is the
     /// entry point of `sisd-search`'s evaluation engine, which scores
     /// thousands of candidates per beam level through one scratch and
-    /// allocates nothing per candidate once the buffers have grown (a
-    /// mixed-covariance factorization missing from `cache` still
-    /// allocates when it is built). Same arithmetic, same bits, same
-    /// contract on `counts` and `cache`.
+    /// allocates nothing per candidate once the buffers have grown (but
+    /// for the factor of a mixed-covariance candidate, built per call).
+    /// Same arithmetic, same bits, same contract on `counts`.
     ///
     /// This is the one-candidate case of
     /// [`BackgroundModel::location_stats_run`]: the same preparation (count,
@@ -742,10 +538,9 @@ impl BackgroundModel {
         &self,
         counts: &[(usize, usize)],
         observed: &[f64],
-        cache: Option<&FactorCache>,
         scratch: &'s mut LocationScratch,
     ) -> Result<&'s LocationStats, ModelError> {
-        self.prepare_location(counts, observed, cache, scratch)?
+        self.prepare_location(counts, observed, scratch)?
             .solve(scratch);
         Ok(&scratch.stats)
     }
@@ -756,8 +551,7 @@ impl BackgroundModel {
     /// order, exactly the statistics (every bit) or the error
     /// `location_stats_with` gives that candidate alone.
     ///
-    /// Every candidate is prepared first, in slot order, so `cache` sees
-    /// the one-at-a-time loop's lookups in the same order. When every
+    /// Every candidate is prepared first, in slot order. When every
     /// prepared candidate then holds the same factor object — on a model
     /// whose cells share one covariance, the cells' common factor — the
     /// run's residuals are solved together in one pass over it
@@ -770,7 +564,6 @@ impl BackgroundModel {
     pub fn location_stats_run(
         &self,
         run: &[LocationCandidate<'_>],
-        cache: Option<&FactorCache>,
         scratch: &mut LocationRun,
         mut each: impl FnMut(usize, Result<&LocationStats, ModelError>),
     ) {
@@ -786,7 +579,7 @@ impl BackgroundModel {
         let mut prepared: [Option<Result<LocationFactor<'_>, ModelError>>; LANES] =
             Default::default();
         for ((&(counts, observed), slot), prep) in run.iter().zip(&mut *slots).zip(&mut prepared) {
-            *prep = Some(self.prepare_location(counts, observed, cache, slot));
+            *prep = Some(self.prepare_location(counts, observed, slot));
         }
         let mut factors = prepared.iter().flatten().flatten();
         let shared = factors
@@ -834,7 +627,6 @@ impl BackgroundModel {
         &'m self,
         counts: &[(usize, usize)],
         observed: &[f64],
-        cache: Option<&FactorCache>,
         scratch: &mut LocationScratch,
     ) -> Result<LocationFactor<'m>, ModelError> {
         if observed.len() != self.dy {
@@ -849,12 +641,7 @@ impl BackgroundModel {
         }
         let mf = m as f64;
 
-        let LocationScratch {
-            stats,
-            resid,
-            sig,
-            key,
-        } = scratch;
+        let LocationScratch { stats, resid, sig } = scratch;
         let mean = &mut stats.mean;
         mean.clear();
         mean.resize(self.dy, 0.0);
@@ -877,12 +664,11 @@ impl BackgroundModel {
             let ld = chol.log_det() - self.dy as f64 * mf.ln();
             (ld, LocationFactor::Cell(chol))
         } else {
-            // Dense: Cov = Σ_g c_g Σ_g / |I|², factorized once per
-            // covariance-value signature when a cache is supplied. The
-            // accumulation is a pure function of the *canonical* signature
-            // (sorted by cov_id, counts aggregated as exact integers), so
-            // cached and uncached paths produce identical bits even when
-            // different cell partitions induce the same signature.
+            // Dense: Cov = Σ_g c_g Σ_g / |I|², factorized per candidate.
+            // The accumulation is a pure function of the *canonical*
+            // covariance-value signature (sorted by cov_id, counts
+            // aggregated as exact integers), so different cell partitions
+            // that induce the same signature get identical bits.
             sig.clear();
             sig.extend(
                 counts
@@ -898,28 +684,15 @@ impl BackgroundModel {
                     false
                 }
             });
-            let sig = &*sig;
-            let build = || -> Result<Cholesky, ModelError> {
-                let mut cov = Matrix::zeros(self.dy, self.dy);
-                for &(_, c, g) in sig {
-                    let w = c as f64 / (mf * mf);
-                    let sg = &self.cells[g as usize].sigma;
-                    for (o, s) in cov.as_mut_slice().iter_mut().zip(sg.as_slice()) {
-                        *o += w * s;
-                    }
+            let mut cov = Matrix::zeros(self.dy, self.dy);
+            for &(_, c, g) in sig.iter() {
+                let w = c as f64 / (mf * mf);
+                let sg = &self.cells[g as usize].sigma;
+                for (o, s) in cov.as_mut_slice().iter_mut().zip(sg.as_slice()) {
+                    *o += w * s;
                 }
-                Cholesky::new_with_jitter(&cov, 8)
-                    .map(|(chol, _)| chol)
-                    .map_err(|_| ModelError::BadPrior)
-            };
-            let chol = match cache {
-                Some(cache) => {
-                    key.clear();
-                    key.extend(sig.iter().map(|&(id, c, _)| (id, c)));
-                    cache.get_or_build(self.lineage, key, build)?
-                }
-                None => Arc::new(build()?),
-            };
+            }
+            let (chol, _) = Cholesky::new_with_jitter(&cov, 8).map_err(|_| ModelError::BadPrior)?;
             (chol.log_det(), LocationFactor::Mixed(chol))
         };
 
@@ -1841,85 +1614,6 @@ mod tests {
     }
 
     #[test]
-    fn clones_get_fresh_lineages_and_caches_bypass_them() {
-        let (mut model, _) = toy_model();
-        let spread_ext = BitSet::from_indices(8, [0, 1]);
-        let mut w = vec![1.0, 0.0];
-        sisd_linalg::normalize(&mut w);
-        model
-            .assimilate_spread(&spread_ext, w, vec![0.0, 0.0], 0.5)
-            .unwrap();
-        let clone = model.clone();
-        assert_ne!(model.lineage_id(), clone.lineage_id());
-
-        let cache = FactorCache::new();
-        let candidate = BitSet::from_indices(8, [0, 4]);
-        let observed = vec![0.2, 0.2];
-        let counts = model.cell_counts(&candidate);
-        model
-            .location_stats_for_counts(&counts, &observed, Some(&cache))
-            .unwrap();
-        let pinned = cache.len();
-        assert!(pinned > 0, "dense candidate must be memoized");
-        // The clone's requests are answered correctly but never retained.
-        let counts_c = clone.cell_counts(&candidate);
-        let a = clone
-            .location_stats_for_counts(&counts_c, &observed, Some(&cache))
-            .unwrap();
-        let b = clone.location_stats(&candidate, &observed).unwrap();
-        assert_eq!(a.log_det_cov, b.log_det_cov);
-        assert_eq!(a.mahalanobis, b.mahalanobis);
-        assert_eq!(cache.len(), pinned, "foreign lineage must not be cached");
-    }
-
-    #[test]
-    fn factor_cache_survives_assimilation_within_a_lineage() {
-        // The cov-signature key is epoch-invariant: assimilating a new
-        // location pattern (which refines cells and shifts means but never
-        // touches covariances) must not change what a signature denotes, so
-        // pre-assimilation entries still serve bit-identical answers.
-        let (mut model, _) = toy_model();
-        let spread_ext = BitSet::from_indices(8, [0, 1]);
-        let mut w = vec![1.0, 0.0];
-        sisd_linalg::normalize(&mut w);
-        model
-            .assimilate_spread(&spread_ext, w, vec![0.0, 0.0], 0.5)
-            .unwrap();
-        let cache = FactorCache::new();
-        let candidate = BitSet::from_indices(8, [0, 1, 4, 5]);
-        let observed = vec![0.1, -0.3];
-        let counts = model.cell_counts(&candidate);
-        model
-            .location_stats_for_counts(&counts, &observed, Some(&cache))
-            .unwrap();
-        let entries_before = cache.len();
-
-        // Assimilate a location pattern that splits cells inside the
-        // candidate. It must not overlap the spread extension — a refit
-        // touching the spread constraint would legitimately mint new
-        // cov_ids — so the candidate's cov-signature is unchanged.
-        let loc_ext = BitSet::from_indices(8, [4]);
-        model.assimilate_location(&loc_ext, vec![0.8, 0.8]).unwrap();
-        let _ = model.refit(1e-10, 200).unwrap();
-        let counts_after = model.cell_counts(&candidate);
-        assert!(
-            counts_after.len() > counts.len(),
-            "partition must have been refined"
-        );
-        let cached = model
-            .location_stats_for_counts(&counts_after, &observed, Some(&cache))
-            .unwrap();
-        let fresh = model.location_stats(&candidate, &observed).unwrap();
-        assert_eq!(cached.log_det_cov, fresh.log_det_cov);
-        assert_eq!(cached.mahalanobis, fresh.mahalanobis);
-        assert_eq!(
-            cache.len(),
-            entries_before,
-            "same cov-signature must hit the pre-assimilation entry"
-        );
-    }
-
-    #[test]
     fn cells_partition_rows() {
         let (mut model, _) = toy_model();
         let ext_a = BitSet::from_indices(8, [0, 1, 2, 3]);
@@ -1980,40 +1674,6 @@ mod tests {
         assert!((stats_h.log_det_cov - chol_h.log_det()).abs() < 1e-9);
         let resid_h = observed.clone(); // means are zero there
         assert!((stats_h.mahalanobis - chol_h.inv_quad_form(&resid_h)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cached_stats_are_bit_identical_to_uncached() {
-        let (mut model, ext) = toy_model();
-        // Heterogeneous covariances to hit the dense (memoizable) path.
-        let spread_ext = BitSet::from_indices(8, [0, 1]);
-        let mut w = vec![1.0, 0.0];
-        sisd_linalg::normalize(&mut w);
-        model
-            .assimilate_spread(&spread_ext, w, vec![0.0, 0.0], 0.5)
-            .unwrap();
-        let cache = FactorCache::new();
-        let observed = vec![0.4, -0.2];
-        for candidate in [
-            ext.clone(),
-            BitSet::from_indices(8, [4, 5, 6]),
-            BitSet::from_indices(8, [0, 5]),
-            // Same signature as `ext` reached twice: second hit is memoized.
-            ext.clone(),
-        ] {
-            let counts = model.cell_counts(&candidate);
-            let a = model
-                .location_stats_for_counts(&counts, &observed, Some(&cache))
-                .unwrap();
-            let b = model.location_stats(&candidate, &observed).unwrap();
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.log_det_cov, b.log_det_cov, "cached path must be exact");
-            assert_eq!(a.mahalanobis, b.mahalanobis, "cached path must be exact");
-        }
-        // Only the mixed-covariance candidates occupy the cache, deduped
-        // by signature.
-        assert!(!cache.is_empty());
-        assert!(cache.len() <= 2, "cache holds {} signatures", cache.len());
     }
 
     #[test]
@@ -2179,16 +1839,9 @@ mod tests {
     }
 
     /// Scores every run through `location_stats_run` and every candidate
-    /// alone through `location_stats_with`, each path with its own fresh
-    /// `FactorCache` when `cached`, and asserts that every slot got the
-    /// lone call's bits or error and that both caches counted the same
-    /// hits, misses and entries.
-    fn assert_runs_match_lone_calls(
-        model: &BackgroundModel,
-        runs: &[Vec<RunCandidate>],
-        cached: bool,
-    ) {
-        let (lone_cache, run_cache) = (FactorCache::new(), FactorCache::new());
+    /// alone through `location_stats_with`, and asserts that every slot got
+    /// the lone call's bits or error.
+    fn assert_runs_match_lone_calls(model: &BackgroundModel, runs: &[Vec<RunCandidate>]) {
         let mut lone = LocationScratch::default();
         let mut scratch = LocationRun::default();
         for (r, run) in runs.iter().enumerate() {
@@ -2197,26 +1850,16 @@ mod tests {
                 .map(|(counts, observed)| (counts.as_slice(), observed.as_slice()))
                 .collect();
             let mut got = Vec::new();
-            model.location_stats_run(
-                &items,
-                cached.then_some(&run_cache),
-                &mut scratch,
-                |slot, outcome| got.push((slot, stats_bits(outcome))),
-            );
+            model.location_stats_run(&items, &mut scratch, |slot, outcome| {
+                got.push((slot, stats_bits(outcome)))
+            });
             assert_eq!(got.len(), run.len(), "run {r}");
             for (j, ((slot, bits), (counts, observed))) in got.into_iter().zip(run).enumerate() {
                 assert_eq!(slot, j, "run {r}");
-                let want = stats_bits(model.location_stats_with(
-                    counts,
-                    observed,
-                    cached.then_some(&lone_cache),
-                    &mut lone,
-                ));
-                assert_eq!(bits, want, "run {r} slot {j} cached={cached}");
+                let want = stats_bits(model.location_stats_with(counts, observed, &mut lone));
+                assert_eq!(bits, want, "run {r} slot {j}");
             }
         }
-        let counters = |c: &FactorCache| (c.hits(), c.misses(), c.len());
-        assert_eq!(counters(&run_cache), counters(&lone_cache));
     }
 
     /// Runs of every length from 1 to 8 over `pool`, then runs that mix in
@@ -2262,9 +1905,7 @@ mod tests {
         let pool = random_candidates(&model, &data, 7, 16);
         let mut runs = runs_over(&pool, data.dy());
         runs.push(pool[8..].to_vec());
-        for cached in [false, true] {
-            assert_runs_match_lone_calls(&model, &runs, cached);
-        }
+        assert_runs_match_lone_calls(&model, &runs);
     }
 
     #[test]
@@ -2298,8 +1939,8 @@ mod tests {
                 .iter()
                 .any(|&(g, _)| model.cells()[g].cov_id != model.cells()[counts[0].0].cov_id)
         }));
-        // One extension under eight observed means: one mixture, so the
-        // cache hands every one of them the same factor.
+        // One extension under eight observed means: one mixture, built
+        // anew for each of them.
         let ext = random_ext(data.n(), 13, 0.25);
         let counts = model.cell_counts(&ext);
         let shared: Vec<RunCandidate> = (0..8)
@@ -2329,9 +1970,7 @@ mod tests {
         runs.extend(runs_over(&inside, dy));
         runs.push(distinct[8..].to_vec());
         runs.push(mixed);
-        for cached in [false, true] {
-            assert_runs_match_lone_calls(&model, &runs, cached);
-        }
+        assert_runs_match_lone_calls(&model, &runs);
     }
 
     #[test]
@@ -2340,7 +1979,7 @@ mod tests {
         let (model, ext) = toy_model();
         let counts = model.cell_counts(&ext);
         let run = vec![(counts.as_slice(), [0.0, 0.0].as_slice()); 9];
-        model.location_stats_run(&run, None, &mut LocationRun::default(), |_, _| {});
+        model.location_stats_run(&run, &mut LocationRun::default(), |_, _| {});
     }
 
     #[test]

@@ -86,11 +86,12 @@ impl Cell {
         self.chol.get().map(|o| o.as_deref())
     }
 
-    /// Restores the factor cache to a previously snapshotted state.
-    pub(crate) fn set_factor_state(&mut self, state: Option<Option<Cholesky>>) {
+    /// Restores the factor cache to a previously snapshotted state. A
+    /// factor object several cells shared is restored shared.
+    pub(crate) fn set_factor_state(&mut self, state: Option<Option<Arc<Cholesky>>>) {
         self.chol = OnceLock::new();
         if let Some(opt) = state {
-            let _ = self.chol.set(opt.map(Arc::new));
+            let _ = self.chol.set(opt);
         }
     }
 

@@ -30,8 +30,8 @@ mod snap;
 mod solver;
 
 pub use background::{
-    BackgroundModel, CovSignature, FactorCache, LocationCandidate, LocationRun, LocationScratch,
-    LocationStats, ModelError, RefitStats, SpreadStats, WARM_COLD_SCORE_TOL,
+    BackgroundModel, LocationCandidate, LocationRun, LocationScratch, LocationStats, ModelError,
+    RefitStats, SpreadStats, WARM_COLD_SCORE_TOL,
 };
 pub use binary::{BinaryBackgroundModel, BinaryLocationStats};
 pub use cell::Cell;

@@ -19,17 +19,26 @@
 //! map, the constraint-overlap adjacency) is derived by the same
 //! deterministic construction the live model uses, so it is exactly equal.
 //!
-//! Encoding is canonical — fixed section order, verbatim epochs and stale
-//! member lists, floats as raw IEEE-754 bits — so snapshot → restore →
-//! snapshot reproduces the input bytes exactly (pinned by proptest).
+//! Cells split from one parent hold one factor object (cell splits alias
+//! it), and a location-only model's cells all hold the prior's. The cells
+//! section therefore starts with a table of the distinct cell-factor
+//! objects, in order of first appearance, and each cell names its entry.
+//! Restoring gives every cell of an entry the same object again, so a
+//! restored model's batched solves, which need the candidates of a run to
+//! share one factor object, still find it shared. Objects are told apart
+//! by identity, never by `cov_id`: incrementally updated factors of one
+//! id can differ in their bits.
 //!
-//! Not serialized: the lineage id (minted fresh, exactly as [`Clone`]
-//! does, because a restored model's mutation history may diverge from the
-//! original's), the projection scratch buffers (cleared and resized on
-//! every use), and the observability handle (the restoring session wires
+//! Encoding is canonical — fixed section order, verbatim epochs and stale
+//! member lists, floats as raw IEEE-754 bits, factor-table entries in
+//! first-appearance order — so snapshot → restore → snapshot reproduces
+//! the input bytes exactly (pinned by proptest).
+//!
+//! Not serialized: the projection scratch buffers (cleared and resized on
+//! every use) and the observability handle (the restoring session wires
 //! its own).
 
-use crate::background::{next_lineage, BackgroundModel, ProjectionScratch, ProjectionState};
+use crate::background::{BackgroundModel, ProjectionScratch, ProjectionState};
 use crate::cell::Cell;
 use crate::constraint::Constraint;
 use sisd_data::bitset::WORD_BITS;
@@ -40,6 +49,7 @@ use sisd_data::snap::{
 use sisd_data::BitSet;
 use sisd_linalg::{Cholesky, Matrix};
 use sisd_obs::ObsHandle;
+use std::sync::Arc;
 
 const SEC_META: u32 = 1;
 const SEC_BASE: u32 = 2;
@@ -115,15 +125,18 @@ fn read_matrix(c: &mut SnapCursor<'_>, dy: usize, what: &str) -> Result<Matrix, 
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn put_factor(buf: &mut Vec<u8>, factor: Option<&Cholesky>, failed: bool) {
+fn put_factor(buf: &mut Vec<u8>, factor: Option<&Cholesky>) {
     if let Some(chol) = factor {
         buf.push(FACTOR_CACHED);
         put_matrix(buf, chol.factor());
-    } else if failed {
-        buf.push(FACTOR_FAILED);
     } else {
         buf.push(FACTOR_UNSET);
     }
+}
+
+fn read_cholesky(c: &mut SnapCursor<'_>, dy: usize, what: &str) -> Result<Cholesky, SnapError> {
+    let l = read_matrix(c, dy, what)?;
+    Cholesky::from_factor(l).map_err(|e| SnapError::Corrupt(format!("{what}: invalid factor: {e}")))
 }
 
 fn read_factor(
@@ -134,15 +147,51 @@ fn read_factor(
     match c.u8(what)? {
         FACTOR_UNSET => Ok((None, false)),
         FACTOR_FAILED => Ok((None, true)),
-        FACTOR_CACHED => {
-            let l = read_matrix(c, dy, what)?;
-            let chol = Cholesky::from_factor(l)
-                .map_err(|e| SnapError::Corrupt(format!("{what}: invalid factor: {e}")))?;
-            Ok((Some(chol), false))
-        }
+        FACTOR_CACHED => Ok((Some(read_cholesky(c, dy, what)?), false)),
         other => Err(SnapError::Corrupt(format!(
             "{what}: unknown factor state {other}"
         ))),
+    }
+}
+
+/// Writes the cells: the table of their distinct factor objects, in order
+/// of first appearance, then each cell with its factor state and, for a
+/// computed factor, its table entry.
+fn put_cells(buf: &mut Vec<u8>, cells: &[Cell]) {
+    let mut table: Vec<&Cholesky> = Vec::new();
+    let mut entries = Vec::with_capacity(cells.len());
+    for cell in cells {
+        entries.push(match cell.factor_state() {
+            Some(Some(chol)) => Some(Some(
+                match table.iter().position(|&t| std::ptr::eq(t, chol)) {
+                    Some(k) => k,
+                    None => {
+                        table.push(chol);
+                        table.len() - 1
+                    }
+                },
+            )),
+            Some(None) => Some(None),
+            None => None,
+        });
+    }
+    put_u32(buf, table.len() as u32);
+    for chol in table {
+        put_matrix(buf, chol.factor());
+    }
+    for (cell, entry) in cells.iter().zip(entries) {
+        put_bitset(buf, &cell.ext);
+        put_f64s(buf, &cell.mu);
+        put_matrix(buf, &cell.sigma);
+        put_u64(buf, cell.cov_id);
+        match entry {
+            None => buf.push(FACTOR_UNSET),
+            Some(None) => buf.push(FACTOR_FAILED),
+            Some(Some(k)) => {
+                buf.push(FACTOR_CACHED);
+                put_u32(buf, k as u32);
+            }
+        }
     }
 }
 
@@ -168,16 +217,7 @@ impl BackgroundModel {
         w.section(SEC_BASE, &base)?;
 
         let mut cells = Vec::new();
-        for cell in &self.cells {
-            put_bitset(&mut cells, &cell.ext);
-            put_f64s(&mut cells, &cell.mu);
-            put_matrix(&mut cells, &cell.sigma);
-            put_u64(&mut cells, cell.cov_id);
-            match cell.factor_state() {
-                None => put_factor(&mut cells, None, false),
-                Some(opt) => put_factor(&mut cells, opt, opt.is_none()),
-            }
-        }
+        put_cells(&mut cells, &self.cells);
         w.section(SEC_CELLS, &cells)?;
 
         let mut cons = Vec::new();
@@ -213,7 +253,7 @@ impl BackgroundModel {
             put_u32s(&mut proj, &p.members);
             put_u64(&mut proj, p.m as u64);
             put_u64(&mut proj, p.epoch);
-            put_factor(&mut proj, p.chol.as_ref(), false);
+            put_factor(&mut proj, p.chol.as_ref());
             put_f64s(&mut proj, &p.dual);
             put_f64(&mut proj, p.spread_dual);
         }
@@ -227,8 +267,8 @@ impl BackgroundModel {
     /// forming an exact partition of the rows, member indices in range —
     /// so corrupted, truncated, or version-skewed bytes return an `Err`
     /// and can never produce a panic or a silently wrong model. The
-    /// restored model carries a fresh lineage and a disabled observability
-    /// handle (wire one with [`BackgroundModel::set_obs`]).
+    /// restored model carries a disabled observability handle (wire one
+    /// with [`BackgroundModel::set_obs`]).
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(bytes)?;
 
@@ -267,6 +307,20 @@ impl BackgroundModel {
             )));
         }
         let mut c = SnapCursor::new(cells_payload);
+        let n_factors = c.u32("cell factors")? as usize;
+        if n_factors > n_cells {
+            return Err(SnapError::Corrupt(format!(
+                "{n_factors} cell factors for {n_cells} cells"
+            )));
+        }
+        let mut table = Vec::new();
+        for k in 0..n_factors {
+            let what = format!("cell factor {k}");
+            table.push(Arc::new(read_cholesky(&mut c, dy, &what)?));
+        }
+        // Entries are first named in table order, so that the encoding
+        // stays canonical.
+        let mut named = 0;
         let mut cells = Vec::new();
         for idx in 0..n_cells {
             let what = format!("cell {idx}");
@@ -283,10 +337,34 @@ impl BackgroundModel {
             }
             let sigma = read_matrix(&mut c, dy, &what)?;
             let cov_id = c.u64(&what)?;
-            let (factor, failed) = read_factor(&mut c, dy, &what)?;
+            let state = match c.u8(&what)? {
+                FACTOR_UNSET => None,
+                FACTOR_FAILED => Some(None),
+                FACTOR_CACHED => {
+                    let k = c.u32(&what)? as usize;
+                    if k > named || k >= n_factors {
+                        return Err(SnapError::Corrupt(format!(
+                            "{what}: factor {k} out of order ({named} named of {n_factors})"
+                        )));
+                    }
+                    named += usize::from(k == named);
+                    Some(Some(Arc::clone(&table[k])))
+                }
+                other => {
+                    return Err(SnapError::Corrupt(format!(
+                        "{what}: unknown factor state {other}"
+                    )))
+                }
+            };
             let mut cell = Cell::new(ext, mu, sigma, cov_id);
-            cell.set_factor_state(if failed { Some(None) } else { factor.map(Some) });
+            cell.set_factor_state(state);
             cells.push(cell);
+        }
+        if named != n_factors {
+            return Err(SnapError::Corrupt(format!(
+                "{} of {n_factors} cell factors belong to no cell",
+                n_factors - named
+            )));
         }
         c.finish("cells")?;
 
@@ -419,7 +497,6 @@ impl BackgroundModel {
             proj,
             adj,
             next_cov_id,
-            lineage: next_lineage(),
             partition_epoch,
             base_mu,
             base_sigma,
@@ -458,7 +535,6 @@ mod tests {
         assert_eq!(restored.n(), model.n());
         assert_eq!(restored.dy(), model.dy());
         assert_eq!(restored.n_cells(), model.n_cells());
-        assert_ne!(restored.lineage_id(), model.lineage_id());
         for i in 0..model.n() {
             assert_eq!(restored.row_mean(i), model.row_mean(i));
             assert_eq!(restored.row_cov(i).as_slice(), model.row_cov(i).as_slice());
@@ -528,6 +604,7 @@ mod tests {
         put_matrix(&mut base, &Matrix::identity(1));
         w.section(SEC_BASE, &base).unwrap();
         let mut cells = Vec::new();
+        put_u32(&mut cells, 0);
         for _ in 0..2 {
             put_bitset(&mut cells, &BitSet::from_indices(n, [0, 1]));
             put_f64s(&mut cells, &[0.0]);
@@ -543,6 +620,108 @@ mod tests {
             BackgroundModel::restore(&bad),
             Err(SnapError::Corrupt(_))
         ));
+    }
+
+    /// German socio after three location assimilations, its prior
+    /// factored before the first split as a search does: every cell holds
+    /// the prior's one factor object.
+    fn location_only_model() -> BackgroundModel {
+        let (data, _) = sisd_data::datasets::german_socio_synthetic(3);
+        let mut model = BackgroundModel::from_empirical(&data).unwrap();
+        model
+            .location_stats(&BitSet::full(data.n()), &data.target_mean_all())
+            .unwrap();
+        for k in 2..5 {
+            let ext = BitSet::from_indices(data.n(), (0..data.n()).filter(|i| i % k == 0));
+            model
+                .assimilate_location(&ext, data.target_mean(&ext))
+                .unwrap();
+        }
+        model
+    }
+
+    fn shares_one_factor(model: &BackgroundModel) -> bool {
+        let first = model.cells()[0].factor_state();
+        model
+            .cells()
+            .iter()
+            .all(|c| match (c.factor_state(), first) {
+                (Some(Some(a)), Some(Some(b))) => std::ptr::eq(a, b),
+                _ => false,
+            })
+    }
+
+    #[test]
+    fn cells_sharing_a_factor_are_written_once_and_restored_shared() {
+        let model = location_only_model();
+        assert!(model.n_cells() >= 2, "{} cells", model.n_cells());
+        assert!(shares_one_factor(&model));
+        let bytes = model.snapshot().unwrap();
+        let restored = BackgroundModel::restore(&bytes).unwrap();
+        assert!(shares_one_factor(&restored));
+        assert_eq!(restored.snapshot().unwrap(), bytes);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        r.section(SEC_META, "meta").unwrap();
+        r.section(SEC_BASE, "base").unwrap();
+        let cells = r.section(SEC_CELLS, "cells").unwrap();
+        assert_eq!(SnapCursor::new(cells).u32("factors").unwrap(), 1);
+    }
+
+    #[test]
+    fn factor_tables_out_of_canonical_order_are_corrupt() {
+        let model = location_only_model();
+        let bytes = model.snapshot().unwrap();
+        let factor = model.cells()[0].chol().unwrap();
+        // The snapshot with its cells section rewritten: a table of
+        // `entries` copies of the shared factor, cell `g` naming entry
+        // `names[g]`.
+        let rewritten = |entries: u32, names: &[u32]| {
+            let mut cells = Vec::new();
+            put_u32(&mut cells, entries);
+            for _ in 0..entries {
+                put_matrix(&mut cells, factor.factor());
+            }
+            for (cell, &name) in model.cells().iter().zip(names) {
+                put_bitset(&mut cells, &cell.ext);
+                put_f64s(&mut cells, &cell.mu);
+                put_matrix(&mut cells, &cell.sigma);
+                put_u64(&mut cells, cell.cov_id);
+                cells.push(FACTOR_CACHED);
+                put_u32(&mut cells, name);
+            }
+            let mut r = SnapReader::new(&bytes).unwrap();
+            let mut w = SnapWriter::new();
+            for id in [SEC_META, SEC_BASE, SEC_CELLS, SEC_CONSTRAINTS, SEC_PROJ] {
+                let payload = r.section(id, "section").unwrap();
+                w.section(id, if id == SEC_CELLS { &cells } else { payload })
+                    .unwrap();
+            }
+            w.finish().unwrap()
+        };
+        let zeros = vec![0; model.n_cells()];
+        assert_eq!(rewritten(1, &zeros), bytes);
+        let mut first_named_last = zeros.clone();
+        first_named_last[0] = 1;
+        let mut last_apart = zeros.clone();
+        *last_apart.last_mut().unwrap() = 1;
+        for (entries, names) in [
+            // An entry no cell names.
+            (2, &zeros),
+            // Entry 1 named before entry 0.
+            (2, &first_named_last),
+            // An entry past the table's end.
+            (1, &last_apart),
+        ] {
+            assert!(matches!(
+                BackgroundModel::restore(&rewritten(entries, names)),
+                Err(SnapError::Corrupt(_))
+            ));
+        }
+        // Two entries with the same bits are two objects, restored apart.
+        let apart = rewritten(2, &last_apart);
+        let restored = BackgroundModel::restore(&apart).unwrap();
+        assert!(!shares_one_factor(&restored));
+        assert_eq!(restored.snapshot().unwrap(), apart);
     }
 
     #[test]

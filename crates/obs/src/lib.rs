@@ -99,11 +99,13 @@ pub enum Metric {
     ModelFactorRebuilds,
     /// Projection `S`-factors reused via warm-started updates.
     ModelFactorReuses,
-    /// FactorCache hits (gauge, sampled from the cache's own counters).
+    /// Hits of the retired mixed-covariance factor cache: nothing sets
+    /// it, so it reads 0. The three `cache.*` gauges stay registered
+    /// because readers resolve them by name.
     CacheHits,
-    /// FactorCache misses (gauge, sampled).
+    /// Misses of the retired factor cache (reads 0, see `CacheHits`).
     CacheMisses,
-    /// FactorCache resident entries (gauge, sampled).
+    /// Entries of the retired factor cache (reads 0, see `CacheHits`).
     CacheEntries,
     /// Worker threads in the pool that ran the search (gauge, sampled).
     PoolWorkers,
@@ -999,13 +1001,10 @@ impl fmt::Display for SearchReport {
         )?;
         writeln!(
             f,
-            "  eval    : {} scored in {} batch(es), {}; cache {} hit(s) / {} miss(es), {} entries",
+            "  eval    : {} scored in {} batch(es), {}",
             g(Metric::EvalScored),
             g(Metric::EvalBatches),
             fmt_ns(g(Metric::EvalScoreNs)),
-            g(Metric::CacheHits),
-            g(Metric::CacheMisses),
-            g(Metric::CacheEntries),
         )?;
         writeln!(
             f,

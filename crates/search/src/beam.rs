@@ -23,8 +23,8 @@ use crate::refine::RefineConfig;
 use crate::EvalConfig;
 use sisd_core::{DlParams, LocationPattern};
 use sisd_data::Dataset;
-use sisd_model::{BackgroundModel, FactorCache};
-use std::sync::{Arc, OnceLock};
+use sisd_model::BackgroundModel;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Beam search configuration.
@@ -117,24 +117,10 @@ impl BeamSearch {
     /// cached lazily and thread-safely inside the model, so the model is
     /// only read).
     pub fn run(&self, data: &Dataset, model: &BackgroundModel) -> BeamResult {
-        self.run_with_cache(data, model, Arc::new(FactorCache::new()))
+        self.run_in_language(data, model, &OnceLock::new())
     }
 
-    /// [`BeamSearch::run`] with an externally-owned factor cache, so
-    /// mixed-covariance factorizations memoized in earlier searches over
-    /// the same model lineage are reused instead of recomputed. Scores are
-    /// bit-identical to [`BeamSearch::run`] (the cache memoizes pure
-    /// functions of canonical covariance-value signatures).
-    pub fn run_with_cache(
-        &self,
-        data: &Dataset,
-        model: &BackgroundModel,
-        cache: Arc<FactorCache>,
-    ) -> BeamResult {
-        self.run_in_language(data, model, cache, &OnceLock::new())
-    }
-
-    /// [`BeamSearch::run_with_cache`] over a description language that is
+    /// [`BeamSearch::run`] over a description language that is
     /// built into `language` on first use and reused after that: a
     /// [`crate::Miner`] passes its own, so the conditions and their masks
     /// are evaluated once for all of its searches. The language is a pure
@@ -144,12 +130,10 @@ impl BeamSearch {
         &self,
         data: &Dataset,
         model: &BackgroundModel,
-        cache: Arc<FactorCache>,
         language: &OnceLock<SearchLanguage>,
     ) -> BeamResult {
         let start = Instant::now();
-        let ev =
-            Evaluator::gaussian_with_cache(data, model, self.config.dl, self.config.eval, cache);
+        let ev = Evaluator::gaussian(data, model, self.config.dl, self.config.eval);
         let language = language.get_or_init(|| SearchLanguage::new(data, &self.config.refine));
         let outcome = run_beam_levels(&ev, &self.config, language, start);
         BeamResult {

@@ -11,10 +11,9 @@
 //!   background model *immutably* for its whole lifetime, so the borrow
 //!   checker guarantees the model cannot change while any factorization is
 //!   cached: per-cell Cholesky factors initialize lazily (and thread-
-//!   safely) inside the model's cells, and mixed-covariance factorizations
-//!   are memoized per **cell-count signature** in a
-//!   [`sisd_model::FactorCache`] that lives and dies with the evaluator.
-//!   There is no warm-up protocol and no panic path for a missing factor.
+//!   safely) inside the model's cells, and a candidate whose rows mix
+//!   covariance values gets its mixture factored for it alone. There is no
+//!   warm-up protocol and no panic path for a missing factor.
 //! * **One row walk per candidate, or per 64 siblings.** On the Gaussian
 //!   backend a candidate's cell-count signature and its target row sum
 //!   come from a single walk over its rows
@@ -69,15 +68,15 @@ use sisd_data::{BitSet, Dataset};
 use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_linalg::Cholesky;
 use sisd_model::{
-    BackgroundModel, BinaryBackgroundModel, FactorCache, LocationCandidate, LocationRun,
-    LocationScratch, ModelError,
+    BackgroundModel, BinaryBackgroundModel, LocationCandidate, LocationRun, LocationScratch,
+    ModelError,
 };
 use sisd_obs::{Metric, ObsHandle};
 use sisd_par::PoolHandle;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Engine configuration, threaded from the application surface
@@ -181,12 +180,6 @@ enum Backend<'a> {
 /// The Gaussian backend.
 struct Gaussian<'a> {
     model: &'a BackgroundModel,
-    /// Mixed-covariance factorizations memoized by covariance-value
-    /// signature. Shared (`Arc`) so a long-lived cache — e.g. the
-    /// [`crate::Miner`]'s, surviving across searches and assimilations of
-    /// one model lineage — can be plugged in; the default is a private
-    /// cache that lives and dies with the evaluator.
-    cache: Arc<FactorCache>,
     /// Per-cell sums of the dataset's target rows, aligned with
     /// `model.cells()`; built on first use.
     cell_sums: OnceLock<Vec<Vec<f64>>>,
@@ -263,9 +256,7 @@ impl Gaussian<'_> {
             ..
         } = ws;
         self.observed_mean(data, signature, mean)?;
-        let stats =
-            self.model
-                .location_stats_with(signature, mean, Some(self.cache.as_ref()), stats)?;
+        let stats = self.model.location_stats_with(signature, mean, stats)?;
         Ok(location_ic_of_stats(stats, self.model.dy()))
     }
 }
@@ -432,7 +423,7 @@ pub struct Evaluator<'a> {
     pool: PoolHandle,
     backend: Backend<'a>,
     /// Metrics destination for batch scoring (and, via
-    /// [`Evaluator::publish_stats`], the cache/pool gauges).
+    /// [`Evaluator::publish_stats`], the pool gauges).
     obs: ObsHandle,
     /// Batch-scored candidates dropped for a reason *other* than an empty
     /// extension — i.e. numeric model breakdown (`BadPrior`). Zero in
@@ -448,21 +439,6 @@ impl<'a> Evaluator<'a> {
         dl: sisd_core::DlParams,
         cfg: EvalConfig,
     ) -> Self {
-        Self::gaussian_with_cache(data, model, dl, cfg, Arc::new(FactorCache::new()))
-    }
-
-    /// Engine over the Gaussian background model with an externally-owned
-    /// factor cache. Entries are keyed by covariance-value signature and
-    /// pinned to one model lineage, so the same cache stays valid across
-    /// repeated searches and assimilations of one evolving model; a cache
-    /// pinned to a different lineage is bypassed, never corrupted.
-    pub fn gaussian_with_cache(
-        data: &'a Dataset,
-        model: &'a BackgroundModel,
-        dl: sisd_core::DlParams,
-        cfg: EvalConfig,
-        cache: Arc<FactorCache>,
-    ) -> Self {
         Self {
             data,
             dl,
@@ -470,7 +446,6 @@ impl<'a> Evaluator<'a> {
             pool: cfg.pool,
             backend: Backend::Gaussian(Gaussian {
                 model,
-                cache,
                 cell_sums: OnceLock::new(),
             }),
             obs: cfg.obs,
@@ -516,8 +491,8 @@ impl<'a> Evaluator<'a> {
         self.obs
     }
 
-    /// Samples the point-in-time gauges — factor-cache hit/miss/occupancy
-    /// and worker-pool utilization — into the metrics registry. Cheap; a
+    /// Samples the point-in-time worker-pool utilization gauges into the
+    /// metrics registry. Cheap; a
     /// disabled handle makes it a no-op. Called at the end of every beam
     /// run and by [`crate::Miner::search_report`], so the gauges are fresh
     /// whenever a report is read.
@@ -525,11 +500,6 @@ impl<'a> Evaluator<'a> {
         let obs = self.obs;
         if !obs.enabled() {
             return;
-        }
-        if let Backend::Gaussian(Gaussian { cache, .. }) = &self.backend {
-            obs.set(Metric::CacheHits, cache.hits());
-            obs.set(Metric::CacheMisses, cache.misses());
-            obs.set(Metric::CacheEntries, cache.len() as u64);
         }
         // Resolving a global handle would *create* the global pool; only
         // report pools this engine could actually have touched.
@@ -919,19 +889,16 @@ impl<'a> Evaluator<'a> {
         let items: [LocationCandidate<'_>; RUN] =
             std::array::from_fn(|j| (signatures[j].as_slice(), means[j].as_slice()));
         let dy = self.data.dy();
-        gaussian.model.location_stats_run(
-            &items[..*len],
-            Some(gaussian.cache.as_ref()),
-            stats,
-            |j, outcome| {
+        gaussian
+            .model
+            .location_stats_run(&items[..*len], stats, |j, outcome| {
                 let score = outcome
                     .map_err(SisdError::from)
                     .and_then(|s| self.location_score(arity, location_ic_of_stats(s, dy)));
                 if let Some(score) = self.noted(score) {
                     each(children[j], score, &means[j]);
                 }
-            },
-        );
+            });
         *len = 0;
     }
 
@@ -1528,7 +1495,7 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let (data, mut model) = fixture();
-        // Mixed covariances: exercise the memoized dense branch too.
+        // Mixed covariances: exercise the dense branch too.
         let half = BitSet::from_indices(data.n(), 0..data.n() / 2);
         let mean = data.target_mean(&half);
         let mut w = vec![1.0, 0.0];

@@ -11,10 +11,10 @@ use crate::sphere::{mine_spread_pattern, SphereConfig};
 use sisd_core::{DlParams, LocationPattern, SisdError, SpreadPattern};
 use sisd_data::snap::{atomic_write, put_u64, SnapCursor, SnapError, SnapReader, SnapWriter};
 use sisd_data::Dataset;
-use sisd_model::{BackgroundModel, FactorCache, ModelError, RefitStats};
+use sisd_model::{BackgroundModel, ModelError, RefitStats};
 use sisd_obs::{Metric, ObsHandle, OwnedCounters, SearchReport};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Section id of the miner metadata (iteration counter + dataset stamp).
@@ -111,12 +111,6 @@ pub struct Miner {
     /// one instead of blending counters into ours. Dropping the miner
     /// gives it back for the next miner.
     owned_obs: Option<OwnedCounters>,
-    /// Mixed-covariance factorizations shared across every search this
-    /// miner runs. Entries are keyed by covariance-value signature and
-    /// pinned to the model's lineage, and a `cov_id` never changes meaning
-    /// within a lineage — so assimilating a pattern extends the cache
-    /// instead of invalidating it.
-    factor_cache: Arc<FactorCache>,
     /// The description language (conditions and their row masks), built
     /// on the first search and reused by every later one: the dataset and
     /// the condition settings never change under a miner. Built lazily so
@@ -126,10 +120,8 @@ pub struct Miner {
 
 impl Clone for Miner {
     fn clone(&self) -> Self {
-        // The cloned model mints a fresh lineage, so the clone gets its
-        // own empty cache rather than uselessly bypassing ours; a
-        // miner-private registry is likewise cloned fresh so the two
-        // miners' counters stay independent.
+        // A miner-private registry is cloned fresh so the two miners'
+        // counters stay independent.
         let mut config = self.config.clone();
         let mut model = self.model.clone();
         let (obs, owned_obs) = match self.owned_obs {
@@ -148,7 +140,6 @@ impl Clone for Miner {
             iterations_done: self.iterations_done,
             obs,
             owned_obs,
-            factor_cache: Arc::new(FactorCache::new()),
             language: self.language.clone(),
         }
     }
@@ -175,7 +166,6 @@ impl Miner {
             iterations_done: 0,
             obs,
             owned_obs,
-            factor_cache: Arc::new(FactorCache::new()),
             language: OnceLock::new(),
         }
     }
@@ -355,15 +345,12 @@ impl Miner {
 
     /// Snapshot of every counter and gauge this miner's subsystems have
     /// recorded — searches run, beam levels, candidates generated / pruned
-    /// / scored, factor-cache hit rate, refit convergence work, worker-
-    /// pool utilization. The point-in-time gauges (cache, pool) are
-    /// re-sampled on every call, so the report is current even between
-    /// searches. The `Display` impl renders a human-readable block.
+    /// / scored, refit convergence work, worker-pool utilization. The
+    /// point-in-time pool gauges are re-sampled on every call, so the
+    /// report is current even between searches. The `Display` impl renders
+    /// a human-readable block.
     pub fn search_report(&self) -> SearchReport {
         let obs = self.obs;
-        obs.set(Metric::CacheHits, self.factor_cache.hits());
-        obs.set(Metric::CacheMisses, self.factor_cache.misses());
-        obs.set(Metric::CacheEntries, self.factor_cache.len() as u64);
         let eval = self.config.beam.eval;
         // Resolving a global handle would *create* the global pool; only
         // report pools this miner's searches could actually have touched.
@@ -379,25 +366,15 @@ impl Miner {
 
     /// Runs a beam search against the current model and returns the full
     /// result log without updating anything. Candidate evaluation runs on
-    /// `config.beam.eval.threads` workers through the shared engine, and
-    /// mixed-covariance factorizations are memoized in the miner's
-    /// persistent [`FactorCache`] — shared across all searches of this
-    /// miner's model lineage, surviving assimilations unchanged. The
+    /// `config.beam.eval.threads` workers through the shared engine. The
     /// description language is evaluated over the data on the first
     /// search and reused by every later one.
     pub fn search_locations(&self) -> BeamResult {
         BeamSearch::new(self.config.beam.clone()).run_in_language(
             &self.data,
             &self.model,
-            Arc::clone(&self.factor_cache),
             &self.language,
         )
-    }
-
-    /// The miner's persistent factor cache (observability: entry count
-    /// growth shows cross-search reuse).
-    pub fn factor_cache(&self) -> &Arc<FactorCache> {
-        &self.factor_cache
     }
 
     /// Assimilates a location pattern (its subgroup mean becomes part of
@@ -562,30 +539,20 @@ mod tests {
     }
 
     #[test]
-    fn factor_cache_is_shared_across_searches_and_survives_assimilation() {
+    fn cloned_miners_search_identically_after_a_spread_step() {
         let (data, _) = synthetic_paper(42);
         let mut miner = Miner::from_empirical(data, quick_config()).unwrap();
         // A spread assimilation tilts member-cell covariances, so later
-        // searches hit the mixed-covariance (dense, cached) scoring path.
+        // searches take the mixed-covariance (dense) scoring path.
         miner.step_with_spread().unwrap().unwrap();
-        // The next iteration's search runs against the tilted model and
-        // memoizes its mixed-covariance factorizations.
         let second = miner.step_location().unwrap().unwrap();
-        let filled = miner.factor_cache().len();
-        assert!(filled > 0, "dense scoring must memoize factorizations");
-        // The location assimilation that followed refined the partition
-        // but minted no covariance values; re-searching reuses the cache
-        // (it may grow — new signatures — but never needs a flush).
-        // The cloned miner diverges on its own lineage with its own empty
-        // cache, and both score identically from scratch.
         let clone = miner.clone();
-        assert_eq!(clone.factor_cache().len(), 0);
         let a = miner.search_locations();
         let b = clone.search_locations();
         assert_eq!(
-            a.best().map(|p| p.score.si),
-            b.best().map(|p| p.score.si),
-            "cached and fresh-cache searches must agree bit-for-bit"
+            a.best().map(|p| p.score.si.to_bits()),
+            b.best().map(|p| p.score.si.to_bits()),
+            "a miner and its clone must search bit-for-bit alike"
         );
         assert!(second.location.score.si.is_finite());
     }

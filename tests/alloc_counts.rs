@@ -515,3 +515,25 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
         );
     }
 }
+
+use sisd::data::csv::{dataset_from_csv_str, dataset_to_csv_string};
+use sisd::data::datasets::crime_synthetic;
+
+#[test]
+fn loading_a_csv_allocates_per_column_not_per_cell() {
+    let _serial = serial();
+    // The crime simulacrum's text: 1,994 rows of 122 description cells
+    // and one target. The loader parses cells in place into per-column
+    // buffers sized once from the row count, so its allocations follow
+    // the columns (and the header's names), not the 245,262 cells; a
+    // loader that makes a `String` per cell needs over 260,000.
+    let data = crime_synthetic(2018);
+    let text = dataset_to_csv_string(&data);
+    let targets: Vec<&str> = data.target_names().iter().map(String::as_str).collect();
+    let (loaded, allocs, _) = counted(|| dataset_from_csv_str("crime", &text, &targets).unwrap());
+    assert_eq!((loaded.n(), loaded.dx(), loaded.dy()), (1994, 122, 1));
+    assert!(
+        allocs < 2_000,
+        "loading the crime CSV made {allocs} allocations"
+    );
+}

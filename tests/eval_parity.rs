@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use sisd::core::{location_ic_of_stats, location_si, DlParams, Intention, LocationScore};
 use sisd::data::{kernels, BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
-use sisd::model::{BackgroundModel, FactorCache};
+use sisd::model::BackgroundModel;
 use sisd::search::{Candidate, EvalConfig, Evaluator};
 use sisd::stats::Xoshiro256pp;
 
@@ -168,9 +168,7 @@ fn per_cell_composition(
     } else {
         data.target_mean(ext)
     };
-    let stats = model
-        .location_stats_for_counts(&counts, &observed, Some(&FactorCache::new()))
-        .unwrap();
+    let stats = model.location_stats_for_counts(&counts, &observed).unwrap();
     let ic = location_ic_of_stats(&stats, model.dy());
     let dl = dl.location_dl(arity);
     (
