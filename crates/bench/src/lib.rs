@@ -72,7 +72,7 @@ fn die_usage(msg: &str) -> ! {
         .unwrap_or_else(|| "experiment".into());
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: {name} [--threads N] [--pool-reuse R] [--trace-out PATH] \
+        "usage: {name} [--threads N] [--trace-out PATH] \
          [--session-iters K] [--snapshot-out PATH] [--resume PATH] \
          [--kill-after-iter N]"
     );
@@ -164,16 +164,6 @@ pub fn kill_after_iter_arg() -> Option<usize> {
 /// non-numeric, or zero.
 pub fn threads_arg(default: usize) -> usize {
     positive_flag_arg("threads", default)
-}
-
-/// Parses a `--pool-reuse R` flag from the process arguments (also accepts
-/// `--pool-reuse=R`), defaulting to `default`. The value is the number of
-/// back-to-back parallel searches timed against the *same* warm worker
-/// pool; the reported per-search time isolates what persistent workers
-/// save over the first (pool-spawning) run. Exits with status 2 and a
-/// usage message when the value is missing, non-numeric, or zero.
-pub fn pool_reuse_arg(default: usize) -> usize {
-    positive_flag_arg("pool-reuse", default)
 }
 
 /// Parses a `--trace-out PATH` flag from the process arguments (also

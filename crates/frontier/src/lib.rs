@@ -39,7 +39,7 @@
 //! order, so a stateful first-wins dedup keeps exactly what the serial
 //! generate-and-dedup loop keeps. Each child's words are a pure function of
 //! its parent and row, whenever they are computed. Parallelism lives one layer up: `sisd-search`'s
-//! evaluator scores a batch on the worker pool with results bit-identical
+//! evaluator scores a batch on scoped threads with results bit-identical
 //! at any thread count.
 
 pub mod builder;

@@ -1695,9 +1695,17 @@ mod tests {
             .collect();
         let shared = &model;
         let obs = observed.as_slice();
-        let pool = sisd_par::PoolHandle::global();
-        let concurrent: Vec<_> =
-            pool.run_items(&candidates, 4, |c| shared.location_stats(c, obs).unwrap());
+        let concurrent: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = candidates
+                .iter()
+                .map(|c| s.spawn(move || shared.location_stats(c, obs).unwrap()))
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("thread"))
+                .collect()
+        });
+        assert_eq!(concurrent.len(), serial.len());
         for (a, b) in serial.iter().zip(&concurrent) {
             assert_eq!(a.log_det_cov, b.log_det_cov);
             assert_eq!(a.mahalanobis, b.mahalanobis);

@@ -200,8 +200,16 @@ mod tests {
     #[test]
     fn chol_works_from_shared_references_across_threads() {
         let c = cell(&[0, 1, 2]);
-        let pool = sisd_par::PoolHandle::global();
-        let dets = pool.run_map(4, 4, |_| c.chol().expect("factorable").log_det());
+        let dets: Vec<f64> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| c.chol().expect("factorable").log_det()))
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("thread"))
+                .collect()
+        });
+        assert_eq!(dets.len(), 4);
         for ld in dets {
             assert!((ld - 0.0).abs() < 1e-12);
         }

@@ -1,11 +1,11 @@
 //! Zero-dependency metrics + tracing for the SISD engine.
 //!
 //! The engine's hot seams (evaluator, frontier refinement, model refit,
-//! worker pool) report into a fixed-size [`MetricsRegistry`] of lock-free
+//! snapshots) report into a fixed-size [`MetricsRegistry`] of lock-free
 //! atomic counters and gauges, optionally mirroring every update into a
 //! [`TraceSink`] as a structured event stream. The whole layer is threaded
-//! through configs as an [`ObsHandle`] — a `Copy` reference like
-//! `sisd_par::PoolHandle` — so instrumented code pays:
+//! through configs as an [`ObsHandle`] — a `Copy` reference to a leaked
+//! [`Obs`] — so instrumented code pays:
 //!
 //! - **disabled** (`ObsHandle::disabled()`, the default): one branch per
 //!   call site, zero allocations, no clock reads;
@@ -107,15 +107,6 @@ pub enum Metric {
     CacheMisses,
     /// Entries of the retired factor cache (reads 0, see `CacheHits`).
     CacheEntries,
-    /// Worker threads in the pool that ran the search (gauge, sampled).
-    PoolWorkers,
-    /// Jobs the pool has run since creation (gauge, sampled).
-    PoolJobs,
-    /// Task chunks claimed by pool workers since creation (gauge, sampled).
-    PoolTasks,
-    /// Nanoseconds jobs waited before their first chunk was claimed
-    /// (gauge, sampled).
-    PoolQueueWaitNs,
     /// Cycles used by the most recent refit (gauge).
     RefitLastCycles,
     /// Constraints updated by the most recent refit (gauge).
@@ -132,7 +123,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metrics; the registry array length.
-    pub const COUNT: usize = 37;
+    pub const COUNT: usize = 33;
 
     /// Every metric, in registry order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -163,10 +154,6 @@ impl Metric {
         Metric::CacheHits,
         Metric::CacheMisses,
         Metric::CacheEntries,
-        Metric::PoolWorkers,
-        Metric::PoolJobs,
-        Metric::PoolTasks,
-        Metric::PoolQueueWaitNs,
         Metric::RefitLastCycles,
         Metric::RefitLastConstraintsUpdated,
         Metric::SnapshotBytes,
@@ -211,10 +198,6 @@ impl Metric {
             Metric::CacheHits => "cache.hits",
             Metric::CacheMisses => "cache.misses",
             Metric::CacheEntries => "cache.entries",
-            Metric::PoolWorkers => "pool.workers",
-            Metric::PoolJobs => "pool.jobs",
-            Metric::PoolTasks => "pool.tasks",
-            Metric::PoolQueueWaitNs => "pool.queue_wait_ns",
             Metric::RefitLastCycles => "refit.last_cycles",
             Metric::RefitLastConstraintsUpdated => "refit.last_constraints_updated",
             Metric::SnapshotBytes => "snapshot.bytes",
@@ -230,10 +213,6 @@ impl Metric {
             Metric::CacheHits
             | Metric::CacheMisses
             | Metric::CacheEntries
-            | Metric::PoolWorkers
-            | Metric::PoolJobs
-            | Metric::PoolTasks
-            | Metric::PoolQueueWaitNs
             | Metric::RefitLastCycles
             | Metric::RefitLastConstraintsUpdated => MetricKind::Gauge,
             _ => MetricKind::Counter,
@@ -744,9 +723,9 @@ impl Obs {
         Obs::new(Box::new(NullSink))
     }
 
-    /// Leak an obs with the given sink and return its handle. Mirrors
-    /// `WorkerPool::leaked`: the allocation is small, intentional, and
-    /// lives for the rest of the process.
+    /// Leak an obs with the given sink and return its handle. The
+    /// allocation is small, intentional, and lives for the rest of the
+    /// process.
     pub fn leaked(sink: Box<dyn TraceSink>) -> ObsHandle {
         ObsHandle(Some(Box::leak(Box::new(Obs::new(sink)))))
     }
@@ -781,9 +760,8 @@ thread_local! {
     static SPAN_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Copyable reference to an [`Obs`], or disabled. Mirrors
-/// `sisd_par::PoolHandle`: configs embed it by value, equality is
-/// identity, and the default is disabled.
+/// Copyable reference to an [`Obs`], or disabled: configs embed it by
+/// value, equality is identity, and the default is disabled.
 #[derive(Clone, Copy)]
 pub struct ObsHandle(Option<&'static Obs>);
 
@@ -1038,20 +1016,12 @@ impl fmt::Display for SearchReport {
             g(Metric::RefitLastCycles),
             g(Metric::RefitLastConstraintsUpdated),
         )?;
-        writeln!(
+        write!(
             f,
             "  model   : {} rank-k cell update(s), {} factor rebuild(s) / {} reuse(s)",
             g(Metric::ModelCellRankUpdates),
             g(Metric::ModelFactorRebuilds),
             g(Metric::ModelFactorReuses),
-        )?;
-        write!(
-            f,
-            "  pool    : {} worker(s), {} job(s), {} task(s) claimed, queue wait {}",
-            g(Metric::PoolWorkers),
-            g(Metric::PoolJobs),
-            g(Metric::PoolTasks),
-            fmt_ns(g(Metric::PoolQueueWaitNs)),
         )
     }
 }
@@ -1077,11 +1047,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add(Metric::EvalScored, 5);
         reg.add(Metric::EvalScored, 7);
-        reg.set(Metric::PoolWorkers, 3);
-        reg.set(Metric::PoolWorkers, 4);
+        reg.set(Metric::RefitLastCycles, 3);
+        reg.set(Metric::RefitLastCycles, 4);
         let snap = reg.snapshot();
         assert_eq!(snap.get(Metric::EvalScored), 12);
-        assert_eq!(snap.get(Metric::PoolWorkers), 4);
+        assert_eq!(snap.get(Metric::RefitLastCycles), 4);
         assert_eq!(snap.get(Metric::SearchRuns), 0);
         assert_eq!(snap.iter().count(), Metric::COUNT);
     }
@@ -1091,7 +1061,7 @@ mod tests {
         let h = ObsHandle::disabled();
         assert!(!h.enabled());
         h.incr(Metric::SearchRuns);
-        h.set(Metric::PoolWorkers, 9);
+        h.set(Metric::RefitLastCycles, 9);
         drop(h.span(Metric::SearchLevelNs));
         assert_eq!(h.snapshot(), None);
         assert_eq!(h.report(), None);
@@ -1270,7 +1240,7 @@ mod tests {
             },
             TraceEvent::Gauge {
                 t_ns: 456,
-                metric: Metric::PoolWorkers,
+                metric: Metric::RefitLastCycles,
                 value: 4,
             },
             TraceEvent::Span {
@@ -1302,8 +1272,8 @@ mod tests {
         h.add(Metric::EvalScored, 10);
         h.add(Metric::EvalScored, 32);
         h.incr(Metric::SearchRuns);
-        h.set(Metric::PoolWorkers, 2);
-        h.set(Metric::PoolWorkers, 8);
+        h.set(Metric::RefitLastCycles, 2);
+        h.set(Metric::RefitLastCycles, 8);
         {
             let _s = h.span(Metric::SearchLevelNs);
         }
@@ -1343,13 +1313,13 @@ mod tests {
         reg.add(Metric::SearchRuns, 2);
         reg.add(Metric::RefitRuns, 3);
         reg.add(Metric::RefitColdRuns, 1);
-        reg.set(Metric::PoolWorkers, 4);
+        reg.set(Metric::RefitLastCycles, 4);
         let report = SearchReport::from_snapshot(reg.snapshot());
         let text = report.to_string();
-        for needle in ["search", "eval", "frontier", "refit", "model", "pool"] {
+        for needle in ["search", "eval", "frontier", "refit", "model"] {
             assert!(text.contains(needle), "missing section {needle}:\n{text}");
         }
         assert!(text.contains("2 warm / 1 cold"), "{text}");
-        assert_eq!(report.get(Metric::PoolWorkers), 4);
+        assert_eq!(report.get(Metric::RefitLastCycles), 4);
     }
 }

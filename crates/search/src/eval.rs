@@ -36,11 +36,11 @@
 //!   come from one pass over it ([`sisd_linalg::Cholesky::inv_quad_forms`])
 //!   instead of eight, with each candidate's bits.
 //! * **Deterministic parallelism.** [`Evaluator::score_all`] splits a
-//!   batch into contiguous chunks, scores them on the persistent
-//!   `sisd-par` worker pool, and merges in chunk order. Each candidate's
-//!   arithmetic is independent of every other's, so the results are
-//!   **bit-identical at any thread count** — searches may be parallelized
-//!   without changing their output.
+//!   batch into contiguous chunks, scores the first on the calling thread
+//!   and the rest on scoped threads ([`std::thread::scope`]), and merges
+//!   in chunk order. Each candidate's arithmetic is independent of every
+//!   other's, so the results are **bit-identical at any thread count** —
+//!   searches may be parallelized without changing their output.
 //!
 //! Scoring runs through a per-chunk workspace (per-cell and per-lane
 //! counts, the signature, the observed mean, the run of children waiting
@@ -72,9 +72,9 @@ use sisd_model::{
     ModelError,
 };
 use sisd_obs::{Metric, ObsHandle};
-use sisd_par::PoolHandle;
 use std::collections::HashSet;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -87,15 +87,9 @@ pub struct EvalConfig {
     /// Worker threads for batch candidate evaluation. `1` keeps scoring on
     /// the calling thread; results are identical either way.
     pub threads: usize,
-    /// The persistent worker pool every parallel stage runs on (the
-    /// process-global pool by default), so one engine — and one
-    /// [`crate::Miner`] — reuses the same workers across levels, searches,
-    /// and assimilations instead of spawning threads per call. Serial
-    /// engines never touch it; results are identical for any pool.
-    pub pool: PoolHandle,
     /// Metrics/tracing destination for the engine and every subsystem it
-    /// drives (frontier, model, pool gauges). Disabled by default; an
-    /// enabled handle **never changes any result bit** — it only counts.
+    /// drives (frontier, model). Disabled by default; an enabled handle
+    /// **never changes any result bit** — it only counts.
     pub obs: ObsHandle,
 }
 
@@ -103,7 +97,6 @@ impl Default for EvalConfig {
     fn default() -> Self {
         Self {
             threads: 1,
-            pool: PoolHandle::global(),
             obs: ObsHandle::disabled(),
         }
     }
@@ -116,14 +109,6 @@ impl EvalConfig {
             threads: threads.max(1),
             ..Self::default()
         }
-    }
-
-    /// Sets the worker pool (e.g. a dedicated [`sisd_par::WorkerPool`]
-    /// for a benchmark that must not share the global one). Results are
-    /// identical for any pool.
-    pub fn with_pool(mut self, pool: PoolHandle) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Sets the metrics/tracing destination. Results are bit-identical
@@ -413,6 +398,30 @@ fn admit<T>(items: &mut Vec<T>, k: usize, si: f64, si_of: impl Fn(&T) -> f64, it
     true
 }
 
+/// Runs `run` over `parts`: the first part on the calling thread while one
+/// scoped thread per further part runs the rest, outputs in part order. A
+/// panic in a scoped thread is re-raised on the caller with its payload.
+fn fork_join<I: Send, O: Send>(
+    parts: impl IntoIterator<Item = I>,
+    run: impl Fn(I) -> O + Sync,
+) -> Vec<O> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    let run = &run;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = parts.map(|part| s.spawn(move || run(part))).collect();
+        let mut out = Vec::with_capacity(rest.len() + 1);
+        out.push(run(first));
+        out.extend(
+            rest.into_iter()
+                .map(|t| t.join().unwrap_or_else(|e| resume_unwind(e))),
+        );
+        out
+    })
+}
+
 /// The candidate-evaluation engine. See the module docs for the contract;
 /// construct one per (dataset, model state) and score everything through
 /// it.
@@ -420,10 +429,8 @@ pub struct Evaluator<'a> {
     data: &'a Dataset,
     dl: sisd_core::DlParams,
     threads: usize,
-    pool: PoolHandle,
     backend: Backend<'a>,
-    /// Metrics destination for batch scoring (and, via
-    /// [`Evaluator::publish_stats`], the pool gauges).
+    /// Metrics destination for batch scoring.
     obs: ObsHandle,
     /// Batch-scored candidates dropped for a reason *other* than an empty
     /// extension — i.e. numeric model breakdown (`BadPrior`). Zero in
@@ -443,7 +450,6 @@ impl<'a> Evaluator<'a> {
             data,
             dl,
             threads: cfg.threads.max(1),
-            pool: cfg.pool,
             backend: Backend::Gaussian(Gaussian {
                 model,
                 cell_sums: OnceLock::new(),
@@ -464,7 +470,6 @@ impl<'a> Evaluator<'a> {
             data,
             dl,
             threads: cfg.threads.max(1),
-            pool: cfg.pool,
             backend: Backend::Bernoulli { model },
             obs: cfg.obs,
             numeric_failures: AtomicUsize::new(0),
@@ -489,27 +494,6 @@ impl<'a> Evaluator<'a> {
     /// The metrics/tracing handle the engine reports to.
     pub fn obs(&self) -> ObsHandle {
         self.obs
-    }
-
-    /// Samples the point-in-time worker-pool utilization gauges into the
-    /// metrics registry. Cheap; a
-    /// disabled handle makes it a no-op. Called at the end of every beam
-    /// run and by [`crate::Miner::search_report`], so the gauges are fresh
-    /// whenever a report is read.
-    pub fn publish_stats(&self) {
-        let obs = self.obs;
-        if !obs.enabled() {
-            return;
-        }
-        // Resolving a global handle would *create* the global pool; only
-        // report pools this engine could actually have touched.
-        if !self.pool.is_global() || self.threads > 1 {
-            let pool = self.pool.get();
-            obs.set(Metric::PoolWorkers, pool.workers() as u64);
-            obs.set(Metric::PoolJobs, pool.jobs_run());
-            obs.set(Metric::PoolTasks, pool.tasks_run());
-            obs.set(Metric::PoolQueueWaitNs, pool.queue_wait_ns());
-        }
     }
 
     /// Candidates dropped from batch scoring for a reason other than an
@@ -672,11 +656,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Smallest batch share worth a worker: handing a chunk to the pool
-    /// and collecting it costs microseconds, so batches are split into at
-    /// most `len / MIN_CHUNK` workers (capped at `threads`) and small
-    /// batches run inline. Chunking never affects the scores — only where
-    /// they are computed.
+    /// Smallest batch share worth a worker: spawning a scoped thread for a
+    /// chunk and joining it costs tens of microseconds, so batches are
+    /// split into at most `len / MIN_CHUNK` workers (capped at `threads`)
+    /// and small batches run inline. Chunking never affects the scores —
+    /// only where they are computed.
     const MIN_CHUNK: usize = 16;
 
     /// Workers a batch of `len` candidates is split over (1: inline).
@@ -688,12 +672,13 @@ impl<'a> Evaluator<'a> {
     /// order (`None` where scoring failed, e.g. an empty extension).
     ///
     /// With `threads > 1` the batch is split into contiguous chunks of at
-    /// least `Evaluator::MIN_CHUNK` candidates, scored on the persistent
-    /// worker pool, and merged in chunk order; each candidate's arithmetic
-    /// is independent, so the output is bit-identical at any thread count.
-    /// Parallelism pays off on wide batches of expensive scores (beam
-    /// levels at high `dy`); per-node strategies over cheap scores (e.g.
-    /// single-target branch-and-bound) see little benefit.
+    /// least `Evaluator::MIN_CHUNK` candidates, scored by the calling
+    /// thread and scoped threads ([`std::thread::scope`]), and merged in
+    /// chunk order; each candidate's arithmetic is independent, so the
+    /// output is bit-identical at any thread count. Parallelism pays off on
+    /// wide batches of expensive scores (beam levels at high `dy`);
+    /// per-node strategies over cheap scores (e.g. single-target
+    /// branch-and-bound) see little benefit.
     pub fn try_score_all(&self, candidates: &[Candidate]) -> Vec<Option<Scored>> {
         let obs = self.obs;
         obs.incr(Metric::EvalBatches);
@@ -717,10 +702,8 @@ impl<'a> Evaluator<'a> {
         let out: Vec<Option<Scored>> = if workers <= 1 {
             score_chunk(candidates)
         } else {
-            self.pool
-                .run_chunked(candidates.len(), workers, |_, chunk| {
-                    score_chunk(&candidates[chunk])
-                })
+            let chunk_len = candidates.len().div_ceil(workers);
+            fork_join(candidates.chunks(chunk_len), score_chunk)
                 .into_iter()
                 .flatten()
                 .collect()
@@ -771,9 +754,9 @@ impl<'a> Evaluator<'a> {
             score_part(candidates)
         } else {
             // Split the owned batch into contiguous per-worker chunks
-            // (struct moves, no deep copies), score on the pool's workers
-            // — each chunk is consumed by exactly one task — and merge in
-            // chunk order: the exact plan of the borrowing path.
+            // (struct moves, no deep copies), move each into the thread
+            // that scores it, and merge in chunk order: the exact plan of
+            // the borrowing path.
             let chunk_size = candidates.len().div_ceil(workers);
             let mut parts: Vec<Vec<Candidate>> = Vec::with_capacity(workers);
             let mut rest = candidates;
@@ -783,11 +766,7 @@ impl<'a> Evaluator<'a> {
                 rest = tail;
             }
             parts.push(rest);
-            self.pool
-                .run_consume(parts, workers, score_part)
-                .into_iter()
-                .flatten()
-                .collect()
+            fork_join(parts, score_part).into_iter().flatten().collect()
         };
         if obs.enabled() {
             obs.add(
@@ -964,7 +943,7 @@ impl<'a> Evaluator<'a> {
     /// The batch-path contract of [`Evaluator::try_score_all`] holds —
     /// same per-candidate results, chunks merged in order, bit-identical
     /// at any thread count — but nothing is allocated per candidate:
-    /// serial scoring reuses `ws`, and each pooled chunk owns one
+    /// serial scoring reuses `ws`, and each forked chunk owns one
     /// workspace.
     ///
     /// A child's observed mean is kept only if the top-k log could still
@@ -1010,15 +989,15 @@ impl<'a> Evaluator<'a> {
         if workers <= 1 {
             score_range(range, ws, out);
         } else {
-            let lo = range.start;
-            let parts = self.pool.run_chunked(range.len(), workers, |_, chunk| {
+            let Range { start, end } = range;
+            let chunk_len = (end - start).div_ceil(workers);
+            let chunks = (start..end)
+                .step_by(chunk_len)
+                .map(|lo| lo..end.min(lo + chunk_len));
+            let parts = fork_join(chunks, |chunk| {
                 let mut part = LevelScores::default();
                 part.reset(chunk.len());
-                score_range(
-                    lo + chunk.start..lo + chunk.end,
-                    &mut self.workspace(),
-                    &mut part,
-                );
+                score_range(chunk, &mut self.workspace(), &mut part);
                 part
             });
             for part in &parts {
@@ -1327,23 +1306,21 @@ pub(crate) fn run_beam_levels(
                     .refine_with_prune(&specs, allowed, |p, row, _| unique(p, row, &mut seen));
                 batches.push((0, children));
             }
-            // Budgeted: refine in slices of `threads` parents so the
-            // elapsed check runs between slices; a slice, once started,
-            // completes (bounded overshoot).
+            // Budgeted: refine one parent at a time so the elapsed check
+            // runs between parents; a parent, once started, completes
+            // (bounded overshoot).
             Some(budget) => {
-                let slice = ev.threads().max(1);
-                for (s, chunk) in specs.chunks(slice).enumerate() {
+                for (p, spec) in specs.iter().enumerate() {
                     if start.elapsed() > budget {
                         timed_out = true;
                         break;
                     }
-                    let base = s * slice;
                     let children = builder.refine_with_prune(
-                        chunk,
-                        |p, row| allowed(base + p, row),
-                        |p, row, _| unique(base + p, row, &mut seen),
+                        std::slice::from_ref(spec),
+                        |_, row| allowed(p, row),
+                        |_, row, _| unique(p, row, &mut seen),
                     );
-                    batches.push((base, children));
+                    batches.push((p, children));
                 }
             }
         }
@@ -1364,7 +1341,7 @@ pub(crate) fn run_beam_levels(
                 ),
                 // Budgeted: score in slices sized to one full thread-round
                 // so the elapsed check runs between slices; a slice, once
-                // submitted, completes (bounded overshoot).
+                // started, completes (bounded overshoot).
                 Some(budget) => {
                     let slice = (ev.threads() * Evaluator::MIN_CHUNK).max(64);
                     let mut lo = 0;
@@ -1445,8 +1422,6 @@ pub(crate) fn run_beam_levels(
         }
         parents = next;
     }
-    ev.publish_stats();
-
     BeamLevelsOutcome {
         top: top.into_vec(),
         evaluated,
@@ -1493,6 +1468,21 @@ mod tests {
     }
 
     #[test]
+    fn fork_join_keeps_part_order_and_reraises_a_worker_panic() {
+        let squares = fork_join(0..5u64, |i| i * i);
+        assert_eq!(squares, [0, 1, 4, 9, 16]);
+        assert!(fork_join(0..0u64, |i| i).is_empty());
+        let err = std::panic::catch_unwind(|| {
+            fork_join(
+                0..3u64,
+                |i| if i == 2 { panic!("part two failed") } else { i },
+            )
+        })
+        .expect_err("the scoped thread's panic must reach the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"part two failed"));
+    }
+
+    #[test]
     fn thread_count_does_not_change_results() {
         let (data, mut model) = fixture();
         // Mixed covariances: exercise the dense branch too.
@@ -1504,7 +1494,7 @@ mod tests {
         model.assimilate_spread(&half, w, mean, v).unwrap();
 
         // Enough candidates that every thread setting splits into several
-        // MIN_CHUNK-sized chunks (the pooled path really runs).
+        // MIN_CHUNK-sized chunks (the forked path really runs).
         let cands = candidates(&data, 67);
         let serial = {
             let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());

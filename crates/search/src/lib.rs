@@ -3,9 +3,10 @@
 //!
 //! * [`eval`] — the unified candidate-evaluation engine: the *only* way
 //!   search code scores candidates. Owns observed-mean aggregation,
-//!   factorization reuse (lazy per-cell factors plus a cell-signature
-//!   memo), and a deterministic parallel batch evaluator whose results are
-//!   bit-identical at any thread count.
+//!   factorization reuse (lazy per-cell factors; a candidate whose rows mix
+//!   covariances gets its mixture factored for it alone), and a
+//!   deterministic parallel batch evaluator whose results are bit-identical
+//!   at any thread count.
 //! * [`refine`] — the refinement operator: candidate conditions per
 //!   attribute (numeric `≥`/`≤` at percentile split points, categorical
 //!   `=`), mirroring the Cortana settings used in the paper's experiments
@@ -30,11 +31,11 @@
 //! subsystem: condition masks are evaluated once per dataset into a
 //! contiguous bit-matrix, and per-level refinement (mask AND + coverage
 //! filters) runs on fused word kernels on the calling thread. The
-//! engine's [`eval::EvalConfig`] (worker threads, worker pool and metrics
-//! handle) is threaded from [`MinerConfig`] / [`BeamConfig`] /
-//! [`BranchBoundConfig`] down to every scoring call, which runs on the
-//! worker pool with bit-identical results at any thread count; frontier
-//! generation takes only its metrics handle.
+//! engine's [`eval::EvalConfig`] (worker threads and metrics handle) is
+//! threaded from [`MinerConfig`] / [`BeamConfig`] / [`BranchBoundConfig`]
+//! down to every scoring call, which forks its batch over scoped threads
+//! with bit-identical results at any thread count; frontier generation
+//! takes only its metrics handle.
 
 pub mod beam;
 pub mod binary_beam;

@@ -60,15 +60,6 @@ impl MinerConfig {
         self
     }
 
-    /// Pins every search this miner runs to one worker pool, so the same
-    /// threads are reused across beam levels, searches, and model
-    /// assimilations instead of being respawned. Results are identical on
-    /// any pool.
-    pub fn with_pool(mut self, pool: sisd_par::PoolHandle) -> Self {
-        self.beam.eval = self.beam.eval.with_pool(pool);
-        self
-    }
-
     /// Routes every search, refit, and frontier pass this miner runs to
     /// the given metrics/tracing handle (e.g. one backed by a
     /// [`sisd_obs::JsonlSink`]). Without this the miner still keeps full
@@ -116,6 +107,10 @@ pub struct Miner {
     /// the condition settings never change under a miner. Built lazily so
     /// setting up or restoring a miner does not pay for it.
     language: OnceLock<SearchLanguage>,
+    /// The dataset's content fingerprint, hashed by the first snapshot (or
+    /// taken from the one a restore verified) and stamped into every later
+    /// one: the dataset never changes under a miner.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Clone for Miner {
@@ -141,6 +136,7 @@ impl Clone for Miner {
             obs,
             owned_obs,
             language: self.language.clone(),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 }
@@ -167,6 +163,7 @@ impl Miner {
             obs,
             owned_obs,
             language: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -198,7 +195,10 @@ impl Miner {
         let model = self.model.snapshot()?;
         let mut meta = Vec::with_capacity(16);
         put_u64(&mut meta, self.iterations_done as u64);
-        put_u64(&mut meta, self.data.content_fingerprint());
+        let fingerprint = *self
+            .fingerprint
+            .get_or_init(|| self.data.content_fingerprint());
+        put_u64(&mut meta, fingerprint);
         let mut w = SnapWriter::new();
         w.section(SEC_MINER_META, &meta)?;
         w.section(SEC_MINER_MODEL, &model)?;
@@ -224,7 +224,7 @@ impl Miner {
     /// the snapshot was taken against (verified by content fingerprint —
     /// resuming against different data is a hard error, not a silently
     /// wrong model); `config` is supplied fresh, so a resumed session may
-    /// change thread counts, pools, or sinks. Results are bit-identical
+    /// change thread counts or sinks. Results are bit-identical
     /// to the uninterrupted original under any of those.
     ///
     /// Every corrupted, truncated, or version-skewed input yields a clean
@@ -282,6 +282,7 @@ impl Miner {
         }
         let mut miner = Self::assemble(data, model, config);
         miner.iterations_done = iterations_done;
+        miner.fingerprint = OnceLock::from(actual);
         Ok(miner)
     }
 
@@ -345,23 +346,12 @@ impl Miner {
 
     /// Snapshot of every counter and gauge this miner's subsystems have
     /// recorded — searches run, beam levels, candidates generated / pruned
-    /// / scored, refit convergence work, worker-pool utilization. The
-    /// point-in-time pool gauges are re-sampled on every call, so the
-    /// report is current even between searches. The `Display` impl renders
-    /// a human-readable block.
+    /// / scored, refit convergence work, snapshots. The `Display` impl
+    /// renders a human-readable block.
     pub fn search_report(&self) -> SearchReport {
-        let obs = self.obs;
-        let eval = self.config.beam.eval;
-        // Resolving a global handle would *create* the global pool; only
-        // report pools this miner's searches could actually have touched.
-        if !eval.pool.is_global() || eval.threads > 1 {
-            let pool = eval.pool.get();
-            obs.set(Metric::PoolWorkers, pool.workers() as u64);
-            obs.set(Metric::PoolJobs, pool.jobs_run());
-            obs.set(Metric::PoolTasks, pool.tasks_run());
-            obs.set(Metric::PoolQueueWaitNs, pool.queue_wait_ns());
-        }
-        obs.report().expect("miner obs handle is always enabled")
+        self.obs
+            .report()
+            .expect("miner obs handle is always enabled")
     }
 
     /// Runs a beam search against the current model and returns the full

@@ -301,7 +301,9 @@ pub fn optimize_direction(
 }
 
 /// Maximizes the spread IC over 2-sparse directions (all coordinate pairs),
-/// the interpretability-constrained variant of §III-C.
+/// the interpretability-constrained variant of §III-C. With one target
+/// column the only unit directions are `±1`, both 2-sparse and of equal IC,
+/// so the result is `w = [1]`.
 pub fn optimize_direction_two_sparse(
     model: &BackgroundModel,
     data: &Dataset,
@@ -310,7 +312,15 @@ pub fn optimize_direction_two_sparse(
 ) -> SphereResult {
     let obj = SpreadObjective::new(model, data, ext);
     let dy = data.dy();
-    assert!(dy >= 2, "2-sparse direction needs dy >= 2");
+    if dy == 1 {
+        let w = vec![1.0];
+        let ic = obj.ic(&w);
+        return SphereResult {
+            w,
+            ic,
+            iterations: 1,
+        };
+    }
     let mut best: Option<(Vec<f64>, f64)> = None;
     let mut evals = 0;
     const GRID: usize = 48;

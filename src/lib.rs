@@ -21,7 +21,6 @@ pub use sisd_frontier as frontier;
 pub use sisd_linalg as linalg;
 pub use sisd_model as model;
 pub use sisd_obs as obs;
-pub use sisd_par as par;
 pub use sisd_search as search;
 pub use sisd_stats as stats;
 

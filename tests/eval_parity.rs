@@ -2,9 +2,9 @@
 //! `LocationScore`s at any thread count, on random datasets and random
 //! candidate extensions, both on the homogeneous-covariance fast path and
 //! on the multi-covariance (post-spread-assimilation) dense branch where
-//! the cell-signature memo is in play — and, on a partition of 64+ cells,
-//! bit-identical to the per-cell composition its single row walk
-//! replaced.
+//! each candidate's covariance mixture is factored for it alone — and, on
+//! a partition of 64+ cells, bit-identical to the per-cell composition
+//! its single row walk replaced.
 
 use proptest::prelude::*;
 use sisd::core::{location_ic_of_stats, location_si, DlParams, Intention, LocationScore};
@@ -124,7 +124,8 @@ proptest! {
         assert_parity(&data, &model, &cands);
     }
 
-    /// Heterogeneous covariances: the dense branch with the signature memo.
+    /// Heterogeneous covariances: the dense branch, one mixture factor per
+    /// candidate.
     #[test]
     fn score_all_is_thread_invariant_on_the_dense_branch(seed in 0u64..10_000) {
         let n = 30 + (seed % 50) as usize;

@@ -18,7 +18,6 @@ use sisd::search::{
     EvalConfig, Evaluator,
 };
 use sisd::stats::Xoshiro256pp;
-use sisd_par::PoolHandle;
 use std::collections::HashSet;
 
 fn random_mask(rng: &mut Xoshiro256pp, n: usize, density: f64) -> BitSet {
@@ -180,25 +179,15 @@ proptest! {
     }
 }
 
-/// One dedicated (non-global) pool shared by every case of the pooled
-/// parity proptest below, so the test exercises a second pool identity
-/// without leaking a fresh pool per proptest case.
-fn dedicated_pool() -> PoolHandle {
-    static POOL: std::sync::OnceLock<PoolHandle> = std::sync::OnceLock::new();
-    *POOL.get_or_init(sisd::par::WorkerPool::leaked)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Batch scoring through the persistent worker pool is bit-identical to
-    /// the serial oracle at every thread count ∈ {1, 2, 4}, on the global
-    /// pool and on a dedicated pool alike — the "no output bit may change"
-    /// contract of the pool migration, including pool *reuse*: every case
-    /// after the first runs against already-warm workers. (Refinement runs
-    /// on the calling thread, so the pool has no refinement half to check.)
+    /// Threaded batch scoring is bit-identical to the serial oracle at
+    /// every thread count ∈ {1, 2, 4} — the "no output bit may change"
+    /// contract of forked scoring. (Refinement runs on the calling thread,
+    /// so there is no threaded refinement half to check.)
     #[test]
-    fn pooled_scoring_and_refinement_match_the_serial_oracle(seed in 0u64..10_000) {
+    fn threaded_scoring_matches_the_serial_oracle(seed in 0u64..10_000) {
         let data = bb_data(seed ^ 0x517c_c1b7_2722_0a95, 200 + (seed as usize) % 90);
         let model = BackgroundModel::from_empirical(&data).unwrap();
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -212,20 +201,18 @@ proptest! {
             .score_all(&cands);
 
 
-        for pool in [PoolHandle::global(), dedicated_pool()] {
-            for threads in [1usize, 2, 4] {
-                let cfg = EvalConfig::with_threads(threads).with_pool(pool);
-                let ev = Evaluator::gaussian(&data, &model, Default::default(), cfg);
-                let got = ev.score_all(&cands);
-                prop_assert_eq!(got.len(), oracle.len());
-                for (a, b) in got.iter().zip(&oracle) {
-                    prop_assert_eq!(&a.ext, &b.ext, "threads={}", threads);
-                    prop_assert_eq!(
-                        a.score.si.to_bits(),
-                        b.score.si.to_bits(),
-                        "threads={} global={}", threads, pool.is_global()
-                    );
-                }
+        for threads in [1usize, 2, 4] {
+            let cfg = EvalConfig::with_threads(threads);
+            let ev = Evaluator::gaussian(&data, &model, Default::default(), cfg);
+            let got = ev.score_all(&cands);
+            prop_assert_eq!(got.len(), oracle.len());
+            for (a, b) in got.iter().zip(&oracle) {
+                prop_assert_eq!(&a.ext, &b.ext, "threads={}", threads);
+                prop_assert_eq!(
+                    a.score.si.to_bits(),
+                    b.score.si.to_bits(),
+                    "threads={}", threads
+                );
             }
         }
     }
@@ -468,8 +455,8 @@ fn wide_target_beam_over_mixed_covariances_is_bit_identical_to_the_pre_refactor_
     // subgroup and a location assimilation on the runner-up. The best one
     // stays a strong parent, and its children solve against the factor its
     // cells share, eight at a time; children that straddle the spread
-    // solve against mixtures (distinct ones, or one the factor cache
-    // shares), one at a time. The log is long enough to hold every scored
+    // solve against mixtures, each factored for its candidate alone, one
+    // at a time. The log is long enough to hold every scored
     // child, so every child's bits are compared.
     let data = sisd::data::datasets::water_quality_synthetic(5);
     assert_eq!(data.dy(), 16);

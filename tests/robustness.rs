@@ -259,6 +259,40 @@ fn spread_search_survives_a_nan_target_cell() {
     assert_eq!(spread.w.len(), 2);
 }
 
+/// 2-sparse spread mining on one-target data: the only unit directions
+/// are `±1`, both 2-sparse and of equal IC, so the search returns `w = [1]`
+/// (with the full-sphere search's IC) instead of asking for two columns.
+#[test]
+fn two_sparse_spread_mining_handles_one_target_data() {
+    let data = sisd::data::datasets::crime_synthetic(2018);
+    assert_eq!(data.dy(), 1);
+    let spread_step = |two_sparse_spread| {
+        let config = MinerConfig {
+            beam: BeamConfig {
+                max_depth: 1,
+                ..tiny_config().beam
+            },
+            two_sparse_spread,
+            ..tiny_config()
+        };
+        let mut miner = Miner::from_empirical(data.clone(), config).expect("empirical model");
+        let step = miner.step_with_spread().expect("assimilation");
+        step.and_then(|it| it.spread).expect("a spread pattern")
+    };
+    let sparse = spread_step(true);
+    let full = spread_step(false);
+    assert_eq!(sparse.w, [1.0]);
+    assert_eq!(sparse.extension, full.extension);
+    assert!(sparse.score.si.is_finite());
+    let tol = 1e-9 * full.score.ic.abs().max(1.0);
+    assert!(
+        (sparse.score.ic - full.score.ic).abs() <= tol,
+        "2-sparse IC {} vs full-sphere IC {}",
+        sparse.score.ic,
+        full.score.ic
+    );
+}
+
 /// One `NaN` target cell: every candidate covering its row scores NaN.
 /// The engine must drop those candidates as numeric failures (reported as
 /// `degraded`) rather than rank them, so the search neither panics nor
