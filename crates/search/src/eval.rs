@@ -76,7 +76,7 @@ use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Engine configuration, threaded from the application surface
@@ -84,8 +84,9 @@ use std::time::Instant;
 /// down to every strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
-    /// Worker threads for batch candidate evaluation. `1` keeps scoring on
-    /// the calling thread; results are identical either way.
+    /// Worker threads for batch candidate evaluation, at most 256 of which
+    /// are used. `1` keeps scoring on the calling thread; results are
+    /// identical either way.
     pub threads: usize,
     /// Metrics/tracing destination for the engine and every subsystem it
     /// drives (frontier, model). Disabled by default; an enabled handle
@@ -400,24 +401,43 @@ fn admit<T>(items: &mut Vec<T>, k: usize, si: f64, si_of: impl Fn(&T) -> f64, it
 
 /// Runs `run` over `parts`: the first part on the calling thread while one
 /// scoped thread per further part runs the rest, outputs in part order. A
-/// panic in a scoped thread is re-raised on the caller with its payload.
+/// part whose thread the OS refuses to spawn runs on the calling thread
+/// after the first, so resource exhaustion costs parallelism, not the
+/// search. A panic in a scoped thread is re-raised on the caller with its
+/// payload.
 fn fork_join<I: Send, O: Send>(
     parts: impl IntoIterator<Item = I>,
     run: impl Fn(I) -> O + Sync,
 ) -> Vec<O> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
+    // Each part waits in a slot until whoever runs it takes it: its thread,
+    // or the caller when that thread could not be spawned. The part cannot
+    // ride in the thread's closure, because a refused spawn drops it.
+    let slots: Vec<Mutex<Option<I>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let Some((first, rest)) = slots.split_first() else {
         return Vec::new();
     };
-    let run = &run;
+    let run_slot = |slot: &Mutex<Option<I>>| {
+        let part = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        run(part.expect("each part runs once"))
+    };
+    let run_slot = &run_slot;
     std::thread::scope(|s| {
-        let rest: Vec<_> = parts.map(|part| s.spawn(move || run(part))).collect();
-        let mut out = Vec::with_capacity(rest.len() + 1);
-        out.push(run(first));
-        out.extend(
-            rest.into_iter()
-                .map(|t| t.join().unwrap_or_else(|e| resume_unwind(e))),
-        );
+        let spawned: Vec<_> = rest
+            .iter()
+            .map(|slot| {
+                std::thread::Builder::new()
+                    .spawn_scoped(s, move || run_slot(slot))
+                    .ok()
+            })
+            .collect();
+        let mut out = Vec::with_capacity(slots.len());
+        out.push(run_slot(first));
+        for (slot, thread) in rest.iter().zip(spawned) {
+            out.push(match thread {
+                Some(t) => t.join().unwrap_or_else(|e| resume_unwind(e)),
+                None => run_slot(slot),
+            });
+        }
         out
     })
 }
@@ -449,7 +469,7 @@ impl<'a> Evaluator<'a> {
         Self {
             data,
             dl,
-            threads: cfg.threads.max(1),
+            threads: cfg.threads.clamp(1, Self::MAX_WORKERS),
             backend: Backend::Gaussian(Gaussian {
                 model,
                 cell_sums: OnceLock::new(),
@@ -469,7 +489,7 @@ impl<'a> Evaluator<'a> {
         Self {
             data,
             dl,
-            threads: cfg.threads.max(1),
+            threads: cfg.threads.clamp(1, Self::MAX_WORKERS),
             backend: Backend::Bernoulli { model },
             obs: cfg.obs,
             numeric_failures: AtomicUsize::new(0),
@@ -486,7 +506,8 @@ impl<'a> Evaluator<'a> {
         &self.dl
     }
 
-    /// Worker threads used by [`Evaluator::score_all`].
+    /// Worker threads used by [`Evaluator::score_all`]: the configured
+    /// count, at most 256.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -656,12 +677,19 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Smallest batch share worth a worker: spawning a scoped thread for a
-    /// chunk and joining it costs tens of microseconds, so batches are
-    /// split into at most `len / MIN_CHUNK` workers (capped at `threads`)
-    /// and small batches run inline. Chunking never affects the scores —
-    /// only where they are computed.
+    /// Smallest batch share worth a worker. Batches are split into at most
+    /// `len / MIN_CHUNK` workers (capped at `threads`), so a batch of up to
+    /// `MIN_CHUNK` candidates runs inline. Every threaded batch spawns and
+    /// joins its scoped threads afresh, tens of microseconds per batch, so
+    /// callers that score many small batches at `threads > 1` (the slices
+    /// of a time-budgeted beam level, branch-and-bound nodes) pay that
+    /// round per batch and may run slower than serially. Chunking never
+    /// affects the scores — only where they are computed.
     const MIN_CHUNK: usize = 16;
+
+    /// Most workers an evaluator uses, whatever `EvalConfig::threads`
+    /// asks for, so one fork spawns at most `MAX_WORKERS − 1` threads.
+    const MAX_WORKERS: usize = 256;
 
     /// Workers a batch of `len` candidates is split over (1: inline).
     fn workers_for(&self, len: usize) -> usize {
@@ -1480,6 +1508,20 @@ mod tests {
         })
         .expect_err("the scoped thread's panic must reach the caller");
         assert_eq!(err.downcast_ref::<&str>(), Some(&"part two failed"));
+    }
+
+    #[test]
+    fn worker_fan_out_is_capped_whatever_threads_asks_for() {
+        let (data, model) = fixture();
+        let ev = Evaluator::gaussian(
+            &data,
+            &model,
+            DlParams::default(),
+            EvalConfig::with_threads(usize::MAX),
+        );
+        assert_eq!(ev.threads(), Evaluator::MAX_WORKERS);
+        assert_eq!(ev.workers_for(usize::MAX), Evaluator::MAX_WORKERS);
+        assert_eq!(ev.workers_for(Evaluator::MIN_CHUNK), 1);
     }
 
     #[test]

@@ -355,6 +355,12 @@ fn threaded_beam_levels_add_only_fixed_fork_bookkeeping() {
         "a parallel level must cost only fixed fork bookkeeping: \
          parallel={steady} allocations vs serial={serial}"
     );
+    // Spawning allocates, so a threaded search that allocates no more than
+    // the serial one never forked.
+    assert!(
+        steady > serial,
+        "the threaded search must fork: parallel={steady} allocations vs serial={serial}"
+    );
 }
 
 use sisd::obs::{NullSink, Obs, ObsHandle};
