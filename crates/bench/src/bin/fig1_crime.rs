@@ -8,7 +8,7 @@
 //! prints the same three KDE series, and asserts the figure's claims: it
 //! exits non-zero when any check below fails.
 
-use sisd_bench::{f2, f4, print_table, print_tsv, section};
+use sisd_bench::{f2, f4, print_table, print_tsv, report_checks, section};
 use sisd_core::ConditionOp;
 use sisd_data::datasets::crime_synthetic;
 use sisd_search::{BeamConfig, Miner, MinerConfig, SphereConfig};
@@ -162,13 +162,5 @@ fn main() {
             .all(|&(_, full, covered)| covered <= full * (1.0 + 1e-12)),
     ));
 
-    section("Fig. 1 / §I — checks");
-    for (what, ok) in &checks {
-        println!("{} {what}", if *ok { "ok  " } else { "FAIL" });
-    }
-    let failed = checks.iter().filter(|(_, ok)| !ok).count();
-    if failed > 0 {
-        eprintln!("fig1_crime: {failed} of {} checks failed", checks.len());
-        std::process::exit(1);
-    }
+    report_checks("Fig. 1 / §I — checks", &checks);
 }

@@ -8,7 +8,7 @@
 //! asserts the figure's claims: it exits non-zero when any check below
 //! fails.
 
-use sisd_bench::{f2, print_table, print_tsv, section};
+use sisd_bench::{f2, print_table, print_tsv, report_checks, section};
 use sisd_core::{location_si, Condition, ConditionOp, DlParams, Intention};
 use sisd_data::datasets::{corrupt_descriptions, synthetic_paper};
 use sisd_data::BitSet;
@@ -134,13 +134,5 @@ fn main() {
         gap < 1.0,
     ));
 
-    section("Fig. 3 — checks");
-    for (what, ok) in &checks {
-        println!("{} {what}", if *ok { "ok  " } else { "FAIL" });
-    }
-    let failed = checks.iter().filter(|(_, ok)| !ok).count();
-    if failed > 0 {
-        eprintln!("fig3_noise: {failed} of {} checks failed", checks.len());
-        std::process::exit(1);
-    }
+    report_checks("Fig. 3 — checks", &checks);
 }

@@ -6,7 +6,7 @@
 //! with the model's 95% bands (Figs. 4–5). The figures' claims are
 //! asserted: the binary exits non-zero when any check below fails.
 
-use sisd_bench::{f2, f3, print_table, section};
+use sisd_bench::{f2, f3, print_table, report_checks, section};
 use sisd_core::location_si;
 use sisd_data::datasets::mammals_synthetic;
 use sisd_data::BitSet;
@@ -172,13 +172,5 @@ fn main() {
          presence falls far outside the model's 95% band."
     );
 
-    section("Figs. 4–6 — checks");
-    for (what, ok) in &checks {
-        println!("{} {what}", if *ok { "ok  " } else { "FAIL" });
-    }
-    let failed = checks.iter().filter(|(_, ok)| !ok).count();
-    if failed > 0 {
-        eprintln!("fig4_6_mammals: {failed} of {} checks failed", checks.len());
-        std::process::exit(1);
-    }
+    report_checks("Figs. 4–6 — checks", &checks);
 }

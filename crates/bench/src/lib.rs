@@ -56,20 +56,44 @@ pub fn print_tsv(tag: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("#end {tag}");
 }
 
-/// Prints the parse error plus the shared flag synopsis to stderr and
-/// exits with status 2 — bad command-line input is an operator mistake,
-/// not a bug, so the experiment binaries must not panic (and must not
-/// silently rewrite a requested count, which would misreport the
-/// measurement).
-fn die_usage(msg: &str) -> ! {
-    let name = std::env::args()
+/// Prints the section `title`, then one `ok` or `FAIL` line per
+/// `(claim, holds)` check, and exits with status 1 when any claim fails:
+/// how the binaries that reproduce a figure assert its claims.
+pub fn report_checks(title: &str, checks: &[(String, bool)]) {
+    section(title);
+    for (what, ok) in checks {
+        println!("{} {what}", if *ok { "ok  " } else { "FAIL" });
+    }
+    let failed = checks.iter().filter(|(_, ok)| !ok).count();
+    if failed > 0 {
+        eprintln!(
+            "{}: {failed} of {} checks failed",
+            program_name(),
+            checks.len()
+        );
+        std::process::exit(1);
+    }
+}
+
+/// The running binary's file name, for messages.
+fn program_name() -> String {
+    std::env::args()
         .next()
         .and_then(|p| {
             std::path::Path::new(&p)
                 .file_name()
                 .map(|f| f.to_string_lossy().into_owned())
         })
-        .unwrap_or_else(|| "experiment".into());
+        .unwrap_or_else(|| "experiment".into())
+}
+
+/// Prints the parse error plus the shared flag synopsis to stderr and
+/// exits with status 2 — bad command-line input is an operator mistake,
+/// not a bug, so the experiment binaries must not panic (and must not
+/// silently rewrite a requested count, which would misreport the
+/// measurement).
+fn die_usage(msg: &str) -> ! {
+    let name = program_name();
     eprintln!("error: {msg}");
     eprintln!(
         "usage: {name} [--threads N] [--trace-out PATH] \

@@ -90,25 +90,6 @@ impl BitSet {
         s
     }
 
-    /// Overwrites the set with `words`, laid out as [`BitSet::words`]
-    /// returns them (say, a child extension in a frontier arena), reusing
-    /// this set's buffer. Bits beyond the length are cleared, as in
-    /// [`BitSet::from_words`].
-    ///
-    /// # Panics
-    /// Panics if `words` is not this set's word count.
-    pub fn copy_from_words(&mut self, words: &[u64]) {
-        assert_eq!(
-            words.len(),
-            self.words.len(),
-            "BitSet::copy_from_words: {} words cannot back {} rows",
-            words.len(),
-            self.len
-        );
-        self.words.copy_from_slice(words);
-        self.clear_tail();
-    }
-
     /// The backing words, least-significant bit first: row `i` is bit
     /// `i % 64` of word `i / 64`. Bits at positions `>= len` in the last
     /// word are always zero. This is the raw view the word-level kernels in
@@ -404,16 +385,6 @@ mod tests {
     #[should_panic(expected = "cannot back")]
     fn from_words_rejects_wrong_word_count() {
         BitSet::from_words(vec![0u64; 2], 200);
-    }
-
-    #[test]
-    fn copy_from_words_reuses_the_buffer_and_clears_the_tail() {
-        let mut s = BitSet::empty(70);
-        let ptr = s.words().as_ptr();
-        s.copy_from_words(&[0b101, u64::MAX]);
-        assert_eq!(s.words().as_ptr(), ptr);
-        assert_eq!(s, BitSet::from_words(vec![0b101, u64::MAX], 70));
-        assert_eq!(s.count(), 2 + 6);
     }
 
     #[test]

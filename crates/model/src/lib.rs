@@ -23,7 +23,6 @@
 //!   expectation constraints are linear families).
 
 mod background;
-pub mod binary;
 mod cell;
 mod constraint;
 mod snap;
@@ -33,7 +32,6 @@ pub use background::{
     BackgroundModel, LocationCandidate, LocationRun, LocationScratch, LocationStats, ModelError,
     RefitStats, SpreadStats, WARM_COLD_SCORE_TOL,
 };
-pub use binary::{BinaryBackgroundModel, BinaryLocationStats};
 pub use cell::Cell;
 pub use constraint::Constraint;
 pub use solver::solve_spread_lambda;

@@ -1,11 +1,10 @@
 //! The unified candidate-evaluation engine.
 //!
-//! Every search strategy in this crate — Gaussian beam ([`crate::beam`]),
-//! Bernoulli beam ([`crate::binary_beam`]), branch-and-bound
-//! ([`crate::branch_bound`]), and the spread-direction search
-//! ([`crate::sphere`]) — scores its candidates through one [`Evaluator`].
-//! The engine owns the three concerns the strategies used to re-implement
-//! separately:
+//! Every search strategy in this crate — beam ([`crate::beam`]),
+//! branch-and-bound ([`crate::branch_bound`]), and the spread-direction
+//! search ([`crate::sphere`]) — scores its candidates against the paper's
+//! Gaussian background model through one [`Evaluator`]. The engine owns
+//! the concerns the strategies used to re-implement separately:
 //!
 //! * **Ownership and cache validity.** An [`Evaluator`] borrows the
 //!   background model *immutably* for its whole lifetime, so the borrow
@@ -14,9 +13,9 @@
 //!   safely) inside the model's cells, and a candidate whose rows mix
 //!   covariance values gets its mixture factored for it alone. There is no
 //!   warm-up protocol and no panic path for a missing factor.
-//! * **One row walk per candidate, or per 64 siblings.** On the Gaussian
-//!   backend a candidate's cell-count signature and its target row sum
-//!   come from a single walk over its rows
+//! * **One row walk per candidate, or per 64 siblings.** A candidate's
+//!   cell-count signature and its target row sum come from a single walk
+//!   over its rows
 //!   ([`sisd_data::kernels::count_cells_sum_rows`] over the model's
 //!   row-to-cell map), so a candidate costs `O(|I| · dy)` however many
 //!   cells the partition has. On single-target data a beam level instead
@@ -48,12 +47,11 @@
 //! candidate allocates nothing of its own; the beam loop below scores its
 //! children from the frontier's borrowed parent and mask words — siblings
 //! together on single-target data, otherwise each child's words ANDed into
-//! one per-chunk buffer just before it is walked, and on the Gaussian
-//! backend its statistics solved with up to seven neighbours' — into
-//! compact records, and builds a pattern only for what the top-k log or
-//! the next beam keeps. `score_all`, `try_score_all*` and
-//! `score_location` score one candidate at a time, the path the parity
-//! suites compare the beam against.
+//! one per-chunk buffer just before it is walked and its statistics solved
+//! with up to seven neighbours' — into compact records, and builds a
+//! pattern only for what the top-k log or the next beam keeps.
+//! `score_all`, `try_score_all*` and `score_location` score one candidate
+//! at a time, the path the parity suites compare the beam against.
 
 use crate::refine::{generate_conditions, RefineConfig};
 use crate::BeamConfig;
@@ -67,10 +65,7 @@ use sisd_data::kernels::{self, LANES};
 use sisd_data::{BitSet, Dataset};
 use sisd_frontier::{ChildBatch, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec};
 use sisd_linalg::Cholesky;
-use sisd_model::{
-    BackgroundModel, BinaryBackgroundModel, LocationCandidate, LocationRun, LocationScratch,
-    ModelError,
-};
+use sisd_model::{BackgroundModel, LocationCandidate, LocationRun, LocationScratch, ModelError};
 use sisd_obs::{Metric, ObsHandle};
 use std::collections::HashSet;
 use std::ops::Range;
@@ -155,98 +150,6 @@ impl Scored {
     }
 }
 
-/// The model backend a candidate is scored against.
-enum Backend<'a> {
-    /// The paper's Gaussian background distribution.
-    Gaussian(Gaussian<'a>),
-    /// The Bernoulli MaxEnt model for 0/1 targets (§V extension).
-    Bernoulli { model: &'a BinaryBackgroundModel },
-}
-
-/// The Gaussian backend.
-struct Gaussian<'a> {
-    model: &'a BackgroundModel,
-    /// Per-cell sums of the dataset's target rows, aligned with
-    /// `model.cells()`; built on first use.
-    cell_sums: OnceLock<Vec<Vec<f64>>>,
-}
-
-impl Gaussian<'_> {
-    /// One walk over the rows `ext` selects: the candidate's cell-count
-    /// signature into `ws.signature` and its target row sum into `ws.mean`.
-    fn walk(&self, data: &Dataset, ext: &[u64], ws: &mut Workspace) {
-        ws.mean.fill(0.0);
-        kernels::count_cells_sum_rows(
-            ext,
-            self.model.cell_of_row(),
-            &mut ws.cell_rows,
-            data.targets().as_slice(),
-            &mut ws.mean,
-        );
-        ws.signature.clear();
-        for (g, c) in ws.cell_rows.iter_mut().enumerate() {
-            if *c > 0 {
-                ws.signature.push((g, *c));
-                *c = 0;
-            }
-        }
-    }
-
-    /// Turns the target row sum in `mean` of the candidate with cell-count
-    /// signature `signature` into its observed mean: that sum over the row
-    /// count — the same bits as [`Dataset::target_mean`] — unless every
-    /// intersected cell lies wholly inside the candidate; then it is
-    /// assembled from per-cell target sums, the case for re-scored
-    /// assimilated subgroups and any candidate aligned with the constraint
-    /// partition.
-    #[inline]
-    fn observed_mean(
-        &self,
-        data: &Dataset,
-        signature: &[(usize, usize)],
-        mean: &mut [f64],
-    ) -> Result<(), ModelError> {
-        let m: usize = signature.iter().map(|&(_, c)| c).sum();
-        if m == 0 {
-            return Err(ModelError::EmptyExtension);
-        }
-        let cells = self.model.cells();
-        if signature.iter().all(|&(g, c)| c == cells[g].count) {
-            let sums = self.cell_sums.get_or_init(|| {
-                cells
-                    .iter()
-                    .map(|cell| {
-                        let mut s = vec![0.0; data.dy()];
-                        kernels::sum_rows(data.targets().as_slice(), cell.ext.words(), &mut s);
-                        s
-                    })
-                    .collect()
-            });
-            mean.fill(0.0);
-            for &(g, _) in signature {
-                sisd_linalg::add_assign(mean, &sums[g]);
-            }
-        }
-        sisd_linalg::scale(1.0 / m as f64, mean);
-        Ok(())
-    }
-
-    /// The IC of the candidate whose cell-count signature is in
-    /// `ws.signature` and whose target row sum is in `ws.mean`, which is
-    /// left holding its observed mean ([`Gaussian::observed_mean`]).
-    fn ic(&self, data: &Dataset, ws: &mut Workspace) -> SisdResult<f64> {
-        let Workspace {
-            signature,
-            mean,
-            stats,
-            ..
-        } = ws;
-        self.observed_mean(data, signature, mean)?;
-        let stats = self.model.location_stats_with(signature, mean, stats)?;
-        Ok(location_ic_of_stats(stats, self.model.dy()))
-    }
-}
-
 /// Children of a beam level waiting for their model statistics: up to
 /// [`RUN`] consecutive children of one scoring range, walked one by one on
 /// `dy > 1` data, then handed together to
@@ -275,25 +178,22 @@ const RUN: usize = Cholesky::LANES;
 /// Everything the scoring core writes while it scores one candidate,
 /// allocated once per chunk of candidates and reused for each of them.
 struct Workspace {
-    /// Rows of the current candidate in each parameter cell (Gaussian);
-    /// all zero between candidates.
+    /// Rows of the current candidate in each parameter cell; all zero
+    /// between candidates.
     cell_rows: Vec<usize>,
     /// The nonzero entries of `cell_rows` in cell order: the candidate's
     /// cell-count signature.
     signature: Vec<(usize, usize)>,
     /// The current candidate's observed target mean.
     mean: Vec<f64>,
-    /// The model statistics and their working vectors (Gaussian).
+    /// The model statistics and their working vectors.
     stats: LocationScratch,
-    /// The current candidate's extension, refilled from its words for the
-    /// Bernoulli model, which takes a [`BitSet`].
-    ext: BitSet,
     /// A sibling walk's per-lane counts, [`LANES`] per parameter cell
     /// (sibling lanes only); all zero between walks.
     lane_counts: Vec<u32>,
     /// The cells the current sibling walk's parent covers, ascending.
     touched: Vec<usize>,
-    /// The children walked but not yet solved (Gaussian, `dy > 1`).
+    /// The children walked but not yet solved (`dy > 1`).
     run: ChildRun,
 }
 
@@ -447,9 +347,14 @@ fn fork_join<I: Send, O: Send>(
 /// it.
 pub struct Evaluator<'a> {
     data: &'a Dataset,
+    model: &'a BackgroundModel,
+    /// Per-cell sums of the dataset's target rows, aligned with
+    /// `model.cells()`; built on first use.
+    cell_sums: OnceLock<Vec<Vec<f64>>>,
     dl: sisd_core::DlParams,
+    /// Scoring workers: `EvalConfig::threads`, at most
+    /// [`Evaluator::MAX_WORKERS`].
     threads: usize,
-    backend: Backend<'a>,
     /// Metrics destination for batch scoring.
     obs: ObsHandle,
     /// Batch-scored candidates dropped for a reason *other* than an empty
@@ -468,29 +373,10 @@ impl<'a> Evaluator<'a> {
     ) -> Self {
         Self {
             data,
+            model,
+            cell_sums: OnceLock::new(),
             dl,
             threads: cfg.threads.clamp(1, Self::MAX_WORKERS),
-            backend: Backend::Gaussian(Gaussian {
-                model,
-                cell_sums: OnceLock::new(),
-            }),
-            obs: cfg.obs,
-            numeric_failures: AtomicUsize::new(0),
-        }
-    }
-
-    /// Engine over the Bernoulli background model.
-    pub fn bernoulli(
-        data: &'a Dataset,
-        model: &'a BinaryBackgroundModel,
-        dl: sisd_core::DlParams,
-        cfg: EvalConfig,
-    ) -> Self {
-        Self {
-            data,
-            dl,
-            threads: cfg.threads.clamp(1, Self::MAX_WORKERS),
-            backend: Backend::Bernoulli { model },
             obs: cfg.obs,
             numeric_failures: AtomicUsize::new(0),
         }
@@ -504,12 +390,6 @@ impl<'a> Evaluator<'a> {
     /// Description-length parameters in force.
     pub fn dl_params(&self) -> &sisd_core::DlParams {
         &self.dl
-    }
-
-    /// Worker threads used by [`Evaluator::score_all`]: the configured
-    /// count, at most 256.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The metrics/tracing handle the engine reports to.
@@ -534,79 +414,120 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// The Gaussian backend on single-target data: the one case in which a
-    /// beam level scores its children as sibling lanes
-    /// ([`kernels::count_cells_sum_lanes`]), 64 siblings per walk over
-    /// their parent's rows. With more target columns the per-child walk
-    /// already fills its SIMD lanes with a row's columns, while sibling
-    /// lanes would walk the parent once per column; the Bernoulli model
-    /// has no row walk.
-    fn sibling_lanes(&self) -> Option<&Gaussian<'a>> {
-        match &self.backend {
-            Backend::Gaussian(gaussian) if self.data.dy() == 1 => Some(gaussian),
-            _ => None,
-        }
-    }
-
-    /// A fresh scoring workspace shaped for this engine's backend.
+    /// A fresh scoring workspace: per-lane counts on single-target data,
+    /// where a beam level scores siblings together, and a [`ChildRun`]
+    /// otherwise.
     fn workspace(&self) -> Workspace {
-        let (cells, n) = match &self.backend {
-            Backend::Gaussian(Gaussian { model, .. }) => (model.n_cells(), 0),
-            Backend::Bernoulli { .. } => (0, self.data.n()),
-        };
-        let lanes = if self.sibling_lanes().is_some() {
-            cells * LANES
-        } else {
-            0
-        };
+        let cells = self.model.n_cells();
         let dy = self.data.dy();
-        let run = match &self.backend {
-            Backend::Gaussian(_) if dy > 1 => ChildRun {
+        let lanes = if dy == 1 { cells * LANES } else { 0 };
+        let run = if dy > 1 {
+            ChildRun {
                 signatures: vec![Vec::new(); RUN],
                 means: vec![vec![0.0; dy]; RUN],
                 ..ChildRun::default()
-            },
-            _ => ChildRun::default(),
+            }
+        } else {
+            ChildRun::default()
         };
         Workspace {
             cell_rows: vec![0; cells],
             signature: Vec::new(),
             mean: vec![0.0; dy],
             stats: LocationScratch::default(),
-            ext: BitSet::empty(n),
             lane_counts: vec![0; lanes],
             touched: Vec::new(),
             run,
         }
     }
 
+    /// One walk over the rows `ext` selects: the candidate's cell-count
+    /// signature into `ws.signature` and its target row sum into `ws.mean`.
+    fn walk(&self, ext: &[u64], ws: &mut Workspace) {
+        ws.mean.fill(0.0);
+        kernels::count_cells_sum_rows(
+            ext,
+            self.model.cell_of_row(),
+            &mut ws.cell_rows,
+            self.data.targets().as_slice(),
+            &mut ws.mean,
+        );
+        ws.signature.clear();
+        for (g, c) in ws.cell_rows.iter_mut().enumerate() {
+            if *c > 0 {
+                ws.signature.push((g, *c));
+                *c = 0;
+            }
+        }
+    }
+
+    /// Turns the target row sum in `mean` of the candidate with cell-count
+    /// signature `signature` into its observed mean: that sum over the row
+    /// count — the same bits as [`Dataset::target_mean`] — unless every
+    /// intersected cell lies wholly inside the candidate; then it is
+    /// assembled from per-cell target sums, the case for re-scored
+    /// assimilated subgroups and any candidate aligned with the constraint
+    /// partition.
+    #[inline]
+    fn observed_mean(
+        &self,
+        signature: &[(usize, usize)],
+        mean: &mut [f64],
+    ) -> Result<(), ModelError> {
+        let m: usize = signature.iter().map(|&(_, c)| c).sum();
+        if m == 0 {
+            return Err(ModelError::EmptyExtension);
+        }
+        let cells = self.model.cells();
+        if signature.iter().all(|&(g, c)| c == cells[g].count) {
+            let sums = self.cell_sums.get_or_init(|| {
+                cells
+                    .iter()
+                    .map(|cell| {
+                        let mut s = vec![0.0; self.data.dy()];
+                        kernels::sum_rows(self.data.targets().as_slice(), cell.ext.words(), &mut s);
+                        s
+                    })
+                    .collect()
+            });
+            mean.fill(0.0);
+            for &(g, _) in signature {
+                sisd_linalg::add_assign(mean, &sums[g]);
+            }
+        }
+        sisd_linalg::scale(1.0 / m as f64, mean);
+        Ok(())
+    }
+
+    /// The IC of the candidate whose cell-count signature is in
+    /// `ws.signature` and whose target row sum is in `ws.mean`, which is
+    /// left holding its observed mean ([`Evaluator::observed_mean`]).
+    fn ic(&self, ws: &mut Workspace) -> SisdResult<f64> {
+        let Workspace {
+            signature,
+            mean,
+            stats,
+            ..
+        } = ws;
+        self.observed_mean(signature, mean)?;
+        let stats = self.model.location_stats_with(signature, mean, stats)?;
+        Ok(location_ic_of_stats(stats, self.model.dy()))
+    }
+
     /// Observed mean and SI breakdown of one candidate of the given
     /// description arity, from its extension's words — the scoring core
-    /// every entry point shares. Leaves the observed mean in `ws.mean`.
-    ///
-    /// On the Gaussian backend one walk over the candidate's rows yields
+    /// every entry point shares: one walk over the candidate's rows yields
     /// its cell-count signature and its target row sum, from which
-    /// [`Gaussian::ic`] takes the model statistics.
+    /// [`Evaluator::ic`] takes the model statistics. Leaves the observed
+    /// mean in `ws.mean`.
     fn score_words(
         &self,
         arity: usize,
         ext: &[u64],
         ws: &mut Workspace,
     ) -> SisdResult<LocationScore> {
-        let ic = match &self.backend {
-            Backend::Gaussian(gaussian) => {
-                gaussian.walk(self.data, ext, ws);
-                gaussian.ic(self.data, ws)?
-            }
-            Backend::Bernoulli { model } => {
-                ws.ext.copy_from_words(ext);
-                if ws.ext.count() == 0 {
-                    return Err(ModelError::EmptyExtension.into());
-                }
-                ws.mean.copy_from_slice(&self.data.target_mean(&ws.ext));
-                model.location_ic(&ws.ext, &ws.mean)?
-            }
-        };
+        self.walk(ext, ws);
+        let ic = self.ic(ws)?;
         self.location_score(arity, ic)
     }
 
@@ -629,17 +550,6 @@ impl<'a> Evaluator<'a> {
         score.map_err(|e| self.note_failure(&e)).ok()
     }
 
-    /// [`Evaluator::score_words`] for the batch paths, through
-    /// [`Evaluator::noted`].
-    fn score_or_note(
-        &self,
-        arity: usize,
-        ext: &[u64],
-        ws: &mut Workspace,
-    ) -> Option<LocationScore> {
-        self.noted(self.score_words(arity, ext, ws))
-    }
-
     /// Scores one location candidate through the same IC formula as
     /// `sisd_core::location_si` (the one-off path). The two agree to
     /// last-ulp rounding, not bit-for-bit: for cell-aligned extensions the
@@ -658,33 +568,25 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scores a spread candidate (direction `w`, centred on the subgroup's
-    /// empirical mean). Only meaningful on the Gaussian backend; the
-    /// Bernoulli model has no spread-pattern syntax.
+    /// empirical mean).
     pub fn score_spread(
         &self,
         intention: &Intention,
         ext: &BitSet,
         w: &[f64],
     ) -> SisdResult<SpreadScore> {
-        match &self.backend {
-            Backend::Gaussian(Gaussian { model, .. }) => {
-                Ok(spread_si(model, self.data, intention, ext, w, &self.dl)?)
-            }
-            Backend::Bernoulli { .. } => Err(ModelError::SpreadSolve(
-                "spread patterns require the Gaussian background model".into(),
-            )
-            .into()),
-        }
+        spread_si(self.model, self.data, intention, ext, w, &self.dl).map_err(Into::into)
     }
 
     /// Smallest batch share worth a worker. Batches are split into at most
     /// `len / MIN_CHUNK` workers (capped at `threads`), so a batch of up to
     /// `MIN_CHUNK` candidates runs inline. Every threaded batch spawns and
     /// joins its scoped threads afresh, tens of microseconds per batch, so
-    /// callers that score many small batches at `threads > 1` (the slices
-    /// of a time-budgeted beam level, branch-and-bound nodes) pay that
-    /// round per batch and may run slower than serially. Chunking never
-    /// affects the scores — only where they are computed.
+    /// callers that score many small batches at `threads > 1`
+    /// (branch-and-bound nodes) pay that round per batch and may run
+    /// slower than serially; a time-budgeted beam level, which scores in
+    /// small slices, scores them on the calling thread instead. Chunking
+    /// never affects the scores — only where they are computed.
     const MIN_CHUNK: usize = 16;
 
     /// Most workers an evaluator uses, whatever `EvalConfig::threads`
@@ -697,52 +599,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scores a batch, returning one entry per input candidate in input
-    /// order (`None` where scoring failed, e.g. an empty extension).
-    ///
-    /// With `threads > 1` the batch is split into contiguous chunks of at
-    /// least `Evaluator::MIN_CHUNK` candidates, scored by the calling
-    /// thread and scoped threads ([`std::thread::scope`]), and merged in
-    /// chunk order; each candidate's arithmetic is independent, so the
-    /// output is bit-identical at any thread count. Parallelism pays off on
-    /// wide batches of expensive scores (beam levels at high `dy`);
-    /// per-node strategies over cheap scores (e.g. single-target
-    /// branch-and-bound) see little benefit.
+    /// order (`None` where scoring failed, e.g. an empty extension): the
+    /// batch is copied and scored by [`Evaluator::try_score_all_owned`].
     pub fn try_score_all(&self, candidates: &[Candidate]) -> Vec<Option<Scored>> {
-        let obs = self.obs;
-        obs.incr(Metric::EvalBatches);
-        let _score_span = obs.span(Metric::EvalScoreNs);
-        let score_chunk = |chunk: &[Candidate]| -> Vec<Option<Scored>> {
-            let mut ws = self.workspace();
-            chunk
-                .iter()
-                .map(|c| {
-                    let score = self.score_or_note(c.intention.len(), c.ext.words(), &mut ws)?;
-                    Some(Scored {
-                        intention: c.intention.clone(),
-                        ext: c.ext.clone(),
-                        observed_mean: ws.mean.clone(),
-                        score,
-                    })
-                })
-                .collect()
-        };
-        let workers = self.workers_for(candidates.len());
-        let out: Vec<Option<Scored>> = if workers <= 1 {
-            score_chunk(candidates)
-        } else {
-            let chunk_len = candidates.len().div_ceil(workers);
-            fork_join(candidates.chunks(chunk_len), score_chunk)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        if obs.enabled() {
-            obs.add(
-                Metric::EvalScored,
-                out.iter().filter(|s| s.is_some()).count() as u64,
-            );
-        }
-        out
+        self.try_score_all_owned(candidates.to_vec())
     }
 
     /// [`Evaluator::try_score_all`] with failed candidates dropped (order
@@ -754,11 +614,20 @@ impl<'a> Evaluator<'a> {
             .collect()
     }
 
-    /// [`Evaluator::try_score_all`] taking the batch by value: every
-    /// candidate's intention and extension **move** into its `Scored` slot
-    /// instead of being cloned (same scores, same order, same threading
-    /// contract), so an extension allocated once for a candidate is the
-    /// allocation its final `LocationPattern` owns.
+    /// Scores a batch taken by value, returning one entry per input
+    /// candidate in input order (`None` where scoring failed, e.g. an empty
+    /// extension). Every candidate's intention and extension **move** into
+    /// its `Scored` slot, so an extension allocated once for a candidate is
+    /// the allocation its final `LocationPattern` owns.
+    ///
+    /// With `threads > 1` the batch is split into contiguous chunks of at
+    /// least `Evaluator::MIN_CHUNK` candidates, scored by the calling
+    /// thread and scoped threads ([`std::thread::scope`]), and merged in
+    /// chunk order; each candidate's arithmetic is independent, so the
+    /// output is bit-identical at any thread count. Parallelism pays off on
+    /// wide batches of expensive scores (beam levels at high `dy`);
+    /// per-node strategies over cheap scores (e.g. single-target
+    /// branch-and-bound) see little benefit.
     pub fn try_score_all_owned(&self, candidates: Vec<Candidate>) -> Vec<Option<Scored>> {
         let obs = self.obs;
         obs.incr(Metric::EvalBatches);
@@ -767,7 +636,8 @@ impl<'a> Evaluator<'a> {
             let mut ws = self.workspace();
             part.into_iter()
                 .map(|c| {
-                    let score = self.score_or_note(c.intention.len(), c.ext.words(), &mut ws)?;
+                    let score =
+                        self.noted(self.score_words(c.intention.len(), c.ext.words(), &mut ws))?;
                     Some(Scored {
                         intention: c.intention,
                         ext: c.ext,
@@ -783,8 +653,7 @@ impl<'a> Evaluator<'a> {
         } else {
             // Split the owned batch into contiguous per-worker chunks
             // (struct moves, no deep copies), move each into the thread
-            // that scores it, and merge in chunk order: the exact plan of
-            // the borrowing path.
+            // that scores it, and merge in chunk order.
             let chunk_size = candidates.len().div_ceil(workers);
             let mut parts: Vec<Vec<Candidate>> = Vec::with_capacity(workers);
             let mut rest = candidates;
@@ -818,18 +687,19 @@ impl<'a> Evaluator<'a> {
     /// `arity`, and hands each success to `each(child, score, mean)` in
     /// child order; failures are noted.
     ///
-    /// With [`Evaluator::sibling_lanes`], a run of consecutive children of
-    /// one parent through one block of [`LANES`] conditions is one group:
+    /// On single-target data a run of consecutive children of one parent
+    /// through one block of [`LANES`] conditions is one group:
     /// [`kernels::count_cells_sum_lanes`] walks the parent's rows once and
     /// reads each row's membership word from the matrix's row-major view,
     /// which yields every child's per-cell counts and target sum. A child's
     /// signature is then its lane's nonzero counts over the cells the
-    /// parent covers, in cell order, and [`Gaussian::ic`] scores it — the
-    /// same integers and bits the per-child walk produces. Otherwise each
-    /// child's words are ANDed from its parent and mask into one buffer
-    /// just before it is walked; on the Gaussian backend (`dy > 1`) up to
-    /// [`RUN`] walked children then get their model statistics together
-    /// ([`Evaluator::solve_run`]).
+    /// parent covers, in cell order, and [`Evaluator::ic`] scores it — the
+    /// same integers and bits the per-child walk produces. With more target
+    /// columns the per-child walk already fills its SIMD lanes with a row's
+    /// columns, while sibling lanes would walk the parent once per column,
+    /// so each child's words are ANDed from its parent and mask into one
+    /// buffer just before it is walked, and up to [`RUN`] walked children
+    /// then get their model statistics together ([`Evaluator::solve_run`]).
     fn score_each(
         &self,
         children: &ChildBatch<'_>,
@@ -838,24 +708,15 @@ impl<'a> Evaluator<'a> {
         ws: &mut Workspace,
         mut each: impl FnMut(usize, LocationScore, &[f64]),
     ) {
-        if let Some(gaussian) = self.sibling_lanes() {
-            self.score_siblings(gaussian, children, range, arity, ws, each);
+        if self.data.dy() == 1 {
+            self.score_siblings(children, range, arity, ws, each);
             return;
         }
         let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
-        let Backend::Gaussian(gaussian) = &self.backend else {
-            for child in range {
-                children.child_words_into(child, &mut words);
-                if let Some(score) = self.score_or_note(arity, &words, ws) {
-                    each(child, score, &ws.mean);
-                }
-            }
-            return;
-        };
         for child in range {
             children.child_words_into(child, &mut words);
-            gaussian.walk(self.data, &words, ws);
-            if let Err(e) = gaussian.observed_mean(self.data, &ws.signature, &mut ws.mean) {
+            self.walk(&words, ws);
+            if let Err(e) = self.observed_mean(&ws.signature, &mut ws.mean) {
                 self.note_failure(&e.into());
                 continue;
             }
@@ -865,20 +726,19 @@ impl<'a> Evaluator<'a> {
             std::mem::swap(&mut run.means[run.len], &mut ws.mean);
             run.len += 1;
             if run.len == RUN {
-                self.solve_run(gaussian, arity, run, &mut each);
+                self.solve_run(arity, run, &mut each);
             }
         }
-        self.solve_run(gaussian, arity, &mut ws.run, &mut each);
+        self.solve_run(arity, &mut ws.run, &mut each);
     }
 
     /// Scores the children waiting in `run` from their signatures and
     /// observed means through [`BackgroundModel::location_stats_run`] —
-    /// each child's statistics carry the bits [`Gaussian::ic`] computes for
-    /// it alone — hands each success to `each` in slot order, and empties
-    /// the run.
+    /// each child's statistics carry the bits [`Evaluator::ic`] computes
+    /// for it alone — hands each success to `each` in slot order, and
+    /// empties the run.
     fn solve_run(
         &self,
-        gaussian: &Gaussian<'_>,
         arity: usize,
         run: &mut ChildRun,
         each: &mut impl FnMut(usize, LocationScore, &[f64]),
@@ -896,8 +756,7 @@ impl<'a> Evaluator<'a> {
         let items: [LocationCandidate<'_>; RUN] =
             std::array::from_fn(|j| (signatures[j].as_slice(), means[j].as_slice()));
         let dy = self.data.dy();
-        gaussian
-            .model
+        self.model
             .location_stats_run(&items[..*len], stats, |j, outcome| {
                 let score = outcome
                     .map_err(SisdError::from)
@@ -912,14 +771,13 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::score_each`] on single-target data: the sibling walk.
     fn score_siblings(
         &self,
-        gaussian: &Gaussian<'_>,
         children: &ChildBatch<'_>,
         range: Range<usize>,
         arity: usize,
         ws: &mut Workspace,
         mut each: impl FnMut(usize, LocationScore, &[f64]),
     ) {
-        let cell_of_row = gaussian.model.cell_of_row();
+        let cell_of_row = self.model.cell_of_row();
         let targets = self.data.targets().as_slice();
         let metas = children.metas();
         let mut sums = [0.0; LANES];
@@ -953,9 +811,7 @@ impl<'a> Evaluator<'a> {
                 let lane = meta.row % LANES;
                 ws.lane_signature(lane);
                 ws.mean[0] = sums[lane];
-                let score = gaussian
-                    .ic(self.data, ws)
-                    .and_then(|ic| self.location_score(arity, ic));
+                let score = self.ic(ws).and_then(|ic| self.location_score(arity, ic));
                 if let Some(score) = self.noted(score) {
                     each(child, score, &ws.mean);
                 }
@@ -966,57 +822,29 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Scores children `range` of frontier batch number `batch`, all of
-    /// description arity `arity`, through [`Evaluator::score_each`],
-    /// appending one [`LevelRec`] per success to `out`, in child order.
-    /// The batch-path contract of [`Evaluator::try_score_all`] holds —
-    /// same per-candidate results, chunks merged in order, bit-identical
-    /// at any thread count — but nothing is allocated per candidate:
-    /// serial scoring reuses `ws`, and each forked chunk owns one
-    /// workspace.
-    ///
-    /// A child's observed mean is kept only if the top-k log could still
-    /// take it: `log` holds the SIs already in the log (descending) and
-    /// `top_k` its size, and each chunk files its own children into a copy
-    /// of it under the log's rule ([`admit`]). The log itself only ever
-    /// sees more entries ahead of a child than its chunk's copy did, so
-    /// every child the log takes has its mean kept.
+    /// description arity `arity`, under [`Evaluator::metered`], through
+    /// [`Evaluator::score_slice`] on the calling thread or, for a range
+    /// wide enough ([`Evaluator::workers_for`]), in contiguous chunks
+    /// forked over scoped threads and merged in order. The batch-path
+    /// contract of [`Evaluator::try_score_all_owned`] holds — same
+    /// per-candidate results, chunks merged in order, bit-identical at any
+    /// thread count — but nothing is allocated per candidate: serial
+    /// scoring reuses `ws`, and each forked chunk owns one workspace.
     fn score_children(
         &self,
-        (batch, children): (usize, &ChildBatch<'_>),
+        batch: (usize, &ChildBatch<'_>),
         range: Range<usize>,
         arity: usize,
-        (log, top_k): (&[f64], usize),
+        log: (&[f64], usize),
         ws: &mut Workspace,
         out: &mut LevelScores,
     ) {
-        let obs = self.obs;
-        obs.incr(Metric::EvalBatches);
-        let _score_span = obs.span(Metric::EvalScoreNs);
-        let before = out.recs.len();
-        let dy = ws.mean.len();
-        let score_range = |range: Range<usize>, ws: &mut Workspace, out: &mut LevelScores| {
-            let mut gate = Vec::with_capacity(top_k + 1);
-            gate.extend_from_slice(log);
-            self.score_each(children, range, arity, ws, |child, score, mean| {
-                let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
-                    let slot = out.means.len() / dy.max(1);
-                    out.means.extend_from_slice(mean);
-                    slot
-                } else {
-                    NO_MEAN
-                };
-                out.recs.push(LevelRec {
-                    batch,
-                    child,
-                    score,
-                    mean,
-                });
-            });
-        };
         let workers = self.workers_for(range.len());
-        if workers <= 1 {
-            score_range(range, ws, out);
-        } else {
+        self.metered(out, |out| {
+            if workers <= 1 {
+                self.score_slice(batch, range, arity, log, ws, out);
+                return;
+            }
             let Range { start, end } = range;
             let chunk_len = (end - start).div_ceil(workers);
             let chunks = (start..end)
@@ -1025,13 +853,64 @@ impl<'a> Evaluator<'a> {
             let parts = fork_join(chunks, |chunk| {
                 let mut part = LevelScores::default();
                 part.reset(chunk.len());
-                score_range(chunk, &mut self.workspace(), &mut part);
+                self.score_slice(batch, chunk, arity, log, &mut self.workspace(), &mut part);
                 part
             });
             for part in &parts {
-                out.append(part, dy);
+                out.append(part, self.data.dy());
             }
-        }
+        });
+    }
+
+    /// Scores children `range` of frontier batch number `batch`, all of
+    /// description arity `arity`, on the calling thread through
+    /// [`Evaluator::score_each`], appending one [`LevelRec`] per success
+    /// to `out`, in child order.
+    ///
+    /// A child's observed mean is kept only if the top-k log could still
+    /// take it: `log` holds the SIs already in the log (descending) and
+    /// `top_k` its size, and each slice files its own children into a copy
+    /// of it under the log's rule ([`admit`]). The log itself only ever
+    /// sees more entries ahead of a child than its slice's copy did, so
+    /// every child the log takes has its mean kept.
+    fn score_slice(
+        &self,
+        (batch, children): (usize, &ChildBatch<'_>),
+        range: Range<usize>,
+        arity: usize,
+        (log, top_k): (&[f64], usize),
+        ws: &mut Workspace,
+        out: &mut LevelScores,
+    ) {
+        let dy = ws.mean.len();
+        let mut gate = Vec::with_capacity(top_k + 1);
+        gate.extend_from_slice(log);
+        self.score_each(children, range, arity, ws, |child, score, mean| {
+            let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
+                let slot = out.means.len() / dy.max(1);
+                out.means.extend_from_slice(mean);
+                slot
+            } else {
+                NO_MEAN
+            };
+            out.recs.push(LevelRec {
+                batch,
+                child,
+                score,
+                mean,
+            });
+        });
+    }
+
+    /// Runs `score`, which appends one scoring call's records to `out`,
+    /// under the batch metrics: one `eval.batches`, its wall time in
+    /// `eval.score_ns` and its successes in `eval.scored`.
+    fn metered(&self, out: &mut LevelScores, score: impl FnOnce(&mut LevelScores)) {
+        let obs = self.obs;
+        obs.incr(Metric::EvalBatches);
+        let _score_span = obs.span(Metric::EvalScoreNs);
+        let before = out.recs.len();
+        score(out);
         if obs.enabled() {
             obs.add(Metric::EvalScored, (out.recs.len() - before) as u64);
         }
@@ -1209,6 +1088,10 @@ impl TopK {
     }
 }
 
+/// Children a time-budgeted beam level scores between two checks of its
+/// budget.
+const BUDGET_SLICE: usize = 64;
+
 /// Outcome of [`run_beam_levels`].
 pub(crate) struct BeamLevelsOutcome {
     pub(crate) top: Vec<LocationPattern>,
@@ -1225,8 +1108,8 @@ struct BeamParent {
     key: ConjunctionKey,
 }
 
-/// The level-wise beam search (paper §II-D), generic over the evaluation
-/// backend: generate each level's candidates through the batched frontier
+/// The level-wise beam search (paper §II-D): generate each level's
+/// candidates through the batched frontier
 /// subsystem (`sisd-frontier` — count-first mask AND + coverage filters
 /// over the language's condition bit-matrix on the calling thread,
 /// children in serial `(parent, condition)` order), with the
@@ -1252,10 +1135,11 @@ struct BeamParent {
 /// bit-identical to that.
 ///
 /// The wall-clock budget is honoured during both phases of a level:
-/// candidate *generation* checks it between frontier-parent slices, and
-/// scoring checks it between bounded slices (one thread-round of chunks),
-/// so overshoot is limited to one slice of generation plus one slice of
-/// scoring. Everything scored before expiry is still logged — a timed-out
+/// candidate *generation* checks it between frontier parents, and scoring
+/// checks it between slices of [`BUDGET_SLICE`] children, so overshoot is
+/// limited to one parent's generation plus one slice of scoring. Slices
+/// are scored on the calling thread at any thread count: a slice is worth
+/// less than a fork of scoped threads. Everything scored before expiry is still logged — a timed-out
 /// search reports every candidate it committed to, like the incremental
 /// searches it replaced.
 pub(crate) fn run_beam_levels(
@@ -1367,19 +1251,20 @@ pub(crate) fn run_beam_levels(
                     &mut ws,
                     &mut level,
                 ),
-                // Budgeted: score in slices sized to one full thread-round
-                // so the elapsed check runs between slices; a slice, once
-                // started, completes (bounded overshoot).
+                // Budgeted: score in slices on the calling thread so the
+                // elapsed check runs between slices; a slice, once started,
+                // completes (bounded overshoot).
                 Some(budget) => {
-                    let slice = (ev.threads() * Evaluator::MIN_CHUNK).max(64);
                     let mut lo = 0;
                     while lo < children.len() {
                         if start.elapsed() > budget {
                             timed_out = true;
                             break 'scoring;
                         }
-                        let hi = children.len().min(lo + slice);
-                        ev.score_children((b, children), lo..hi, depth, log, &mut ws, &mut level);
+                        let hi = children.len().min(lo + BUDGET_SLICE);
+                        ev.metered(&mut level, |out| {
+                            ev.score_slice((b, children), lo..hi, depth, log, &mut ws, out);
+                        });
                         lo = hi;
                     }
                 }
@@ -1519,7 +1404,7 @@ mod tests {
             DlParams::default(),
             EvalConfig::with_threads(usize::MAX),
         );
-        assert_eq!(ev.threads(), Evaluator::MAX_WORKERS);
+        assert_eq!(ev.threads, Evaluator::MAX_WORKERS);
         assert_eq!(ev.workers_for(usize::MAX), Evaluator::MAX_WORKERS);
         assert_eq!(ev.workers_for(Evaluator::MIN_CHUNK), 1);
     }
@@ -1734,7 +1619,7 @@ mod tests {
     }
 
     #[test]
-    fn spread_scoring_requires_gaussian_backend() {
+    fn spread_scoring_succeeds_on_a_subgroup() {
         let (data, model) = fixture();
         let ev = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default());
         let ext = BitSet::from_indices(data.n(), 0..40);

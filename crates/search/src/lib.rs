@@ -14,8 +14,6 @@
 //! * [`beam`] — level-wise beam search over conjunctions, maximizing the
 //!   location-pattern SI, with beam width / depth / minimum coverage /
 //!   wall-clock budget controls and a best-`k` result log.
-//! * [`binary_beam`] — the same loop over the Bernoulli background model
-//!   for 0/1 targets (§V extension).
 //! * [`sphere`] — projected gradient ascent on the unit sphere for the
 //!   spread direction `w` (Eq. 21; replaces the paper's Manopt dependency),
 //!   with analytic gradients, multi-start, and a 2-sparse pairwise variant.
@@ -25,20 +23,18 @@
 //!   pattern with a tight optimistic estimate (the branch-and-bound
 //!   direction the paper's §V singles out as future work).
 //!
-//! All four strategies evaluate candidates through [`eval::Evaluator`],
-//! and the three conjunctive ones (beam, binary beam, branch-and-bound)
-//! *generate* their candidates through the batched `sisd-frontier`
-//! subsystem: condition masks are evaluated once per dataset into a
-//! contiguous bit-matrix, and per-level refinement (mask AND + coverage
-//! filters) runs on fused word kernels on the calling thread. The
-//! engine's [`eval::EvalConfig`] (worker threads and metrics handle) is
+//! All three strategies evaluate candidates through [`eval::Evaluator`],
+//! and the two conjunctive ones (beam, branch-and-bound) *generate* their
+//! candidates through the batched `sisd-frontier` subsystem: condition
+//! masks are evaluated once per dataset into a contiguous bit-matrix, and
+//! per-level refinement (mask AND + coverage filters) runs on fused word
+//! kernels on the calling thread. The engine's [`eval::EvalConfig`] (worker threads and metrics handle) is
 //! threaded from [`MinerConfig`] / [`BeamConfig`] / [`BranchBoundConfig`]
 //! down to every scoring call, which forks its batch over scoped threads
 //! with bit-identical results at any thread count; frontier generation
 //! takes only its metrics handle.
 
 pub mod beam;
-pub mod binary_beam;
 pub mod branch_bound;
 pub mod eval;
 pub mod miner;
@@ -46,7 +42,6 @@ pub mod refine;
 pub mod sphere;
 
 pub use beam::{BeamConfig, BeamResult, BeamSearch};
-pub use binary_beam::{binary_beam_search, binary_step, BinaryBeamResult};
 pub use branch_bound::{branch_bound_search, BranchBoundConfig, BranchBoundResult};
 pub use eval::{Candidate, EvalConfig, Evaluator, Scored};
 pub use miner::{Iteration, Miner, MinerConfig};

@@ -94,9 +94,12 @@ impl Chi2MixtureApprox {
     }
 
     /// Negative log-density, i.e. the information content of observing `g`
-    /// (paper Eq. 19). Clamps into the support when `g` falls at most a
-    /// relative `1e-9` below β (numerically equal-coefficient mixtures have
-    /// β exactly at the support edge).
+    /// (paper Eq. 19). Every `g ≤ β + 1e-12·α`, however far below the
+    /// support's edge β, is lifted to `β + 1e-12·α` and scored there, so
+    /// all such `g` share one IC, set by the constant `1e-12` rather than
+    /// by the data. (Numerically equal-coefficient mixtures have β exactly
+    /// at the edge.) ROADMAP.md item 2 replaces this clamp with an IC that
+    /// is valid on the whole support.
     pub fn information_content(&self, g: f64) -> f64 {
         let edge = self.beta + self.alpha * 1e-12;
         let g = if g <= edge { edge } else { g };

@@ -35,7 +35,7 @@ pub mod prelude {
     };
     pub use sisd_data::{datasets, BitSet, Column, Dataset};
     pub use sisd_linalg::Matrix;
-    pub use sisd_model::{BackgroundModel, BinaryBackgroundModel};
+    pub use sisd_model::BackgroundModel;
     pub use sisd_obs::{JsonlSink, Metric, NullSink, Obs, ObsHandle, RingSink, SearchReport};
     pub use sisd_search::{
         generate_conditions, mine_spread_pattern, BeamConfig, BeamResult, BeamSearch, EvalConfig,
