@@ -12,7 +12,7 @@
 //! bench-parity smoke step in the workflow).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sisd_data::{kernels, BitSet};
+use sisd_data::BitSet;
 use sisd_frontier::{
     ChildBatch, ChildMeta, FrontierBuilder, FrontierConfig, MaskMatrix, ParentSpec,
 };
@@ -123,45 +123,5 @@ fn bench_frontier_generation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_and_count_many(c: &mut Criterion) {
-    // The count-only kernel in isolation: support counts for one parent
-    // against every matrix row, fused vs materialize-then-count.
-    let w = workload(23);
-    let parent = &w.parents[0];
-    let mut counts = vec![0usize; N_CONDITIONS];
-    w.matrix
-        .and_count_block(parent, 0, N_CONDITIONS, &mut counts);
-    for (row, mask) in w.masks.iter().enumerate() {
-        assert_eq!(counts[row], parent.and(mask).count(), "row {row}");
-    }
-
-    let mut group = c.benchmark_group("and_count_8192x256");
-    group.sample_size(10);
-    group.bench_function("and_count_many_block", |b| {
-        b.iter(|| {
-            w.matrix
-                .and_count_block(black_box(parent), 0, N_CONDITIONS, &mut counts);
-            counts[N_CONDITIONS - 1]
-        })
-    });
-    group.bench_function("per_row_and_then_count", |b| {
-        b.iter(|| {
-            w.masks
-                .iter()
-                .map(|m| black_box(parent).and(m).count())
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("per_row_intersection_count", |b| {
-        b.iter(|| {
-            w.masks
-                .iter()
-                .map(|m| kernels::and_count(black_box(parent).words(), m.words()))
-                .sum::<usize>()
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_frontier_generation, bench_and_count_many);
+criterion_group!(benches, bench_frontier_generation);
 criterion_main!(benches);

@@ -115,6 +115,6 @@ fn main() {
          the 2-sparse spread direction concentrates on (CDU, SPD) ≈ (0.57, 0.82)\n\
          with a variance ratio well below 1."
     );
-    print_search_report(&miner.search_report());
+    print_search_report(&obs.report().expect("obs handle is always enabled here"));
     obs.flush();
 }

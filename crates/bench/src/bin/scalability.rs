@@ -176,7 +176,7 @@ fn run_session(args: SessionArgs, threads: usize, obs: sisd_obs::ObsHandle) {
         crc32(&bytes),
         bytes.len()
     );
-    print_search_report(&miner.search_report());
+    print_search_report(&obs.report().expect("obs handle is always enabled here"));
     obs.flush();
 }
 

@@ -76,16 +76,6 @@ fn and_into_body(a: &[u64], b: &[u64], out: &mut [u64]) {
     }
 }
 
-/// Portable block body: one fused count per arena row (see
-/// [`and_count_many`] for the layout contract, asserted by the caller).
-#[inline(always)]
-fn and_count_many_body(parent: &[u64], block: &[u64], counts: &mut [usize]) {
-    let stride = parent.len();
-    for (row, c) in block.chunks_exact(stride).zip(counts.iter_mut()) {
-        *c = and_count_body(parent, row);
-    }
-}
-
 /// Portable selective block body: fused counts for the rows with
 /// `select[j] == true`, leaving the other `counts` entries untouched (see
 /// [`and_count_many_select`]).
@@ -398,13 +388,6 @@ mod x86 {
     /// # Safety
     /// See [`and_count`].
     #[target_feature(enable = "avx2,popcnt")]
-    pub(super) unsafe fn and_count_many(parent: &[u64], block: &[u64], counts: &mut [usize]) {
-        super::and_count_many_body(parent, block, counts)
-    }
-
-    /// # Safety
-    /// See [`and_count`].
-    #[target_feature(enable = "avx2,popcnt")]
     pub(super) unsafe fn and_count_many_select(
         parent: &[u64],
         block: &[u64],
@@ -492,9 +475,9 @@ pub fn and_count(a: &[u64], b: &[u64]) -> usize {
 }
 
 /// `out = a & b` without the popcount — the materialization kernel for
-/// callers that already know the intersection count from a count-only
-/// kernel ([`and_count_many`] / [`and_count_many_select`]) and only need
-/// the surviving child's words written.
+/// callers that already know the intersection count from the count-only
+/// kernel ([`and_count_many_select`]) and only need the surviving child's
+/// words written.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -514,44 +497,18 @@ pub fn and_into(a: &[u64], b: &[u64], out: &mut [u64]) {
     and_into_body(a, b, out)
 }
 
-/// Batched `popcount(parent & row)` over a contiguous block of rows.
+/// Batched `popcount(parent & row)` over the rows of a contiguous block
+/// with `select[j] == true`.
 ///
 /// `block` is a row-major arena of `counts.len()` rows of `parent.len()`
 /// words each (the layout of the frontier bit-matrix); `counts[j]`
-/// receives the intersection count of `parent` with row `j`. The parent
-/// stays cache-resident while the block streams through once, and the
-/// SIMD dispatch happens once for the whole block.
-///
-/// # Panics
-/// Panics if `block.len() != parent.len() * counts.len()`.
-pub fn and_count_many(parent: &[u64], block: &[u64], counts: &mut [usize]) {
-    let stride = parent.len();
-    assert_eq!(
-        block.len(),
-        stride * counts.len(),
-        "kernels::and_count_many: block length mismatch"
-    );
-    if stride == 0 {
-        counts.fill(0);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if x86::avx2() {
-        // SAFETY: AVX2 support verified by the cached runtime probe.
-        unsafe { x86::and_count_many(parent, block, counts) };
-        return;
-    }
-    and_count_many_body(parent, block, counts)
-}
-
-/// [`and_count_many`] restricted to the rows with `select[j] == true`:
-/// fused AND+popcounts for the selected rows of the block, **without
-/// writing any child words** and without touching the `counts` entries of
-/// deselected rows. This is the count kernel of count-first frontier
-/// refinement — a whole block of (parent × mask) support counts streams
-/// through the cache with no store traffic at all, so candidates that a
-/// support filter or bound predicate will reject never materialize
-/// anything.
+/// receives the intersection count of `parent` with row `j` when
+/// `select[j]` is set, and the `counts` entries of deselected rows are
+/// left untouched. The parent stays cache-resident while the block
+/// streams through once, and the SIMD dispatch happens once for the whole
+/// block. This is the count kernel of count-first frontier refinement: no
+/// child words are written, so candidates that a support filter or bound
+/// predicate will reject never materialize anything.
 ///
 /// # Panics
 /// Panics if `block.len() != parent.len() * counts.len()` or
@@ -794,22 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn and_count_many_matches_per_row_counts() {
-        let len = 300usize;
-        let stride = len.div_ceil(64);
-        let parent = BitSet::from_words(words(5, stride), len);
-        let rows: Vec<BitSet> = (0..13)
-            .map(|r| BitSet::from_words(words(100 + r, stride), len))
-            .collect();
-        let block: Vec<u64> = rows.iter().flat_map(|r| r.words().to_vec()).collect();
-        let mut counts = vec![0usize; rows.len()];
-        and_count_many(parent.words(), &block, &mut counts);
-        for (r, &c) in rows.iter().zip(&counts) {
-            assert_eq!(c, parent.intersection_count(r));
-        }
-    }
-
-    #[test]
     fn and_into_matches_bitset_and() {
         for len in [1usize, 63, 64, 65, 200, 777] {
             let a = BitSet::from_words(words(3, len.div_ceil(64)), len);
@@ -850,9 +791,6 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         assert_eq!(and_count(&[], &[]), 0);
-        let mut counts = vec![7usize; 3];
-        and_count_many(&[], &[], &mut counts);
-        assert_eq!(counts, vec![0, 0, 0]);
         // Zero-stride select: chosen rows get 0, the rest stay untouched.
         let mut counts = vec![7usize; 3];
         and_count_many_select(&[], &[], &[true, false, true], &mut counts);

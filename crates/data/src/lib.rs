@@ -23,12 +23,10 @@ pub mod bitset;
 pub mod column;
 pub mod csv;
 pub mod datasets;
-pub mod discretize;
 pub mod kernels;
 pub mod snap;
 pub mod table;
 
 pub use bitset::BitSet;
 pub use column::Column;
-pub use discretize::{discretize, discretize_attribute, Binning};
 pub use table::Dataset;

@@ -15,7 +15,7 @@
 
 use sisd_core::Condition;
 use sisd_data::bitset::WORD_BITS;
-use sisd_data::kernels::{self, LANES};
+use sisd_data::kernels::LANES;
 use sisd_data::{BitSet, Dataset};
 use std::sync::OnceLock;
 
@@ -96,7 +96,7 @@ impl MaskMatrix {
     }
 
     /// The contiguous arena slice covering rows `lo..hi` — the block shape
-    /// [`sisd_data::kernels::and_count_many`] consumes.
+    /// [`sisd_data::kernels::and_count_many_select`] consumes.
     #[inline]
     pub fn block_words(&self, lo: usize, hi: usize) -> &[u64] {
         &self.words[lo * self.stride..hi * self.stride]
@@ -156,15 +156,6 @@ impl MaskMatrix {
         }
         view
     }
-
-    /// `popcount(parent ∩ row_j)` for every row in `lo..hi`, written to
-    /// `counts` (one entry per row in order). A thin, bounds-checked
-    /// wrapper over [`sisd_data::kernels::and_count_many`].
-    pub fn and_count_block(&self, parent: &BitSet, lo: usize, hi: usize, counts: &mut [usize]) {
-        assert_eq!(parent.len(), self.n, "MaskMatrix: parent capacity mismatch");
-        assert_eq!(counts.len(), hi - lo, "MaskMatrix: counts length mismatch");
-        kernels::and_count_many(parent.words(), self.block_words(lo, hi), counts);
-    }
 }
 
 /// Transposes a 64 × 64 bit tile in place: bit `j` of word `i` trades
@@ -187,7 +178,7 @@ fn transpose_tile(tile: &mut [u64; LANES]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sisd_core::{ConditionOp, Intention};
+    use sisd_core::ConditionOp;
     use sisd_data::Column;
     use sisd_linalg::Matrix;
 
@@ -236,19 +227,6 @@ mod tests {
                 assert_eq!(m.row_bitset(j), c.evaluate(&d), "n={n}, row {j}");
                 assert_eq!(m.row_count(j), c.evaluate(&d).count());
             }
-        }
-    }
-
-    #[test]
-    fn and_count_block_matches_intersection_counts() {
-        let d = data(130);
-        let conds = language();
-        let m = MaskMatrix::evaluate(&d, &conds);
-        let parent = Intention::empty().with(conds[0]).evaluate(&d);
-        let mut counts = vec![0usize; conds.len()];
-        m.and_count_block(&parent, 0, conds.len(), &mut counts);
-        for (j, c) in conds.iter().enumerate() {
-            assert_eq!(counts[j], parent.intersection_count(&c.evaluate(&d)));
         }
     }
 

@@ -259,13 +259,6 @@ impl MetricsRegistry {
         self.slots[metric.index()].store(v, Ordering::Relaxed);
     }
 
-    /// Sets every slot back to zero.
-    fn reset(&self) {
-        for slot in &self.slots {
-            slot.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Current value of one slot.
     #[inline]
     pub fn get(&self, metric: Metric) -> u64 {
@@ -633,65 +626,6 @@ impl TraceSink for JsonlSink {
 impl Drop for JsonlSink {
     fn drop(&mut self) {
         self.flush();
-    }
-}
-
-/// A counters-only registry ([`Obs::null`]) that one owner holds at a
-/// time, such as a miner run without a caller's handle. When the owner
-/// drops it, the registry is zeroed and kept for the next
-/// [`OwnedCounters::new`], so a process that creates owner after owner
-/// leaks only as many registries as were ever held at once. (Leaking one
-/// per owner would scatter small permanent allocations through the heap,
-/// where they split the free space large short-lived buffers need, and
-/// the heap grows around them.)
-///
-/// Copies of [`OwnedCounters::handle`] must die with the owner: one kept
-/// past the drop counts into whichever owner holds the registry next.
-pub struct OwnedCounters(&'static Obs);
-
-/// Registries dropped [`OwnedCounters`] gave back.
-static SPARE_COUNTERS: Mutex<Vec<&'static Obs>> = Mutex::new(Vec::new());
-
-/// Locks [`SPARE_COUNTERS`]. Every update of the list leaves it valid, so
-/// a panic elsewhere while it was locked cannot have broken it.
-fn spare_counters() -> std::sync::MutexGuard<'static, Vec<&'static Obs>> {
-    SPARE_COUNTERS
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-impl OwnedCounters {
-    /// A zeroed registry: one an earlier owner gave back, or a newly
-    /// leaked one.
-    pub fn new() -> Self {
-        let spare = spare_counters().pop();
-        Self(spare.unwrap_or_else(|| Box::leak(Box::new(Obs::null()))))
-    }
-
-    /// The registry's handle.
-    pub fn handle(&self) -> ObsHandle {
-        ObsHandle(Some(self.0))
-    }
-}
-
-impl Default for OwnedCounters {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for OwnedCounters {
-    fn drop(&mut self) {
-        self.0.registry.reset();
-        spare_counters().push(self.0);
-    }
-}
-
-impl fmt::Debug for OwnedCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("OwnedCounters")
-            .field(&(self.0 as *const Obs))
-            .finish()
     }
 }
 
@@ -1075,25 +1009,6 @@ mod tests {
         assert_eq!(a, a);
         assert_ne!(a, b);
         assert_ne!(a, ObsHandle::disabled());
-    }
-
-    #[test]
-    fn owned_counters_are_distinct_while_held_and_zeroed_for_reuse() {
-        let a = OwnedCounters::new();
-        let b = OwnedCounters::new();
-        assert!(a.handle().enabled());
-        assert!(a.handle().get().unwrap().sink().is_null());
-        assert_ne!(a.handle(), b.handle());
-        a.handle().add(Metric::EvalScored, 5);
-        assert_eq!(b.handle().snapshot().unwrap().get(Metric::EvalScored), 0);
-        let used = a.handle();
-        drop(a);
-        // The next owner gets the registry back, zeroed, instead of a
-        // newly leaked one.
-        let c = OwnedCounters::new();
-        assert_eq!(c.handle(), used);
-        assert_eq!(c.handle().snapshot().unwrap().get(Metric::EvalScored), 0);
-        assert_ne!(c.handle(), b.handle());
     }
 
     #[test]

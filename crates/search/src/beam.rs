@@ -3,8 +3,8 @@
 //! The search "maintains a list of most interesting patterns of arity k,
 //! expands these to arity k + 1 and selects the most interesting patterns
 //! again". The defaults mirror the paper's Cortana settings (§III): beam
-//! width 40, depth 4, the 150 best subgroups logged, numeric conditions on
-//! four percentile split points, and an optional wall-clock budget.
+//! width 40, depth 4, the 150 best subgroups logged, and numeric
+//! conditions on four percentile split points.
 //!
 //! Candidate scoring — including multi-threading and factorization reuse —
 //! is delegated to the shared [`crate::eval::Evaluator`], and candidate
@@ -42,11 +42,6 @@ pub struct BeamConfig {
     /// excludes subgroups equal to the whole dataset, whose "mean" carries
     /// no local structure.
     pub max_coverage_fraction: f64,
-    /// Wall-clock budget; search stops gracefully when exceeded. Checked
-    /// between frontier parents while generating a level and between
-    /// bounded scoring slices while evaluating it; candidates scored
-    /// before expiry are still logged.
-    pub time_budget: Option<Duration>,
     /// Condition-language settings.
     pub refine: RefineConfig,
     /// Description-length parameters.
@@ -63,7 +58,6 @@ impl Default for BeamConfig {
             top_k: 150,
             min_coverage: 5,
             max_coverage_fraction: 0.99,
-            time_budget: None,
             refine: RefineConfig::default(),
             dl: DlParams::default(),
             eval: EvalConfig::default(),
@@ -80,8 +74,6 @@ pub struct BeamResult {
     pub evaluated: usize,
     /// Wall-clock time used.
     pub elapsed: Duration,
-    /// True when the time budget cut the search short.
-    pub timed_out: bool,
     /// Candidates dropped because of numeric model breakdown (never
     /// empty-extension skips). Zero in healthy runs; non-zero means the
     /// background model is degraded and `top` may be incomplete.
@@ -135,12 +127,11 @@ impl BeamSearch {
         let start = Instant::now();
         let ev = Evaluator::gaussian(data, model, self.config.dl, self.config.eval);
         let language = language.get_or_init(|| SearchLanguage::new(data, &self.config.refine));
-        let outcome = run_beam_levels(&ev, &self.config, language, start);
+        let outcome = run_beam_levels(&ev, &self.config, language);
         BeamResult {
             top: outcome.top,
             evaluated: outcome.evaluated,
             elapsed: start.elapsed(),
-            timed_out: outcome.timed_out,
             degraded: outcome.degraded,
         }
     }
@@ -179,7 +170,6 @@ mod tests {
             best.summary(&data)
         );
         assert!(result.evaluated > 10);
-        assert!(!result.timed_out);
     }
 
     #[test]
@@ -240,18 +230,6 @@ mod tests {
             assert!((r.score.ic - best.score.ic).abs() < 1e-9);
             assert!(r.score.si < best.score.si);
         }
-    }
-
-    #[test]
-    fn respects_time_budget() {
-        let (data, _) = synthetic_paper(3);
-        let model = BackgroundModel::from_empirical(&data).unwrap();
-        let cfg = BeamConfig {
-            time_budget: Some(Duration::from_nanos(1)),
-            ..small_config()
-        };
-        let result = BeamSearch::new(cfg).run(&data, &model);
-        assert!(result.timed_out);
     }
 
     #[test]

@@ -72,7 +72,6 @@ use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use std::time::Instant;
 
 /// Engine configuration, threaded from the application surface
 /// ([`crate::MinerConfig`], the experiment binaries' `--threads` flags)
@@ -244,11 +243,10 @@ struct LevelScores {
     means: Vec<f64>,
 }
 
-/// One scored child: which frontier batch and which child of it, its
-/// score, and the slot of its observed mean in [`LevelScores::means`].
+/// One scored child: which child of the level's batch, its score, and the
+/// slot of its observed mean in [`LevelScores::means`].
 #[derive(Debug, Clone, Copy)]
 struct LevelRec {
-    batch: usize,
     child: usize,
     score: LocationScore,
     /// Slot `s` holds `means[s * dy..(s + 1) * dy]`; [`NO_MEAN`] when the
@@ -584,8 +582,7 @@ impl<'a> Evaluator<'a> {
     /// joins its scoped threads afresh, tens of microseconds per batch, so
     /// callers that score many small batches at `threads > 1`
     /// (branch-and-bound nodes) pay that round per batch and may run
-    /// slower than serially; a time-budgeted beam level, which scores in
-    /// small slices, scores them on the calling thread instead. Chunking
+    /// slower than serially, while a beam level pays it once. Chunking
     /// never affects the scores — only where they are computed.
     const MIN_CHUNK: usize = 16;
 
@@ -821,98 +818,73 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Scores children `range` of frontier batch number `batch`, all of
-    /// description arity `arity`, under [`Evaluator::metered`], through
-    /// [`Evaluator::score_slice`] on the calling thread or, for a range
-    /// wide enough ([`Evaluator::workers_for`]), in contiguous chunks
-    /// forked over scoped threads and merged in order. The batch-path
-    /// contract of [`Evaluator::try_score_all_owned`] holds — same
-    /// per-candidate results, chunks merged in order, bit-identical at any
-    /// thread count — but nothing is allocated per candidate: serial
-    /// scoring reuses `ws`, and each forked chunk owns one workspace.
-    fn score_children(
-        &self,
-        batch: (usize, &ChildBatch<'_>),
-        range: Range<usize>,
-        arity: usize,
-        log: (&[f64], usize),
-        ws: &mut Workspace,
-        out: &mut LevelScores,
-    ) {
-        let workers = self.workers_for(range.len());
-        self.metered(out, |out| {
-            if workers <= 1 {
-                self.score_slice(batch, range, arity, log, ws, out);
-                return;
-            }
-            let Range { start, end } = range;
-            let chunk_len = (end - start).div_ceil(workers);
-            let chunks = (start..end)
-                .step_by(chunk_len)
-                .map(|lo| lo..end.min(lo + chunk_len));
-            let parts = fork_join(chunks, |chunk| {
-                let mut part = LevelScores::default();
-                part.reset(chunk.len());
-                self.score_slice(batch, chunk, arity, log, &mut self.workspace(), &mut part);
-                part
-            });
-            for part in &parts {
-                out.append(part, self.data.dy());
-            }
-        });
-    }
-
-    /// Scores children `range` of frontier batch number `batch`, all of
-    /// description arity `arity`, on the calling thread through
-    /// [`Evaluator::score_each`], appending one [`LevelRec`] per success
-    /// to `out`, in child order.
+    /// Scores every child of `children`, all of description arity `arity`,
+    /// into `out`, replacing what it held: one [`LevelRec`] per success, in
+    /// child order, each through [`Evaluator::score_each`]. The whole batch
+    /// is one scoring call of the batch metrics (one `eval.batches`, its
+    /// wall time in `eval.score_ns`, its successes in `eval.scored`). It
+    /// runs on the calling thread or, when wide enough
+    /// ([`Evaluator::workers_for`]), in contiguous chunks forked over
+    /// scoped threads and merged in order. The batch-path contract of
+    /// [`Evaluator::try_score_all_owned`] holds — same per-candidate
+    /// results, chunks merged in order, bit-identical at any thread count —
+    /// but nothing is allocated per candidate: serial scoring reuses `ws`,
+    /// and each forked chunk owns one workspace.
     ///
     /// A child's observed mean is kept only if the top-k log could still
     /// take it: `log` holds the SIs already in the log (descending) and
-    /// `top_k` its size, and each slice files its own children into a copy
+    /// `top_k` its size, and each chunk files its own children into a copy
     /// of it under the log's rule ([`admit`]). The log itself only ever
-    /// sees more entries ahead of a child than its slice's copy did, so
+    /// sees more entries ahead of a child than its chunk's copy did, so
     /// every child the log takes has its mean kept.
-    fn score_slice(
+    fn score_children(
         &self,
-        (batch, children): (usize, &ChildBatch<'_>),
-        range: Range<usize>,
+        children: &ChildBatch<'_>,
         arity: usize,
         (log, top_k): (&[f64], usize),
         ws: &mut Workspace,
         out: &mut LevelScores,
     ) {
-        let dy = ws.mean.len();
-        let mut gate = Vec::with_capacity(top_k + 1);
-        gate.extend_from_slice(log);
-        self.score_each(children, range, arity, ws, |child, score, mean| {
-            let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
-                let slot = out.means.len() / dy.max(1);
-                out.means.extend_from_slice(mean);
-                slot
-            } else {
-                NO_MEAN
-            };
-            out.recs.push(LevelRec {
-                batch,
-                child,
-                score,
-                mean,
-            });
-        });
-    }
-
-    /// Runs `score`, which appends one scoring call's records to `out`,
-    /// under the batch metrics: one `eval.batches`, its wall time in
-    /// `eval.score_ns` and its successes in `eval.scored`.
-    fn metered(&self, out: &mut LevelScores, score: impl FnOnce(&mut LevelScores)) {
         let obs = self.obs;
         obs.incr(Metric::EvalBatches);
         let _score_span = obs.span(Metric::EvalScoreNs);
-        let before = out.recs.len();
-        score(out);
+        let dy = self.data.dy();
+        let score_chunk = |chunk: Range<usize>, ws: &mut Workspace, out: &mut LevelScores| {
+            let mut gate = Vec::with_capacity(top_k + 1);
+            gate.extend_from_slice(log);
+            self.score_each(children, chunk, arity, ws, |child, score, mean| {
+                let mean = if admit(&mut gate, top_k, score.si, |&q| q, score.si) {
+                    let slot = out.means.len() / dy.max(1);
+                    out.means.extend_from_slice(mean);
+                    slot
+                } else {
+                    NO_MEAN
+                };
+                out.recs.push(LevelRec { child, score, mean });
+            });
+        };
+        let len = children.len();
+        out.reset(len);
+        let workers = self.workers_for(len);
+        if workers <= 1 {
+            score_chunk(0..len, ws, out);
+        } else {
+            let chunk_len = len.div_ceil(workers);
+            let chunks = (0..len)
+                .step_by(chunk_len)
+                .map(|lo| lo..len.min(lo + chunk_len));
+            let parts = fork_join(chunks, |chunk| {
+                let mut part = LevelScores::default();
+                part.reset(chunk.len());
+                score_chunk(chunk, &mut self.workspace(), &mut part);
+                part
+            });
+            for part in &parts {
+                out.append(part, dy);
+            }
+        }
         if obs.enabled() {
-            obs.add(Metric::EvalScored, (out.recs.len() - before) as u64);
+            obs.add(Metric::EvalScored, out.recs.len() as u64);
         }
     }
 }
@@ -1088,15 +1060,10 @@ impl TopK {
     }
 }
 
-/// Children a time-budgeted beam level scores between two checks of its
-/// budget.
-const BUDGET_SLICE: usize = 64;
-
 /// Outcome of [`run_beam_levels`].
 pub(crate) struct BeamLevelsOutcome {
     pub(crate) top: Vec<LocationPattern>,
     pub(crate) evaluated: usize,
-    pub(crate) timed_out: bool,
     pub(crate) degraded: usize,
 }
 
@@ -1134,19 +1101,12 @@ struct BeamParent {
 /// order as pushing every scored candidate as a pattern, so it is
 /// bit-identical to that.
 ///
-/// The wall-clock budget is honoured during both phases of a level:
-/// candidate *generation* checks it between frontier parents, and scoring
-/// checks it between slices of [`BUDGET_SLICE`] children, so overshoot is
-/// limited to one parent's generation plus one slice of scoring. Slices
-/// are scored on the calling thread at any thread count: a slice is worth
-/// less than a fork of scoped threads. Everything scored before expiry is still logged — a timed-out
-/// search reports every candidate it committed to, like the incremental
-/// searches it replaced.
+/// Each level is one refinement over all its parents and one scoring call
+/// over the batch it returns.
 pub(crate) fn run_beam_levels(
     ev: &Evaluator<'_>,
     cfg: &BeamConfig,
     language: &SearchLanguage,
-    start: Instant,
 ) -> BeamLevelsOutcome {
     let obs = ev.obs();
     obs.incr(Metric::SearchRuns);
@@ -1165,7 +1125,6 @@ pub(crate) fn run_beam_levels(
 
     let mut top = TopK::new(cfg.top_k);
     let mut evaluated = 0usize;
-    let mut timed_out = false;
     // Keys of one level's conjunctions all have the level's arity, so no
     // key can repeat across levels: the set is cleared (keeping its
     // capacity) per level.
@@ -1204,83 +1163,24 @@ pub(crate) fn run_beam_levels(
                 in_a_key[c as usize] = true;
             }
         }
-        let unique = |p: usize, row: usize, seen: &mut HashSet<ConjunctionKey>| {
+        // The keep predicate runs the first-wins dedup on the support
+        // counts, so the batch holds exactly the survivors.
+        let children = builder.refine_with_prune(&specs, allowed, |p, row, _| {
             !in_a_key[row] || seen.insert(parents[p].key.with(row))
-        };
-        // Each frontier batch with the index of its first parent; the keep
-        // predicate ran the first-wins dedup on the support counts, so the
-        // batches hold exactly the survivors.
-        let mut batches: Vec<(usize, ChildBatch<'_>)> = Vec::new();
-        match cfg.time_budget {
-            // No budget: one batch.
-            None => {
-                let children = builder
-                    .refine_with_prune(&specs, allowed, |p, row, _| unique(p, row, &mut seen));
-                batches.push((0, children));
-            }
-            // Budgeted: refine one parent at a time so the elapsed check
-            // runs between parents; a parent, once started, completes
-            // (bounded overshoot).
-            Some(budget) => {
-                for (p, spec) in specs.iter().enumerate() {
-                    if start.elapsed() > budget {
-                        timed_out = true;
-                        break;
-                    }
-                    let children = builder.refine_with_prune(
-                        std::slice::from_ref(spec),
-                        |_, row| allowed(p, row),
-                        |_, row, _| unique(p, row, &mut seen),
-                    );
-                    batches.push((p, children));
-                }
-            }
-        }
+        });
         drop(specs);
-        level.reset(batches.iter().map(|(_, c)| c.len()).sum());
         top.sis_into(&mut log_sis);
-        let log = (log_sis.as_slice(), cfg.top_k);
-        'scoring: for (b, (_, children)) in batches.iter().enumerate() {
-            match cfg.time_budget {
-                // No budget: the batch in one go, maximally parallel.
-                None => ev.score_children(
-                    (b, children),
-                    0..children.len(),
-                    depth,
-                    log,
-                    &mut ws,
-                    &mut level,
-                ),
-                // Budgeted: score in slices on the calling thread so the
-                // elapsed check runs between slices; a slice, once started,
-                // completes (bounded overshoot).
-                Some(budget) => {
-                    let mut lo = 0;
-                    while lo < children.len() {
-                        if start.elapsed() > budget {
-                            timed_out = true;
-                            break 'scoring;
-                        }
-                        let hi = children.len().min(lo + BUDGET_SLICE);
-                        ev.metered(&mut level, |out| {
-                            ev.score_slice((b, children), lo..hi, depth, log, &mut ws, out);
-                        });
-                        lo = hi;
-                    }
-                }
-            }
-        }
+        ev.score_children(&children, depth, (&log_sis, cfg.top_k), &mut ws, &mut level);
         evaluated += level.recs.len();
         for (r, rec) in level.recs.iter().enumerate() {
             top.push(rec.score.si, r);
         }
-        // The parent and condition a record's child refines.
-        let origin = |batch: usize, child: usize| {
-            let (base, children) = &batches[batch];
+        // The parent and condition a child refines.
+        let origin = |child: usize| {
             let meta = children.meta(child);
-            (&parents[base + meta.parent], meta.row, children)
+            (&parents[meta.parent], meta.row)
         };
-        let done = timed_out || level.recs.is_empty();
+        let done = level.recs.is_empty();
         // Select the next frontier (when another level follows): by SI
         // descending, ties in scored order — the order a stable sort of
         // the level produced — keeping the `width` best.
@@ -1304,7 +1204,7 @@ pub(crate) fn run_beam_levels(
             next = order
                 .iter()
                 .map(|&r| {
-                    let (parent, row, children) = origin(recs[r].batch, recs[r].child);
+                    let (parent, row) = origin(recs[r].child);
                     BeamParent {
                         intention: parent.intention.with(conditions[row]),
                         ext: children.child_bitset(recs[r].child),
@@ -1314,14 +1214,14 @@ pub(crate) fn run_beam_levels(
                 .collect();
         }
         // Patterns for the log's entries from this level, while their
-        // parents and batches are still here.
+        // parents and batch are still here.
         top.settle(|r| {
             let rec = &level.recs[r];
             assert_ne!(
                 rec.mean, NO_MEAN,
                 "the log took a child whose mean was dropped"
             );
-            let (parent, row, children) = origin(rec.batch, rec.child);
+            let (parent, row) = origin(rec.child);
             LocationPattern {
                 intention: parent.intention.with(conditions[row]),
                 extension: children.child_bitset(rec.child),
@@ -1329,7 +1229,7 @@ pub(crate) fn run_beam_levels(
                 score: rec.score,
             }
         });
-        drop(batches);
+        drop(children);
         if done {
             break;
         }
@@ -1338,7 +1238,6 @@ pub(crate) fn run_beam_levels(
     BeamLevelsOutcome {
         top: top.into_vec(),
         evaluated,
-        timed_out,
         degraded: ev.numeric_failures(),
     }
 }

@@ -12,8 +12,8 @@
 //!   `=`), mirroring the Cortana settings used in the paper's experiments
 //!   (four split points at the 1/5–4/5 percentiles).
 //! * [`beam`] — level-wise beam search over conjunctions, maximizing the
-//!   location-pattern SI, with beam width / depth / minimum coverage /
-//!   wall-clock budget controls and a best-`k` result log.
+//!   location-pattern SI, with beam width / depth / minimum coverage
+//!   controls and a best-`k` result log.
 //! * [`sphere`] — projected gradient ascent on the unit sphere for the
 //!   spread direction `w` (Eq. 21; replaces the paper's Manopt dependency),
 //!   with analytic gradients, multi-start, and a 2-sparse pairwise variant.

@@ -12,7 +12,7 @@ use sisd_core::{DlParams, LocationPattern, SisdError, SpreadPattern};
 use sisd_data::snap::{atomic_write, put_u64, SnapCursor, SnapError, SnapReader, SnapWriter};
 use sisd_data::Dataset;
 use sisd_model::{BackgroundModel, ModelError, RefitStats};
-use sisd_obs::{Metric, ObsHandle, OwnedCounters, SearchReport};
+use sisd_obs::{Metric, ObsHandle};
 use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -62,9 +62,8 @@ impl MinerConfig {
 
     /// Routes every search, refit, and frontier pass this miner runs to
     /// the given metrics/tracing handle (e.g. one backed by a
-    /// [`sisd_obs::JsonlSink`]). Without this the miner still keeps full
-    /// counters — it mints a private registry with no event sink — so
-    /// [`Miner::search_report`] always works. Results are bit-identical
+    /// [`sisd_obs::JsonlSink`]). Without this the miner reports to the
+    /// disabled handle, which counts nothing. Results are bit-identical
     /// with any handle.
     pub fn with_obs(mut self, obs: ObsHandle) -> Self {
         self.beam.eval = self.beam.eval.with_obs(obs);
@@ -85,23 +84,14 @@ pub struct Iteration {
 }
 
 /// The iterative subgroup miner.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Miner {
     data: Dataset,
     model: BackgroundModel,
     config: MinerConfig,
     iterations_done: usize,
-    /// The metrics registry every subsystem this miner drives reports to.
-    /// Always enabled: when the config carries no handle the constructor
-    /// takes a private one (counters only, no events), so
-    /// [`Miner::search_report`] and [`Miner::last_refit_stats`] work
-    /// unconditionally.
-    obs: ObsHandle,
-    /// The private registry behind `obs`, when it is not supplied through
-    /// [`MinerConfig`]; clones of a private registry get their own fresh
-    /// one instead of blending counters into ours. Dropping the miner
-    /// gives it back for the next miner.
-    owned_obs: Option<OwnedCounters>,
+    /// What the most recent post-assimilation refit returned.
+    last_refit: Option<RefitStats>,
     /// The description language (conditions and their row masks), built
     /// on the first search and reused by every later one: the dataset and
     /// the condition settings never change under a miner. Built lazily so
@@ -113,55 +103,16 @@ pub struct Miner {
     fingerprint: OnceLock<u64>,
 }
 
-impl Clone for Miner {
-    fn clone(&self) -> Self {
-        // A miner-private registry is cloned fresh so the two miners'
-        // counters stay independent.
-        let mut config = self.config.clone();
-        let mut model = self.model.clone();
-        let (obs, owned_obs) = match self.owned_obs {
-            Some(_) => {
-                let owned = OwnedCounters::new();
-                (owned.handle(), Some(owned))
-            }
-            None => (self.obs, None),
-        };
-        config.beam.eval.obs = obs;
-        model.set_obs(obs);
-        Self {
-            data: self.data.clone(),
-            model,
-            config,
-            iterations_done: self.iterations_done,
-            obs,
-            owned_obs,
-            language: self.language.clone(),
-            fingerprint: self.fingerprint.clone(),
-        }
-    }
-}
-
 impl Miner {
-    /// Wires a fresh miner: resolves the effective obs handle (the
-    /// config's, or a private counters-only registry) and threads it into
-    /// the config and the model.
-    fn assemble(data: Dataset, mut model: BackgroundModel, mut config: MinerConfig) -> Self {
-        let user_obs = config.beam.eval.obs;
-        let (obs, owned_obs) = if user_obs.enabled() {
-            (user_obs, None)
-        } else {
-            let owned = OwnedCounters::new();
-            (owned.handle(), Some(owned))
-        };
-        config.beam.eval.obs = obs;
-        model.set_obs(obs);
+    /// Wires a fresh miner: the model reports to the config's obs handle.
+    fn assemble(data: Dataset, mut model: BackgroundModel, config: MinerConfig) -> Self {
+        model.set_obs(config.beam.eval.obs);
         Self {
             data,
             model,
             config,
             iterations_done: 0,
-            obs,
-            owned_obs,
+            last_refit: None,
             language: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
@@ -211,12 +162,13 @@ impl Miner {
     /// previous snapshot or the new one — never a torn file.
     ///
     /// Records `snapshot.bytes` and `snapshot.write_ns` on the miner's
-    /// metrics registry.
+    /// obs handle.
     pub fn save(&self, path: &Path) -> Result<(), SisdError> {
-        let _span = self.obs.span(Metric::SnapshotWriteNs);
+        let obs = self.obs();
+        let _span = obs.span(Metric::SnapshotWriteNs);
         let bytes = self.snapshot_bytes()?;
         atomic_write(path, &bytes)?;
-        self.obs.add(Metric::SnapshotBytes, bytes.len() as u64);
+        obs.add(Metric::SnapshotBytes, bytes.len() as u64);
         Ok(())
     }
 
@@ -240,7 +192,7 @@ impl Miner {
         match Self::restore_inner(bytes, data, config) {
             Ok(miner) => {
                 miner
-                    .obs
+                    .obs()
                     .add(Metric::SnapshotRestoreNs, start.elapsed().as_nanos() as u64);
                 Ok(miner)
             }
@@ -315,43 +267,23 @@ impl Miner {
         self.iterations_done
     }
 
-    /// Convergence statistics of the most recent post-assimilation refit,
-    /// `None` before the first assimilation. Deep interactive sessions
-    /// watch `cycles`/`constraints_updated` grow as overlapping patterns
+    /// Convergence statistics of this miner's most recent
+    /// post-assimilation refit, `None` before the first assimilation (and
+    /// after a restore). Deep interactive sessions watch
+    /// `cycles`/`constraints_updated` grow as overlapping patterns
     /// accumulate — the observable cost of keeping the belief state
-    /// converged.
-    ///
-    /// A thin view over the metrics registry (the `refit.last_*` gauges);
-    /// the same numbers appear in [`Miner::search_report`] alongside the
-    /// cumulative refit counters.
+    /// converged. An enabled obs handle also records them, as the
+    /// `refit.last_*` gauges beside the cumulative refit counters.
     pub fn last_refit_stats(&self) -> Option<RefitStats> {
-        let snap = self.obs.snapshot()?;
-        if snap.get(Metric::RefitRuns) == 0 {
-            return None;
-        }
-        Some(RefitStats {
-            cycles: snap.get(Metric::RefitLastCycles) as usize,
-            constraints_updated: snap.get(Metric::RefitLastConstraintsUpdated) as usize,
-        })
+        self.last_refit
     }
 
-    /// The metrics/tracing handle this miner reports to (always enabled;
-    /// supply your own via [`MinerConfig::with_obs`] to add an event sink).
-    /// A private registry goes to the next miner when this one is dropped,
-    /// so a copy of its handle, or of a model cloned from this miner, must
-    /// not be used past this miner's life.
+    /// The metrics/tracing handle this miner reports to: the one set with
+    /// [`MinerConfig::with_obs`], disabled by default. Its
+    /// [`ObsHandle::report`] is the report of every counter and gauge the
+    /// miner's subsystems recorded.
     pub fn obs(&self) -> ObsHandle {
-        self.obs
-    }
-
-    /// Snapshot of every counter and gauge this miner's subsystems have
-    /// recorded — searches run, beam levels, candidates generated / pruned
-    /// / scored, refit convergence work, snapshots. The `Display` impl
-    /// renders a human-readable block.
-    pub fn search_report(&self) -> SearchReport {
-        self.obs
-            .report()
-            .expect("miner obs handle is always enabled")
+        self.config.beam.eval.obs
     }
 
     /// Runs a beam search against the current model and returns the full
@@ -372,11 +304,7 @@ impl Miner {
     pub fn assimilate_location(&mut self, pattern: &LocationPattern) -> Result<(), ModelError> {
         self.model
             .assimilate_location(&pattern.extension, pattern.observed_mean.clone())?;
-        let _ = self.model.refit(
-            self.config.refit_tol.max(1e-12),
-            self.config.refit_max_cycles.max(1),
-        )?;
-        Ok(())
+        self.refit()
     }
 
     /// Assimilates a spread pattern.
@@ -388,10 +316,17 @@ impl Miner {
             center,
             pattern.observed_variance,
         )?;
-        let _ = self.model.refit(
+        self.refit()
+    }
+
+    /// Re-converges the model after an assimilation and keeps the refit's
+    /// statistics for [`Miner::last_refit_stats`].
+    fn refit(&mut self) -> Result<(), ModelError> {
+        let stats = self.model.refit(
             self.config.refit_tol.max(1e-12),
             self.config.refit_max_cycles.max(1),
         )?;
+        self.last_refit = Some(stats);
         Ok(())
     }
 
@@ -450,6 +385,7 @@ mod tests {
     use super::*;
     use crate::beam::BeamConfig;
     use sisd_data::datasets::synthetic_paper;
+    use sisd_obs::{NullSink, Obs};
 
     fn quick_config() -> MinerConfig {
         MinerConfig {
@@ -578,7 +514,9 @@ mod tests {
     #[test]
     fn save_load_roundtrip_resumes_bit_identically() {
         let (data, _) = synthetic_paper(42);
-        let mut miner = Miner::from_empirical(data.clone(), quick_config()).unwrap();
+        // Counting handles, so the durability metrics can be read back.
+        let counted = || quick_config().with_obs(Obs::leaked(Box::new(NullSink)));
+        let mut miner = Miner::from_empirical(data.clone(), counted()).unwrap();
         miner.step_with_spread().unwrap().unwrap();
         miner.step_location().unwrap().unwrap();
         let path = std::env::temp_dir().join(format!(
@@ -587,7 +525,7 @@ mod tests {
             std::thread::current().id()
         ));
         miner.save(&path).unwrap();
-        let restored = Miner::load(&path, data, quick_config()).unwrap();
+        let restored = Miner::load(&path, data, counted()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(restored.iterations_done(), miner.iterations_done());
         // The snapshot bytes are canonical: re-snapshotting the restored

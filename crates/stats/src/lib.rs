@@ -19,8 +19,6 @@
 //! * [`summary`] — streaming mean/variance and weighted summaries.
 
 pub mod chi2;
-pub mod correlation;
-pub mod histogram;
 pub mod kde;
 pub mod mixture;
 pub mod normal;
@@ -30,8 +28,6 @@ pub mod special;
 pub mod summary;
 
 pub use chi2::ChiSquared;
-pub use correlation::{pearson, spearman};
-pub use histogram::Histogram;
 pub use kde::GaussianKde;
 pub use mixture::Chi2MixtureApprox;
 pub use normal::Normal;

@@ -363,49 +363,6 @@ fn threaded_beam_levels_add_only_fixed_fork_bookkeeping() {
     );
 }
 
-#[test]
-fn budgeted_beam_levels_score_on_the_calling_thread() {
-    let _serial = serial();
-    // Under a time budget a level is scored in small slices with a check
-    // of the clock between them, and one slice of cheap single-target
-    // scores is worth less than a fork of scoped threads. So budgeted
-    // slices are scored on the calling thread at any thread count. The
-    // 32 root children here would fork at 4 threads without a budget
-    // (`threaded_beam_levels_add_only_fixed_fork_bookkeeping`), and
-    // spawning allocates: a budgeted search at 4 threads that allocates
-    // exactly as much as at 1 thread never forked.
-    const N: usize = 16_384;
-    let data = many_group_dataset(N);
-    let model = BackgroundModel::from_empirical(&data).unwrap();
-    let cfg = |threads: usize| BeamConfig {
-        width: 8,
-        max_depth: 2,
-        top_k: 20,
-        time_budget: Some(std::time::Duration::from_secs(3600)),
-        eval: EvalConfig::with_threads(threads),
-        ..BeamConfig::default()
-    };
-    let measure = |threads: usize| -> usize {
-        let warm = BeamSearch::new(cfg(threads)).run(&data, &model);
-        assert_eq!(warm.top.len(), 20);
-        assert!(!warm.timed_out);
-        let mut best = usize::MAX;
-        for _ in 0..3 {
-            let (res, a, _) = counted(|| BeamSearch::new(cfg(threads)).run(&data, &model));
-            assert_eq!(res.top.len(), 20);
-            best = best.min(a);
-        }
-        best
-    };
-    let serial = measure(1);
-    let threaded = measure(4);
-    assert_eq!(
-        threaded, serial,
-        "a budgeted search must score its slices on the calling thread: \
-         {threaded} allocations at 4 threads vs {serial} at 1"
-    );
-}
-
 use sisd::obs::{NullSink, Obs, ObsHandle};
 
 #[test]

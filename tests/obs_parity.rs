@@ -108,6 +108,21 @@ proptest! {
                         "{}: every refine call dispatches exactly once",
                         label
                     );
+                    // Each beam level is one refinement over all its
+                    // parents and one scoring batch over their children.
+                    let levels = snap.get(Metric::SearchLevels);
+                    prop_assert_eq!(
+                        snap.get(Metric::FrontierRefineCalls),
+                        levels,
+                        "{}: one refinement per level",
+                        label
+                    );
+                    prop_assert_eq!(
+                        snap.get(Metric::EvalBatches),
+                        levels,
+                        "{}: one scoring batch per level",
+                        label
+                    );
                     prop_assert_eq!(
                         snap.get(Metric::FrontierCandidates),
                         snap.get(Metric::FrontierCountPruned)
@@ -129,9 +144,10 @@ proptest! {
 }
 
 /// A full mining session (search + assimilate + refit, twice) is
-/// bit-identical whether the miner's registry is its private counters-only
-/// one or a user-supplied traced handle — and the report's refit counters
-/// agree with `last_refit_stats`.
+/// bit-identical whether the miner runs with the default disabled handle
+/// or a user-supplied traced one, both miners report the same
+/// `last_refit_stats`, and the traced report's refit gauges agree with
+/// them.
 #[test]
 fn obs_never_changes_mining_and_report_reconciles() {
     let data = random_dataset(17, 160, 2);
@@ -167,21 +183,21 @@ fn obs_never_changes_mining_and_report_reconciles() {
             _ => panic!("step {step}: traced and plain miners diverged"),
         }
     }
-    for miner in [&plain, &traced] {
-        let report = miner.search_report();
-        let last = miner.last_refit_stats().expect("refits ran");
-        assert_eq!(
-            report.get(Metric::RefitLastCycles),
-            last.cycles as u64,
-            "report and last_refit_stats must agree"
-        );
-        assert_eq!(
-            report.get(Metric::RefitLastConstraintsUpdated),
-            last.constraints_updated as u64
-        );
-        assert!(report.get(Metric::SearchRuns) >= 2);
-        assert!(report.get(Metric::RefitRuns) >= 2);
-    }
+    assert!(!plain.obs().enabled(), "an untraced miner counts nothing");
+    let last = traced.last_refit_stats().expect("refits ran");
+    assert_eq!(plain.last_refit_stats(), Some(last));
+    let report = traced.obs().report().expect("enabled");
+    assert_eq!(
+        report.get(Metric::RefitLastCycles),
+        last.cycles as u64,
+        "report and last_refit_stats must agree"
+    );
+    assert_eq!(
+        report.get(Metric::RefitLastConstraintsUpdated),
+        last.constraints_updated as u64
+    );
+    assert!(report.get(Metric::SearchRuns) >= 2);
+    assert!(report.get(Metric::RefitRuns) >= 2);
     // The traced miner's event stream exists and replays to the registry's
     // counter totals (the ring is sized to hold everything this run emits).
     let snap = traced.obs().snapshot().expect("enabled");
