@@ -7,11 +7,18 @@
 //! location update, the most interesting spread direction is
 //! w ≈ (0.5704, 0.8214) on (CDU, SPD) with much *smaller* variance than
 //! expected — the parties battle for the same voters.
+//!
+//! The binary asserts, at iteration 1, that the 2-sparse search finds a
+//! direction at least as interesting as any on a fine angle grid over the
+//! (CDU, SPD) pair, and that its variance is smaller than expected; it
+//! exits 1 when either fails. It prints, without asserting, whether the
+//! optimum is the paper's pair: at seed 2018 it is (FDP, LEFT).
 
 use sisd_bench::{
-    f2, f3, obs_from_args, print_search_report, print_table, report_assimilation, section,
-    threads_arg,
+    f2, f3, obs_from_args, print_search_report, print_table, report_assimilation, report_checks,
+    section, threads_arg,
 };
+use sisd_core::spread_si;
 use sisd_data::datasets::german_socio_synthetic;
 use sisd_search::{BeamConfig, EvalConfig, Miner, MinerConfig, SphereConfig};
 
@@ -46,7 +53,16 @@ fn main() {
         refit_tol: 1e-9,
         refit_max_cycles: 200,
     };
+    let dl = config.dl();
     let mut miner = Miner::from_empirical(data.clone(), config).expect("model fits");
+    let target = |name: &str| {
+        data.target_names()
+            .iter()
+            .position(|t| t == name)
+            .expect("socio target")
+    };
+    let (cdu, spd) = (target("CDU_2009"), target("SPD_2009"));
+    let mut checks = Vec::new();
 
     for iter in 1..=3 {
         // Marginal expectations *before* this iteration's assimilation
@@ -81,6 +97,57 @@ fn main() {
         miner.assimilate_location(&best).expect("assimilation");
         report_assimilation("location", t.elapsed(), miner.last_refit_stats());
         let spread = miner.mine_spread(&best);
+        if iter == 1 {
+            // The best spread SI over 180 angles on the planted pair,
+            // under the model the optimum was scored against.
+            let grid = (0..180)
+                .map(|k| {
+                    let theta = std::f64::consts::PI * k as f64 / 180.0;
+                    let mut w = vec![0.0; data.dy()];
+                    w[cdu] = theta.cos();
+                    w[spd] = theta.sin();
+                    spread_si(
+                        miner.model(),
+                        &data,
+                        &best.intention,
+                        &best.extension,
+                        &w,
+                        &dl,
+                    )
+                    .expect("non-empty subgroup")
+                    .si
+                })
+                .fold(f64::NEG_INFINITY, f64::max);
+            let opt = spread.score.si;
+            let on_pair: Vec<&str> = spread
+                .w
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.abs() > 1e-6)
+                .map(|(j, _)| data.target_names()[j].as_str())
+                .collect();
+            println!(
+                "2-sparse optimum on ({}): the paper's (CDU_2009, SPD_2009) pair: {}",
+                on_pair.join(", "),
+                if on_pair == ["CDU_2009", "SPD_2009"] {
+                    "yes"
+                } else {
+                    "no"
+                }
+            );
+            checks.push((
+                format!(
+                    "iteration 1: the 2-sparse optimum's spread SI {opt:.3} >= the best of 180 \
+                     angles on (CDU_2009, SPD_2009), {grid:.3} (relative 1e-9)"
+                ),
+                opt >= grid - 1e-9 * grid.abs(),
+            ));
+            let ratio = spread.variance_ratio();
+            checks.push((
+                format!("iteration 1: variance ratio observed/expected {ratio:.2} < 1"),
+                ratio < 1.0,
+            ));
+        }
         let t = std::time::Instant::now();
         miner.assimilate_spread(&spread).expect("assimilation");
         report_assimilation("spread", t.elapsed(), miner.last_refit_stats());
@@ -117,4 +184,5 @@ fn main() {
     );
     print_search_report(&obs.report().expect("obs handle is always enabled here"));
     obs.flush();
+    report_checks("Figs. 7–8 — checks", &checks);
 }

@@ -3,15 +3,16 @@
 //! The paper's Table I takes the top-10 patterns of the first iteration on
 //! the synthetic data and re-scores them after each background-model
 //! update: the SI of assimilated (and derived) patterns collapses to small
-//! negative values while untouched patterns keep their score.
+//! negative values while untouched patterns keep their score. The binary
+//! asserts those claims and exits 1 when one fails.
 
-use sisd_bench::{f2, print_table, section};
+use sisd_bench::{f2, print_table, report_checks, section};
 use sisd_core::location_si;
 use sisd_data::datasets::synthetic_paper;
 use sisd_search::{BeamConfig, Miner, MinerConfig, SphereConfig};
 
 fn main() {
-    let (data, _) = synthetic_paper(2018);
+    let (data, truth) = synthetic_paper(2018);
     section("Table I — SI of iteration-1 top patterns across 4 iterations (synthetic)");
 
     let config = MinerConfig {
@@ -33,9 +34,13 @@ fn main() {
     let top10: Vec<_> = first.top.iter().take(10).cloned().collect();
     let dl = miner_dl();
 
-    // SI of each logged pattern after each of four assimilation rounds.
+    // SI of each logged pattern after each of four assimilation rounds,
+    // and the extensions assimilated before each round.
     let mut si_by_iter: Vec<Vec<f64>> = vec![Vec::new(); top10.len()];
+    let mut assimilated = Vec::new();
+    let mut assimilated_before = Vec::new();
     for iteration in 0..4 {
+        assimilated_before.push(assimilated.clone());
         if iteration == 0 {
             for (k, p) in top10.iter().enumerate() {
                 si_by_iter[k].push(p.score.si);
@@ -50,10 +55,11 @@ fn main() {
         if iteration < 3 {
             // Assimilate the currently-best pattern (location + spread),
             // mirroring the paper's two-step iterations.
-            miner
+            let step = miner
                 .step_with_spread()
                 .expect("model update")
                 .expect("pattern found");
+            assimilated.push(step.location.extension);
         }
     }
 
@@ -72,12 +78,80 @@ fn main() {
     );
     println!();
     println!(
-        "Expected shape (paper Table I): the three aᵢ = '1' patterns rank on top with\n\
-         SI ≈ 30–50; once a pattern (or an equivalent-extension refinement) is\n\
+        "Expected shape (paper Table I): the three aᵢ = '1' patterns rank in the top\n\
+         10; once a pattern (or an equivalent-extension refinement) is\n\
          assimilated, its SI drops to a small value (slightly negative is normal —\n\
          the IC is a density) and stays there; longer redundant descriptions rank\n\
          below their parents by DL."
     );
+
+    let mut checks = Vec::new();
+    for (k, planted) in truth.cluster_extensions.iter().enumerate() {
+        let rank = top10
+            .iter()
+            .position(|p| p.intention.len() == 1 && p.extension == *planted);
+        checks.push((
+            format!(
+                "planted cluster {}'s one-condition pattern ranks in iteration 1's top 10 ({})",
+                k + 1,
+                rank.map_or("absent".to_string(), |r| format!("rank {}", r + 1))
+            ),
+            rank.is_some(),
+        ));
+    }
+    // A logged pattern keeps its SI until an assimilated extension covers
+    // its own; from then on it reads below 0, then stays below 1.
+    let (mut kept, mut collapsed) = (true, true);
+    for (p, sis) in top10.iter().zip(&si_by_iter) {
+        let mut covered_at = None;
+        for (t, before) in assimilated_before.iter().enumerate() {
+            if covered_at.is_none() && before.iter().any(|a| p.extension.is_subset(a)) {
+                covered_at = Some(t);
+            }
+            match covered_at {
+                None => kept &= (sis[t] - sis[0]).abs() <= 1e-9 * sis[0].abs(),
+                Some(c) if c == t => collapsed &= sis[t] < 0.0,
+                Some(_) => collapsed &= sis[t] < 1.0,
+            }
+        }
+    }
+    checks.push((
+        "every logged pattern keeps its iteration-1 SI (relative 1e-9) until an \
+         assimilated extension covers it"
+            .to_string(),
+        kept,
+    ));
+    checks.push((
+        "once covered, its SI reads below 0 and stays below 1".to_string(),
+        collapsed,
+    ));
+    // Refinements that select their parent's rows pay a longer
+    // description for the same information.
+    let log = &first.top;
+    let mut pairs = 0;
+    let mut below = true;
+    for (i, parent) in log.iter().enumerate() {
+        for (j, child) in log.iter().enumerate() {
+            let refines = child.intention.len() > parent.intention.len()
+                && parent
+                    .intention
+                    .conditions()
+                    .iter()
+                    .all(|c| child.intention.conditions().contains(c));
+            if refines && child.extension == parent.extension {
+                pairs += 1;
+                below &= j > i;
+            }
+        }
+    }
+    checks.push((
+        format!(
+            "each of the {pairs} refinements in iteration 1's log that keeps its \
+             parent's extension ranks below that parent"
+        ),
+        pairs > 0 && below,
+    ));
+    report_checks("Table I — checks", &checks);
 }
 
 fn miner_dl() -> sisd_core::DlParams {

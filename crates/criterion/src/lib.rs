@@ -6,12 +6,16 @@
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`] /
 //! [`BenchmarkGroup::bench_with_input`], [`Bencher::iter`], [`BenchmarkId`],
 //! and the [`criterion_group!`] / [`criterion_main!`] macros — with a small
-//! fixed-iteration timer that reports the median wall-clock time per
-//! iteration. Positional CLI arguments act as criterion-style substring
-//! filters on `group/id` paths (`cargo bench --bench bench_frontier --
-//! frontier_generation` times only that group). Numbers are indicative, not
-//! statistically rigorous; swap the workspace `criterion` dependency back
-//! to crates.io for real measurements.
+//! fixed-iteration timer. Positional CLI arguments act as criterion-style
+//! substring filters on `group/id` paths (`cargo bench --bench
+//! bench_frontier -- frontier_generation` times only that group).
+//!
+//! Each benchmark reports a bare median of 10 samples: no minimum, no
+//! spread, no machine-readable output. Its numbers explain where an
+//! end-to-end number's time goes; they never claim a speedup. A claim
+//! rests on the interleaved stepbench pairs `scripts/stepbench_pairs.py`
+//! runs and `BENCH_stepbench.json` records. Swap the workspace
+//! `criterion` dependency back to crates.io for rigorous micro-benchmarks.
 
 use std::fmt;
 use std::sync::OnceLock;

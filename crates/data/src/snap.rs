@@ -36,13 +36,14 @@
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Leading magic bytes of every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"SISDSNAP";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with [`SnapError::VersionSkew`].
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Hard cap on one section's payload length. A snapshot announcing a
 /// larger section is corrupt by definition — decoding fails before any
@@ -101,8 +102,14 @@ impl From<io::Error> for SnapError {
 // CRC32 (IEEE 802.3, polynomial 0xEDB88320) — in-repo, zero dependencies.
 // ----------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Bytes the CRC consumes per round.
+const CRC_SLICES: usize = 16;
+
+/// Slicing-by-16 tables (Kounavis & Berry, 2005). `T[0]` is the classic
+/// bytewise table; `T[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so one round folds 16 input bytes with 16 independent lookups.
+const fn crc_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut t = [[0u32; 256]; CRC_SLICES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -115,19 +122,48 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; CRC_SLICES] = crc_tables();
 
-/// CRC32 (IEEE) of `bytes`.
+/// CRC32 (IEEE) of `bytes`, 16 bytes per round. Gives the values of the
+/// classic one-byte-per-step table loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut rounds = bytes.chunks_exact(CRC_SLICES);
+    for round in &mut rounds {
+        let word =
+            |j: usize| u32::from_le_bytes([round[j], round[j + 1], round[j + 2], round[j + 3]]);
+        let mut folded = 0;
+        for (j, w) in [word(0) ^ c, word(4), word(8), word(12)]
+            .into_iter()
+            .enumerate()
+        {
+            let k = CRC_SLICES - 1 - 4 * j;
+            folded ^= t[k][(w & 0xFF) as usize]
+                ^ t[k - 1][((w >> 8) & 0xFF) as usize]
+                ^ t[k - 2][((w >> 16) & 0xFF) as usize]
+                ^ t[k - 3][(w >> 24) as usize];
+        }
+        c = folded;
+    }
+    for &b in rounds.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -470,20 +506,35 @@ impl<'a> SnapReader<'a> {
 /// directory. A crash at any byte offset leaves either the previous file
 /// or the complete new one — never a torn mixture. The temp file is
 /// removed on failure (and is ignored by readers if a kill strands it).
+///
+/// Every call writes its own temp file, `.NAME.tmp.PID.SEQ`, created
+/// exclusively, so concurrent saves to one path never share one: each
+/// renames a complete file, and the last rename wins.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SnapError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let file_name = path.file_name().ok_or_else(|| {
         SnapError::Io(io::Error::new(io::ErrorKind::InvalidInput, "no file name"))
     })?;
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(file_name);
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    tmp_name.push(format!(
+        ".tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = match dir {
         Some(d) => d.join(&tmp_name),
         None => std::path::PathBuf::from(&tmp_name),
     };
+    // Created before the cleanup scope: a failed create removes nothing,
+    // since the name may be another writer's.
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)?;
     let result = (|| -> io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
+        let mut f = f;
         f.write_all(bytes)?;
         f.sync_all()?;
         drop(f);
@@ -689,6 +740,36 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), b"old snapshot");
         atomic_write(&path, b"new snapshot").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new snapshot");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_path_each_publish_a_whole_file() {
+        let dir = std::env::temp_dir().join(format!("sisd-snap-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.snap");
+        let a = vec![0xAA; 1 << 18];
+        let b = vec![0x55; (1 << 18) + 1];
+        for round in 0..10 {
+            let start = std::sync::Barrier::new(2);
+            let save = |bytes: &[u8]| {
+                start.wait();
+                atomic_write(&path, bytes)
+            };
+            let (ra, rb) = std::thread::scope(|s| {
+                let ta = s.spawn(|| save(&a));
+                let tb = s.spawn(|| save(&b));
+                (ta.join().unwrap(), tb.join().unwrap())
+            });
+            assert!(ra.is_ok() && rb.is_ok(), "round {round}: {ra:?} {rb:?}");
+            let on_disk = std::fs::read(&path).unwrap();
+            assert!(
+                on_disk == a || on_disk == b,
+                "round {round}: a torn mixture"
+            );
+        }
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(left.len(), 1, "every temp file was renamed away");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -78,57 +78,66 @@ impl Dataset {
         self.targets.cols()
     }
 
-    /// Order-sensitive FNV-1a hash of the full dataset content: name,
-    /// shape, attribute names, description columns, and the exact target
-    /// bits. Session snapshots stamp this so a resume against different
-    /// data is rejected up front instead of silently mining the wrong
-    /// rows.
+    /// Order-sensitive hash of the full dataset content: name, shape,
+    /// attribute names, description columns, and the exact target bits.
+    /// Session snapshots stamp this so a resume against different data is
+    /// rejected up front instead of silently mining the wrong rows.
+    ///
+    /// It takes one 64-bit word per step: `x = (h ^ word)·K`, then
+    /// `h = x ^ (x >> 32)`, which folds the product's high bits back down
+    /// for the next multiply to spread upward. Each step is a bijection of
+    /// `h` and of the word, so word sequences of one length that differ
+    /// in a single word never collide. A bare multiply per word (FNV-1a
+    /// over words) carries a sign-bit flip to bit 63 alone, where a second
+    /// sign flip cancels it; the fold moves it into bit 31 as well.
     pub fn content_fingerprint(&self) -> u64 {
-        struct Fnv(u64);
-        impl Fnv {
-            fn eat(&mut self, bytes: &[u8]) {
-                for &b in bytes {
-                    self.0 ^= b as u64;
-                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        struct Hash(u64);
+        impl Hash {
+            fn word(&mut self, w: u64) {
+                let x = (self.0 ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                self.0 = x ^ (x >> 32);
+            }
+            fn str(&mut self, s: &str) {
+                // Length-prefix every string so concatenations can't collide.
+                self.word(s.len() as u64);
+                for chunk in s.as_bytes().chunks(8) {
+                    let mut word = [0; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    self.word(u64::from_le_bytes(word));
                 }
             }
-            fn eat_str(&mut self, s: &str) {
-                // Length-prefix every string so concatenations can't collide.
-                self.eat(&(s.len() as u64).to_le_bytes());
-                self.eat(s.as_bytes());
-            }
         }
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        h.eat_str(&self.name);
-        h.eat(&(self.n() as u64).to_le_bytes());
-        h.eat(&(self.dy() as u64).to_le_bytes());
+        let mut h = Hash(0xcbf2_9ce4_8422_2325);
+        h.str(&self.name);
+        h.word(self.n() as u64);
+        h.word(self.dy() as u64);
         for name in &self.desc_names {
-            h.eat_str(name);
+            h.str(name);
         }
         for col in &self.desc_cols {
             match col {
                 Column::Numeric(vals) => {
-                    h.eat(&[1]);
+                    h.word(1);
                     for v in vals {
-                        h.eat(&v.to_bits().to_le_bytes());
+                        h.word(v.to_bits());
                     }
                 }
                 Column::Categorical { codes, labels } => {
-                    h.eat(&[2]);
-                    for c in codes {
-                        h.eat(&c.to_le_bytes());
+                    h.word(2);
+                    for &c in codes {
+                        h.word(c.into());
                     }
                     for l in labels {
-                        h.eat_str(l);
+                        h.str(l);
                     }
                 }
             }
         }
         for name in &self.target_names {
-            h.eat_str(name);
+            h.str(name);
         }
         for v in self.targets.as_slice() {
-            h.eat(&v.to_bits().to_le_bytes());
+            h.word(v.to_bits());
         }
         h.0
     }
@@ -276,6 +285,14 @@ mod tests {
             Matrix::from_rows(&[&[1.0, 10.0], &[2.0, 20.0], &[3.0, 30.5], &[4.0, 40.0]]),
         );
         assert_ne!(d.content_fingerprint(), tweaked.content_fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_sees_two_sign_flips() {
+        let load = |text: &str| crate::csv::dataset_from_csv_str("y", text, &["y"]).unwrap();
+        let a = load("x,y\n1,2.5\n2,-1.25\n");
+        let b = load("x,y\n1,-2.5\n2,1.25\n");
+        assert_ne!(a.content_fingerprint(), b.content_fingerprint());
     }
 
     #[test]

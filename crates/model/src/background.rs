@@ -6,6 +6,7 @@ use crate::solver::{solve_spread_lambda, SpreadCellStat};
 use sisd_data::{BitSet, Dataset};
 use sisd_linalg::{Cholesky, Matrix};
 use sisd_obs::{Metric, ObsHandle};
+use std::sync::Arc;
 
 /// Documented tolerance at which warm-started (incremental) refits agree
 /// with a cold refit replayed from the base prior.
@@ -332,7 +333,7 @@ impl BackgroundModel {
         }
         Cholesky::new_with_jitter(&sigma, 4).map_err(|_| ModelError::BadPrior)?;
         let dy = mu.len();
-        let cell = Cell::new(BitSet::full(n), mu.clone(), sigma.clone(), 0);
+        let cell = Cell::new(BitSet::full(n), mu.clone(), Arc::new(sigma.clone()), 0);
         Ok(Self {
             n,
             dy,
@@ -1051,9 +1052,11 @@ impl BackgroundModel {
             let u = &scratch.us[base..base + dy];
             // μ ← μ + (λ d / q) Σw          (Eq. 10)
             sisd_linalg::axpy(lambda * st.d / q, u, &mut cell.mu);
-            // Σ ← Σ − (λ/q) (Σw)(Σw)ᵀ       (Eq. 11)
-            cell.sigma.rank_one_update(alpha, u, u);
-            cell.sigma.symmetrize();
+            // Σ ← Σ − (λ/q) (Σw)(Σw)ᵀ       (Eq. 11), on the cell's own
+            // copy when splits or clones still alias its Σ object.
+            let sigma = Arc::make_mut(&mut cell.sigma);
+            sigma.rank_one_update(alpha, u, u);
+            sigma.symmetrize();
             cell.cov_id = self.next_cov_id;
             self.next_cov_id += 1;
             // Keep the cell's own factor current in O(dy²) instead of
@@ -1370,7 +1373,7 @@ impl BackgroundModel {
         self.cells.push(Cell::new(
             BitSet::full(self.n),
             self.base_mu.clone(),
-            self.base_sigma.clone(),
+            Arc::new(self.base_sigma.clone()),
             0,
         ));
         self.cell_of_row.fill(0);

@@ -3,7 +3,8 @@
 //! After `t` assimilated patterns, two rows have identical background
 //! parameters iff they are covered by exactly the same subset of pattern
 //! extensions (paper footnote 2). The model keeps this partition explicit:
-//! each [`Cell`] owns its extension bitset, mean, covariance, and a lazily
+//! each [`Cell`] owns its extension bitset and mean, shares its covariance
+//! with the cells split from the same parent, and holds a lazily
 //! initialized, thread-safe Cholesky factor of the covariance.
 
 use sisd_data::BitSet;
@@ -19,12 +20,15 @@ pub struct Cell {
     pub count: usize,
     /// Mean vector shared by all rows of the cell.
     pub mu: Vec<f64>,
-    /// Covariance matrix shared by all rows of the cell.
-    pub sigma: Matrix,
+    /// Covariance matrix shared by all rows of the cell. `Arc`-shared so
+    /// that cell splits and model clones alias one matrix instead of
+    /// copying it; a spread tilt copies on write.
+    pub sigma: Arc<Matrix>,
     /// Identifier of the covariance *value*: cells split from a common
-    /// parent keep the parent's id, and only spread updates mint new ids.
-    /// Evaluators use this to detect the common "all cells share Σ" case
-    /// and reuse one Cholesky factorization.
+    /// parent keep the parent's id and its Σ object, and only spread
+    /// updates mint new ids, so cells share an id exactly when they share
+    /// a Σ object. Evaluators use this to detect the common "all cells
+    /// share Σ" case and reuse one Cholesky factorization.
     pub cov_id: u64,
     /// Lazily-initialized factor of `sigma`. `None` inside the lock means
     /// the factorization failed (numerically indefinite covariance), which
@@ -36,7 +40,7 @@ pub struct Cell {
 
 impl Cell {
     /// Creates a cell; the Cholesky factor is computed on first use.
-    pub fn new(ext: BitSet, mu: Vec<f64>, sigma: Matrix, cov_id: u64) -> Self {
+    pub fn new(ext: BitSet, mu: Vec<f64>, sigma: Arc<Matrix>, cov_id: u64) -> Self {
         assert_eq!(mu.len(), sigma.rows(), "Cell: μ/Σ dimension mismatch");
         assert!(sigma.is_square(), "Cell: Σ must be square");
         let count = ext.count();
@@ -129,8 +133,8 @@ impl Cell {
     }
 
     /// Splits this cell against an extension: returns `(inside, outside)`
-    /// halves, `None` on either side when empty. Parameters are copied, the
-    /// `cov_id` is retained on both halves.
+    /// halves, `None` on either side when empty. The mean is copied; both
+    /// halves share the Σ object and keep the `cov_id`.
     pub fn split(&self, pattern_ext: &BitSet) -> (Option<Cell>, Option<Cell>) {
         let inside = self.ext.and(pattern_ext);
         let n_in = inside.count();
@@ -142,7 +146,7 @@ impl Cell {
         }
         let outside = self.ext.minus(pattern_ext);
         let mk = |ext: BitSet| {
-            let mut c = Cell::new(ext, self.mu.clone(), self.sigma.clone(), self.cov_id);
+            let mut c = Cell::new(ext, self.mu.clone(), Arc::clone(&self.sigma), self.cov_id);
             // Share the already-computed factor when available.
             c.chol = self.chol.clone();
             c
@@ -159,7 +163,7 @@ mod tests {
         Cell::new(
             BitSet::from_indices(10, indices.iter().copied()),
             vec![0.0, 0.0],
-            Matrix::identity(2),
+            Arc::new(Matrix::identity(2)),
             0,
         )
     }
@@ -169,8 +173,10 @@ mod tests {
         let c = cell(&[0, 1, 2, 3]);
         let pat = BitSet::from_indices(10, [2, 3, 4]);
         let (ins, out) = c.split(&pat);
-        assert_eq!(ins.unwrap().ext.to_indices(), vec![2, 3]);
-        assert_eq!(out.unwrap().ext.to_indices(), vec![0, 1]);
+        let (ins, out) = (ins.unwrap(), out.unwrap());
+        assert_eq!(ins.ext.to_indices(), vec![2, 3]);
+        assert_eq!(out.ext.to_indices(), vec![0, 1]);
+        assert!(Arc::ptr_eq(&ins.sigma, &c.sigma) && Arc::ptr_eq(&out.sigma, &c.sigma));
     }
 
     #[test]
@@ -191,7 +197,7 @@ mod tests {
         let mut c = cell(&[0]);
         let ld = c.chol().expect("identity factors").log_det();
         assert!((ld - 0.0).abs() < 1e-12);
-        c.sigma = Matrix::from_diag(&[4.0, 4.0]);
+        c.sigma = Arc::new(Matrix::from_diag(&[4.0, 4.0]));
         c.invalidate_chol();
         let ld2 = c.chol().expect("diagonal factors").log_det();
         assert!((ld2 - (16.0f64).ln()).abs() < 1e-12);
@@ -218,12 +224,12 @@ mod tests {
     #[test]
     fn factor_update_tracks_sigma_modification() {
         let mut c = cell(&[0, 1]);
-        c.sigma = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]);
+        c.sigma = Arc::new(Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]));
         c.invalidate_chol();
         let ld_before = c.chol().expect("factorable").log_det();
         // Apply Σ ← Σ + 0.4·uuᵀ to the matrix and the factor in lockstep.
         let u = [0.6, -0.3];
-        c.sigma.rank_one_update(0.4, &u, &u);
+        Arc::make_mut(&mut c.sigma).rank_one_update(0.4, &u, &u);
         c.update_factor_scaled(0.4, &u);
         let fresh = Cholesky::new(&c.sigma).unwrap();
         let ld_after = c.chol().expect("still factorable").log_det();
@@ -239,7 +245,7 @@ mod tests {
     #[test]
     fn quad_and_mul() {
         let mut c = cell(&[0]);
-        c.sigma = Matrix::from_diag(&[2.0, 3.0]);
+        c.sigma = Arc::new(Matrix::from_diag(&[2.0, 3.0]));
         let w = [1.0, 1.0];
         assert!((c.sigma_quad(&w) - 5.0).abs() < 1e-12);
         assert_eq!(c.sigma_mul(&w), vec![2.0, 3.0]);

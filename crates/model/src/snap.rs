@@ -4,10 +4,11 @@
 //! the cell partition with per-cell `(μ, Σ, cov_id)` parameters *and*
 //! their lazily-initialized Cholesky factors, the assimilated constraints,
 //! and every constraint's warm-start [`ProjectionState`] (member list,
-//! cached `S`-factor, accumulated duals) — into a
-//! [`sisd_data::snap`] container. [`BackgroundModel::restore`] rebuilds a
-//! model whose subsequent statistics, refits, and searches are
-//! **bit-identical** to the uninterrupted original.
+//! cached `S`-factor, accumulated duals) — as five sections of the
+//! caller's [`sisd_data::snap`] container, so every byte of a session
+//! snapshot is framed and checksummed once. [`BackgroundModel::restore`]
+//! reads them back into a model whose subsequent statistics, refits, and
+//! searches are **bit-identical** to the uninterrupted original.
 //!
 //! Why the factors are serialized rather than recomputed: cell factors and
 //! constraint `S`-factors are maintained *incrementally* (O(dy²) rank-one
@@ -19,18 +20,22 @@
 //! map, the constraint-overlap adjacency) is derived by the same
 //! deterministic construction the live model uses, so it is exactly equal.
 //!
-//! Cells split from one parent hold one factor object (cell splits alias
-//! it), and a location-only model's cells all hold the prior's. The cells
-//! section therefore starts with a table of the distinct cell-factor
-//! objects, in order of first appearance, and each cell names its entry.
-//! Restoring gives every cell of an entry the same object again, so a
-//! restored model's batched solves, which need the candidates of a run to
-//! share one factor object, still find it shared. Objects are told apart
-//! by identity, never by `cov_id`: incrementally updated factors of one
-//! id can differ in their bits.
+//! Cells split from one parent hold one Σ object and one factor object
+//! (cell splits alias both), and a location-only model's cells all hold
+//! the prior's. The cells section therefore starts with two tables, each
+//! in order of first appearance: the distinct cell-factor objects, then
+//! the distinct Σ objects with their `cov_id`s. Each cell names its entry
+//! in both. Restoring gives every cell of an entry the same object again,
+//! so a restored model's batched solves, which need the candidates of a
+//! run to share one factor object, still find it shared, and Σ is held
+//! once per covariance value, as in the live model. Factors are told apart
+//! by identity, never by `cov_id`: incrementally updated factors of one id
+//! can differ in their bits. Σ objects and `cov_id`s correspond one to
+//! one, so a Σ table whose ids repeat, or reach the model's next id, is
+//! corrupt.
 //!
 //! Encoding is canonical — fixed section order, verbatim epochs and stale
-//! member lists, floats as raw IEEE-754 bits, factor-table entries in
+//! member lists, floats as raw IEEE-754 bits, table entries in
 //! first-appearance order — so snapshot → restore → snapshot reproduces
 //! the input bytes exactly (pinned by proptest).
 //!
@@ -49,6 +54,7 @@ use sisd_data::snap::{
 use sisd_data::BitSet;
 use sisd_linalg::{Cholesky, Matrix};
 use sisd_obs::ObsHandle;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const SEC_META: u32 = 1;
@@ -154,37 +160,59 @@ fn read_factor(
     }
 }
 
-/// Writes the cells: the table of their distinct factor objects, in order
-/// of first appearance, then each cell with its factor state and, for a
-/// computed factor, its table entry.
-fn put_cells(buf: &mut Vec<u8>, cells: &[Cell]) {
-    let mut table: Vec<&Cholesky> = Vec::new();
+/// Index of `item` in `table`, compared by identity, appending it first
+/// when absent: tables list distinct objects in order of first appearance.
+fn table_index<'a, T>(table: &mut Vec<&'a T>, item: &'a T) -> usize {
+    match table.iter().position(|&t| std::ptr::eq(t, item)) {
+        Some(k) => k,
+        None => {
+            table.push(item);
+            table.len() - 1
+        }
+    }
+}
+
+/// Writes the cells: the table of their distinct factor objects and the
+/// table of their distinct Σ objects with their `cov_id`s, each in order of
+/// first appearance, then each cell with its Σ entry, its factor state and,
+/// for a computed factor, its factor entry.
+fn put_cells(buf: &mut Vec<u8>, cells: &[Cell]) -> Result<(), SnapError> {
+    let mut factors: Vec<&Cholesky> = Vec::new();
+    let mut sigmas: Vec<&Matrix> = Vec::new();
+    let mut cov_ids: Vec<u64> = Vec::new();
     let mut entries = Vec::with_capacity(cells.len());
     for cell in cells {
-        entries.push(match cell.factor_state() {
-            Some(Some(chol)) => Some(Some(
-                match table.iter().position(|&t| std::ptr::eq(t, chol)) {
-                    Some(k) => k,
-                    None => {
-                        table.push(chol);
-                        table.len() - 1
-                    }
-                },
-            )),
+        let sigma = table_index(&mut sigmas, &*cell.sigma);
+        if sigma == cov_ids.len() && !cov_ids.contains(&cell.cov_id) {
+            cov_ids.push(cell.cov_id);
+        }
+        if cov_ids.get(sigma) != Some(&cell.cov_id) {
+            return Err(SnapError::Corrupt(format!(
+                "cell covariance objects and cov_ids do not correspond one to one (cov_id {})",
+                cell.cov_id
+            )));
+        }
+        let factor = match cell.factor_state() {
+            Some(Some(chol)) => Some(Some(table_index(&mut factors, chol))),
             Some(None) => Some(None),
             None => None,
-        });
+        };
+        entries.push((sigma, factor));
     }
-    put_u32(buf, table.len() as u32);
-    for chol in table {
+    put_u32(buf, factors.len() as u32);
+    for chol in factors {
         put_matrix(buf, chol.factor());
     }
-    for (cell, entry) in cells.iter().zip(entries) {
+    put_u32(buf, sigmas.len() as u32);
+    for (sigma, cov_id) in sigmas.into_iter().zip(cov_ids) {
+        put_u64(buf, cov_id);
+        put_matrix(buf, sigma);
+    }
+    for (cell, (sigma, factor)) in cells.iter().zip(entries) {
         put_bitset(buf, &cell.ext);
         put_f64s(buf, &cell.mu);
-        put_matrix(buf, &cell.sigma);
-        put_u64(buf, cell.cov_id);
-        match entry {
+        put_u32(buf, sigma as u32);
+        match factor {
             None => buf.push(FACTOR_UNSET),
             Some(None) => buf.push(FACTOR_FAILED),
             Some(Some(k)) => {
@@ -193,15 +221,34 @@ fn put_cells(buf: &mut Vec<u8>, cells: &[Cell]) {
             }
         }
     }
+    Ok(())
+}
+
+/// Reads the index of the `kind` table entry a cell names. Entries must be
+/// first named in table order, so that the encoding stays canonical:
+/// `named` counts the entries named so far.
+fn read_entry(
+    c: &mut SnapCursor<'_>,
+    named: &mut usize,
+    entries: usize,
+    what: &str,
+    kind: &str,
+) -> Result<usize, SnapError> {
+    let k = c.u32(what)? as usize;
+    if k > *named || k >= entries {
+        return Err(SnapError::Corrupt(format!(
+            "{what}: {kind} {k} out of order ({named} named of {entries})"
+        )));
+    }
+    *named += usize::from(k == *named);
+    Ok(k)
 }
 
 impl BackgroundModel {
-    /// Serializes the full model state into a self-contained snapshot (a
-    /// complete [`sisd_data::snap`] container, embeddable as a section
-    /// payload of a larger snapshot).
-    pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
-        let mut w = SnapWriter::new();
-
+    /// Writes the full model state as five sections of `w`, the caller's
+    /// snapshot container, beside whatever sections the caller writes
+    /// around them.
+    pub fn snapshot(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         let mut meta = Vec::new();
         put_u64(&mut meta, self.n as u64);
         put_u32(&mut meta, self.dy as u32);
@@ -217,7 +264,7 @@ impl BackgroundModel {
         w.section(SEC_BASE, &base)?;
 
         let mut cells = Vec::new();
-        put_cells(&mut cells, &self.cells);
+        put_cells(&mut cells, &self.cells)?;
         w.section(SEC_CELLS, &cells)?;
 
         let mut cons = Vec::new();
@@ -258,20 +305,17 @@ impl BackgroundModel {
             put_f64(&mut proj, p.spread_dual);
         }
         w.section(SEC_PROJ, &proj)?;
-
-        w.finish()
+        Ok(())
     }
 
-    /// Rebuilds a model from [`BackgroundModel::snapshot`] bytes. Every
-    /// structural invariant is re-validated — dimensions, the cells
-    /// forming an exact partition of the rows, member indices in range —
-    /// so corrupted, truncated, or version-skewed bytes return an `Err`
-    /// and can never produce a panic or a silently wrong model. The
-    /// restored model carries a disabled observability handle (wire one
-    /// with [`BackgroundModel::set_obs`]).
-    pub fn restore(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(bytes)?;
-
+    /// Rebuilds a model from the sections [`BackgroundModel::snapshot`]
+    /// wrote, read next from `r`. Every structural invariant is
+    /// re-validated — dimensions, the cells forming an exact partition of
+    /// the rows, member indices in range, canonical tables — so corrupted
+    /// or truncated bytes return an `Err` and can never produce a panic or
+    /// a silently wrong model. The restored model carries a disabled
+    /// observability handle (wire one with [`BackgroundModel::set_obs`]).
+    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let meta = r.section(SEC_META, "model meta")?;
         let mut c = SnapCursor::new(meta);
         let n = c.u64("meta.n")? as usize;
@@ -313,14 +357,30 @@ impl BackgroundModel {
                 "{n_factors} cell factors for {n_cells} cells"
             )));
         }
-        let mut table = Vec::new();
+        let mut factors = Vec::new();
         for k in 0..n_factors {
             let what = format!("cell factor {k}");
-            table.push(Arc::new(read_cholesky(&mut c, dy, &what)?));
+            factors.push(Arc::new(read_cholesky(&mut c, dy, &what)?));
         }
-        // Entries are first named in table order, so that the encoding
-        // stays canonical.
-        let mut named = 0;
+        let n_sigmas = c.u32("cell covariances")? as usize;
+        if n_sigmas > n_cells {
+            return Err(SnapError::Corrupt(format!(
+                "{n_sigmas} cell covariances for {n_cells} cells"
+            )));
+        }
+        let mut sigmas = Vec::new();
+        let mut cov_ids = HashSet::new();
+        for k in 0..n_sigmas {
+            let what = format!("cell covariance {k}");
+            let cov_id = c.u64(&what)?;
+            if cov_id >= next_cov_id || !cov_ids.insert(cov_id) {
+                return Err(SnapError::Corrupt(format!(
+                    "{what}: cov_id {cov_id} repeats or is not below the next id {next_cov_id}"
+                )));
+            }
+            sigmas.push((cov_id, Arc::new(read_matrix(&mut c, dy, &what)?)));
+        }
+        let (mut named_factors, mut named_sigmas) = (0, 0);
         let mut cells = Vec::new();
         for idx in 0..n_cells {
             let what = format!("cell {idx}");
@@ -335,20 +395,14 @@ impl BackgroundModel {
                     mu.len()
                 )));
             }
-            let sigma = read_matrix(&mut c, dy, &what)?;
-            let cov_id = c.u64(&what)?;
+            let k = read_entry(&mut c, &mut named_sigmas, n_sigmas, &what, "covariance")?;
+            let (cov_id, sigma) = &sigmas[k];
             let state = match c.u8(&what)? {
                 FACTOR_UNSET => None,
                 FACTOR_FAILED => Some(None),
                 FACTOR_CACHED => {
-                    let k = c.u32(&what)? as usize;
-                    if k > named || k >= n_factors {
-                        return Err(SnapError::Corrupt(format!(
-                            "{what}: factor {k} out of order ({named} named of {n_factors})"
-                        )));
-                    }
-                    named += usize::from(k == named);
-                    Some(Some(Arc::clone(&table[k])))
+                    let k = read_entry(&mut c, &mut named_factors, n_factors, &what, "factor")?;
+                    Some(Some(Arc::clone(&factors[k])))
                 }
                 other => {
                     return Err(SnapError::Corrupt(format!(
@@ -356,15 +410,20 @@ impl BackgroundModel {
                     )))
                 }
             };
-            let mut cell = Cell::new(ext, mu, sigma, cov_id);
+            let mut cell = Cell::new(ext, mu, Arc::clone(sigma), *cov_id);
             cell.set_factor_state(state);
             cells.push(cell);
         }
-        if named != n_factors {
-            return Err(SnapError::Corrupt(format!(
-                "{} of {n_factors} cell factors belong to no cell",
-                n_factors - named
-            )));
+        for (named, entries, kind) in [
+            (named_factors, n_factors, "factors"),
+            (named_sigmas, n_sigmas, "covariances"),
+        ] {
+            if named != entries {
+                return Err(SnapError::Corrupt(format!(
+                    "{} of {entries} cell {kind} belong to no cell",
+                    entries - named
+                )));
+            }
         }
         c.finish("cells")?;
 
@@ -472,7 +531,6 @@ impl BackgroundModel {
             });
         }
         c.finish("projection state")?;
-        r.finish()?;
 
         // The overlap adjacency is derived state with a deterministic
         // construction (ascending pair order, matching
@@ -510,6 +568,20 @@ impl BackgroundModel {
 mod tests {
     use super::*;
 
+    /// The model's sections in a container of their own.
+    fn snapshot(model: &BackgroundModel) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        model.snapshot(&mut w).unwrap();
+        w.finish().unwrap()
+    }
+
+    fn restore(bytes: &[u8]) -> Result<BackgroundModel, SnapError> {
+        let mut r = SnapReader::new(bytes)?;
+        let model = BackgroundModel::restore(&mut r)?;
+        r.finish()?;
+        Ok(model)
+    }
+
     fn session_model() -> BackgroundModel {
         let n = 16;
         let mu = vec![0.0, 0.0];
@@ -530,14 +602,17 @@ mod tests {
     #[test]
     fn snapshot_restore_preserves_every_observable() {
         let model = session_model();
-        let bytes = model.snapshot().unwrap();
-        let restored = BackgroundModel::restore(&bytes).unwrap();
+        let bytes = snapshot(&model);
+        let restored = restore(&bytes).unwrap();
         assert_eq!(restored.n(), model.n());
         assert_eq!(restored.dy(), model.dy());
         assert_eq!(restored.n_cells(), model.n_cells());
         for i in 0..model.n() {
             assert_eq!(restored.row_mean(i), model.row_mean(i));
             assert_eq!(restored.row_cov(i).as_slice(), model.row_cov(i).as_slice());
+        }
+        for (a, b) in model.cells().iter().zip(restored.cells()) {
+            assert_eq!(a.cov_id, b.cov_id);
         }
         // Statistics are bit-identical, factors included.
         let ext = BitSet::from_indices(model.n(), [1, 3, 5, 7, 9]);
@@ -551,16 +626,16 @@ mod tests {
     #[test]
     fn snapshot_is_byte_stable_across_restore() {
         let model = session_model();
-        let bytes = model.snapshot().unwrap();
-        let restored = BackgroundModel::restore(&bytes).unwrap();
-        assert_eq!(restored.snapshot().unwrap(), bytes);
+        let bytes = snapshot(&model);
+        let restored = restore(&bytes).unwrap();
+        assert_eq!(snapshot(&restored), bytes);
     }
 
     #[test]
     fn restored_refit_matches_original_bitwise() {
         let mut model = session_model();
-        let bytes = model.snapshot().unwrap();
-        let mut restored = BackgroundModel::restore(&bytes).unwrap();
+        let bytes = snapshot(&model);
+        let mut restored = restore(&bytes).unwrap();
         // Drive both through the same continuation.
         let ext = BitSet::from_indices(model.n(), [2, 3, 8, 9, 10]);
         model.assimilate_location(&ext, vec![-0.3, 0.8]).unwrap();
@@ -585,8 +660,8 @@ mod tests {
                 .unwrap();
             m
         };
-        let bytes = model.snapshot().unwrap();
-        let restored = BackgroundModel::restore(&bytes).unwrap();
+        let bytes = snapshot(&model);
+        let restored = restore(&bytes).unwrap();
         assert_eq!(restored.n_cells(), 2);
 
         // Corrupt semantically: rebuild with both cells claiming row 0.
@@ -605,26 +680,25 @@ mod tests {
         w.section(SEC_BASE, &base).unwrap();
         let mut cells = Vec::new();
         put_u32(&mut cells, 0);
+        put_u32(&mut cells, 1);
+        put_u64(&mut cells, 0);
+        put_matrix(&mut cells, &Matrix::identity(1));
         for _ in 0..2 {
             put_bitset(&mut cells, &BitSet::from_indices(n, [0, 1]));
             put_f64s(&mut cells, &[0.0]);
-            put_matrix(&mut cells, &Matrix::identity(1));
-            put_u64(&mut cells, 0);
+            put_u32(&mut cells, 0);
             cells.push(FACTOR_UNSET);
         }
         w.section(SEC_CELLS, &cells).unwrap();
         w.section(SEC_CONSTRAINTS, &[]).unwrap();
         w.section(SEC_PROJ, &[]).unwrap();
         let bad = w.finish().unwrap();
-        assert!(matches!(
-            BackgroundModel::restore(&bad),
-            Err(SnapError::Corrupt(_))
-        ));
+        assert!(matches!(restore(&bad), Err(SnapError::Corrupt(_))));
     }
 
     /// German socio after three location assimilations, its prior
     /// factored before the first split as a search does: every cell holds
-    /// the prior's one factor object.
+    /// the prior's one factor object and its one Σ object.
     fn location_only_model() -> BackgroundModel {
         let (data, _) = sisd_data::datasets::german_socio_synthetic(3);
         let mut model = BackgroundModel::from_empirical(&data).unwrap();
@@ -651,55 +725,89 @@ mod tests {
             })
     }
 
+    fn shares_one_sigma(model: &BackgroundModel) -> bool {
+        let first = &model.cells()[0].sigma;
+        model.cells().iter().all(|c| Arc::ptr_eq(&c.sigma, first))
+    }
+
+    /// The factor and Σ table lengths of a snapshot's cells section.
+    fn table_lengths(bytes: &[u8], dy: usize) -> (u32, u32) {
+        let mut r = SnapReader::new(bytes).unwrap();
+        r.section(SEC_META, "meta").unwrap();
+        r.section(SEC_BASE, "base").unwrap();
+        let mut c = SnapCursor::new(r.section(SEC_CELLS, "cells").unwrap());
+        let factors = c.u32("factors").unwrap();
+        for _ in 0..factors {
+            read_cholesky(&mut c, dy, "factor").unwrap();
+        }
+        (factors, c.u32("covariances").unwrap())
+    }
+
+    /// Covers the Σ object the cells share as well as their factor.
     #[test]
     fn cells_sharing_a_factor_are_written_once_and_restored_shared() {
         let model = location_only_model();
         assert!(model.n_cells() >= 2, "{} cells", model.n_cells());
-        assert!(shares_one_factor(&model));
-        let bytes = model.snapshot().unwrap();
-        let restored = BackgroundModel::restore(&bytes).unwrap();
-        assert!(shares_one_factor(&restored));
-        assert_eq!(restored.snapshot().unwrap(), bytes);
+        assert!(shares_one_factor(&model) && shares_one_sigma(&model));
+        let bytes = snapshot(&model);
+        let restored = restore(&bytes).unwrap();
+        assert!(shares_one_factor(&restored) && shares_one_sigma(&restored));
+        assert_eq!(snapshot(&restored), bytes);
+        assert_eq!(table_lengths(&bytes, model.dy()), (1, 1));
+    }
+
+    /// The location-only model's snapshot with its cells section rewritten
+    /// and its next covariance id set to `next_cov_id`: a factor table of
+    /// `factors` copies of the shared factor, a Σ table holding the shared
+    /// Σ once per id in `cov_ids`, and cell `g` naming factor entry
+    /// `names.0[g]` and Σ entry `names.1[g]`.
+    fn rewritten(
+        model: &BackgroundModel,
+        next_cov_id: u64,
+        factors: u32,
+        cov_ids: &[u64],
+        names: (&[u32], &[u32]),
+    ) -> Vec<u8> {
+        let bytes = snapshot(model);
+        let factor = model.cells()[0].chol().unwrap();
+        let mut cells = Vec::new();
+        put_u32(&mut cells, factors);
+        for _ in 0..factors {
+            put_matrix(&mut cells, factor.factor());
+        }
+        put_u32(&mut cells, cov_ids.len() as u32);
+        for &id in cov_ids {
+            put_u64(&mut cells, id);
+            put_matrix(&mut cells, &model.cells()[0].sigma);
+        }
+        for ((cell, &factor), &sigma) in model.cells().iter().zip(names.0).zip(names.1) {
+            put_bitset(&mut cells, &cell.ext);
+            put_f64s(&mut cells, &cell.mu);
+            put_u32(&mut cells, sigma);
+            cells.push(FACTOR_CACHED);
+            put_u32(&mut cells, factor);
+        }
         let mut r = SnapReader::new(&bytes).unwrap();
-        r.section(SEC_META, "meta").unwrap();
-        r.section(SEC_BASE, "base").unwrap();
-        let cells = r.section(SEC_CELLS, "cells").unwrap();
-        assert_eq!(SnapCursor::new(cells).u32("factors").unwrap(), 1);
+        let mut w = SnapWriter::new();
+        for id in [SEC_META, SEC_BASE, SEC_CELLS, SEC_CONSTRAINTS, SEC_PROJ] {
+            let mut payload = r.section(id, "section").unwrap().to_vec();
+            if id == SEC_META {
+                payload[12..20].copy_from_slice(&next_cov_id.to_le_bytes());
+            } else if id == SEC_CELLS {
+                payload = cells.clone();
+            }
+            w.section(id, &payload).unwrap();
+        }
+        w.finish().unwrap()
     }
 
     #[test]
     fn factor_tables_out_of_canonical_order_are_corrupt() {
         let model = location_only_model();
-        let bytes = model.snapshot().unwrap();
-        let factor = model.cells()[0].chol().unwrap();
-        // The snapshot with its cells section rewritten: a table of
-        // `entries` copies of the shared factor, cell `g` naming entry
-        // `names[g]`.
-        let rewritten = |entries: u32, names: &[u32]| {
-            let mut cells = Vec::new();
-            put_u32(&mut cells, entries);
-            for _ in 0..entries {
-                put_matrix(&mut cells, factor.factor());
-            }
-            for (cell, &name) in model.cells().iter().zip(names) {
-                put_bitset(&mut cells, &cell.ext);
-                put_f64s(&mut cells, &cell.mu);
-                put_matrix(&mut cells, &cell.sigma);
-                put_u64(&mut cells, cell.cov_id);
-                cells.push(FACTOR_CACHED);
-                put_u32(&mut cells, name);
-            }
-            let mut r = SnapReader::new(&bytes).unwrap();
-            let mut w = SnapWriter::new();
-            for id in [SEC_META, SEC_BASE, SEC_CELLS, SEC_CONSTRAINTS, SEC_PROJ] {
-                let payload = r.section(id, "section").unwrap();
-                w.section(id, if id == SEC_CELLS { &cells } else { payload })
-                    .unwrap();
-            }
-            w.finish().unwrap()
-        };
         let zeros = vec![0; model.n_cells()];
-        assert_eq!(rewritten(1, &zeros), bytes);
+        let factors =
+            |entries: u32, names: &[u32]| rewritten(&model, 1, entries, &[0], (names, &zeros));
+        assert_eq!(factors(1, &zeros), snapshot(&model));
         let mut first_named_last = zeros.clone();
         first_named_last[0] = 1;
         let mut last_apart = zeros.clone();
@@ -713,33 +821,71 @@ mod tests {
             (1, &last_apart),
         ] {
             assert!(matches!(
-                BackgroundModel::restore(&rewritten(entries, names)),
+                restore(&factors(entries, names)),
                 Err(SnapError::Corrupt(_))
             ));
         }
         // Two entries with the same bits are two objects, restored apart.
-        let apart = rewritten(2, &last_apart);
-        let restored = BackgroundModel::restore(&apart).unwrap();
+        let apart = factors(2, &last_apart);
+        let restored = restore(&apart).unwrap();
         assert!(!shares_one_factor(&restored));
-        assert_eq!(restored.snapshot().unwrap(), apart);
+        assert_eq!(snapshot(&restored), apart);
+    }
+
+    #[test]
+    fn sigma_tables_out_of_canonical_order_or_with_bad_ids_are_corrupt() {
+        let model = location_only_model();
+        let zeros = vec![0; model.n_cells()];
+        let sigmas = |next_cov_id: u64, cov_ids: &[u64], names: &[u32]| {
+            rewritten(&model, next_cov_id, 1, cov_ids, (&zeros, names))
+        };
+        assert_eq!(sigmas(1, &[0], &zeros), snapshot(&model));
+        let mut first_named_last = zeros.clone();
+        first_named_last[0] = 1;
+        let mut last_apart = zeros.clone();
+        *last_apart.last_mut().unwrap() = 1;
+        for (next_cov_id, cov_ids, names) in [
+            // An entry no cell names.
+            (2, &[0, 1][..], &zeros),
+            // Entry 1 named before entry 0.
+            (2, &[0, 1], &first_named_last),
+            // An entry past the table's end.
+            (1, &[0], &last_apart),
+            // Two objects with one cov_id.
+            (2, &[0, 0], &last_apart),
+            // A cov_id the model has not minted yet.
+            (1, &[1], &zeros),
+            (2, &[0, 2], &last_apart),
+        ] {
+            assert!(matches!(
+                restore(&sigmas(next_cov_id, cov_ids, names)),
+                Err(SnapError::Corrupt(_))
+            ));
+        }
+        // Two entries with the same bits and their own ids are two
+        // objects, restored apart.
+        let apart = sigmas(2, &[0, 1], &last_apart);
+        let restored = restore(&apart).unwrap();
+        assert!(!shares_one_sigma(&restored));
+        assert_eq!(snapshot(&restored), apart);
     }
 
     #[test]
     fn every_mutation_of_a_model_snapshot_fails_cleanly() {
         let model = session_model();
-        let bytes = model.snapshot().unwrap();
+        let bytes = snapshot(&model);
         // Sampled single-byte flips (full coverage lives in the proptest
         // suite); every one must fail via CRC at the container layer.
         for i in (0..bytes.len()).step_by(7) {
             let mut mutated = bytes.clone();
             mutated[i] ^= 0x10;
             assert!(
-                BackgroundModel::restore(&mutated).is_err(),
+                restore(&mutated).is_err(),
                 "flip at byte {i} restored successfully"
             );
         }
         for cut in (0..bytes.len()).step_by(11) {
-            assert!(BackgroundModel::restore(&bytes[..cut]).is_err());
+            assert!(restore(&bytes[..cut]).is_err());
         }
     }
 }

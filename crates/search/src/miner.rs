@@ -18,9 +18,8 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Section id of the miner metadata (iteration counter + dataset stamp).
+/// The model's sections follow it in the same container.
 const SEC_MINER_META: u32 = 10;
-/// Section id wrapping the model's own snapshot container verbatim.
-const SEC_MINER_MODEL: u32 = 11;
 
 /// Miner configuration.
 #[derive(Debug, Clone, Default)]
@@ -137,13 +136,12 @@ impl Miner {
         Ok(Self::assemble(data, model, config))
     }
 
-    /// Serializes the full session state — the background model (cells,
-    /// constraints, duals, warm-start projection state) plus the iteration
-    /// counter and a content fingerprint of the dataset — into the
+    /// Serializes the full session state — the iteration counter and a
+    /// content fingerprint of the dataset, then the background model
+    /// (cells, constraints, duals, warm-start projection state) — into one
     /// checksummed [`sisd_data::snap`] container. The bytes are canonical:
     /// restoring and re-snapshotting yields the identical byte string.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SisdError> {
-        let model = self.model.snapshot()?;
         let mut meta = Vec::with_capacity(16);
         put_u64(&mut meta, self.iterations_done as u64);
         let fingerprint = *self
@@ -152,7 +150,7 @@ impl Miner {
         put_u64(&mut meta, fingerprint);
         let mut w = SnapWriter::new();
         w.section(SEC_MINER_META, &meta)?;
-        w.section(SEC_MINER_MODEL, &model)?;
+        self.model.snapshot(&mut w)?;
         Ok(w.finish()?)
     }
 
@@ -210,8 +208,6 @@ impl Miner {
         let iterations_done = c.u64("iteration counter")? as usize;
         let stamped = c.u64("dataset fingerprint")?;
         c.finish("miner metadata")?;
-        let model_bytes = r.section(SEC_MINER_MODEL, "model snapshot")?;
-        r.finish()?;
         let actual = data.content_fingerprint();
         if stamped != actual {
             return Err(SnapError::Corrupt(format!(
@@ -221,7 +217,8 @@ impl Miner {
             ))
             .into());
         }
-        let model = BackgroundModel::restore(model_bytes)?;
+        let model = BackgroundModel::restore(&mut r)?;
+        r.finish()?;
         if model.n() != data.n() || model.dy() != data.dy() {
             return Err(SnapError::Corrupt(format!(
                 "model shape {}×{} does not match dataset shape {}×{}",
@@ -574,6 +571,23 @@ mod tests {
         assert!(Miner::restore_bytes(&bad, data.clone(), quick_config()).is_err());
         // Truncation at any prefix is a clean error too.
         assert!(Miner::restore_bytes(&bytes[..bytes.len() - 3], data, quick_config()).is_err());
+    }
+
+    #[test]
+    fn version_2_snapshots_fail_as_version_skew() {
+        let (data, _) = synthetic_paper(42);
+        let mut miner = Miner::from_empirical(data.clone(), quick_config()).unwrap();
+        miner.step_location().unwrap().unwrap();
+        let mut bytes = miner.snapshot_bytes().unwrap();
+        assert_eq!(bytes[8..12], 3u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            Miner::restore_bytes(&bytes, data, quick_config()),
+            Err(SisdError::Snap(SnapError::VersionSkew {
+                found: 2,
+                supported: 3
+            }))
+        ));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use sisd_linalg::{Cholesky, Matrix, SymEigen};
 use sisd_model::BackgroundModel;
 use sisd_stats::special::{digamma, ln_gamma};
 use sisd_stats::Xoshiro256pp;
+use std::sync::Arc;
 
 /// Configuration of the sphere optimizer.
 #[derive(Debug, Clone)]
@@ -59,8 +60,9 @@ pub struct SphereResult {
 
 /// The spread-IC objective for a fixed subgroup, with analytic gradient.
 struct SpreadObjective {
-    /// `(count within I, Σ_g)` per intersecting parameter cell.
-    cells: Vec<(f64, Matrix)>,
+    /// `(count within I, Σ_g)` per intersecting parameter cell, holding
+    /// the cell's Σ object.
+    cells: Vec<(f64, Arc<Matrix>)>,
     /// `|I|`.
     m: f64,
     /// Subgroup scatter matrix `Ŝ` (so `ĝ(w) = wᵀŜw`).
@@ -74,7 +76,7 @@ impl SpreadObjective {
         for cell in model.cells() {
             let c = cell.ext.intersection_count(ext);
             if c > 0 {
-                cells.push((c as f64, cell.sigma.clone()));
+                cells.push((c as f64, Arc::clone(&cell.sigma)));
             }
         }
         let m = ext.count() as f64;
