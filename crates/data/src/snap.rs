@@ -501,6 +501,12 @@ impl<'a> SnapReader<'a> {
 // Crash-safe persistence
 // ----------------------------------------------------------------------
 
+/// The SEQ of [`atomic_write`]'s temp names, drawn once per name tried.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// How many temp names one [`atomic_write`] tries.
+const TMP_NAME_TRIES: u32 = 1024;
+
 /// Writes `bytes` to `path` atomically: same-directory temp file,
 /// `write_all`, fsync, rename over the destination, then fsync the
 /// directory. A crash at any byte offset leaves either the previous file
@@ -509,30 +515,42 @@ impl<'a> SnapReader<'a> {
 ///
 /// Every call writes its own temp file, `.NAME.tmp.PID.SEQ`, created
 /// exclusively, so concurrent saves to one path never share one: each
-/// renames a complete file, and the last rename wins.
+/// renames a complete file, and the last rename wins. A name that is
+/// already taken (stranded by a killed process that had the same pid, as
+/// a container's entrypoint does on every restart) is skipped, not
+/// reused or removed: the call draws the next SEQ, and fails with
+/// `AlreadyExists` only after 1024 taken names in a row.
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SnapError> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let file_name = path.file_name().ok_or_else(|| {
         SnapError::Io(io::Error::new(io::ErrorKind::InvalidInput, "no file name"))
     })?;
-    let mut tmp_name = std::ffi::OsString::from(".");
-    tmp_name.push(file_name);
-    tmp_name.push(format!(
-        ".tmp.{}.{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => std::path::PathBuf::from(&tmp_name),
-    };
+    let mut tries = 0;
     // Created before the cleanup scope: a failed create removes nothing,
     // since the name may be another writer's.
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(&tmp)?;
+    let (tmp, f) = loop {
+        let mut tmp_name = std::ffi::OsString::from(".");
+        tmp_name.push(file_name);
+        tmp_name.push(format!(
+            ".tmp.{}.{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let tmp = match dir {
+            Some(d) => d.join(&tmp_name),
+            None => std::path::PathBuf::from(&tmp_name),
+        };
+        tries += 1;
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+        {
+            Ok(f) => break (tmp, f),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists && tries < TMP_NAME_TRIES => {}
+            Err(e) => return Err(SnapError::Io(e)),
+        }
+    };
     let result = (|| -> io::Result<()> {
         let mut f = f;
         f.write_all(bytes)?;
@@ -695,15 +713,19 @@ mod tests {
 
     #[test]
     fn version_skew_is_reported_as_such() {
-        let mut bytes = sample_snapshot();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        assert!(matches!(
-            SnapReader::new(&bytes),
-            Err(SnapError::VersionSkew {
-                found: 99,
-                supported: SNAP_VERSION
-            })
-        ));
+        // 2 is the previous format, which is not migrated.
+        assert_eq!(SNAP_VERSION, 3);
+        for version in [2u32, 99] {
+            let mut bytes = sample_snapshot();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                SnapReader::new(&bytes),
+                Err(SnapError::VersionSkew {
+                    found,
+                    supported: SNAP_VERSION
+                }) if found == version
+            ));
+        }
     }
 
     #[test]
@@ -735,11 +757,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.snap");
         atomic_write(&path, b"old snapshot").unwrap();
-        // Simulate a kill mid-write: a torn temp file next to the target.
-        std::fs::write(dir.join(".model.snap.tmp.999"), b"to").unwrap();
+        // Simulate a kill mid-write by an earlier process with this pid:
+        // torn temp files on the very names the next saves would draw.
+        let next = TMP_SEQ.load(Ordering::Relaxed);
+        let stranded: Vec<_> = (next..next + 8)
+            .map(|seq| dir.join(format!(".model.snap.tmp.{}.{seq}", std::process::id())))
+            .collect();
+        for tmp in &stranded {
+            std::fs::write(tmp, b"to").unwrap();
+        }
         assert_eq!(std::fs::read(&path).unwrap(), b"old snapshot");
         atomic_write(&path, b"new snapshot").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new snapshot");
+        for tmp in &stranded {
+            assert_eq!(std::fs::read(tmp).unwrap(), b"to", "not this call's file");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

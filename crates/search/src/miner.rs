@@ -574,23 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn version_2_snapshots_fail_as_version_skew() {
-        let (data, _) = synthetic_paper(42);
-        let mut miner = Miner::from_empirical(data.clone(), quick_config()).unwrap();
-        miner.step_location().unwrap().unwrap();
-        let mut bytes = miner.snapshot_bytes().unwrap();
-        assert_eq!(bytes[8..12], 3u32.to_le_bytes());
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            Miner::restore_bytes(&bytes, data, quick_config()),
-            Err(SisdError::Snap(SnapError::VersionSkew {
-                found: 2,
-                supported: 3
-            }))
-        ));
-    }
-
-    #[test]
     fn with_prior_accepts_custom_beliefs() {
         let (data, _) = synthetic_paper(13);
         let prior_mean = vec![0.0, 0.0];

@@ -2,27 +2,29 @@
 """Run interleaved stepbench pairs of two built trees and judge the change.
 
 Usage:
-  stepbench_pairs.py --parent DIR --change DIR [--pairs N] [--seconds S]
-                     [--seed N] [--workloads a,b,c] [--parent-rev R]
-                     [--change-rev R] [--out FILE] [--append]
+  stepbench_pairs.py --parent DIR --change DIR [--pairs N] [--seed N]
+                     [--workloads a,b,c] [--parent-rev R] [--change-rev R]
+                     [--append]
 
 DIR is a source tree whose stepbench is already built
 (`cargo build --release --offline --manifest-path stepbench/Cargo.toml`
 inside it). Each run starts DIR/stepbench/target/release/sisd-stepbench
 with DIR as its working directory, so the two sides never share a
 snapshot directory. Pair i runs every workload on both sides, the parent
-first when i is even and the change first when i is odd.
+first when i is even and the change first when i is odd. Every run lasts
+BENCHMARK.json's run_seconds.
 
 Each run contributes the JSON object stepbench prints as its last line,
 its wall time, and the guest steal time the host reported in /proc/stat
-while it ran. The output file (default BENCH_stepbench.json) holds the
-provenance, every run, and, per workload and end-to-end metric of
-BENCHMARK.json, each side's q1/median/q3, the change/parent ratio of the
-medians, the pairs the change won (ties count for neither side), the
-metric's bound and a verdict:
+while it ran. The output file, BENCH_stepbench.json at the root of this
+repository, holds the provenance, every run, and, per workload and
+end-to-end metric of BENCHMARK.json, each side's q1/median/q3, the
+change/parent ratio of the medians, the pairs the change won (ties count
+for neither side), the metric's bound and a verdict:
 
   regressed      the change's median is worse than the parent's by more
                  than the bound;
+  unresolved     fewer than 10 pairs;
   gain resolved  the change won at least 9 in 10 pairs and its median is
                  better by more than the parent's interquartile range;
   unresolved     the parent's interquartile range is wider than the bound
@@ -47,6 +49,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BINARY = os.path.join("stepbench", "target", "release", "sisd-stepbench")
 SIDES = ("parent", "change")
+OUT = os.path.join(ROOT, "BENCH_stepbench.json")
+# Fewer pairs than this resolve nothing but a regression.
+MIN_PAIRS = 10
 
 
 def quantile(samples, q):
@@ -129,7 +134,9 @@ def judge(parent, change, better, bound):
     separated = (max(c) < min(p)) if lower else (min(c) > max(p))
     if worse > bound * abs(pm):
         verdict = "regressed"
-    elif pairs and won >= 0.9 * len(pairs) and -worse > iqr:
+    elif len(pairs) < MIN_PAIRS:
+        verdict = "unresolved"
+    elif won >= 0.9 * len(pairs) and -worse > iqr:
         verdict = "gain resolved"
     elif iqr > bound * abs(pm) and not separated:
         verdict = "unresolved"
@@ -146,16 +153,14 @@ def main():
     ap.add_argument("--parent-rev", help="label of the parent tree (default: its git HEAD)")
     ap.add_argument("--change-rev", help="label of the change tree (default: its git HEAD)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--seed", type=int, default=2018)
     ap.add_argument("--workloads", help="comma-separated (default: all of BENCHMARK.json)")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_stepbench.json"))
     ap.add_argument("--append", action="store_true")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds or bench.get("run_seconds", 30)
+    seconds = bench["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -206,12 +211,12 @@ def main():
         "results": [],
         "runs": [],
     }
-    if args.append and os.path.exists(args.out):
-        with open(args.out) as f:
+    if args.append and os.path.exists(OUT):
+        with open(OUT) as f:
             doc = json.load(f)
     doc["results"] += results
     doc["runs"] += runs
-    with open(args.out, "w") as f:
+    with open(OUT, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
 
