@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sisd_data::datasets::{crime_synthetic, german_socio_synthetic};
 use sisd_data::{BitSet, Dataset};
-use sisd_model::{BackgroundModel, WARM_COLD_SCORE_TOL};
+use sisd_model::{BackgroundModel, Constraint, WARM_COLD_SCORE_TOL};
 use sisd_stats::Xoshiro256pp;
 use std::hint::black_box;
 
@@ -29,6 +29,27 @@ fn model_with_constraints(data: &Dataset, exts: &[BitSet], k: usize) -> Backgrou
         let _ = model.refit(1e-7, 100).expect("refit");
     }
     model
+}
+
+/// Cold replay of `warm`'s location history: `fresh`, a model built from
+/// the same prior, assimilates every stored constraint again, in order,
+/// then refits once — no warm-start state carried over.
+fn cold_replay(
+    mut fresh: BackgroundModel,
+    warm: &BackgroundModel,
+    tol: f64,
+    max_cycles: usize,
+) -> BackgroundModel {
+    for constraint in warm.constraints() {
+        let Constraint::Location { ext, target } = constraint else {
+            panic!("the cold replay covers location constraints only");
+        };
+        fresh
+            .assimilate_location(ext, target.clone())
+            .expect("replay");
+    }
+    let _ = fresh.refit(tol, max_cycles).expect("cold refit");
+    fresh
 }
 
 fn bench_location_update_scaling(c: &mut Criterion) {
@@ -84,21 +105,21 @@ fn bench_deep_session_sweep(c: &mut Criterion) {
 
 /// CI smoke gate (`cargo bench -p sisd-bench --bench bench_model_update --
 /// smoke`): asserts that the warm-started incremental refit and a cold
-/// replay-from-prior refit land on the same belief state (row means within
+/// replay from the prior land on the same belief state (row means within
 /// [`WARM_COLD_SCORE_TOL`]) **before** timing either path. A warm/cold
 /// divergence fails the bench run loudly rather than shipping wrong
 /// numbers.
 fn bench_smoke_warm_vs_cold(c: &mut Criterion) {
     let (data, _) = german_socio_synthetic(7);
     let exts = random_extensions(&data, 7, 11);
-    let mut warm = BackgroundModel::from_empirical(&data).expect("model");
+    let prior = BackgroundModel::from_empirical(&data).expect("model");
+    let mut warm = prior.clone();
     for ext in exts.iter().take(6) {
         warm.assimilate_location(ext, data.target_mean(ext))
             .unwrap();
         let _ = warm.refit(1e-9, 200).unwrap();
     }
-    let mut cold = warm.clone();
-    let _ = cold.refit_cold(1e-9, 200).expect("cold refit");
+    let cold = cold_replay(prior.clone(), &warm, 1e-9, 200);
     for i in 0..data.n() {
         for (a, b) in warm.row_mean(i).iter().zip(cold.row_mean(i)) {
             assert!(
@@ -132,13 +153,10 @@ fn bench_smoke_warm_vs_cold(c: &mut Criterion) {
             m.n_cells()
         })
     });
+    let mut extended = warm.clone();
+    extended.assimilate_location(ext, mean.clone()).unwrap();
     group.bench_function("cold_replay", |b| {
-        b.iter(|| {
-            let mut m = warm.clone();
-            m.assimilate_location(black_box(ext), mean.clone()).unwrap();
-            let _ = m.refit_cold(1e-7, 100).unwrap();
-            m.n_cells()
-        })
+        b.iter(|| cold_replay(prior.clone(), black_box(&extended), 1e-7, 100).n_cells())
     });
     group.finish();
 }

@@ -31,8 +31,6 @@
 //! in a same-directory temp file, are fsynced, and only then renamed over
 //! the destination (followed by a directory fsync), so a kill at any byte
 //! offset leaves either the old snapshot or the new one, never garbage.
-//! [`FailingWriter`] is the fault-injection seam the durability tests use
-//! to manufacture torn writes.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -43,7 +41,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"SISDSNAP";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with [`SnapError::VersionSkew`].
-pub const SNAP_VERSION: u32 = 3;
+pub const SNAP_VERSION: u32 = 4;
 
 /// Hard cap on one section's payload length. A snapshot announcing a
 /// larger section is corrupt by definition — decoding fails before any
@@ -196,31 +194,12 @@ pub fn put_words(buf: &mut Vec<u8>, words: &[u64]) {
     }
 }
 
-/// Appends a length-prefixed `u32` slice.
-pub fn put_u32s(buf: &mut Vec<u8>, vals: &[u32]) {
-    put_u32(buf, vals.len() as u32);
-    for &v in vals {
-        put_u32(buf, v);
-    }
-}
-
 /// Appends a length-prefixed `f64` slice, bit-exact.
 pub fn put_f64s(buf: &mut Vec<u8>, vals: &[f64]) {
     put_u32(buf, vals.len() as u32);
     for &v in vals {
         put_f64(buf, v);
     }
-}
-
-/// Appends length-prefixed raw bytes.
-pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
 }
 
 /// Bounded sequential reader over one section's payload. Every accessor
@@ -292,16 +271,6 @@ impl<'a> SnapCursor<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed `u32` vector.
-    pub fn u32s(&mut self, what: &str) -> Result<Vec<u32>, SnapError> {
-        let n = self.seq_len(4, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32(what)?);
-        }
-        Ok(out)
-    }
-
     /// Reads a length-prefixed `f64` vector, bit-exact.
     pub fn f64s(&mut self, what: &str) -> Result<Vec<f64>, SnapError> {
         let n = self.seq_len(8, what)?;
@@ -310,19 +279,6 @@ impl<'a> SnapCursor<'a> {
             out.push(self.f64(what)?);
         }
         Ok(out)
-    }
-
-    /// Reads length-prefixed raw bytes.
-    pub fn bytes(&mut self, what: &str) -> Result<Vec<u8>, SnapError> {
-        let n = self.seq_len(1, what)?;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self, what: &str) -> Result<String, SnapError> {
-        let bytes = self.bytes(what)?;
-        String::from_utf8(bytes)
-            .map_err(|_| SnapError::Corrupt(format!("{what} is not valid UTF-8")))
     }
 
     /// Asserts the payload was consumed exactly.
@@ -569,49 +525,6 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SnapError> {
     result.map_err(SnapError::Io)
 }
 
-/// A [`Write`] adapter that fails with an injected I/O error after `limit`
-/// bytes — the durability tests' torn-write generator. Bytes up to the
-/// limit pass through to the inner writer, so the inner sink is left
-/// holding exactly the prefix a killed process would have persisted.
-pub struct FailingWriter<W> {
-    inner: W,
-    remaining: usize,
-}
-
-impl<W: Write> FailingWriter<W> {
-    /// Fails after exactly `limit` bytes have been accepted.
-    pub fn new(inner: W, limit: usize) -> Self {
-        FailingWriter {
-            inner,
-            remaining: limit,
-        }
-    }
-
-    /// Unwraps the inner sink (holding the surviving prefix).
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FailingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.remaining == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::WriteZero,
-                "injected write fault",
-            ));
-        }
-        let n = buf.len().min(self.remaining);
-        let written = self.inner.write(&buf[..n])?;
-        self.remaining -= written;
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,7 +540,7 @@ mod tests {
         let mut p = Vec::new();
         put_u64(&mut p, 42);
         put_f64s(&mut p, &[1.5, -0.0, f64::MIN_POSITIVE]);
-        put_str(&mut p, "hello");
+        put_words(&mut p, &[7, u64::MAX]);
         w.section(1, &p).unwrap();
         w.section(2, &[]).unwrap();
         w.finish().unwrap()
@@ -643,7 +556,7 @@ mod tests {
         let f = c.f64s("fs").unwrap();
         assert_eq!(f.len(), 3);
         assert_eq!(f[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(c.str("s").unwrap(), "hello");
+        assert_eq!(c.words("ws").unwrap(), [7, u64::MAX]);
         c.finish("first").unwrap();
         assert!(r.section(2, "second").unwrap().is_empty());
         r.finish().unwrap();
@@ -667,7 +580,7 @@ mod tests {
                 let mut c = SnapCursor::new(p);
                 c.u64("v")?;
                 c.f64s("fs")?;
-                c.str("s")?;
+                c.words("ws")?;
                 c.finish("first")?;
                 r.section(2, "second")?;
                 r.finish()
@@ -693,7 +606,7 @@ mod tests {
                     let mut c = SnapCursor::new(p);
                     c.u64("v")?;
                     c.f64s("fs")?;
-                    c.str("s")?;
+                    c.words("ws")?;
                     c.finish("first")?;
                     r.section(2, "second")?;
                     r.finish()
@@ -713,9 +626,9 @@ mod tests {
 
     #[test]
     fn version_skew_is_reported_as_such() {
-        // 2 is the previous format, which is not migrated.
-        assert_eq!(SNAP_VERSION, 3);
-        for version in [2u32, 99] {
+        // 2 and 3 are earlier formats, which are not migrated.
+        assert_eq!(SNAP_VERSION, 4);
+        for version in [2u32, 3, 99] {
             let mut bytes = sample_snapshot();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -813,23 +726,6 @@ mod tests {
         assert!(matches!(
             atomic_write(&path, b"bytes"),
             Err(SnapError::Io(_))
-        ));
-    }
-
-    #[test]
-    fn failing_writer_leaves_exact_prefix() {
-        let bytes = sample_snapshot();
-        let limit = bytes.len() / 2;
-        let mut w = FailingWriter::new(Vec::new(), limit);
-        let err = w.write_all(&bytes).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
-        let torn = w.into_inner();
-        assert_eq!(&torn[..], &bytes[..limit]);
-        // The torn prefix must fail restore cleanly.
-        let r = SnapReader::new(&torn);
-        assert!(matches!(
-            r.and_then(|mut r| r.section(1, "first").map(|_| ())),
-            Err(SnapError::Truncated(_) | SnapError::Corrupt(_))
         ));
     }
 }

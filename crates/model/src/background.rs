@@ -9,7 +9,8 @@ use sisd_obs::{Metric, ObsHandle};
 use std::sync::Arc;
 
 /// Documented tolerance at which warm-started (incremental) refits agree
-/// with a cold refit replayed from the base prior.
+/// with a cold replay: a fresh model from the same prior that assimilates
+/// the stored constraints again, in order, and then refits once.
 ///
 /// Both paths converge to the *same* I-projection — the constraint families
 /// are linear in distribution space, so the projection of the prior onto
@@ -204,13 +205,6 @@ pub(crate) struct ProjectionState {
     /// only). `None` means "build fresh on next projection" — the fallback
     /// after a failed downdate or a too-large rank-k maintenance batch.
     pub(crate) chol: Option<Cholesky>,
-    /// Accumulated dual solution (Lagrange multipliers λ) of this
-    /// constraint's location projections — the warm-start state a resumed
-    /// refit continues from (the model's means embed `Σλ` already, so
-    /// re-projection solves only for the *residual* multiplier).
-    pub(crate) dual: Vec<f64>,
-    /// Accumulated spread multiplier, the scalar analogue of `dual`.
-    pub(crate) spread_dual: f64,
 }
 
 impl Default for ProjectionState {
@@ -220,22 +214,7 @@ impl Default for ProjectionState {
             m: 0,
             epoch: u64::MAX,
             chol: None,
-            dual: Vec::new(),
-            spread_dual: 0.0,
         }
-    }
-}
-
-impl ProjectionState {
-    /// Forgets everything derived from the current parameters (cold
-    /// restart): membership, cached factor, and accumulated duals.
-    fn reset(&mut self) {
-        self.members.clear();
-        self.m = 0;
-        self.epoch = u64::MAX;
-        self.chol = None;
-        self.dual.clear();
-        self.spread_dual = 0.0;
     }
 }
 
@@ -308,13 +287,9 @@ pub struct BackgroundModel {
     /// disturb. Extensions are immutable, so this only ever grows.
     pub(crate) adj: Vec<Vec<u32>>,
     pub(crate) next_cov_id: u64,
-    /// Bumped whenever the cell partition changes (refinement or a cold
-    /// reset); staleness signal for cached membership lists.
+    /// Bumped whenever refinement splits a cell; staleness signal for
+    /// cached membership lists.
     pub(crate) partition_epoch: u64,
-    /// The prior the model was constructed with; `refit_cold` replays the
-    /// constraint history from here.
-    pub(crate) base_mu: Vec<f64>,
-    pub(crate) base_sigma: Matrix,
     pub(crate) scratch: ProjectionScratch,
     /// Metrics destination for refit/projection work. Disabled by default;
     /// never affects the numbers the model produces.
@@ -333,7 +308,7 @@ impl BackgroundModel {
         }
         Cholesky::new_with_jitter(&sigma, 4).map_err(|_| ModelError::BadPrior)?;
         let dy = mu.len();
-        let cell = Cell::new(BitSet::full(n), mu.clone(), Arc::new(sigma.clone()), 0);
+        let cell = Cell::new(BitSet::full(n), mu, Arc::new(sigma), 0);
         Ok(Self {
             n,
             dy,
@@ -344,8 +319,6 @@ impl BackgroundModel {
             adj: Vec::new(),
             next_cov_id: 1,
             partition_epoch: 0,
-            base_mu: mu,
-            base_sigma: sigma,
             scratch: ProjectionScratch::default(),
             obs: ObsHandle::disabled(),
         })
@@ -399,11 +372,6 @@ impl BackgroundModel {
     /// Constraints assimilated so far.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
-    }
-
-    /// Constraint epoch: the number of assimilated constraints.
-    pub fn constraint_epoch(&self) -> usize {
-        self.constraints.len()
     }
 
     /// Mean vector of row `i`.
@@ -493,18 +461,28 @@ impl BackgroundModel {
     /// Fast path: while no spread pattern has been assimilated all cells
     /// share one covariance value, so `Cov(f_I) = Σ/|I|` and one cached
     /// Cholesky factorization serves every candidate.
+    ///
+    /// Allocates its result and working buffers;
+    /// [`BackgroundModel::location_stats_with`] is the same computation
+    /// over a precomputed cell-count signature, through caller-owned
+    /// buffers.
     pub fn location_stats(
         &self,
         ext: &BitSet,
         observed: &[f64],
     ) -> Result<LocationStats, ModelError> {
-        self.location_stats_for_counts(&self.cell_counts(ext), observed)
+        let mut scratch = LocationScratch::default();
+        self.location_stats_with(&self.cell_counts(ext), observed, &mut scratch)?;
+        Ok(scratch.stats)
     }
 
     /// [`BackgroundModel::location_stats`] over a precomputed cell-count
-    /// signature. Allocates its result and working buffers;
-    /// [`BackgroundModel::location_stats_with`] is the same computation
-    /// through caller-owned buffers.
+    /// signature, writing into `scratch`, whose buffers are reused from
+    /// call to call: this is the entry point of `sisd-search`'s evaluation
+    /// engine, which scores thousands of candidates per beam level through
+    /// one scratch and allocates nothing per candidate once the buffers
+    /// have grown (but for the factor of a mixed-covariance candidate,
+    /// built per call). Same arithmetic, same bits.
     ///
     /// `counts` is the candidate's cell-count signature on this model in
     /// its current state: `(cell, rows)` for every cell the extension
@@ -513,23 +491,6 @@ impl BackgroundModel {
     /// entries of [`sisd_data::kernels::count_cells`] over
     /// [`BackgroundModel::cell_of_row`] read in cell order. The order
     /// matters: the model mean adds the cells in it.
-    pub fn location_stats_for_counts(
-        &self,
-        counts: &[(usize, usize)],
-        observed: &[f64],
-    ) -> Result<LocationStats, ModelError> {
-        let mut scratch = LocationScratch::default();
-        self.location_stats_with(counts, observed, &mut scratch)?;
-        Ok(scratch.stats)
-    }
-
-    /// [`BackgroundModel::location_stats_for_counts`] writing into
-    /// `scratch`, whose buffers are reused from call to call: this is the
-    /// entry point of `sisd-search`'s evaluation engine, which scores
-    /// thousands of candidates per beam level through one scratch and
-    /// allocates nothing per candidate once the buffers have grown (but
-    /// for the factor of a mixed-covariance candidate, built per call).
-    /// Same arithmetic, same bits, same contract on `counts`.
     ///
     /// This is the one-candidate case of
     /// [`BackgroundModel::location_stats_run`]: the same preparation (count,
@@ -779,8 +740,9 @@ impl BackgroundModel {
 
     /// Rebuilds constraint `i`'s member-cell list if the partition moved
     /// since it was last computed. Stored constraints are unions of cells
-    /// (refinement guarantees it and never merges), so membership is exact.
-    fn refresh_membership(&mut self, i: usize) {
+    /// (refinement guarantees it and never merges, and a restore rejects a
+    /// snapshot where one is not), so membership is exact.
+    pub(crate) fn refresh_membership(&mut self, i: usize) {
         if self.proj[i].epoch == self.partition_epoch {
             return;
         }
@@ -799,7 +761,6 @@ impl BackgroundModel {
                 m += self.cells[g].count;
             }
         }
-        debug_assert_eq!(m, ext.count(), "stored constraint must be a union of cells");
         proj.m = m;
         proj.epoch = self.partition_epoch;
     }
@@ -890,9 +851,8 @@ impl BackgroundModel {
     }
 
     /// Exact I-projection onto stored location constraint `i` (Thm. 1),
-    /// warm-started: the member list, the factor of `S = Σ n_g Σ_g`, and
-    /// the accumulated dual survive across refit cycles and assimilations,
-    /// so a re-projection is one O(dy²) triangular solve plus
+    /// warm-started: the member list and the factor of `S = Σ n_g Σ_g`
+    /// survive across refit cycles and assimilations, so a re-projection is one O(dy²) triangular solve plus
     /// O(|members|·dy²) mean shifts — the O(dy³) factorization is paid only
     /// when no valid factor exists yet.
     fn project_location_at(&mut self, i: usize) -> Result<(), ModelError> {
@@ -934,15 +894,10 @@ impl BackgroundModel {
         }
         let chol = proj.chol.as_ref().expect("factor just ensured");
         chol.solve_in_place(&mut scratch.rhs); // rhs now holds λ
-        if proj.dual.len() != dy {
-            proj.dual.clear();
-            proj.dual.resize(dy, 0.0);
-        }
-        sisd_linalg::add_assign(&mut proj.dual, &scratch.rhs);
-        // μ_g ← μ_g + Σ_g λ on every member cell. While all members share
-        // one covariance value (typical until a spread pattern tilts them
-        // apart) the shift is computed once and broadcast in O(dy) per
-        // cell instead of O(dy²).
+                                               // μ_g ← μ_g + Σ_g λ on every member cell. While all members share
+                                               // one covariance value (typical until a spread pattern tilts them
+                                               // apart) the shift is computed once and broadcast in O(dy) per
+                                               // cell instead of O(dy²).
         scratch.shift.clear();
         scratch.shift.resize(dy, 0.0);
         let g0 = proj.members[0] as usize;
@@ -1034,7 +989,6 @@ impl BackgroundModel {
             return Ok(());
         }
         let obs = self.obs;
-        self.proj[i].spread_dual += lambda;
         obs.add(Metric::ModelCellRankUpdates, scratch.live.len() as u64);
 
         scratch.alphas.clear();
@@ -1236,14 +1190,15 @@ impl BackgroundModel {
     }
 
     /// Cyclic coordinate descent, warm-started: resumes from the current
-    /// parameters (whose means already embed the accumulated dual
-    /// solutions) and re-projects until the maximum violation is at most
+    /// parameters (whose means already embed every earlier projection's
+    /// multipliers) and re-projects until the maximum violation is at most
     /// `tol` or `max_cycles` full passes have run. Returns the convergence
     /// statistics — deep interactive sessions (many overlapping assimilated
     /// patterns) watch [`RefitStats::cycles`] grow to observe the cost of
     /// staying converged.
     ///
-    /// Incremental machinery (versus [`BackgroundModel::refit_cold`]):
+    /// Incremental machinery (versus a cold replay: a fresh model from the
+    /// same prior that assimilates every stored constraint again):
     /// violations come from cached member-cell lists instead of all-cells
     /// bitset scans, constraints already within `tol` at the start of a
     /// cycle are skipped (residual-driven scheduling), and each location
@@ -1357,84 +1312,6 @@ impl BackgroundModel {
             cycles,
             constraints_updated,
         })
-    }
-
-    /// Cold refit: resets the parameters to the base prior, replays every
-    /// stored constraint (refinement + one projection each, in assimilation
-    /// order, duals zeroed), then runs the cyclic [`BackgroundModel::refit`]
-    /// to convergence. This is what the warm-started path avoids; both
-    /// converge to the *same* unique I-projection, with scores agreeing to
-    /// [`WARM_COLD_SCORE_TOL`] — the oracle used by the warm-start parity
-    /// tests and the bench gate. Returns the stats of the final cyclic
-    /// phase (the replay projections are not counted).
-    pub fn refit_cold(&mut self, tol: f64, max_cycles: usize) -> Result<RefitStats, ModelError> {
-        self.obs.incr(Metric::RefitColdRuns);
-        self.cells.clear();
-        self.cells.push(Cell::new(
-            BitSet::full(self.n),
-            self.base_mu.clone(),
-            Arc::new(self.base_sigma.clone()),
-            0,
-        ));
-        self.cell_of_row.fill(0);
-        self.next_cov_id = 1;
-        self.partition_epoch += 1;
-        for p in &mut self.proj {
-            p.reset();
-        }
-        for i in 0..self.constraints.len() {
-            let ext = self.constraints[i].ext().clone();
-            self.refine(&ext);
-            if matches!(self.constraints[i], Constraint::Location { .. }) {
-                self.project_location_at(i)?;
-            } else {
-                match self.project_spread_at(i) {
-                    Ok(()) | Err(ModelError::SpreadSolve(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        self.refit(tol, max_cycles)
-    }
-
-    /// KL divergence `KL(self ‖ other)` summed over rows. Both models must
-    /// have identical shape. Used in tests and diagnostics (the projections
-    /// minimize exactly this quantity toward the *previous* model).
-    pub fn kl_divergence_from(&self, other: &BackgroundModel) -> f64 {
-        assert_eq!(self.n, other.n, "kl: row count mismatch");
-        assert_eq!(self.dy, other.dy, "kl: dimension mismatch");
-        let d = self.dy as f64;
-        // Cache per (cell_self, cell_other) pair.
-        let mut cache: std::collections::HashMap<(u32, u32), f64> =
-            std::collections::HashMap::new();
-        let mut total = 0.0;
-        for i in 0..self.n {
-            let key = (self.cell_of_row[i], other.cell_of_row[i]);
-            let kl = *cache.entry(key).or_insert_with(|| {
-                let a = &self.cells[key.0 as usize];
-                let b = &other.cells[key.1 as usize];
-                let chol_b = Cholesky::new_with_jitter(&b.sigma, 8)
-                    .expect("covariance factorable")
-                    .0;
-                let inv_b = chol_b.inverse();
-                // tr(Σb⁻¹ Σa)
-                let mut tr = 0.0;
-                for r in 0..self.dy {
-                    tr += sisd_linalg::dot(inv_b.row(r), {
-                        // column r of Σa == row r (symmetry)
-                        a.sigma.row(r)
-                    });
-                }
-                let diff = sisd_linalg::sub(&b.mu, &a.mu);
-                let maha = chol_b.inv_quad_form(&diff);
-                let chol_a = Cholesky::new_with_jitter(&a.sigma, 8)
-                    .expect("covariance factorable")
-                    .0;
-                0.5 * (tr + maha - d + chol_b.log_det() - chol_a.log_det())
-            });
-            total += kl;
-        }
-        total
     }
 }
 
@@ -1560,36 +1437,6 @@ mod tests {
         // Already converged: a second refit reports zero work.
         let again = model.refit(1e-10, 500).unwrap();
         assert_eq!(again, RefitStats::default());
-    }
-
-    #[test]
-    fn refit_cold_agrees_with_warm_refit() {
-        let (mut model, _) = toy_model();
-        let ext_a = BitSet::from_indices(8, [0, 1, 2, 3]);
-        let ext_b = BitSet::from_indices(8, [2, 3, 4, 5]);
-        let ext_c = BitSet::from_indices(8, [1, 2, 5, 6]);
-        model.assimilate_location(&ext_a, vec![1.0, 0.0]).unwrap();
-        let _ = model.refit(1e-10, 500).unwrap();
-        model.assimilate_location(&ext_b, vec![-1.0, 0.5]).unwrap();
-        let _ = model.refit(1e-10, 500).unwrap();
-        model.assimilate_location(&ext_c, vec![0.3, -0.4]).unwrap();
-        let _ = model.refit(1e-10, 500).unwrap();
-
-        let mut cold = model.clone();
-        let cold_stats = cold.refit_cold(1e-10, 500).unwrap();
-        assert!(cold.max_violation() < 1e-9, "cold stats = {cold_stats:?}");
-        // Same unique I-projection, warm vs replay-from-prior.
-        for i in 0..8 {
-            for (a, b) in model.row_mean(i).iter().zip(cold.row_mean(i)) {
-                assert!(
-                    (a - b).abs() < WARM_COLD_SCORE_TOL,
-                    "row {i}: warm {a} vs cold {b}"
-                );
-            }
-        }
-        // Warm continuation after the cold replay is already converged.
-        let warm_after = cold.refit(1e-9, 500).unwrap();
-        assert_eq!(warm_after, RefitStats::default());
     }
 
     #[test]
@@ -1724,18 +1571,6 @@ mod tests {
         assert!((marg[0].0 - 1.0).abs() < 1e-12);
         // sd of mean over 3 rows with Σ00 = 2: sqrt(2/3).
         assert!((marg[0].1 - (2.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_divergence_properties() {
-        let (model, ext) = toy_model();
-        // KL to itself is zero.
-        assert!(model.kl_divergence_from(&model).abs() < 1e-10);
-        // Updating increases divergence from the original.
-        let mut updated = model.clone();
-        updated.assimilate_location(&ext, vec![2.0, 2.0]).unwrap();
-        let kl = updated.kl_divergence_from(&model);
-        assert!(kl > 0.1, "kl = {kl}");
     }
 
     #[test]

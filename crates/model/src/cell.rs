@@ -76,11 +76,6 @@ impl Cell {
             .as_deref()
     }
 
-    /// Invalidates the cached factor (call after mutating `sigma`).
-    pub fn invalidate_chol(&mut self) {
-        self.chol = OnceLock::new();
-    }
-
     /// Snapshot view of the lazy factor cache, without triggering a
     /// factorization: `None` = never computed, `Some(None)` = computed but
     /// failed, `Some(Some(_))` = cached factor. Incrementally maintained
@@ -127,11 +122,6 @@ impl Cell {
         self.sigma.quad_form(w)
     }
 
-    /// `Σ w`.
-    pub fn sigma_mul(&self, w: &[f64]) -> Vec<f64> {
-        self.sigma.mul_vec(w)
-    }
-
     /// Splits this cell against an extension: returns `(inside, outside)`
     /// halves, `None` on either side when empty. The mean is copied; both
     /// halves share the Σ object and keep the `cov_id`.
@@ -160,10 +150,14 @@ mod tests {
     use super::*;
 
     fn cell(indices: &[usize]) -> Cell {
+        cell_with(indices, Matrix::identity(2))
+    }
+
+    fn cell_with(indices: &[usize], sigma: Matrix) -> Cell {
         Cell::new(
             BitSet::from_indices(10, indices.iter().copied()),
             vec![0.0, 0.0],
-            Arc::new(Matrix::identity(2)),
+            Arc::new(sigma),
             0,
         )
     }
@@ -195,12 +189,15 @@ mod tests {
     #[test]
     fn chol_is_cached_and_invalidated() {
         let mut c = cell(&[0]);
-        let ld = c.chol().expect("identity factors").log_det();
-        assert!((ld - 0.0).abs() < 1e-12);
-        c.sigma = Arc::new(Matrix::from_diag(&[4.0, 4.0]));
-        c.invalidate_chol();
-        let ld2 = c.chol().expect("diagonal factors").log_det();
-        assert!((ld2 - (16.0f64).ln()).abs() < 1e-12);
+        let first = c.chol().expect("identity factors");
+        assert!((first.log_det() - 0.0).abs() < 1e-12);
+        assert!(std::ptr::eq(first, c.chol().unwrap()), "factored once");
+        // A factor update that would leave the factor indefinite drops the
+        // cache instead, and the next call factors the current Σ afresh.
+        Arc::make_mut(&mut c.sigma).add_diag(3.0);
+        c.update_factor_scaled(-4.0, &[0.0, 1.0]);
+        let ld = c.chol().expect("diagonal factors").log_det();
+        assert!((ld - 16.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -223,9 +220,7 @@ mod tests {
 
     #[test]
     fn factor_update_tracks_sigma_modification() {
-        let mut c = cell(&[0, 1]);
-        c.sigma = Arc::new(Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]));
-        c.invalidate_chol();
+        let mut c = cell_with(&[0, 1], Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]));
         let ld_before = c.chol().expect("factorable").log_det();
         // Apply Σ ← Σ + 0.4·uuᵀ to the matrix and the factor in lockstep.
         let u = [0.6, -0.3];
@@ -244,10 +239,9 @@ mod tests {
 
     #[test]
     fn quad_and_mul() {
-        let mut c = cell(&[0]);
-        c.sigma = Arc::new(Matrix::from_diag(&[2.0, 3.0]));
+        let c = cell_with(&[0], Matrix::from_diag(&[2.0, 3.0]));
         let w = [1.0, 1.0];
         assert!((c.sigma_quad(&w) - 5.0).abs() < 1e-12);
-        assert_eq!(c.sigma_mul(&w), vec![2.0, 3.0]);
+        assert_eq!(c.sigma.mul_vec(&w), vec![2.0, 3.0]);
     }
 }

@@ -36,14 +36,6 @@ impl Constraint {
             Constraint::Location { ext, .. } | Constraint::Spread { ext, .. } => ext,
         }
     }
-
-    /// Human-readable kind tag.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Constraint::Location { .. } => "location",
-            Constraint::Spread { .. } => "spread",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -58,13 +50,12 @@ mod tests {
             target: vec![1.0],
         };
         assert_eq!(c.ext().to_indices(), vec![1, 2]);
-        assert_eq!(c.kind(), "location");
         let s = Constraint::Spread {
             ext,
             w: vec![1.0],
             center: vec![0.0],
             value: 2.0,
         };
-        assert_eq!(s.kind(), "spread");
+        assert_eq!(s.ext().to_indices(), vec![1, 2]);
     }
 }

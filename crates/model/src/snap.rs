@@ -1,14 +1,14 @@
 //! Durable serialization of the background model.
 //!
-//! [`BackgroundModel::snapshot`] captures the full evolved session state —
-//! the cell partition with per-cell `(μ, Σ, cov_id)` parameters *and*
-//! their lazily-initialized Cholesky factors, the assimilated constraints,
-//! and every constraint's warm-start [`ProjectionState`] (member list,
-//! cached `S`-factor, accumulated duals) — as five sections of the
-//! caller's [`sisd_data::snap`] container, so every byte of a session
-//! snapshot is framed and checksummed once. [`BackgroundModel::restore`]
-//! reads them back into a model whose subsequent statistics, refits, and
-//! searches are **bit-identical** to the uninterrupted original.
+//! [`BackgroundModel::snapshot`] captures the evolved session state — the
+//! cell partition with per-cell `(μ, Σ, cov_id)` parameters *and* their
+//! lazily-initialized Cholesky factors, and the assimilated constraints
+//! with each location constraint's cached `S`-factor — as three sections
+//! (meta, cells, constraints) of the caller's [`sisd_data::snap`]
+//! container, so every byte of a session snapshot is framed and
+//! checksummed once. [`BackgroundModel::restore`] reads them back into a
+//! model whose subsequent statistics, refits, and searches are
+//! **bit-identical** to the uninterrupted original.
 //!
 //! Why the factors are serialized rather than recomputed: cell factors and
 //! constraint `S`-factors are maintained *incrementally* (O(dy²) rank-one
@@ -17,8 +17,13 @@
 //! produce a valid model whose scores drift at the last ulp — enough to
 //! break the bit-identity contract every parallel path in this repo is
 //! pinned to. Everything that *is* recomputed on restore (the row→cell
-//! map, the constraint-overlap adjacency) is derived by the same
-//! deterministic construction the live model uses, so it is exactly equal.
+//! map, each constraint's member-cell list, the constraint-overlap
+//! adjacency) is derived by the same deterministic construction the live
+//! model uses, so it is exactly equal; a member list the live model had
+//! let go stale would have been rebuilt before its next use anyway.
+//! Recomputing the member lists also checks that every constraint's
+//! extension is a union of cells, which the projections rely on: a
+//! snapshot where one is not is corrupt.
 //!
 //! Cells split from one parent hold one Σ object and one factor object
 //! (cell splits alias both), and a location-only model's cells all hold
@@ -34,22 +39,20 @@
 //! one, so a Σ table whose ids repeat, or reach the model's next id, is
 //! corrupt.
 //!
-//! Encoding is canonical — fixed section order, verbatim epochs and stale
-//! member lists, floats as raw IEEE-754 bits, table entries in
-//! first-appearance order — so snapshot → restore → snapshot reproduces
-//! the input bytes exactly (pinned by proptest).
+//! Encoding is canonical — fixed section order, floats as raw IEEE-754
+//! bits, table entries in first-appearance order — so snapshot → restore →
+//! snapshot reproduces the input bytes exactly (pinned by proptest).
 //!
-//! Not serialized: the projection scratch buffers (cleared and resized on
-//! every use) and the observability handle (the restoring session wires
-//! its own).
+//! Not serialized: the member-cell lists (recomputed, see above), the
+//! projection scratch buffers (cleared and resized on every use) and the
+//! observability handle (the restoring session wires its own).
 
 use crate::background::{BackgroundModel, ProjectionScratch, ProjectionState};
 use crate::cell::Cell;
 use crate::constraint::Constraint;
 use sisd_data::bitset::WORD_BITS;
 use sisd_data::snap::{
-    put_f64, put_f64s, put_u32, put_u32s, put_u64, put_words, SnapCursor, SnapError, SnapReader,
-    SnapWriter,
+    put_f64, put_f64s, put_u32, put_u64, put_words, SnapCursor, SnapError, SnapReader, SnapWriter,
 };
 use sisd_data::BitSet;
 use sisd_linalg::{Cholesky, Matrix};
@@ -58,15 +61,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 const SEC_META: u32 = 1;
-const SEC_BASE: u32 = 2;
-const SEC_CELLS: u32 = 3;
-const SEC_CONSTRAINTS: u32 = 4;
-const SEC_PROJ: u32 = 5;
+const SEC_CELLS: u32 = 2;
+const SEC_CONSTRAINTS: u32 = 3;
 
 const CONSTRAINT_LOCATION: u8 = 1;
 const CONSTRAINT_SPREAD: u8 = 2;
 
-/// Factor-cache states of a cell or projection entry.
+/// Factor-cache states of a cell or a location constraint's `S`-factor.
 const FACTOR_UNSET: u8 = 0;
 const FACTOR_CACHED: u8 = 1;
 const FACTOR_FAILED: u8 = 2;
@@ -145,17 +146,18 @@ fn read_cholesky(c: &mut SnapCursor<'_>, dy: usize, what: &str) -> Result<Choles
     Cholesky::from_factor(l).map_err(|e| SnapError::Corrupt(format!("{what}: invalid factor: {e}")))
 }
 
+/// Reads a location constraint's `S`-factor. It is never in the failed
+/// state: a factorization that fails surfaces as an error instead.
 fn read_factor(
     c: &mut SnapCursor<'_>,
     dy: usize,
     what: &str,
-) -> Result<(Option<Cholesky>, bool), SnapError> {
+) -> Result<Option<Cholesky>, SnapError> {
     match c.u8(what)? {
-        FACTOR_UNSET => Ok((None, false)),
-        FACTOR_FAILED => Ok((None, true)),
-        FACTOR_CACHED => Ok((Some(read_cholesky(c, dy, what)?), false)),
+        FACTOR_UNSET => Ok(None),
+        FACTOR_CACHED => Ok(Some(read_cholesky(c, dy, what)?)),
         other => Err(SnapError::Corrupt(format!(
-            "{what}: unknown factor state {other}"
+            "{what}: unknown S-factor state {other}"
         ))),
     }
 }
@@ -245,7 +247,7 @@ fn read_entry(
 }
 
 impl BackgroundModel {
-    /// Writes the full model state as five sections of `w`, the caller's
+    /// Writes the model state as three sections of `w`, the caller's
     /// snapshot container, beside whatever sections the caller writes
     /// around them.
     pub fn snapshot(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
@@ -253,27 +255,22 @@ impl BackgroundModel {
         put_u64(&mut meta, self.n as u64);
         put_u32(&mut meta, self.dy as u32);
         put_u64(&mut meta, self.next_cov_id);
-        put_u64(&mut meta, self.partition_epoch);
         put_u32(&mut meta, self.cells.len() as u32);
         put_u32(&mut meta, self.constraints.len() as u32);
         w.section(SEC_META, &meta)?;
-
-        let mut base = Vec::new();
-        put_f64s(&mut base, &self.base_mu);
-        put_matrix(&mut base, &self.base_sigma);
-        w.section(SEC_BASE, &base)?;
 
         let mut cells = Vec::new();
         put_cells(&mut cells, &self.cells)?;
         w.section(SEC_CELLS, &cells)?;
 
         let mut cons = Vec::new();
-        for constraint in &self.constraints {
+        for (constraint, p) in self.constraints.iter().zip(&self.proj) {
             match constraint {
                 Constraint::Location { ext, target } => {
                     cons.push(CONSTRAINT_LOCATION);
                     put_bitset(&mut cons, ext);
                     put_f64s(&mut cons, target);
+                    put_factor(&mut cons, p.chol.as_ref());
                 }
                 Constraint::Spread {
                     ext,
@@ -289,54 +286,26 @@ impl BackgroundModel {
                 }
             }
         }
-        w.section(SEC_CONSTRAINTS, &cons)?;
-
-        // Warm-start state, verbatim: stale member lists and `u64::MAX`
-        // epochs are preserved as-is (they are rebuilt lazily before use,
-        // exactly as the live model would), which keeps the encoding
-        // canonical.
-        let mut proj = Vec::new();
-        for p in &self.proj {
-            put_u32s(&mut proj, &p.members);
-            put_u64(&mut proj, p.m as u64);
-            put_u64(&mut proj, p.epoch);
-            put_factor(&mut proj, p.chol.as_ref());
-            put_f64s(&mut proj, &p.dual);
-            put_f64(&mut proj, p.spread_dual);
-        }
-        w.section(SEC_PROJ, &proj)?;
-        Ok(())
+        w.section(SEC_CONSTRAINTS, &cons)
     }
 
     /// Rebuilds a model from the sections [`BackgroundModel::snapshot`]
     /// wrote, read next from `r`. Every structural invariant is
     /// re-validated — dimensions, the cells forming an exact partition of
-    /// the rows, member indices in range, canonical tables — so corrupted
-    /// or truncated bytes return an `Err` and can never produce a panic or
-    /// a silently wrong model. The restored model carries a disabled
-    /// observability handle (wire one with [`BackgroundModel::set_obs`]).
+    /// the rows, every constraint's extension a union of cells, canonical
+    /// tables — so corrupted or truncated bytes return an `Err` and can
+    /// never produce a panic or a silently wrong model. The restored model
+    /// carries a disabled observability handle (wire one with
+    /// [`BackgroundModel::set_obs`]).
     pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let meta = r.section(SEC_META, "model meta")?;
         let mut c = SnapCursor::new(meta);
         let n = c.u64("meta.n")? as usize;
         let dy = c.u32("meta.dy")? as usize;
         let next_cov_id = c.u64("meta.next_cov_id")?;
-        let partition_epoch = c.u64("meta.partition_epoch")?;
         let n_cells = c.u32("meta.n_cells")? as usize;
         let n_constraints = c.u32("meta.n_constraints")? as usize;
         c.finish("model meta")?;
-
-        let base = r.section(SEC_BASE, "base prior")?;
-        let mut c = SnapCursor::new(base);
-        let base_mu = c.f64s("base.mu")?;
-        if base_mu.len() != dy {
-            return Err(SnapError::Corrupt(format!(
-                "base.mu has {} entries, dy is {dy}",
-                base_mu.len()
-            )));
-        }
-        let base_sigma = read_matrix(&mut c, dy, "base.sigma")?;
-        c.finish("base prior")?;
 
         let cells_payload = r.section(SEC_CELLS, "cells")?;
         // Each cell serializes an n-bit extension, so a row count beyond
@@ -448,8 +417,10 @@ impl BackgroundModel {
         let cons_payload = r.section(SEC_CONSTRAINTS, "constraints")?;
         let mut c = SnapCursor::new(cons_payload);
         let mut constraints = Vec::new();
+        let mut proj = Vec::new();
         for idx in 0..n_constraints {
             let what = format!("constraint {idx}");
+            let mut state = ProjectionState::default();
             match c.u8(&what)? {
                 CONSTRAINT_LOCATION => {
                     let ext = read_bitset(&mut c, n, &what)?;
@@ -457,6 +428,7 @@ impl BackgroundModel {
                     if ext.count() == 0 || target.len() != dy {
                         return Err(SnapError::Corrupt(format!("{what}: bad location shape")));
                     }
+                    state.chol = read_factor(&mut c, dy, &what)?;
                     constraints.push(Constraint::Location { ext, target });
                 }
                 CONSTRAINT_SPREAD => {
@@ -480,57 +452,9 @@ impl BackgroundModel {
                     )))
                 }
             }
+            proj.push(state);
         }
         c.finish("constraints")?;
-
-        let proj_payload = r.section(SEC_PROJ, "projection state")?;
-        let mut c = SnapCursor::new(proj_payload);
-        let mut proj = Vec::new();
-        for (idx, constraint) in constraints.iter().enumerate() {
-            let what = format!("projection {idx}");
-            let members = c.u32s(&what)?;
-            if let Some(&g) = members.iter().find(|&&g| g as usize >= cells.len()) {
-                return Err(SnapError::Corrupt(format!(
-                    "{what}: member cell {g} out of range ({} cells)",
-                    cells.len()
-                )));
-            }
-            let m = c.u64(&what)? as usize;
-            if m > n {
-                return Err(SnapError::Corrupt(format!(
-                    "{what}: member row count {m} exceeds {n} rows"
-                )));
-            }
-            let epoch = c.u64(&what)?;
-            let (chol, failed) = read_factor(&mut c, dy, &what)?;
-            if failed {
-                return Err(SnapError::Corrupt(format!(
-                    "{what}: projection factors are never in the failed state"
-                )));
-            }
-            if chol.is_some() && matches!(constraint, Constraint::Spread { .. }) {
-                return Err(SnapError::Corrupt(format!(
-                    "{what}: spread constraints carry no S-factor"
-                )));
-            }
-            let dual = c.f64s(&what)?;
-            if !dual.is_empty() && dual.len() != dy {
-                return Err(SnapError::Corrupt(format!(
-                    "{what}: dual has {} entries, dy is {dy}",
-                    dual.len()
-                )));
-            }
-            let spread_dual = c.f64(&what)?;
-            proj.push(ProjectionState {
-                members,
-                m,
-                epoch,
-                chol,
-                dual,
-                spread_dual,
-            });
-        }
-        c.finish("projection state")?;
 
         // The overlap adjacency is derived state with a deterministic
         // construction (ascending pair order, matching
@@ -546,7 +470,7 @@ impl BackgroundModel {
             }
         }
 
-        Ok(BackgroundModel {
+        let mut model = BackgroundModel {
             n,
             dy,
             cells,
@@ -555,12 +479,25 @@ impl BackgroundModel {
             proj,
             adj,
             next_cov_id,
-            partition_epoch,
-            base_mu,
-            base_sigma,
+            partition_epoch: 0,
             scratch: ProjectionScratch::default(),
             obs: ObsHandle::disabled(),
-        })
+        };
+        // Member lists are derived state too: the live construction
+        // rebuilds them. A constraint whose member cells hold more rows
+        // than its extension splits a cell, which no projection handles.
+        for i in 0..model.constraints.len() {
+            model.refresh_membership(i);
+            let rows = model.constraints[i].ext().count();
+            if model.proj[i].m != rows {
+                return Err(SnapError::Corrupt(format!(
+                    "constraint {i}: extension of {rows} rows is not a union of cells \
+                     (its cells hold {})",
+                    model.proj[i].m
+                )));
+            }
+        }
+        Ok(model)
     }
 }
 
@@ -664,36 +601,48 @@ mod tests {
         let restored = restore(&bytes).unwrap();
         assert_eq!(restored.n_cells(), 2);
 
-        // Corrupt semantically: rebuild with both cells claiming row 0.
-        let mut w = SnapWriter::new();
-        let mut meta = Vec::new();
-        put_u64(&mut meta, n as u64);
-        put_u32(&mut meta, 1);
-        put_u64(&mut meta, 1);
-        put_u64(&mut meta, 0);
-        put_u32(&mut meta, 2);
-        put_u32(&mut meta, 0);
-        w.section(SEC_META, &meta).unwrap();
-        let mut base = Vec::new();
-        put_f64s(&mut base, &[0.0]);
-        put_matrix(&mut base, &Matrix::identity(1));
-        w.section(SEC_BASE, &base).unwrap();
-        let mut cells = Vec::new();
-        put_u32(&mut cells, 0);
-        put_u32(&mut cells, 1);
-        put_u64(&mut cells, 0);
-        put_matrix(&mut cells, &Matrix::identity(1));
-        for _ in 0..2 {
-            put_bitset(&mut cells, &BitSet::from_indices(n, [0, 1]));
-            put_f64s(&mut cells, &[0.0]);
+        // Corrupt semantically: two cells over `cell_rows`, and one
+        // location constraint over `ext` when there is one.
+        let hand_built = |cell_rows: [&[usize]; 2], ext: Option<&[usize]>| {
+            let mut w = SnapWriter::new();
+            let mut meta = Vec::new();
+            put_u64(&mut meta, n as u64);
+            put_u32(&mut meta, 1);
+            put_u64(&mut meta, 1);
+            put_u32(&mut meta, 2);
+            put_u32(&mut meta, u32::from(ext.is_some()));
+            w.section(SEC_META, &meta).unwrap();
+            let mut cells = Vec::new();
             put_u32(&mut cells, 0);
-            cells.push(FACTOR_UNSET);
+            put_u32(&mut cells, 1);
+            put_u64(&mut cells, 0);
+            put_matrix(&mut cells, &Matrix::identity(1));
+            for rows in cell_rows {
+                put_bitset(&mut cells, &BitSet::from_indices(n, rows.iter().copied()));
+                put_f64s(&mut cells, &[0.0]);
+                put_u32(&mut cells, 0);
+                cells.push(FACTOR_UNSET);
+            }
+            w.section(SEC_CELLS, &cells).unwrap();
+            let mut cons = Vec::new();
+            if let Some(rows) = ext {
+                cons.push(CONSTRAINT_LOCATION);
+                put_bitset(&mut cons, &BitSet::from_indices(n, rows.iter().copied()));
+                put_f64s(&mut cons, &[0.5]);
+                cons.push(FACTOR_UNSET);
+            }
+            w.section(SEC_CONSTRAINTS, &cons).unwrap();
+            w.finish().unwrap()
+        };
+        assert!(restore(&hand_built([&[0, 1], &[2, 3]], Some(&[0, 1]))).is_ok());
+        for bad in [
+            // Both cells claim row 0.
+            hand_built([&[0, 1], &[0, 1]], None),
+            // The constraint takes half of the second cell.
+            hand_built([&[0, 1], &[2, 3]], Some(&[0, 1, 2])),
+        ] {
+            assert!(matches!(restore(&bad), Err(SnapError::Corrupt(_))));
         }
-        w.section(SEC_CELLS, &cells).unwrap();
-        w.section(SEC_CONSTRAINTS, &[]).unwrap();
-        w.section(SEC_PROJ, &[]).unwrap();
-        let bad = w.finish().unwrap();
-        assert!(matches!(restore(&bad), Err(SnapError::Corrupt(_))));
     }
 
     /// German socio after three location assimilations, its prior
@@ -734,7 +683,6 @@ mod tests {
     fn table_lengths(bytes: &[u8], dy: usize) -> (u32, u32) {
         let mut r = SnapReader::new(bytes).unwrap();
         r.section(SEC_META, "meta").unwrap();
-        r.section(SEC_BASE, "base").unwrap();
         let mut c = SnapCursor::new(r.section(SEC_CELLS, "cells").unwrap());
         let factors = c.u32("factors").unwrap();
         for _ in 0..factors {
@@ -789,7 +737,7 @@ mod tests {
         }
         let mut r = SnapReader::new(&bytes).unwrap();
         let mut w = SnapWriter::new();
-        for id in [SEC_META, SEC_BASE, SEC_CELLS, SEC_CONSTRAINTS, SEC_PROJ] {
+        for id in [SEC_META, SEC_CELLS, SEC_CONSTRAINTS] {
             let mut payload = r.section(id, "section").unwrap().to_vec();
             if id == SEC_META {
                 payload[12..20].copy_from_slice(&next_cov_id.to_le_bytes());

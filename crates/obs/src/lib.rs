@@ -79,10 +79,8 @@ pub enum Metric {
     FrontierFusedDispatch,
     /// Nanoseconds in refinement (span).
     FrontierFusedNs,
-    /// Warm-capable refit entries (includes the replay half of cold runs).
+    /// Refit entries.
     RefitRuns,
-    /// Cold refits (full constraint-history replays).
-    RefitColdRuns,
     /// Cyclic-descent cycles executed across refits.
     RefitCycles,
     /// Constraint projections applied across refits.
@@ -123,7 +121,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metrics; the registry array length.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 32;
 
     /// Every metric, in registry order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -142,7 +140,6 @@ impl Metric {
         Metric::FrontierFusedDispatch,
         Metric::FrontierFusedNs,
         Metric::RefitRuns,
-        Metric::RefitColdRuns,
         Metric::RefitCycles,
         Metric::RefitConstraintsUpdated,
         Metric::RefitResidualsRecomputed,
@@ -186,7 +183,6 @@ impl Metric {
             Metric::FrontierFusedDispatch => "frontier.fused_dispatch",
             Metric::FrontierFusedNs => "frontier.fused_ns",
             Metric::RefitRuns => "refit.runs",
-            Metric::RefitColdRuns => "refit.cold_runs",
             Metric::RefitCycles => "refit.cycles",
             Metric::RefitConstraintsUpdated => "refit.constraints_updated",
             Metric::RefitResidualsRecomputed => "refit.residuals_recomputed",
@@ -929,15 +925,11 @@ impl fmt::Display for SearchReport {
             g(Metric::FrontierMaterialized),
             fmt_ns(g(Metric::FrontierFusedNs)),
         )?;
-        let runs = g(Metric::RefitRuns);
-        let cold = g(Metric::RefitColdRuns);
         writeln!(
             f,
-            "  refit   : {} run(s) ({} warm / {} cold): {} cycle(s), {} re-projection(s), \
+            "  refit   : {} run(s): {} cycle(s), {} re-projection(s), \
              {} residual(s) recomputed, {} downdate fallback(s), {}",
-            runs,
-            runs.saturating_sub(cold),
-            cold,
+            g(Metric::RefitRuns),
             g(Metric::RefitCycles),
             g(Metric::RefitConstraintsUpdated),
             g(Metric::RefitResidualsRecomputed),
@@ -1227,14 +1219,13 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.add(Metric::SearchRuns, 2);
         reg.add(Metric::RefitRuns, 3);
-        reg.add(Metric::RefitColdRuns, 1);
         reg.set(Metric::RefitLastCycles, 4);
         let report = SearchReport::from_snapshot(reg.snapshot());
         let text = report.to_string();
         for needle in ["search", "eval", "frontier", "refit", "model"] {
             assert!(text.contains(needle), "missing section {needle}:\n{text}");
         }
-        assert!(text.contains("2 warm / 1 cold"), "{text}");
+        assert!(text.contains("refit   : 3 run(s)"), "{text}");
         assert_eq!(report.get(Metric::RefitLastCycles), 4);
     }
 }

@@ -136,11 +136,12 @@ impl Miner {
         Ok(Self::assemble(data, model, config))
     }
 
-    /// Serializes the full session state — the iteration counter and a
-    /// content fingerprint of the dataset, then the background model
-    /// (cells, constraints, duals, warm-start projection state) — into one
-    /// checksummed [`sisd_data::snap`] container. The bytes are canonical:
-    /// restoring and re-snapshotting yields the identical byte string.
+    /// Serializes the session state — the iteration counter and a content
+    /// fingerprint of the dataset, then the background model (its cells
+    /// with their factors, and its constraints with each location
+    /// constraint's cached `S`-factor) — into one checksummed
+    /// [`sisd_data::snap`] container. The bytes are canonical: restoring
+    /// and re-snapshotting yields the identical byte string.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SisdError> {
         let mut meta = Vec::with_capacity(16);
         put_u64(&mut meta, self.iterations_done as u64);

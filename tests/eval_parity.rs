@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use sisd::core::{location_ic_of_stats, location_si, DlParams, Intention, LocationScore};
 use sisd::data::{kernels, BitSet, Column, Dataset};
 use sisd::linalg::Matrix;
-use sisd::model::BackgroundModel;
+use sisd::model::{BackgroundModel, LocationScratch};
 use sisd::search::{Candidate, EvalConfig, Evaluator};
 use sisd::stats::Xoshiro256pp;
 
@@ -141,7 +141,7 @@ proptest! {
 /// from public pieces as the bit-exactness oracle: the signature from one
 /// intersection count per cell, the observed mean from per-cell target
 /// sums when the candidate is a union of cells and from
-/// `Dataset::target_mean` otherwise, then `location_stats_for_counts`.
+/// `Dataset::target_mean` otherwise, then `location_stats_with`.
 fn per_cell_composition(
     data: &Dataset,
     model: &BackgroundModel,
@@ -169,8 +169,11 @@ fn per_cell_composition(
     } else {
         data.target_mean(ext)
     };
-    let stats = model.location_stats_for_counts(&counts, &observed).unwrap();
-    let ic = location_ic_of_stats(&stats, model.dy());
+    let mut scratch = LocationScratch::default();
+    let stats = model
+        .location_stats_with(&counts, &observed, &mut scratch)
+        .unwrap();
+    let ic = location_ic_of_stats(stats, model.dy());
     let dl = dl.location_dl(arity);
     (
         observed,

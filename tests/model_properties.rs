@@ -3,11 +3,16 @@
 //! must enforce their constraints exactly, preserve the Gaussian form
 //! (positive-definite covariances), leave untouched rows alone, and the
 //! cyclic refit must converge for overlapping constraint sets.
+//!
+//! Two oracles live here rather than in the model's API: the cold replay
+//! a warm-started refit must agree with, and the KL divergence the
+//! projections minimize.
 
 use proptest::prelude::*;
 use sisd::data::BitSet;
 use sisd::linalg::{Cholesky, Matrix};
-use sisd::model::BackgroundModel;
+use sisd::model::{BackgroundModel, Constraint, RefitStats, WARM_COLD_SCORE_TOL};
+use std::collections::HashMap;
 
 const N: usize = 24;
 const DY: usize = 3;
@@ -16,6 +21,103 @@ fn base_model() -> BackgroundModel {
     let mu = vec![0.5, -1.0, 2.0];
     let sigma = Matrix::from_rows(&[&[2.0, 0.4, 0.1], &[0.4, 1.5, -0.3], &[0.1, -0.3, 1.0]]);
     BackgroundModel::new(N, mu, sigma).unwrap()
+}
+
+/// The cold oracle: `fresh`, a model built from the same prior as `warm`,
+/// assimilates `warm`'s location constraints again, in order, and then
+/// refits once, with none of `warm`'s warm-start state.
+fn cold_replay(
+    mut fresh: BackgroundModel,
+    warm: &BackgroundModel,
+    tol: f64,
+    max_cycles: usize,
+) -> BackgroundModel {
+    for constraint in warm.constraints() {
+        let Constraint::Location { ext, target } = constraint else {
+            panic!("the cold replay covers location constraints only");
+        };
+        fresh.assimilate_location(ext, target.clone()).unwrap();
+    }
+    let _ = fresh.refit(tol, max_cycles).unwrap();
+    fresh
+}
+
+/// `KL(p ‖ q)` summed over rows, for two models of one shape, from their
+/// cells and row maps: the quantity each I-projection minimizes toward
+/// the model before it.
+fn kl_divergence(p: &BackgroundModel, q: &BackgroundModel) -> f64 {
+    assert_eq!((p.n(), p.dy()), (q.n(), q.dy()), "kl: shape mismatch");
+    let d = p.dy() as f64;
+    let mut per_pair: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut total = 0.0;
+    for (&gp, &gq) in p.cell_of_row().iter().zip(q.cell_of_row()) {
+        total += *per_pair.entry((gp, gq)).or_insert_with(|| {
+            let a = &p.cells()[gp as usize];
+            let b = &q.cells()[gq as usize];
+            let chol_b = Cholesky::new_with_jitter(&b.sigma, 8)
+                .expect("covariance factorable")
+                .0;
+            let inv_b = chol_b.inverse();
+            // tr(Σb⁻¹ Σa); column r of Σa is its row r (symmetry).
+            let tr: f64 = (0..p.dy())
+                .map(|r| sisd::linalg::dot(inv_b.row(r), a.sigma.row(r)))
+                .sum();
+            let maha = chol_b.inv_quad_form(&sisd::linalg::sub(&b.mu, &a.mu));
+            let chol_a = Cholesky::new_with_jitter(&a.sigma, 8)
+                .expect("covariance factorable")
+                .0;
+            0.5 * (tr + maha - d + chol_b.log_det() - chol_a.log_det())
+        });
+    }
+    total
+}
+
+/// Tiny deterministic model: 8 rows, 2 targets.
+fn toy_model() -> BackgroundModel {
+    let sigma = Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]);
+    BackgroundModel::new(8, vec![0.0, 0.0], sigma).unwrap()
+}
+
+#[test]
+fn kl_divergence_properties() {
+    let model = toy_model();
+    // KL to itself is zero.
+    assert!(kl_divergence(&model, &model).abs() < 1e-10);
+    // Updating increases divergence from the original.
+    let mut updated = model.clone();
+    updated
+        .assimilate_location(&BitSet::from_indices(8, [0, 1, 2]), vec![2.0, 2.0])
+        .unwrap();
+    let kl = kl_divergence(&updated, &model);
+    assert!(kl > 0.1, "kl = {kl}");
+}
+
+#[test]
+fn cold_replay_agrees_with_warm_refit() {
+    let mut model = toy_model();
+    for (rows, target) in [
+        ([0, 1, 2, 3], [1.0, 0.0]),
+        ([2, 3, 4, 5], [-1.0, 0.5]),
+        ([1, 2, 5, 6], [0.3, -0.4]),
+    ] {
+        model
+            .assimilate_location(&BitSet::from_indices(8, rows), target.to_vec())
+            .unwrap();
+        let _ = model.refit(1e-10, 500).unwrap();
+    }
+    let mut cold = cold_replay(toy_model(), &model, 1e-10, 500);
+    assert!(cold.max_violation() < 1e-9, "{}", cold.max_violation());
+    // Same unique I-projection, warm vs replayed from the prior.
+    for i in 0..8 {
+        for (a, b) in model.row_mean(i).iter().zip(cold.row_mean(i)) {
+            assert!(
+                (a - b).abs() < WARM_COLD_SCORE_TOL,
+                "row {i}: warm {a} vs cold {b}"
+            );
+        }
+    }
+    // Warm continuation after the cold replay is already converged.
+    assert_eq!(cold.refit(1e-9, 500).unwrap(), RefitStats::default());
 }
 
 prop_compose! {
@@ -114,7 +216,7 @@ proptest! {
         let model = base_model();
         let mut updated = model.clone();
         updated.assimilate_location(&ext, target.clone()).unwrap();
-        let kl = updated.kl_divergence_from(&model);
+        let kl = kl_divergence(&updated, &model);
         prop_assert!(kl >= -1e-9, "negative KL {kl}");
         // If the target differs from the prior mean, KL is strictly positive.
         let shift: f64 = target.iter().zip([0.5, -1.0, 2.0]).map(|(a, b)| (a - b).abs()).sum();
@@ -151,8 +253,7 @@ proptest! {
         observed in target_vec(),
     ) {
         // Warm path: the session as users run it — assimilate, re-converge
-        // incrementally (cached memberships, warm factors, accumulated
-        // duals). Targets are bounded perturbations of the current
+        // incrementally (cached memberships, warm factors). Targets are bounded perturbations of the current
         // subgroup mean — the shape of real assimilations (empirical
         // subgroup means), where cyclic I-projection converges; wildly
         // conflicting targets on near-identical extensions can stall both
@@ -172,16 +273,15 @@ proptest! {
         if warm.max_violation() > 1e-10 {
             return Ok(()); // stalled short of tolerance: claim out of scope
         }
-        // Cold oracle: replay the same constraint history from the prior
-        // with every bit of warm-start state zeroed.
-        let mut cold = warm.clone();
-        let _ = cold.refit_cold(1e-10, 400).unwrap();
+        // Cold oracle: the same constraint history replayed from the
+        // prior, with no warm-start state.
+        let cold = cold_replay(base_model(), &warm, 1e-10, 400);
         if cold.max_violation() > 1e-10 {
             return Ok(());
         }
         // Both converge to the unique I-projection: row parameters and
         // candidate scores agree within the documented tolerance.
-        let tol = sisd::model::WARM_COLD_SCORE_TOL;
+        let tol = WARM_COLD_SCORE_TOL;
         for i in 0..N {
             for (a, b) in warm.row_mean(i).iter().zip(cold.row_mean(i)) {
                 prop_assert!((a - b).abs() <= tol, "row {} mean: {} vs {}", i, a, b);

@@ -12,14 +12,56 @@
 //!    refits are bit-identical to the uninterrupted original, with worker
 //!    threads {1, 4} on either side of the snapshot.
 //! 4. **Crash safety.** A write torn at an arbitrary byte offset (the
-//!    `FailingWriter` fault injector) never corrupts the previous
+//!    `FailingWriter` fault injector below) never corrupts the previous
 //!    durable snapshot.
 
 use proptest::prelude::*;
 use sisd::data::datasets::synthetic_paper;
-use sisd::data::snap::FailingWriter;
 use sisd::search::{BeamConfig, BeamResult, Miner, MinerConfig, SphereConfig};
-use std::io::Write as _;
+use std::io::{self, Write};
+
+/// A [`Write`] adapter that fails with an injected I/O error after `limit`
+/// bytes — the torn-write generator. Bytes up to the limit pass through
+/// to the inner writer, so the inner sink is left holding exactly the
+/// prefix a killed process would have persisted.
+struct FailingWriter<W> {
+    inner: W,
+    remaining: usize,
+}
+
+impl<W: Write> FailingWriter<W> {
+    /// Fails after exactly `limit` bytes have been accepted.
+    fn new(inner: W, limit: usize) -> Self {
+        FailingWriter {
+            inner,
+            remaining: limit,
+        }
+    }
+
+    /// Unwraps the inner sink (holding the surviving prefix).
+    fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
+impl<W: Write> Write for FailingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.remaining == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::WriteZero,
+                "injected write fault",
+            ));
+        }
+        let n = buf.len().min(self.remaining);
+        let written = self.inner.write(&buf[..n])?;
+        self.remaining -= written;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
 
 fn quick_config() -> MinerConfig {
     MinerConfig {
@@ -45,7 +87,7 @@ fn config_at(threads: usize) -> MinerConfig {
 
 /// Mines a session: `iters` iterations on `synthetic_paper(seed)`, with a
 /// spread pattern on the first iteration when `with_spread` (so the
-/// snapshot covers tilted covariances, S-factors, and spread duals).
+/// snapshot covers tilted covariances and maintained S-factors).
 fn mined_session(seed: u64, iters: usize, with_spread: bool, config: MinerConfig) -> Miner {
     let (data, _) = synthetic_paper(seed);
     let mut miner = Miner::from_empirical(data, config).expect("empirical model");
@@ -187,6 +229,22 @@ fn restored_sessions_are_bit_identical_across_threads() {
             });
         }
     }
+}
+
+#[test]
+fn failing_writer_leaves_exact_prefix() {
+    let bytes = mined_session(42, 1, false, quick_config())
+        .snapshot_bytes()
+        .expect("snapshot");
+    let limit = bytes.len() / 2;
+    let mut w = FailingWriter::new(Vec::new(), limit);
+    let err = w.write_all(&bytes).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    let torn = w.into_inner();
+    assert_eq!(&torn[..], &bytes[..limit]);
+    // The torn prefix must fail restore cleanly.
+    let (data, _) = synthetic_paper(42);
+    assert!(Miner::restore_bytes(&torn, data, quick_config()).is_err());
 }
 
 /// Crash safety: a write torn at an arbitrary offset (fault-injected via
