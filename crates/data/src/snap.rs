@@ -41,7 +41,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"SISDSNAP";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions with [`SnapError::VersionSkew`].
-pub const SNAP_VERSION: u32 = 4;
+pub const SNAP_VERSION: u32 = 5;
 
 /// Hard cap on one section's payload length. A snapshot announcing a
 /// larger section is corrupt by definition — decoding fails before any
@@ -626,9 +626,9 @@ mod tests {
 
     #[test]
     fn version_skew_is_reported_as_such() {
-        // 2 and 3 are earlier formats, which are not migrated.
-        assert_eq!(SNAP_VERSION, 4);
-        for version in [2u32, 3, 99] {
+        // 2, 3 and 4 are earlier formats, which are not migrated.
+        assert_eq!(SNAP_VERSION, 5);
+        for version in [2u32, 3, 4, 99] {
             let mut bytes = sample_snapshot();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(

@@ -90,12 +90,22 @@ impl Dataset {
     /// in a single word never collide. A bare multiply per word (FNV-1a
     /// over words) carries a sign-bit flip to bit 63 alone, where a second
     /// sign flip cancels it; the fold moves it into bit 31 as well.
+    ///
+    /// Each column and the target matrix are hashed in four independent
+    /// chains of these steps, word `i` into chain `i % 4`, each from its own
+    /// seed, so that four multiplies are in flight instead of one; the
+    /// chains' states then join the main chain in chain order. A change to
+    /// a single word still changes exactly one chain's state.
     pub fn content_fingerprint(&self) -> u64 {
+        const LANES: usize = 4;
+        fn step(h: u64, w: u64) -> u64 {
+            let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            x ^ (x >> 32)
+        }
         struct Hash(u64);
         impl Hash {
             fn word(&mut self, w: u64) {
-                let x = (self.0 ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                self.0 = x ^ (x >> 32);
+                self.0 = step(self.0, w);
             }
             fn str(&mut self, s: &str) {
                 // Length-prefix every string so concatenations can't collide.
@@ -104,6 +114,22 @@ impl Dataset {
                     let mut word = [0; 8];
                     word[..chunk.len()].copy_from_slice(chunk);
                     self.word(u64::from_le_bytes(word));
+                }
+            }
+            fn words<T: Copy>(&mut self, items: &[T], bits: impl Fn(T) -> u64) {
+                let mut lanes: [u64; LANES] =
+                    std::array::from_fn(|l| step(0xcbf2_9ce4_8422_2325, l as u64));
+                let mut chunks = items.chunks_exact(LANES);
+                for chunk in &mut chunks {
+                    for (h, &v) in lanes.iter_mut().zip(chunk) {
+                        *h = step(*h, bits(v));
+                    }
+                }
+                for (h, &v) in lanes.iter_mut().zip(chunks.remainder()) {
+                    *h = step(*h, bits(v));
+                }
+                for h in lanes {
+                    self.word(h);
                 }
             }
         }
@@ -118,15 +144,11 @@ impl Dataset {
             match col {
                 Column::Numeric(vals) => {
                     h.word(1);
-                    for v in vals {
-                        h.word(v.to_bits());
-                    }
+                    h.words(vals, f64::to_bits);
                 }
                 Column::Categorical { codes, labels } => {
                     h.word(2);
-                    for &c in codes {
-                        h.word(c.into());
-                    }
+                    h.words(codes, u64::from);
                     for l in labels {
                         h.str(l);
                     }
@@ -136,9 +158,7 @@ impl Dataset {
         for name in &self.target_names {
             h.str(name);
         }
-        for v in self.targets.as_slice() {
-            h.word(v.to_bits());
-        }
+        h.words(self.targets.as_slice(), f64::to_bits);
         h.0
     }
 
@@ -285,6 +305,23 @@ mod tests {
             Matrix::from_rows(&[&[1.0, 10.0], &[2.0, 20.0], &[3.0, 30.5], &[4.0, 40.0]]),
         );
         assert_ne!(d.content_fingerprint(), tweaked.content_fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_sees_a_swap_of_two_words() {
+        // Two rows swap their first target: words 0 and dy of the
+        // row-major target matrix, in one chain at dy = 4 and in two
+        // chains at dy = 2.
+        let load = |targets: &[&str], text: &str| {
+            crate::csv::dataset_from_csv_str("t", text, targets).unwrap()
+        };
+        for targets in [&["y", "z"][..], &["y", "z", "u", "v"]] {
+            let header = format!("x,{}\n", targets.join(","));
+            let rest = ",7".repeat(targets.len() - 1);
+            let a = load(targets, &format!("{header}1,2.5{rest}\n2,-1.25{rest}\n"));
+            let b = load(targets, &format!("{header}1,-1.25{rest}\n2,2.5{rest}\n"));
+            assert_ne!(a.content_fingerprint(), b.content_fingerprint());
+        }
     }
 
     #[test]

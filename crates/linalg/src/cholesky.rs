@@ -40,7 +40,7 @@ impl std::error::Error for CholeskyError {}
 pub struct Cholesky {
     /// Lower-triangular factor, stored dense (upper part zeroed).
     l: Matrix,
-    /// `log |A|`, recomputed by `log_det_of` whenever `l` changes, so that
+    /// `log |A|`, computed by `log_det_of` when `l` is built, so that
     /// scoring a candidate against a shared factor costs no logarithms.
     log_det: f64,
 }
@@ -122,13 +122,12 @@ impl Cholesky {
         Err(last)
     }
 
-    /// Rebuilds a factorization from a previously-extracted factor matrix
-    /// (see [`Cholesky::factor`]) without renormalizing any bits — the
-    /// constructor snapshot restore uses to reproduce incrementally
-    /// maintained factors exactly. Validates the invariants every other
-    /// method relies on: square shape, a strictly zeroed upper triangle,
-    /// and finite positive diagonal pivots. The failing row is reported as
-    /// the error's pivot.
+    /// Rebuilds a factorization from a given factor matrix (see
+    /// [`Cholesky::factor`]) without renormalizing any bits; the kernel
+    /// oracles build their ill-conditioned fixtures with it. Validates the
+    /// invariants every other method relies on: square shape, a strictly
+    /// zeroed upper triangle, and finite positive diagonal pivots. The
+    /// failing row is reported as the error's pivot.
     pub fn from_factor(l: Matrix) -> Result<Self, CholeskyError> {
         if !l.is_square() {
             return Err(CholeskyError { pivot: 0 });
@@ -162,8 +161,7 @@ impl Cholesky {
     }
 
     /// `log |A| = 2 Σ log L_ii`, stored with the factor: every constructor
-    /// and every in-place update (a failed downdate included) recomputes
-    /// it, so this is a field read with the bits of a fresh sum.
+    /// computes it, so this is a field read with the bits of a fresh sum.
     #[inline]
     pub fn log_det(&self) -> f64 {
         self.log_det
@@ -255,121 +253,9 @@ impl Cholesky {
     }
 
     /// Solves `A x = b` without allocating: overwrites `b` with `A⁻¹ b`.
-    /// This is the triangular-solve path that pairs with the in-place
-    /// update/downdate methods below — an updated factor is reused directly
-    /// instead of being refactorized before the next solve.
     pub fn solve_in_place(&self, b: &mut [f64]) {
         self.solve_lower_in_place(b);
         self.solve_lower_transpose_in_place(b);
-    }
-
-    /// Rank-one update `A ← A + x xᵀ` applied directly to the factor in
-    /// O(n²) (LINPACK `dchud`-style Givens sweep). The update of an SPD
-    /// matrix is always SPD, so this cannot fail for finite `x`.
-    pub fn rank_one_update(&mut self, x: &[f64]) {
-        let n = self.dim();
-        assert_eq!(x.len(), n, "rank_one_update: dimension mismatch");
-        let mut w = x.to_vec();
-        self.rank_one_update_impl(&mut w);
-    }
-
-    fn rank_one_update_impl(&mut self, w: &mut [f64]) {
-        let n = self.dim();
-        for k in 0..n {
-            let l = self.l[(k, k)];
-            let r = l.hypot(w[k]);
-            let c = r / l;
-            let s = w[k] / l;
-            self.l[(k, k)] = r;
-            for (i, wi) in w.iter_mut().enumerate().skip(k + 1) {
-                let lik = (self.l[(i, k)] + s * *wi) / c;
-                *wi = c * *wi - s * lik;
-                self.l[(i, k)] = lik;
-            }
-        }
-        self.log_det = log_det_of(&self.l);
-    }
-
-    /// Rank-one downdate `A ← A − x xᵀ` applied directly to the factor in
-    /// O(n²) (hyperbolic-rotation sweep). Fails with the offending pivot when
-    /// the downdated matrix is not numerically positive definite.
-    ///
-    /// **On `Err` the factor is left in an unspecified, partially-mutated
-    /// state** — callers must discard it and refactorize from the matrix
-    /// (the model layer falls back to a fresh jittered factorization).
-    pub fn rank_one_downdate(&mut self, x: &[f64]) -> Result<(), CholeskyError> {
-        let n = self.dim();
-        assert_eq!(x.len(), n, "rank_one_downdate: dimension mismatch");
-        let mut w = x.to_vec();
-        self.rank_one_downdate_impl(&mut w)
-    }
-
-    fn rank_one_downdate_impl(&mut self, w: &mut [f64]) -> Result<(), CholeskyError> {
-        let swept = self.rank_one_downdate_sweep(w);
-        // A failed sweep has already rotated the pivots before the failing
-        // one, so the stored log-determinant follows the factor either way.
-        self.log_det = log_det_of(&self.l);
-        swept
-    }
-
-    fn rank_one_downdate_sweep(&mut self, w: &mut [f64]) -> Result<(), CholeskyError> {
-        let n = self.dim();
-        for k in 0..n {
-            let l = self.l[(k, k)];
-            let d = l * l - w[k] * w[k];
-            if d <= 0.0 || !d.is_finite() {
-                return Err(CholeskyError { pivot: k });
-            }
-            let r = d.sqrt();
-            let c = r / l;
-            let s = w[k] / l;
-            self.l[(k, k)] = r;
-            for (i, wi) in w.iter_mut().enumerate().skip(k + 1) {
-                let lik = (self.l[(i, k)] - s * *wi) / c;
-                *wi = c * *wi - s * lik;
-                self.l[(i, k)] = lik;
-            }
-        }
-        Ok(())
-    }
-
-    /// Signed rank-one modification `A ← A + α x xᵀ` in O(n²): an update for
-    /// `α > 0`, a guarded downdate for `α < 0`, a no-op for `α = 0`. The same
-    /// `Err` contract as [`Self::rank_one_downdate`] applies: on failure the
-    /// factor is unspecified and must be rebuilt.
-    pub fn update_scaled(&mut self, alpha: f64, x: &[f64]) -> Result<(), CholeskyError> {
-        let n = self.dim();
-        assert_eq!(x.len(), n, "update_scaled: dimension mismatch");
-        if alpha == 0.0 {
-            return Ok(());
-        }
-        let s = alpha.abs().sqrt();
-        let mut w: Vec<f64> = x.iter().map(|v| v * s).collect();
-        if alpha > 0.0 {
-            self.rank_one_update_impl(&mut w);
-            Ok(())
-        } else {
-            self.rank_one_downdate_impl(&mut w)
-        }
-    }
-
-    /// Rank-k update `A ← A + Σ xⱼ xⱼᵀ` as k sequential rank-one sweeps:
-    /// O(k·n²) total, versus O(n³) for refactorizing the modified matrix.
-    pub fn rank_k_update<X: AsRef<[f64]>>(&mut self, xs: &[X]) {
-        for x in xs {
-            self.rank_one_update(x.as_ref());
-        }
-    }
-
-    /// Rank-k downdate `A ← A − Σ xⱼ xⱼᵀ` as k sequential guarded rank-one
-    /// sweeps. Stops at the first sweep that would lose positive
-    /// definiteness; **on `Err` the factor is unspecified** (some sweeps have
-    /// been applied) and the caller must refactorize from scratch.
-    pub fn rank_k_downdate<X: AsRef<[f64]>>(&mut self, xs: &[X]) -> Result<(), CholeskyError> {
-        for x in xs {
-            self.rank_one_downdate(x.as_ref())?;
-        }
-        Ok(())
     }
 
     /// Mahalanobis-style quadratic form `bᵀ A⁻¹ b`, computed stably as
@@ -643,80 +529,6 @@ mod tests {
         assert_eq!(ch.dim(), 2);
     }
 
-    fn assert_factors_close(ch: &Cholesky, fresh: &Cholesky, tol: f64) {
-        let n = ch.dim();
-        assert_eq!(fresh.dim(), n);
-        for i in 0..n {
-            for j in 0..=i {
-                assert!(
-                    (ch.factor()[(i, j)] - fresh.factor()[(i, j)]).abs() < tol,
-                    "factor mismatch at ({i},{j}): {} vs {}",
-                    ch.factor()[(i, j)],
-                    fresh.factor()[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_update_matches_fresh_factorization() {
-        let mut a = spd3();
-        let mut ch = Cholesky::new(&a).unwrap();
-        let x = [0.7, -1.3, 0.4];
-        ch.rank_one_update(&x);
-        a.rank_one_update(1.0, &x, &x);
-        assert_factors_close(&ch, &Cholesky::new(&a).unwrap(), 1e-12);
-    }
-
-    #[test]
-    fn rank_one_downdate_matches_fresh_factorization() {
-        let mut a = spd3();
-        let mut ch = Cholesky::new(&a).unwrap();
-        let x = [0.5, 0.2, -0.9];
-        ch.rank_one_downdate(&x).unwrap();
-        a.rank_one_update(-1.0, &x, &x);
-        assert_factors_close(&ch, &Cholesky::new(&a).unwrap(), 1e-12);
-    }
-
-    #[test]
-    fn downdate_to_indefinite_is_rejected() {
-        // A − x xᵀ with x too large along e₀ loses positive definiteness;
-        // A[(0,0)] = 4, so x₀ = 2.5 drives the first pivot negative.
-        let a = spd3();
-        let mut ch = Cholesky::new(&a).unwrap();
-        let err = ch.rank_one_downdate(&[2.5, 0.0, 0.0]).unwrap_err();
-        assert_eq!(err.pivot, 0);
-    }
-
-    #[test]
-    fn update_scaled_signs_and_noop() {
-        let mut a = spd3();
-        let mut ch = Cholesky::new(&a).unwrap();
-        let x = [1.0, 0.5, -0.25];
-        ch.update_scaled(0.0, &x).unwrap();
-        assert_factors_close(&ch, &Cholesky::new(&a).unwrap(), 1e-15);
-        ch.update_scaled(0.3, &x).unwrap();
-        a.rank_one_update(0.3, &x, &x);
-        assert_factors_close(&ch, &Cholesky::new(&a).unwrap(), 1e-12);
-        ch.update_scaled(-0.2, &x).unwrap();
-        a.rank_one_update(-0.2, &x, &x);
-        assert_factors_close(&ch, &Cholesky::new(&a).unwrap(), 1e-12);
-    }
-
-    #[test]
-    fn rank_k_roundtrip_matches_fresh() {
-        let mut a = spd3();
-        let mut ch = Cholesky::new(&a).unwrap();
-        let xs = [[0.4, -0.1, 0.9], [0.2, 0.8, -0.3]];
-        ch.rank_k_update(&xs);
-        for x in &xs {
-            a.rank_one_update(1.0, x, x);
-        }
-        assert_factors_close(&ch, &Cholesky::new(&a).unwrap(), 1e-12);
-        ch.rank_k_downdate(&xs).unwrap();
-        assert_factors_close(&ch, &Cholesky::new(&spd3()).unwrap(), 1e-10);
-    }
-
     #[test]
     fn in_place_solves_match_allocating_solves() {
         let a = spd3();
@@ -731,24 +543,6 @@ mod tests {
         let mut y = b.to_vec();
         ch.solve_lower_transpose_in_place(&mut y);
         assert_eq!(y, ch.solve_lower_transpose(&b));
-    }
-
-    #[test]
-    fn updated_factor_solves_updated_system() {
-        // The point of the in-place path: after an update/downdate the same
-        // factor object keeps solving the *modified* system.
-        let mut a = spd3();
-        let mut ch = Cholesky::new(&a).unwrap();
-        let x = [0.3, 1.1, -0.7];
-        ch.rank_one_update(&x);
-        a.rank_one_update(1.0, &x, &x);
-        let b = [2.0, 0.0, -1.0];
-        let mut sol = b.to_vec();
-        ch.solve_in_place(&mut sol);
-        let ax = a.mul_vec(&sol);
-        for (l, r) in ax.iter().zip(&b) {
-            assert!((l - r).abs() < 1e-10);
-        }
     }
 
     /// Eight deterministic right-hand sides of length `n`, lane-interleaved,

@@ -1,6 +1,6 @@
 //! The background distribution itself.
 
-use crate::cell::Cell;
+use crate::cell::{Cell, Covariance};
 use crate::constraint::Constraint;
 use crate::solver::{solve_spread_lambda, SpreadCellStat};
 use sisd_data::{BitSet, Dataset};
@@ -188,10 +188,10 @@ pub struct SpreadStats {
 /// change (every stored constraint's extension is a union of cells, and
 /// refinement only splits); it is rebuilt lazily when
 /// `BackgroundModel::partition_epoch` moves. The cached Cholesky factor of
-/// `S = Σ_{g∈members} n_g Σ_g` survives even refinement — splitting a cell
-/// preserves the per-`cov_id` aggregated counts the factor was built from —
-/// and is maintained through spread updates by O(dy²) rank-one sweeps (see
-/// `project_spread_at`).
+/// `S = Σ_{g∈members} n_g Σ_g` is a pure function of the members' per-`cov_id`
+/// row counts and Σ objects. It survives refinement, which preserves those
+/// counts, and a spread tilt drops it (see `project_spread_at`), so a cached
+/// factor always has the bits of a fresh build.
 #[derive(Debug, Clone)]
 pub(crate) struct ProjectionState {
     /// Indices of cells fully inside the constraint's extension.
@@ -202,8 +202,8 @@ pub(crate) struct ProjectionState {
     /// the first build.
     pub(crate) epoch: u64,
     /// Cached factor of `S = Σ_{g∈members} n_g Σ_g` (location constraints
-    /// only). `None` means "build fresh on next projection" — the fallback
-    /// after a failed downdate or a too-large rank-k maintenance batch.
+    /// only). `None` means "build on the next projection": before the
+    /// first one, after a spread tilt of a member cell, and after a restore.
     pub(crate) chol: Option<Cholesky>,
 }
 
@@ -225,7 +225,7 @@ impl Default for ProjectionState {
 #[derive(Debug, Clone)]
 pub(crate) struct ProjectionScratch {
     /// dy-sized vector buffers: current E[f_I], solve right-hand side /
-    /// solution (aliased), and per-cell mean shift.
+    /// solution (aliased), and per-cell mean shift (a spread tilt's `Σw`).
     mu_bar: Vec<f64>,
     rhs: Vec<f64>,
     shift: Vec<f64>,
@@ -242,13 +242,10 @@ pub(crate) struct ProjectionScratch {
     /// only constraints disturbed since their last residual computation
     /// (overlap-adjacent to a projected constraint) are recomputed.
     dirty: Vec<bool>,
-    /// Spread-projection buffers: per-live-cell solver statistics, live
-    /// member indices, tilt coefficients `α_g`, and a flat arena of the
-    /// `u = Σw` vectors (dy entries per live cell).
+    /// Spread-projection buffers: per-live-cell solver statistics and live
+    /// member indices.
     stats: Vec<SpreadCellStat>,
     live: Vec<u32>,
-    alphas: Vec<f64>,
-    us: Vec<f64>,
 }
 
 impl Default for ProjectionScratch {
@@ -264,8 +261,6 @@ impl Default for ProjectionScratch {
             dirty: Vec::new(),
             stats: Vec::new(),
             live: Vec::new(),
-            alphas: Vec::new(),
-            us: Vec::new(),
         }
     }
 }
@@ -308,7 +303,7 @@ impl BackgroundModel {
         }
         Cholesky::new_with_jitter(&sigma, 4).map_err(|_| ModelError::BadPrior)?;
         let dy = mu.len();
-        let cell = Cell::new(BitSet::full(n), mu, Arc::new(sigma), 0);
+        let cell = Cell::new(BitSet::full(n), mu, Arc::new(Covariance::new(0, sigma)));
         Ok(Self {
             n,
             dy,
@@ -381,7 +376,7 @@ impl BackgroundModel {
 
     /// Covariance matrix of row `i`.
     pub fn row_cov(&self, i: usize) -> &Matrix {
-        &self.cells[self.cell_of_row[i] as usize].sigma
+        self.cells[self.cell_of_row[i] as usize].cov.sigma()
     }
 
     /// Splits cells so that each is fully inside or outside `ext`.
@@ -390,7 +385,7 @@ impl BackgroundModel {
         let mut split_any = false;
         for cell in self.cells.drain(..) {
             // Cells fully inside or outside `ext` move over untouched
-            // (no parameter clones, no factor copies).
+            // (no parameter clones).
             let inside = cell.ext.intersection_count(ext);
             if inside == 0 || inside == cell.count {
                 new_cells.push(cell);
@@ -454,8 +449,8 @@ impl BackgroundModel {
     /// Location statistics of an arbitrary candidate extension, evaluated
     /// against an observed subgroup mean `observed`.
     ///
-    /// Runs from a shared reference: per-cell Cholesky factors initialize
-    /// lazily and thread-safely inside the cells, so concurrent evaluation
+    /// Runs from a shared reference: each covariance object builds its
+    /// Cholesky factor lazily and thread-safely, so concurrent evaluation
     /// needs no warm-up protocol.
     ///
     /// Fast path: while no spread pattern has been assimilated all cells
@@ -518,8 +513,8 @@ impl BackgroundModel {
     /// whose cells share one covariance, the cells' common factor — the
     /// run's residuals are solved together in one pass over it
     /// ([`Cholesky::inv_quad_forms`]); otherwise each is solved alone.
-    /// Factors are compared by identity, not by `cov_id`: incrementally
-    /// updated factors of one covariance id can differ in their bits.
+    /// Factors are compared by identity, which follows `cov_id`: cells hold
+    /// one factor object exactly when they hold one covariance object.
     ///
     /// # Panics
     /// Panics if the run holds more than [`Cholesky::LANES`] candidates.
@@ -616,13 +611,13 @@ impl BackgroundModel {
 
         let single_cov = counts
             .iter()
-            .all(|&(g, _)| self.cells[g].cov_id == self.cells[counts[0].0].cov_id);
+            .all(|&(g, _)| self.cells[g].cov.id() == self.cells[counts[0].0].cov.id());
 
         let (log_det_cov, factor) = if single_cov {
             // Cov = Σ/|I| → log|Cov| = log|Σ| − dy·log|I|;
             // r'Cov⁻¹r = |I| · r'Σ⁻¹r.
             let g0 = counts[0].0;
-            let chol = self.cells[g0].chol().ok_or(ModelError::BadPrior)?;
+            let chol = self.cells[g0].cov.chol().ok_or(ModelError::BadPrior)?;
             let ld = chol.log_det() - self.dy as f64 * mf.ln();
             (ld, LocationFactor::Cell(chol))
         } else {
@@ -635,7 +630,7 @@ impl BackgroundModel {
             sig.extend(
                 counts
                     .iter()
-                    .map(|&(g, c)| (self.cells[g].cov_id, c as u32, g as u32)),
+                    .map(|&(g, c)| (self.cells[g].cov.id(), c as u32, g as u32)),
             );
             sig.sort_unstable_by_key(|&(id, _, _)| id);
             sig.dedup_by(|b, a| {
@@ -649,7 +644,7 @@ impl BackgroundModel {
             let mut cov = Matrix::zeros(self.dy, self.dy);
             for &(_, c, g) in sig.iter() {
                 let w = c as f64 / (mf * mf);
-                let sg = &self.cells[g as usize].sigma;
+                let sg = self.cells[g as usize].cov.sigma();
                 for (o, s) in cov.as_mut_slice().iter_mut().zip(sg.as_slice()) {
                     *o += w * s;
                 }
@@ -677,7 +672,7 @@ impl BackgroundModel {
             let cell = &self.cells[g];
             for (j, o) in out.iter_mut().enumerate() {
                 o.0 += c as f64 / mf * cell.mu[j];
-                o.1 += c as f64 / (mf * mf) * cell.sigma[(j, j)];
+                o.1 += c as f64 / (mf * mf) * cell.cov.sigma()[(j, j)];
             }
         }
         for o in &mut out {
@@ -811,7 +806,7 @@ impl BackgroundModel {
     /// which is why an already-built factor can survive partition
     /// refinements untouched: splitting cells changes the member list but
     /// not the aggregated signature, so a rebuild would reproduce the same
-    /// bits.
+    /// bits. A restore rebuilds every factor with it for the same reason.
     fn build_member_factor(
         cells: &[Cell],
         members: &[u32],
@@ -822,7 +817,7 @@ impl BackgroundModel {
         agg.clear();
         for &g in members {
             let cell = &cells[g as usize];
-            agg.push((cell.cov_id, cell.count as u32, g));
+            agg.push((cell.cov.id(), cell.count as u32, g));
         }
         agg.sort_unstable_by_key(|&(id, _, _)| id);
         agg.dedup_by(|b, a| {
@@ -840,7 +835,7 @@ impl BackgroundModel {
         }
         for &(_, c, g) in agg.iter() {
             let weight = c as f64;
-            let sg = &cells[g as usize].sigma;
+            let sg = cells[g as usize].cov.sigma();
             for (o, s) in s_sum.as_mut_slice().iter_mut().zip(sg.as_slice()) {
                 *o += weight * s;
             }
@@ -904,10 +899,11 @@ impl BackgroundModel {
         let shared_cov = proj
             .members
             .iter()
-            .all(|&g| cells[g as usize].cov_id == cells[g0].cov_id);
+            .all(|&g| cells[g as usize].cov.id() == cells[g0].cov.id());
         if shared_cov {
             cells[g0]
-                .sigma
+                .cov
+                .sigma()
                 .mul_vec_into(&scratch.rhs, &mut scratch.shift);
             for &g in &proj.members {
                 sisd_linalg::add_assign(&mut cells[g as usize].mu, &scratch.shift);
@@ -915,7 +911,9 @@ impl BackgroundModel {
         } else {
             for &g in &proj.members {
                 let cell = &mut cells[g as usize];
-                cell.sigma.mul_vec_into(&scratch.rhs, &mut scratch.shift);
+                cell.cov
+                    .sigma()
+                    .mul_vec_into(&scratch.rhs, &mut scratch.shift);
                 sisd_linalg::add_assign(&mut cell.mu, &scratch.shift);
             }
         }
@@ -923,10 +921,9 @@ impl BackgroundModel {
     }
 
     /// Exact I-projection onto stored spread constraint `i` (Thm. 2). Each
-    /// tilted cell's covariance change `α u uᵀ` is applied to the cell's
-    /// own cached factor in O(dy²) (instead of invalidating it), and
-    /// propagated into the cached `S`-factors of the location constraints
-    /// containing the cell as a guarded rank-k update/downdate.
+    /// tilted cell gets a fresh covariance object, whose factor is built on
+    /// first use, and every location constraint whose extension meets this
+    /// one drops its cached `S`-factor, which its next projection rebuilds.
     fn project_spread_at(&mut self, i: usize) -> Result<(), ModelError> {
         self.refresh_membership(i);
         let Constraint::Spread {
@@ -988,82 +985,30 @@ impl BackgroundModel {
         if lambda.abs() < 1e-14 {
             return Ok(());
         }
-        let obs = self.obs;
-        obs.add(Metric::ModelCellRankUpdates, scratch.live.len() as u64);
-
-        scratch.alphas.clear();
-        scratch.us.clear();
+        scratch.shift.resize(dy, 0.0);
         for (k, &g) in scratch.live.iter().enumerate() {
             let st = scratch.stats[k];
             let q = 1.0 + lambda * st.s;
-            let alpha = -lambda / q;
             let cell = &mut cells[g as usize];
-            // u = Σw, shared by both updates; kept in the arena for the
-            // constraint-factor maintenance below.
-            let base = scratch.us.len();
-            scratch.us.resize(base + dy, 0.0);
-            cell.sigma.mul_vec_into(w, &mut scratch.us[base..]);
-            let u = &scratch.us[base..base + dy];
+            // u = Σw, shared by both updates.
+            cell.cov.sigma().mul_vec_into(w, &mut scratch.shift);
+            let u = &scratch.shift;
             // μ ← μ + (λ d / q) Σw          (Eq. 10)
             sisd_linalg::axpy(lambda * st.d / q, u, &mut cell.mu);
-            // Σ ← Σ − (λ/q) (Σw)(Σw)ᵀ       (Eq. 11), on the cell's own
-            // copy when splits or clones still alias its Σ object.
-            let sigma = Arc::make_mut(&mut cell.sigma);
-            sigma.rank_one_update(alpha, u, u);
+            // Σ ← Σ − (λ/q) (Σw)(Σw)ᵀ       (Eq. 11), a new covariance value.
+            let mut sigma = cell.cov.sigma().clone();
+            sigma.rank_one_update(-lambda / q, u, u);
             sigma.symmetrize();
-            cell.cov_id = self.next_cov_id;
+            cell.cov = Arc::new(Covariance::new(self.next_cov_id, sigma));
             self.next_cov_id += 1;
-            // Keep the cell's own factor current in O(dy²) instead of
-            // invalidating it into a fresh O(dy³) factorization.
-            cell.update_factor_scaled(alpha, u);
-            scratch.alphas.push(alpha);
         }
-
-        // Rank-k maintenance of cached location-constraint factors: a
-        // tilted cell g contributes Δ(n_g Σ_g) = n_g α_g u_g u_gᵀ to the
-        // `S`-factor of every location constraint containing it. Small
-        // batches are applied as guarded O(dy²) sweeps; large batches
-        // (k > max(1, dy/3)) or failed downdates drop the factor instead —
-        // at that size a fresh factorization is cheaper (and always safe).
-        let k_max = (dy / 3).max(1);
-        for (j, constraint) in self.constraints.iter().enumerate() {
-            let Constraint::Location { ext: ext_j, .. } = constraint else {
-                continue;
-            };
-            let proj_j = &mut self.proj[j];
-            if proj_j.chol.is_none() {
-                continue;
-            }
-            let affected = scratch
-                .live
-                .iter()
-                .filter(|&&g| !cells[g as usize].ext.is_disjoint(ext_j))
-                .count();
-            if affected == 0 {
-                continue;
-            }
-            if affected > k_max {
-                proj_j.chol = None;
-                obs.incr(Metric::RefitDowndateFallbacks);
-                continue;
-            }
-            for (k, &g) in scratch.live.iter().enumerate() {
-                let cell = &cells[g as usize];
-                if cell.ext.is_disjoint(ext_j) {
-                    continue;
-                }
-                let u = &scratch.us[k * dy..(k + 1) * dy];
-                let scaled = cell.count as f64 * scratch.alphas[k];
-                let ok = proj_j
-                    .chol
-                    .as_mut()
-                    .expect("checked above")
-                    .update_scaled(scaled, u)
-                    .is_ok();
-                if !ok {
-                    proj_j.chol = None;
-                    obs.incr(Metric::RefitDowndateFallbacks);
-                    break;
+        // A location constraint holding a tilted cell now sums another
+        // covariance: drop its `S`-factor for a rebuild on next use.
+        let ext = self.constraints[i].ext();
+        for (constraint, proj) in self.constraints.iter().zip(&mut self.proj) {
+            if let Constraint::Location { ext: ext_j, .. } = constraint {
+                if !ext_j.is_disjoint(ext) {
+                    proj.chol = None;
                 }
             }
         }
@@ -1442,9 +1387,9 @@ mod tests {
     #[test]
     fn spread_updates_keep_warm_location_factors_valid() {
         // A spread projection tilts member-cell covariances; the cached
-        // location S-factors must be maintained (or dropped) so that the
-        // next location re-projection still solves the *current* system —
-        // pinned by demanding full re-convergence to a tight tolerance.
+        // location S-factors must be dropped so that the next location
+        // re-projection solves the *current* system — pinned by demanding
+        // full re-convergence to a tight tolerance.
         let (mut model, _) = toy_model();
         let ext_a = BitSet::from_indices(8, [0, 1, 2, 3]);
         let ext_b = BitSet::from_indices(8, [2, 3, 4, 5]);
@@ -1731,11 +1676,6 @@ mod tests {
         use sisd_data::datasets::german_socio_synthetic;
         let (data, _) = german_socio_synthetic(3);
         let mut model = BackgroundModel::from_empirical(&data).unwrap();
-        // Factor the prior before the partition splits, as a search does,
-        // so that every cell holds that one factor object.
-        model
-            .location_stats(&BitSet::full(data.n()), &data.target_mean_all())
-            .unwrap();
         for seed in 1..=3 {
             let ext = random_ext(data.n(), seed, 0.3);
             model
@@ -1743,11 +1683,12 @@ mod tests {
                 .unwrap();
         }
         assert!(model.n_cells() >= 4, "{} cells", model.n_cells());
-        let first = model.cells()[0].chol().unwrap();
+        // Every cell holds the prior's covariance object and its factor.
+        let first = model.cells()[0].cov.chol().unwrap();
         assert!(model
             .cells()
             .iter()
-            .all(|c| std::ptr::eq(c.chol().unwrap(), first)));
+            .all(|c| std::ptr::eq(c.cov.chol().unwrap(), first)));
         let pool = random_candidates(&model, &data, 7, 16);
         let mut runs = runs_over(&pool, data.dy());
         runs.push(pool[8..].to_vec());
@@ -1773,7 +1714,7 @@ mod tests {
         model
             .assimilate_spread(&spread, w, center, 0.5 * expected)
             .unwrap();
-        let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov_id).collect();
+        let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov.id()).collect();
         ids.sort_unstable();
         ids.dedup();
         assert!(ids.len() >= 2, "cov_ids {ids:?}");
@@ -1783,7 +1724,7 @@ mod tests {
         assert!(distinct.iter().all(|(counts, _)| {
             counts
                 .iter()
-                .any(|&(g, _)| model.cells()[g].cov_id != model.cells()[counts[0].0].cov_id)
+                .any(|&(g, _)| model.cells()[g].cov.id() != model.cells()[counts[0].0].cov.id())
         }));
         // One extension under eight observed means: one mixture, built
         // anew for each of them.
@@ -1826,6 +1767,121 @@ mod tests {
         let counts = model.cell_counts(&ext);
         let run = vec![(counts.as_slice(), [0.0, 0.0].as_slice()); 9];
         model.location_stats_run(&run, &mut LocationRun::default(), |_, _| {});
+    }
+
+    /// One step of a random session: `(kind, rows, direction, scale)`,
+    /// where kind 0 assimilates a location, 1 a spread and 2 refits.
+    type SessionOp = (usize, Vec<bool>, Vec<f64>, f64);
+
+    const OP_ROWS: usize = 24;
+    const OP_DY: usize = 6;
+
+    proptest::prop_compose! {
+        fn session_op()(
+            kind in 0usize..3,
+            rows in proptest::prop::collection::vec(proptest::any::<bool>(), OP_ROWS),
+            direction in proptest::prop::collection::vec(-1.0f64..1.0, OP_DY),
+            scale in 0.3f64..3.0,
+        ) -> SessionOp {
+            (kind, rows, direction, scale)
+        }
+    }
+
+    /// A factor's bits, or `None` for a failed factorization.
+    fn factor_bits(chol: Option<&Cholesky>) -> Option<Vec<u64>> {
+        chol.map(|c| c.factor().as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Checks every cell's factor against a fresh factorization of its Σ,
+    /// and every cached location `S`-factor against a fresh build from its
+    /// constraint's members, bit for bit.
+    fn assert_factors_fresh(model: &mut BackgroundModel) -> Result<(), proptest::TestCaseError> {
+        for (g, cell) in model.cells.iter().enumerate() {
+            let fresh = Cholesky::new_with_jitter(cell.cov.sigma(), 8).ok();
+            proptest::prop_assert_eq!(
+                factor_bits(cell.cov.chol()),
+                factor_bits(fresh.as_ref().map(|(c, _)| c)),
+                "cell {}",
+                g
+            );
+        }
+        let (mut agg, mut s_sum) = (Vec::new(), Matrix::zeros(0, 0));
+        for j in 0..model.constraints.len() {
+            model.refresh_membership(j);
+            let Some(cached) = &model.proj[j].chol else {
+                continue;
+            };
+            let members = &model.proj[j].members;
+            let fresh = BackgroundModel::build_member_factor(
+                &model.cells,
+                members,
+                &mut agg,
+                &mut s_sum,
+                OP_DY,
+            )
+            .unwrap();
+            proptest::prop_assert_eq!(
+                factor_bits(Some(cached)),
+                factor_bits(Some(&fresh)),
+                "S-factor of constraint {}",
+                j
+            );
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The invariant a restore relies on, which writes no factor: every
+        /// factor the model holds is a pure function of what it factors.
+        /// Every factor is forced before each operation that can tilt, so
+        /// that a factor updated in place would show here.
+        #[test]
+        fn cached_factors_equal_fresh_builds(
+            ops in proptest::prop::collection::vec(session_op(), 4..12),
+        ) {
+            let mut b = Matrix::zeros(OP_DY, OP_DY);
+            for (e, v) in b.as_mut_slice().iter_mut().enumerate() {
+                *v = (e as f64 * 0.61).cos();
+            }
+            let mut prior = b.mul_mat(&b.transpose());
+            prior.add_diag(1.0);
+            let mut model = BackgroundModel::new(OP_ROWS, vec![0.0; OP_DY], prior).unwrap();
+            for (kind, rows, direction, scale) in ops {
+                let ext = BitSet::from_fn(OP_ROWS, |i| rows[i]);
+                if kind != 0 {
+                    for cell in &model.cells {
+                        cell.cov.chol();
+                    }
+                }
+                match kind {
+                    0 if ext.count() > 0 => {
+                        let target = model
+                            .location_marginals(&ext)
+                            .unwrap()
+                            .iter()
+                            .zip(&direction)
+                            .map(|(&(mean, sd), d)| mean + scale * sd * d)
+                            .collect();
+                        let _ = model.assimilate_location(&ext, target);
+                    }
+                    1 if ext.count() > 0 => {
+                        let mut w = direction;
+                        sisd_linalg::normalize(&mut w);
+                        let center: Vec<f64> =
+                            model.location_marginals(&ext).unwrap().iter().map(|m| m.0).collect();
+                        let expected = model.spread_stats(&ext, &w, &center).unwrap().expected;
+                        let _ = model.assimilate_spread(&ext, w, center, scale * expected);
+                    }
+                    2 => {
+                        let _ = model.refit(1e-9, 50);
+                    }
+                    _ => {}
+                }
+                assert_factors_fresh(&mut model)?;
+            }
+        }
     }
 
     #[test]

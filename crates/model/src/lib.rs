@@ -32,6 +32,6 @@ pub use background::{
     BackgroundModel, LocationCandidate, LocationRun, LocationScratch, LocationStats, ModelError,
     RefitStats, SpreadStats, WARM_COLD_SCORE_TOL,
 };
-pub use cell::Cell;
+pub use cell::{Cell, Covariance};
 pub use constraint::Constraint;
 pub use solver::solve_spread_lambda;

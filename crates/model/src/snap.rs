@@ -1,61 +1,58 @@
 //! Durable serialization of the background model.
 //!
 //! [`BackgroundModel::snapshot`] captures the evolved session state — the
-//! cell partition with per-cell `(μ, Σ, cov_id)` parameters *and* their
-//! lazily-initialized Cholesky factors, and the assimilated constraints
-//! with each location constraint's cached `S`-factor — as three sections
-//! (meta, cells, constraints) of the caller's [`sisd_data::snap`]
-//! container, so every byte of a session snapshot is framed and
-//! checksummed once. [`BackgroundModel::restore`] reads them back into a
-//! model whose subsequent statistics, refits, and searches are
-//! **bit-identical** to the uninterrupted original.
+//! cell partition with per-cell `(μ, Σ, cov_id)` parameters and the
+//! assimilated constraints — as three sections (meta, cells, constraints)
+//! of the caller's [`sisd_data::snap`] container, so every byte of a
+//! session snapshot is framed and checksummed once.
+//! [`BackgroundModel::restore`] reads them back into a model whose
+//! subsequent statistics, refits, and searches are **bit-identical** to
+//! the uninterrupted original.
 //!
-//! Why the factors are serialized rather than recomputed: cell factors and
-//! constraint `S`-factors are maintained *incrementally* (O(dy²) rank-one
-//! sweeps after spread tilts), so their bit patterns can differ from a
-//! fresh factorization of the same matrix. Recomputing on restore would
-//! produce a valid model whose scores drift at the last ulp — enough to
-//! break the bit-identity contract every parallel path in this repo is
-//! pinned to. Everything that *is* recomputed on restore (the row→cell
-//! map, each constraint's member-cell list, the constraint-overlap
-//! adjacency) is derived by the same deterministic construction the live
-//! model uses, so it is exactly equal; a member list the live model had
-//! let go stale would have been rebuilt before its next use anyway.
-//! Recomputing the member lists also checks that every constraint's
-//! extension is a union of cells, which the projections rely on: a
-//! snapshot where one is not is corrupt.
-//!
-//! Cells split from one parent hold one Σ object and one factor object
-//! (cell splits alias both), and a location-only model's cells all hold
-//! the prior's. The cells section therefore starts with two tables, each
-//! in order of first appearance: the distinct cell-factor objects, then
-//! the distinct Σ objects with their `cov_id`s. Each cell names its entry
-//! in both. Restoring gives every cell of an entry the same object again,
-//! so a restored model's batched solves, which need the candidates of a
-//! run to share one factor object, still find it shared, and Σ is held
-//! once per covariance value, as in the live model. Factors are told apart
-//! by identity, never by `cov_id`: incrementally updated factors of one id
-//! can differ in their bits. Σ objects and `cov_id`s correspond one to
-//! one, so a Σ table whose ids repeat, or reach the model's next id, is
+//! No factor is written. Every Cholesky factor the model holds is a pure
+//! function of the matrix it factors: a cell's factor of its covariance
+//! object's Σ, which never changes inside the object, and a location
+//! constraint's `S`-factor of its member cells' Σ objects and per-`cov_id`
+//! row counts, which a spread tilt drops instead of updating. A restore
+//! leaves every factor to first use, which builds it from the same Σ and
+//! the same counts as the uninterrupted session did, so it has the same
+//! bits. Everything else recomputed on restore (the row→cell map, each
+//! constraint's member-cell list, the constraint-overlap adjacency) is
+//! derived by the same deterministic construction the live model uses, so
+//! it is exactly equal; a member list the live model had let go stale
+//! would have been rebuilt before its next use anyway. Recomputing the
+//! member lists also checks that every constraint's extension is a union
+//! of cells, which the projections rely on: a snapshot where one is not is
 //! corrupt.
+//!
+//! Cells split from one parent hold one covariance object, and a
+//! location-only model's cells all hold the prior's. The cells section
+//! therefore starts with a table of the distinct covariance objects, each
+//! its `cov_id` and Σ, in order of first appearance, and each cell names
+//! its entry. Restoring gives every cell of an entry the same object again,
+//! so a restored model's batched solves, which need the candidates of a run
+//! to share one factor object, still find it shared, and Σ is held once per
+//! covariance value, as in the live model. Objects and `cov_id`s correspond
+//! one to one, so a table whose ids repeat, or reach the model's next id,
+//! is corrupt.
 //!
 //! Encoding is canonical — fixed section order, floats as raw IEEE-754
 //! bits, table entries in first-appearance order — so snapshot → restore →
 //! snapshot reproduces the input bytes exactly (pinned by proptest).
 //!
-//! Not serialized: the member-cell lists (recomputed, see above), the
+//! Not serialized: the factors and the member-cell lists (see above), the
 //! projection scratch buffers (cleared and resized on every use) and the
 //! observability handle (the restoring session wires its own).
 
 use crate::background::{BackgroundModel, ProjectionScratch, ProjectionState};
-use crate::cell::Cell;
+use crate::cell::{Cell, Covariance};
 use crate::constraint::Constraint;
 use sisd_data::bitset::WORD_BITS;
 use sisd_data::snap::{
     put_f64, put_f64s, put_u32, put_u64, put_words, SnapCursor, SnapError, SnapReader, SnapWriter,
 };
 use sisd_data::BitSet;
-use sisd_linalg::{Cholesky, Matrix};
+use sisd_linalg::Matrix;
 use sisd_obs::ObsHandle;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -66,11 +63,6 @@ const SEC_CONSTRAINTS: u32 = 3;
 
 const CONSTRAINT_LOCATION: u8 = 1;
 const CONSTRAINT_SPREAD: u8 = 2;
-
-/// Factor-cache states of a cell or a location constraint's `S`-factor.
-const FACTOR_UNSET: u8 = 0;
-const FACTOR_CACHED: u8 = 1;
-const FACTOR_FAILED: u8 = 2;
 
 fn put_bitset(buf: &mut Vec<u8>, bs: &BitSet) {
     put_u64(buf, bs.len() as u64);
@@ -132,36 +124,6 @@ fn read_matrix(c: &mut SnapCursor<'_>, dy: usize, what: &str) -> Result<Matrix, 
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn put_factor(buf: &mut Vec<u8>, factor: Option<&Cholesky>) {
-    if let Some(chol) = factor {
-        buf.push(FACTOR_CACHED);
-        put_matrix(buf, chol.factor());
-    } else {
-        buf.push(FACTOR_UNSET);
-    }
-}
-
-fn read_cholesky(c: &mut SnapCursor<'_>, dy: usize, what: &str) -> Result<Cholesky, SnapError> {
-    let l = read_matrix(c, dy, what)?;
-    Cholesky::from_factor(l).map_err(|e| SnapError::Corrupt(format!("{what}: invalid factor: {e}")))
-}
-
-/// Reads a location constraint's `S`-factor. It is never in the failed
-/// state: a factorization that fails surfaces as an error instead.
-fn read_factor(
-    c: &mut SnapCursor<'_>,
-    dy: usize,
-    what: &str,
-) -> Result<Option<Cholesky>, SnapError> {
-    match c.u8(what)? {
-        FACTOR_UNSET => Ok(None),
-        FACTOR_CACHED => Ok(Some(read_cholesky(c, dy, what)?)),
-        other => Err(SnapError::Corrupt(format!(
-            "{what}: unknown S-factor state {other}"
-        ))),
-    }
-}
-
 /// Index of `item` in `table`, compared by identity, appending it first
 /// when absent: tables list distinct objects in order of first appearance.
 fn table_index<'a, T>(table: &mut Vec<&'a T>, item: &'a T) -> usize {
@@ -174,72 +136,40 @@ fn table_index<'a, T>(table: &mut Vec<&'a T>, item: &'a T) -> usize {
     }
 }
 
-/// Writes the cells: the table of their distinct factor objects and the
-/// table of their distinct Σ objects with their `cov_id`s, each in order of
-/// first appearance, then each cell with its Σ entry, its factor state and,
-/// for a computed factor, its factor entry.
-fn put_cells(buf: &mut Vec<u8>, cells: &[Cell]) -> Result<(), SnapError> {
-    let mut factors: Vec<&Cholesky> = Vec::new();
-    let mut sigmas: Vec<&Matrix> = Vec::new();
-    let mut cov_ids: Vec<u64> = Vec::new();
-    let mut entries = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let sigma = table_index(&mut sigmas, &*cell.sigma);
-        if sigma == cov_ids.len() && !cov_ids.contains(&cell.cov_id) {
-            cov_ids.push(cell.cov_id);
-        }
-        if cov_ids.get(sigma) != Some(&cell.cov_id) {
-            return Err(SnapError::Corrupt(format!(
-                "cell covariance objects and cov_ids do not correspond one to one (cov_id {})",
-                cell.cov_id
-            )));
-        }
-        let factor = match cell.factor_state() {
-            Some(Some(chol)) => Some(Some(table_index(&mut factors, chol))),
-            Some(None) => Some(None),
-            None => None,
-        };
-        entries.push((sigma, factor));
+/// Writes the cells: the table of their distinct covariance objects, each
+/// its `cov_id` and Σ, in order of first appearance, then each cell with
+/// its table entry.
+fn put_cells(buf: &mut Vec<u8>, cells: &[Cell]) {
+    let mut table: Vec<&Covariance> = Vec::new();
+    let entries: Vec<usize> = cells
+        .iter()
+        .map(|cell| table_index(&mut table, &*cell.cov))
+        .collect();
+    put_u32(buf, table.len() as u32);
+    for cov in table {
+        put_u64(buf, cov.id());
+        put_matrix(buf, cov.sigma());
     }
-    put_u32(buf, factors.len() as u32);
-    for chol in factors {
-        put_matrix(buf, chol.factor());
-    }
-    put_u32(buf, sigmas.len() as u32);
-    for (sigma, cov_id) in sigmas.into_iter().zip(cov_ids) {
-        put_u64(buf, cov_id);
-        put_matrix(buf, sigma);
-    }
-    for (cell, (sigma, factor)) in cells.iter().zip(entries) {
+    for (cell, k) in cells.iter().zip(entries) {
         put_bitset(buf, &cell.ext);
         put_f64s(buf, &cell.mu);
-        put_u32(buf, sigma as u32);
-        match factor {
-            None => buf.push(FACTOR_UNSET),
-            Some(None) => buf.push(FACTOR_FAILED),
-            Some(Some(k)) => {
-                buf.push(FACTOR_CACHED);
-                put_u32(buf, k as u32);
-            }
-        }
+        put_u32(buf, k as u32);
     }
-    Ok(())
 }
 
-/// Reads the index of the `kind` table entry a cell names. Entries must be
-/// first named in table order, so that the encoding stays canonical:
-/// `named` counts the entries named so far.
+/// Reads the index of the covariance table entry a cell names. Entries
+/// must be first named in table order, so that the encoding stays
+/// canonical: `named` counts the entries named so far.
 fn read_entry(
     c: &mut SnapCursor<'_>,
     named: &mut usize,
     entries: usize,
     what: &str,
-    kind: &str,
 ) -> Result<usize, SnapError> {
     let k = c.u32(what)? as usize;
     if k > *named || k >= entries {
         return Err(SnapError::Corrupt(format!(
-            "{what}: {kind} {k} out of order ({named} named of {entries})"
+            "{what}: covariance {k} out of order ({named} named of {entries})"
         )));
     }
     *named += usize::from(k == *named);
@@ -260,17 +190,16 @@ impl BackgroundModel {
         w.section(SEC_META, &meta)?;
 
         let mut cells = Vec::new();
-        put_cells(&mut cells, &self.cells)?;
+        put_cells(&mut cells, &self.cells);
         w.section(SEC_CELLS, &cells)?;
 
         let mut cons = Vec::new();
-        for (constraint, p) in self.constraints.iter().zip(&self.proj) {
+        for constraint in &self.constraints {
             match constraint {
                 Constraint::Location { ext, target } => {
                     cons.push(CONSTRAINT_LOCATION);
                     put_bitset(&mut cons, ext);
                     put_f64s(&mut cons, target);
-                    put_factor(&mut cons, p.chol.as_ref());
                 }
                 Constraint::Spread {
                     ext,
@@ -320,36 +249,26 @@ impl BackgroundModel {
             )));
         }
         let mut c = SnapCursor::new(cells_payload);
-        let n_factors = c.u32("cell factors")? as usize;
-        if n_factors > n_cells {
+        let n_covs = c.u32("cell covariances")? as usize;
+        if n_covs > n_cells {
             return Err(SnapError::Corrupt(format!(
-                "{n_factors} cell factors for {n_cells} cells"
+                "{n_covs} cell covariances for {n_cells} cells"
             )));
         }
-        let mut factors = Vec::new();
-        for k in 0..n_factors {
-            let what = format!("cell factor {k}");
-            factors.push(Arc::new(read_cholesky(&mut c, dy, &what)?));
-        }
-        let n_sigmas = c.u32("cell covariances")? as usize;
-        if n_sigmas > n_cells {
-            return Err(SnapError::Corrupt(format!(
-                "{n_sigmas} cell covariances for {n_cells} cells"
-            )));
-        }
-        let mut sigmas = Vec::new();
-        let mut cov_ids = HashSet::new();
-        for k in 0..n_sigmas {
+        let mut covs = Vec::new();
+        let mut ids = HashSet::new();
+        for k in 0..n_covs {
             let what = format!("cell covariance {k}");
-            let cov_id = c.u64(&what)?;
-            if cov_id >= next_cov_id || !cov_ids.insert(cov_id) {
+            let id = c.u64(&what)?;
+            if id >= next_cov_id || !ids.insert(id) {
                 return Err(SnapError::Corrupt(format!(
-                    "{what}: cov_id {cov_id} repeats or is not below the next id {next_cov_id}"
+                    "{what}: cov_id {id} repeats or is not below the next id {next_cov_id}"
                 )));
             }
-            sigmas.push((cov_id, Arc::new(read_matrix(&mut c, dy, &what)?)));
+            let sigma = read_matrix(&mut c, dy, &what)?;
+            covs.push(Arc::new(Covariance::new(id, sigma)));
         }
-        let (mut named_factors, mut named_sigmas) = (0, 0);
+        let mut named = 0;
         let mut cells = Vec::new();
         for idx in 0..n_cells {
             let what = format!("cell {idx}");
@@ -364,35 +283,14 @@ impl BackgroundModel {
                     mu.len()
                 )));
             }
-            let k = read_entry(&mut c, &mut named_sigmas, n_sigmas, &what, "covariance")?;
-            let (cov_id, sigma) = &sigmas[k];
-            let state = match c.u8(&what)? {
-                FACTOR_UNSET => None,
-                FACTOR_FAILED => Some(None),
-                FACTOR_CACHED => {
-                    let k = read_entry(&mut c, &mut named_factors, n_factors, &what, "factor")?;
-                    Some(Some(Arc::clone(&factors[k])))
-                }
-                other => {
-                    return Err(SnapError::Corrupt(format!(
-                        "{what}: unknown factor state {other}"
-                    )))
-                }
-            };
-            let mut cell = Cell::new(ext, mu, Arc::clone(sigma), *cov_id);
-            cell.set_factor_state(state);
-            cells.push(cell);
+            let k = read_entry(&mut c, &mut named, n_covs, &what)?;
+            cells.push(Cell::new(ext, mu, Arc::clone(&covs[k])));
         }
-        for (named, entries, kind) in [
-            (named_factors, n_factors, "factors"),
-            (named_sigmas, n_sigmas, "covariances"),
-        ] {
-            if named != entries {
-                return Err(SnapError::Corrupt(format!(
-                    "{} of {entries} cell {kind} belong to no cell",
-                    entries - named
-                )));
-            }
+        if named != n_covs {
+            return Err(SnapError::Corrupt(format!(
+                "{} of {n_covs} cell covariances belong to no cell",
+                n_covs - named
+            )));
         }
         c.finish("cells")?;
 
@@ -420,7 +318,6 @@ impl BackgroundModel {
         let mut proj = Vec::new();
         for idx in 0..n_constraints {
             let what = format!("constraint {idx}");
-            let mut state = ProjectionState::default();
             match c.u8(&what)? {
                 CONSTRAINT_LOCATION => {
                     let ext = read_bitset(&mut c, n, &what)?;
@@ -428,7 +325,6 @@ impl BackgroundModel {
                     if ext.count() == 0 || target.len() != dy {
                         return Err(SnapError::Corrupt(format!("{what}: bad location shape")));
                     }
-                    state.chol = read_factor(&mut c, dy, &what)?;
                     constraints.push(Constraint::Location { ext, target });
                 }
                 CONSTRAINT_SPREAD => {
@@ -452,7 +348,7 @@ impl BackgroundModel {
                     )))
                 }
             }
-            proj.push(state);
+            proj.push(ProjectionState::default());
         }
         c.finish("constraints")?;
 
@@ -548,10 +444,15 @@ mod tests {
             assert_eq!(restored.row_mean(i), model.row_mean(i));
             assert_eq!(restored.row_cov(i).as_slice(), model.row_cov(i).as_slice());
         }
+        // No factor is restored; each is built on first use with the bits
+        // the original's has.
+        assert!(restored.proj.iter().all(|p| p.chol.is_none()));
         for (a, b) in model.cells().iter().zip(restored.cells()) {
-            assert_eq!(a.cov_id, b.cov_id);
+            assert_eq!(a.cov.id(), b.cov.id());
+            let (fa, fb) = (a.cov.chol().unwrap(), b.cov.chol().unwrap());
+            assert_eq!(fa.factor().as_slice(), fb.factor().as_slice());
         }
-        // Statistics are bit-identical, factors included.
+        // Statistics are bit-identical.
         let ext = BitSet::from_indices(model.n(), [1, 3, 5, 7, 9]);
         let obs = vec![0.4, -0.1];
         let a = model.location_stats(&ext, &obs).unwrap();
@@ -613,7 +514,6 @@ mod tests {
             put_u32(&mut meta, u32::from(ext.is_some()));
             w.section(SEC_META, &meta).unwrap();
             let mut cells = Vec::new();
-            put_u32(&mut cells, 0);
             put_u32(&mut cells, 1);
             put_u64(&mut cells, 0);
             put_matrix(&mut cells, &Matrix::identity(1));
@@ -621,7 +521,6 @@ mod tests {
                 put_bitset(&mut cells, &BitSet::from_indices(n, rows.iter().copied()));
                 put_f64s(&mut cells, &[0.0]);
                 put_u32(&mut cells, 0);
-                cells.push(FACTOR_UNSET);
             }
             w.section(SEC_CELLS, &cells).unwrap();
             let mut cons = Vec::new();
@@ -629,7 +528,6 @@ mod tests {
                 cons.push(CONSTRAINT_LOCATION);
                 put_bitset(&mut cons, &BitSet::from_indices(n, rows.iter().copied()));
                 put_f64s(&mut cons, &[0.5]);
-                cons.push(FACTOR_UNSET);
             }
             w.section(SEC_CONSTRAINTS, &cons).unwrap();
             w.finish().unwrap()
@@ -645,15 +543,11 @@ mod tests {
         }
     }
 
-    /// German socio after three location assimilations, its prior
-    /// factored before the first split as a search does: every cell holds
-    /// the prior's one factor object and its one Σ object.
+    /// German socio after three location assimilations: every cell holds
+    /// the prior's one covariance object.
     fn location_only_model() -> BackgroundModel {
         let (data, _) = sisd_data::datasets::german_socio_synthetic(3);
         let mut model = BackgroundModel::from_empirical(&data).unwrap();
-        model
-            .location_stats(&BitSet::full(data.n()), &data.target_mean_all())
-            .unwrap();
         for k in 2..5 {
             let ext = BitSet::from_indices(data.n(), (0..data.n()).filter(|i| i % k == 0));
             model
@@ -663,77 +557,59 @@ mod tests {
         model
     }
 
-    fn shares_one_factor(model: &BackgroundModel) -> bool {
-        let first = model.cells()[0].factor_state();
-        model
-            .cells()
-            .iter()
-            .all(|c| match (c.factor_state(), first) {
-                (Some(Some(a)), Some(Some(b))) => std::ptr::eq(a, b),
-                _ => false,
-            })
+    fn shares_one_covariance(model: &BackgroundModel) -> bool {
+        let first = &model.cells()[0].cov;
+        model.cells().iter().all(|c| Arc::ptr_eq(&c.cov, first))
     }
 
-    fn shares_one_sigma(model: &BackgroundModel) -> bool {
-        let first = &model.cells()[0].sigma;
-        model.cells().iter().all(|c| Arc::ptr_eq(&c.sigma, first))
-    }
-
-    /// The factor and Σ table lengths of a snapshot's cells section.
-    fn table_lengths(bytes: &[u8], dy: usize) -> (u32, u32) {
+    /// The length of a snapshot's covariance table.
+    fn table_length(bytes: &[u8]) -> u32 {
         let mut r = SnapReader::new(bytes).unwrap();
         r.section(SEC_META, "meta").unwrap();
-        let mut c = SnapCursor::new(r.section(SEC_CELLS, "cells").unwrap());
-        let factors = c.u32("factors").unwrap();
-        for _ in 0..factors {
-            read_cholesky(&mut c, dy, "factor").unwrap();
-        }
-        (factors, c.u32("covariances").unwrap())
+        SnapCursor::new(r.section(SEC_CELLS, "cells").unwrap())
+            .u32("covariances")
+            .unwrap()
     }
 
-    /// Covers the Σ object the cells share as well as their factor.
+    /// Covers the factor the cells share through their covariance object.
     #[test]
     fn cells_sharing_a_factor_are_written_once_and_restored_shared() {
         let model = location_only_model();
         assert!(model.n_cells() >= 2, "{} cells", model.n_cells());
-        assert!(shares_one_factor(&model) && shares_one_sigma(&model));
+        assert!(shares_one_covariance(&model));
         let bytes = snapshot(&model);
         let restored = restore(&bytes).unwrap();
-        assert!(shares_one_factor(&restored) && shares_one_sigma(&restored));
+        assert!(shares_one_covariance(&restored));
+        let first = restored.cells()[0].cov.chol().unwrap();
+        assert!(restored
+            .cells()
+            .iter()
+            .all(|c| std::ptr::eq(c.cov.chol().unwrap(), first)));
         assert_eq!(snapshot(&restored), bytes);
-        assert_eq!(table_lengths(&bytes, model.dy()), (1, 1));
+        assert_eq!(table_length(&bytes), 1);
     }
 
     /// The location-only model's snapshot with its cells section rewritten
-    /// and its next covariance id set to `next_cov_id`: a factor table of
-    /// `factors` copies of the shared factor, a Σ table holding the shared
-    /// Σ once per id in `cov_ids`, and cell `g` naming factor entry
-    /// `names.0[g]` and Σ entry `names.1[g]`.
+    /// and its next covariance id set to `next_cov_id`: a covariance table
+    /// holding the shared Σ once per id in `cov_ids`, and cell `g` naming
+    /// entry `names[g]`.
     fn rewritten(
         model: &BackgroundModel,
         next_cov_id: u64,
-        factors: u32,
         cov_ids: &[u64],
-        names: (&[u32], &[u32]),
+        names: &[u32],
     ) -> Vec<u8> {
         let bytes = snapshot(model);
-        let factor = model.cells()[0].chol().unwrap();
         let mut cells = Vec::new();
-        put_u32(&mut cells, factors);
-        for _ in 0..factors {
-            put_matrix(&mut cells, factor.factor());
-        }
         put_u32(&mut cells, cov_ids.len() as u32);
         for &id in cov_ids {
             put_u64(&mut cells, id);
-            put_matrix(&mut cells, &model.cells()[0].sigma);
+            put_matrix(&mut cells, model.cells()[0].cov.sigma());
         }
-        for ((cell, &factor), &sigma) in model.cells().iter().zip(names.0).zip(names.1) {
+        for (cell, &k) in model.cells().iter().zip(names) {
             put_bitset(&mut cells, &cell.ext);
             put_f64s(&mut cells, &cell.mu);
-            put_u32(&mut cells, sigma);
-            cells.push(FACTOR_CACHED);
-            put_u32(&mut cells, factor);
+            put_u32(&mut cells, k);
         }
         let mut r = SnapReader::new(&bytes).unwrap();
         let mut w = SnapWriter::new();
@@ -750,42 +626,11 @@ mod tests {
     }
 
     #[test]
-    fn factor_tables_out_of_canonical_order_are_corrupt() {
-        let model = location_only_model();
-        let zeros = vec![0; model.n_cells()];
-        let factors =
-            |entries: u32, names: &[u32]| rewritten(&model, 1, entries, &[0], (names, &zeros));
-        assert_eq!(factors(1, &zeros), snapshot(&model));
-        let mut first_named_last = zeros.clone();
-        first_named_last[0] = 1;
-        let mut last_apart = zeros.clone();
-        *last_apart.last_mut().unwrap() = 1;
-        for (entries, names) in [
-            // An entry no cell names.
-            (2, &zeros),
-            // Entry 1 named before entry 0.
-            (2, &first_named_last),
-            // An entry past the table's end.
-            (1, &last_apart),
-        ] {
-            assert!(matches!(
-                restore(&factors(entries, names)),
-                Err(SnapError::Corrupt(_))
-            ));
-        }
-        // Two entries with the same bits are two objects, restored apart.
-        let apart = factors(2, &last_apart);
-        let restored = restore(&apart).unwrap();
-        assert!(!shares_one_factor(&restored));
-        assert_eq!(snapshot(&restored), apart);
-    }
-
-    #[test]
     fn sigma_tables_out_of_canonical_order_or_with_bad_ids_are_corrupt() {
         let model = location_only_model();
         let zeros = vec![0; model.n_cells()];
         let sigmas = |next_cov_id: u64, cov_ids: &[u64], names: &[u32]| {
-            rewritten(&model, next_cov_id, 1, cov_ids, (&zeros, names))
+            rewritten(&model, next_cov_id, cov_ids, names)
         };
         assert_eq!(sigmas(1, &[0], &zeros), snapshot(&model));
         let mut first_named_last = zeros.clone();
@@ -814,7 +659,7 @@ mod tests {
         // objects, restored apart.
         let apart = sigmas(2, &[0, 1], &last_apart);
         let restored = restore(&apart).unwrap();
-        assert!(!shares_one_sigma(&restored));
+        assert!(!shares_one_covariance(&restored));
         assert_eq!(snapshot(&restored), apart);
     }
 

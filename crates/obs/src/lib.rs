@@ -87,15 +87,18 @@ pub enum Metric {
     RefitConstraintsUpdated,
     /// Dirty residuals recomputed across refits (sum of dirty-set sizes).
     RefitResidualsRecomputed,
-    /// Rank-k factor updates abandoned for a fresh factorization.
+    /// Retired: factors are never updated in place, so nothing increments
+    /// it and it reads 0. It stays registered because `stepbench`'s traced
+    /// mode resolves it by name.
     RefitDowndateFallbacks,
     /// Nanoseconds inside refit (span).
     RefitNs,
-    /// Rank-one scaled updates applied to cell factors during spread tilts.
-    ModelCellRankUpdates,
-    /// Projection `S`-factors rebuilt from scratch.
+    /// Location projections that built their constraint's `S`-factor: the
+    /// first one, the first after a spread tilt dropped it, and the first
+    /// after a restore.
     ModelFactorRebuilds,
-    /// Projection `S`-factors reused via warm-started updates.
+    /// Location projections that reused their constraint's cached
+    /// `S`-factor.
     ModelFactorReuses,
     /// Hits of the retired mixed-covariance factor cache: nothing sets
     /// it, so it reads 0. The three `cache.*` gauges stay registered
@@ -121,7 +124,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of metrics; the registry array length.
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 31;
 
     /// Every metric, in registry order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -145,7 +148,6 @@ impl Metric {
         Metric::RefitResidualsRecomputed,
         Metric::RefitDowndateFallbacks,
         Metric::RefitNs,
-        Metric::ModelCellRankUpdates,
         Metric::ModelFactorRebuilds,
         Metric::ModelFactorReuses,
         Metric::CacheHits,
@@ -188,7 +190,6 @@ impl Metric {
             Metric::RefitResidualsRecomputed => "refit.residuals_recomputed",
             Metric::RefitDowndateFallbacks => "refit.downdate_fallbacks",
             Metric::RefitNs => "refit.ns",
-            Metric::ModelCellRankUpdates => "model.cell_rank_updates",
             Metric::ModelFactorRebuilds => "model.factor_rebuilds",
             Metric::ModelFactorReuses => "model.factor_reuses",
             Metric::CacheHits => "cache.hits",
@@ -928,12 +929,11 @@ impl fmt::Display for SearchReport {
         writeln!(
             f,
             "  refit   : {} run(s): {} cycle(s), {} re-projection(s), \
-             {} residual(s) recomputed, {} downdate fallback(s), {}",
+             {} residual(s) recomputed, {}",
             g(Metric::RefitRuns),
             g(Metric::RefitCycles),
             g(Metric::RefitConstraintsUpdated),
             g(Metric::RefitResidualsRecomputed),
-            g(Metric::RefitDowndateFallbacks),
             fmt_ns(g(Metric::RefitNs)),
         )?;
         writeln!(
@@ -944,8 +944,7 @@ impl fmt::Display for SearchReport {
         )?;
         write!(
             f,
-            "  model   : {} rank-k cell update(s), {} factor rebuild(s) / {} reuse(s)",
-            g(Metric::ModelCellRankUpdates),
+            "  model   : {} factor rebuild(s) / {} reuse(s)",
             g(Metric::ModelFactorRebuilds),
             g(Metric::ModelFactorReuses),
         )
@@ -1225,7 +1224,20 @@ mod tests {
         for needle in ["search", "eval", "frontier", "refit", "model"] {
             assert!(text.contains(needle), "missing section {needle}:\n{text}");
         }
-        assert!(text.contains("refit   : 3 run(s)"), "{text}");
+        assert!(
+            text.contains(
+                "refit   : 3 run(s): 0 cycle(s), 0 re-projection(s), 0 residual(s) recomputed, 0ns"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("model   : 0 factor rebuild(s) / 0 reuse(s)"),
+            "{text}"
+        );
+        assert!(
+            !text.contains("fallback") && !text.contains("rank-k"),
+            "{text}"
+        );
         assert_eq!(report.get(Metric::RefitLastCycles), 4);
     }
 }

@@ -9,8 +9,8 @@
 //! * **Ownership and cache validity.** An [`Evaluator`] borrows the
 //!   background model *immutably* for its whole lifetime, so the borrow
 //!   checker guarantees the model cannot change while any factorization is
-//!   cached: per-cell Cholesky factors initialize lazily (and thread-
-//!   safely) inside the model's cells, and a candidate whose rows mix
+//!   cached: each covariance object the model's cells share builds its
+//!   Cholesky factor lazily (and thread-safely), and a candidate whose rows mix
 //!   covariance values gets its mixture factored for it alone. There is no
 //!   warm-up protocol and no panic path for a missing factor.
 //! * **One row walk per candidate, or per 64 siblings.** A candidate's

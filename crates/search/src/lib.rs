@@ -3,7 +3,7 @@
 //!
 //! * [`eval`] — the unified candidate-evaluation engine: the *only* way
 //!   search code scores candidates. Owns observed-mean aggregation,
-//!   factorization reuse (lazy per-cell factors; a candidate whose rows mix
+//!   factorization reuse (lazy factors per covariance object; a candidate whose rows mix
 //!   covariances gets its mixture factored for it alone), and a
 //!   deterministic parallel batch evaluator whose results are bit-identical
 //!   at any thread count.

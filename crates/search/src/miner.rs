@@ -138,8 +138,8 @@ impl Miner {
 
     /// Serializes the session state — the iteration counter and a content
     /// fingerprint of the dataset, then the background model (its cells
-    /// with their factors, and its constraints with each location
-    /// constraint's cached `S`-factor) — into one checksummed
+    /// and its constraints; no factor, since a restore builds each from
+    /// the same state on first use) — into one checksummed
     /// [`sisd_data::snap`] container. The bytes are canonical: restoring
     /// and re-snapshotting yields the identical byte string.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, SisdError> {

@@ -18,7 +18,7 @@ use crate::eval::{EvalConfig, Evaluator};
 use sisd_core::{DlParams, Intention, SpreadPattern};
 use sisd_data::{BitSet, Dataset};
 use sisd_linalg::{Cholesky, Matrix, SymEigen};
-use sisd_model::BackgroundModel;
+use sisd_model::{BackgroundModel, Covariance};
 use sisd_stats::special::{digamma, ln_gamma};
 use sisd_stats::Xoshiro256pp;
 use std::sync::Arc;
@@ -61,8 +61,8 @@ pub struct SphereResult {
 /// The spread-IC objective for a fixed subgroup, with analytic gradient.
 struct SpreadObjective {
     /// `(count within I, Σ_g)` per intersecting parameter cell, holding
-    /// the cell's Σ object.
-    cells: Vec<(f64, Arc<Matrix>)>,
+    /// the cell's covariance object.
+    cells: Vec<(f64, Arc<Covariance>)>,
     /// `|I|`.
     m: f64,
     /// Subgroup scatter matrix `Ŝ` (so `ĝ(w) = wᵀŜw`).
@@ -76,7 +76,7 @@ impl SpreadObjective {
         for cell in model.cells() {
             let c = cell.ext.intersection_count(ext);
             if c > 0 {
-                cells.push((c as f64, Arc::clone(&cell.sigma)));
+                cells.push((c as f64, Arc::clone(&cell.cov)));
             }
         }
         let m = ext.count() as f64;
@@ -99,8 +99,8 @@ impl SpreadObjective {
         let mut grad_s1 = vec![0.0; dy];
         let mut grad_s2 = vec![0.0; dy];
         let mut grad_s3 = vec![0.0; dy];
-        for (c, sigma) in &self.cells {
-            let u = sigma.mul_vec(w);
+        for (c, cov) in &self.cells {
+            let u = cov.sigma().mul_vec(w);
             let a = sisd_linalg::dot(w, &u) / mf;
             s1 += c * a;
             s2 += c * a * a;
@@ -170,8 +170,8 @@ impl SpreadObjective {
     /// Model-average covariance over the extension, `Σ̄ = Σ c_g Σ_g / |I|`.
     fn mean_cov(&self) -> Matrix {
         let mut out = Matrix::zeros(self.dy, self.dy);
-        for (c, sigma) in &self.cells {
-            for (o, s) in out.as_mut_slice().iter_mut().zip(sigma.as_slice()) {
+        for (c, cov) in &self.cells {
+            for (o, s) in out.as_mut_slice().iter_mut().zip(cov.sigma().as_slice()) {
                 *o += c / self.m * s;
             }
         }

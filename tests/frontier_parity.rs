@@ -436,11 +436,11 @@ fn wide_target_beam_over_one_covariance_is_bit_identical_to_the_pre_refactor_pat
     let picked: Vec<Condition> = conditions.iter().step_by(17).take(3).copied().collect();
     assimilate_locations(&data, &mut model, &picked);
     assert!(model.n_cells() >= 4, "{} cells", model.n_cells());
-    let first = model.cells()[0].chol().unwrap();
+    let first = model.cells()[0].cov.chol().unwrap();
     assert!(model
         .cells()
         .iter()
-        .all(|c| std::ptr::eq(c.chol().unwrap(), first)));
+        .all(|c| std::ptr::eq(c.cov.chol().unwrap(), first)));
     let cfg = BeamConfig {
         width: 8,
         max_depth: 3,
@@ -484,7 +484,7 @@ fn wide_target_beam_over_mixed_covariances_is_bit_identical_to_the_pre_refactor_
     model
         .assimilate_location(runner_up, data.target_mean(runner_up))
         .unwrap();
-    let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov_id).collect();
+    let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov.id()).collect();
     ids.sort_unstable();
     ids.dedup();
     assert!(ids.len() >= 2, "cov_ids {ids:?}");

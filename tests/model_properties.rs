@@ -54,16 +54,16 @@ fn kl_divergence(p: &BackgroundModel, q: &BackgroundModel) -> f64 {
         total += *per_pair.entry((gp, gq)).or_insert_with(|| {
             let a = &p.cells()[gp as usize];
             let b = &q.cells()[gq as usize];
-            let chol_b = Cholesky::new_with_jitter(&b.sigma, 8)
+            let chol_b = Cholesky::new_with_jitter(b.cov.sigma(), 8)
                 .expect("covariance factorable")
                 .0;
             let inv_b = chol_b.inverse();
             // tr(Σb⁻¹ Σa); column r of Σa is its row r (symmetry).
             let tr: f64 = (0..p.dy())
-                .map(|r| sisd::linalg::dot(inv_b.row(r), a.sigma.row(r)))
+                .map(|r| sisd::linalg::dot(inv_b.row(r), a.cov.sigma().row(r)))
                 .sum();
             let maha = chol_b.inv_quad_form(&sisd::linalg::sub(&b.mu, &a.mu));
-            let chol_a = Cholesky::new_with_jitter(&a.sigma, 8)
+            let chol_a = Cholesky::new_with_jitter(a.cov.sigma(), 8)
                 .expect("covariance factorable")
                 .0;
             0.5 * (tr + maha - d + chol_b.log_det() - chol_a.log_det())
@@ -190,7 +190,7 @@ proptest! {
         );
         // All covariances stay positive definite.
         for cell in model.cells() {
-            prop_assert!(Cholesky::new_with_jitter(&cell.sigma, 4).is_ok());
+            prop_assert!(Cholesky::new_with_jitter(cell.cov.sigma(), 4).is_ok());
         }
     }
 

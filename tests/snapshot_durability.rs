@@ -85,14 +85,15 @@ fn config_at(threads: usize) -> MinerConfig {
     quick_config().with_threads(threads)
 }
 
-/// Mines a session: `iters` iterations on `synthetic_paper(seed)`, with a
-/// spread pattern on the first iteration when `with_spread` (so the
-/// snapshot covers tilted covariances and maintained S-factors).
-fn mined_session(seed: u64, iters: usize, with_spread: bool, config: MinerConfig) -> Miner {
+/// Mines a session: `iters` iterations on `synthetic_paper(seed)`, each of
+/// the first `spreads` with a spread pattern too (so the snapshot covers
+/// tilted covariances, and location constraints whose S-factors the tilts
+/// dropped).
+fn mined_session(seed: u64, iters: usize, spreads: usize, config: MinerConfig) -> Miner {
     let (data, _) = synthetic_paper(seed);
     let mut miner = Miner::from_empirical(data, config).expect("empirical model");
     for i in 0..iters {
-        let stepped = if with_spread && i == 0 {
+        let stepped = if i < spreads {
             miner.step_with_spread().expect("assimilation")
         } else {
             miner.step_location().expect("assimilation")
@@ -124,7 +125,7 @@ proptest! {
         iters in 1usize..4,
         spread in any::<bool>(),
     ) {
-        let miner = mined_session(seed, iters, spread, quick_config());
+        let miner = mined_session(seed, iters, usize::from(spread), quick_config());
         let bytes = miner.snapshot_bytes().expect("snapshot");
         let (data, _) = synthetic_paper(seed);
         let restored = Miner::restore_bytes(&bytes, data, quick_config()).expect("restore");
@@ -150,7 +151,7 @@ proptest! {
         // One fixed session, mutated at a proptest-chosen offset. The
         // session is rebuilt per case (the shim has no per-test setup),
         // but with one fast iteration that is cheap.
-        let miner = mined_session(42, 1, true, quick_config());
+        let miner = mined_session(42, 1, 1, quick_config());
         let bytes = miner.snapshot_bytes().expect("snapshot");
         let offset = offset % bytes.len();
         let mut bad = bytes.clone();
@@ -167,7 +168,7 @@ proptest! {
     /// Satellite: truncation at any offset is `Err`, never a panic.
     #[test]
     fn any_truncation_fails_cleanly(cut in 0usize..usize::MAX / 2) {
-        let miner = mined_session(42, 1, true, quick_config());
+        let miner = mined_session(42, 1, 1, quick_config());
         let bytes = miner.snapshot_bytes().expect("snapshot");
         let cut = cut % bytes.len(); // strictly shorter than the original
         let (data, _) = synthetic_paper(42);
@@ -178,12 +179,23 @@ proptest! {
 
 /// Acceptance: a restored miner's subsequent searches and refits are
 /// bit-identical to the uninterrupted original, across worker threads
-/// {1, 4} on both sides of the snapshot.
+/// {1, 4} on both sides of the snapshot. The sessions mine a spread at
+/// their first iteration only, or at every one, so that the restored
+/// model starts with several tilted cells, and builds every factor on
+/// first use where the original kept its own.
 #[test]
 fn restored_sessions_are_bit_identical_across_threads() {
-    for threads in [1usize, 4] {
+    for ((iters, spreads), threads) in [(2, 1), (3, 3)]
+        .into_iter()
+        .flat_map(|session| [1usize, 4].map(|threads| (session, threads)))
+    {
         // The uninterrupted reference session, mined at this thread count.
-        let original = mined_session(42, 2, true, config_at(threads));
+        let original = mined_session(42, iters, spreads, config_at(threads));
+        let tilted = original.model().cells().iter().filter(|c| c.cov.id() != 0);
+        assert!(
+            tilted.count() >= spreads,
+            "{spreads} spread(s) tilt as many cells"
+        );
         let bytes = original.snapshot_bytes().expect("snapshot");
         // Restore at every thread count: the execution plan must never
         // leak into results, so each restored session must track the
@@ -233,7 +245,7 @@ fn restored_sessions_are_bit_identical_across_threads() {
 
 #[test]
 fn failing_writer_leaves_exact_prefix() {
-    let bytes = mined_session(42, 1, false, quick_config())
+    let bytes = mined_session(42, 1, 0, quick_config())
         .snapshot_bytes()
         .expect("snapshot");
     let limit = bytes.len() / 2;
@@ -260,7 +272,7 @@ fn torn_writes_never_corrupt_the_durable_snapshot() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("session.snap");
 
-    let mut miner = mined_session(42, 1, false, quick_config());
+    let mut miner = mined_session(42, 1, 0, quick_config());
     miner.save(&path).expect("first save");
     let v1 = std::fs::read(&path).expect("durable v1");
 
