@@ -4,6 +4,11 @@
 //! the engine against per-candidate core scoring on the
 //! heterogeneous-covariance path.
 //!
+//! The mammals targets are 0/1, so `eval_throughput_mammals_dy124` sums
+//! them by AND-popcount over the dataset's target bit matrix;
+//! `eval_throughput_mammals_dy124_shifted` scores the same extensions on
+//! every target shifted by 0.5, which takes the 124-column row walk.
+//!
 //! The engine guarantees bit-identical scores at any thread count; this
 //! bench asserts that on every measured batch before timing it. Speedup at
 //! `t` threads is bounded by the machine's available parallelism — on a
@@ -13,6 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sisd_core::{DlParams, Intention};
 use sisd_data::datasets::mammals_synthetic;
 use sisd_data::{BitSet, Dataset};
+use sisd_linalg::Matrix;
 use sisd_model::BackgroundModel;
 use sisd_search::{Candidate, EvalConfig, Evaluator};
 use sisd_stats::Xoshiro256pp;
@@ -40,31 +46,54 @@ fn assert_bit_identical(a: &[sisd_search::Scored], b: &[sisd_search::Scored]) {
     }
 }
 
-fn bench_eval_threads(c: &mut Criterion) {
-    let (data, _) = mammals_synthetic(7);
-    let model = BackgroundModel::from_empirical(&data).expect("model");
-    let batch = candidate_batch(&data, 48, 11);
-
-    let reference = Evaluator::gaussian(&data, &model, DlParams::default(), EvalConfig::default())
-        .score_all(&batch);
-    assert_eq!(reference.len(), batch.len());
-
-    let mut group = c.benchmark_group("eval_throughput_mammals_dy124");
-    group.sample_size(10);
-    for &threads in &[1usize, 2, 4] {
-        let ev = Evaluator::gaussian(
-            &data,
-            &model,
-            DlParams::default(),
-            EvalConfig::with_threads(threads),
-        );
-        assert_bit_identical(&ev.score_all(&batch), &reference);
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("threads{threads}")),
-            |b| b.iter(|| ev.score_all(black_box(&batch)).len()),
-        );
+/// `data` with every target shifted by 0.5: real-valued targets, so no
+/// target bit matrix.
+fn shifted(data: &Dataset) -> Dataset {
+    let mut targets: Matrix = data.targets().clone();
+    for v in targets.as_mut_slice() {
+        *v += 0.5;
     }
-    group.finish();
+    Dataset::new(
+        format!("{} shifted", data.name),
+        data.desc_names().to_vec(),
+        data.desc_cols().to_vec(),
+        data.target_names().to_vec(),
+        targets,
+    )
+}
+
+fn bench_eval_threads(c: &mut Criterion) {
+    let (mammals, _) = mammals_synthetic(7);
+    let batch = candidate_batch(&mammals, 48, 11);
+    let real = shifted(&mammals);
+    assert!(mammals.target_bits().is_some() && real.target_bits().is_none());
+    for (name, data) in [
+        ("eval_throughput_mammals_dy124", &mammals),
+        ("eval_throughput_mammals_dy124_shifted", &real),
+    ] {
+        let model = BackgroundModel::from_empirical(data).expect("model");
+        let reference =
+            Evaluator::gaussian(data, &model, DlParams::default(), EvalConfig::default())
+                .score_all(&batch);
+        assert_eq!(reference.len(), batch.len());
+
+        let mut group = c.benchmark_group(name);
+        group.sample_size(10);
+        for &threads in &[1usize, 2, 4] {
+            let ev = Evaluator::gaussian(
+                data,
+                &model,
+                DlParams::default(),
+                EvalConfig::with_threads(threads),
+            );
+            assert_bit_identical(&ev.score_all(&batch), &reference);
+            group.bench_function(
+                BenchmarkId::from_parameter(format!("threads{threads}")),
+                |b| b.iter(|| ev.score_all(black_box(&batch)).len()),
+            );
+        }
+        group.finish();
+    }
 }
 
 fn bench_eval_dense_path(c: &mut Criterion) {

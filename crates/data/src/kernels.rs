@@ -8,7 +8,10 @@
 //! `sisd-frontier` crate's refinement loop counts a block of its
 //! contiguous mask arena with [`and_count_many_select`], and a consumer
 //! of its batches writes a surviving child's words with [`and_into`]
-//! when it needs them.
+//! when it needs them. The same kernel has a second caller: on 0/1
+//! targets the evaluator counts a candidate's rows in every column of the
+//! dataset's target bit matrix ([`crate::Dataset::target_bits`]) in one
+//! call, and those counts are the columns' sums.
 //!
 //! **Runtime SIMD dispatch.** The portable bodies are plain Rust; on
 //! `x86_64` each public kernel also carries an AVX2+POPCNT-compiled twin

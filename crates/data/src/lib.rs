@@ -5,7 +5,8 @@
 //! vector* in `R^dy`. This crate provides:
 //!
 //! * [`Dataset`] — the container pairing typed description columns with an
-//!   `n × dy` target matrix, plus subgroup statistics (mean / covariance /
+//!   `n × dy` target matrix (kept as a bit matrix too when every target is
+//!   0 or 1), plus subgroup statistics (mean / covariance /
 //!   variance-along-direction, paper Eqs. 1–2),
 //! * [`Column`] — numeric / categorical description columns,
 //! * [`BitSet`] — dense extensions `I ⊆ [n]` with fast intersection counts,

@@ -18,6 +18,9 @@ pub struct Dataset {
     target_names: Vec<String>,
     /// `n × dy` target matrix `Ŷ`.
     targets: Matrix,
+    /// `Ŷ` as a bit matrix when every value is 0 or 1 (see
+    /// [`Dataset::target_bits`]).
+    target_bits: Option<Vec<u64>>,
 }
 
 impl Dataset {
@@ -54,12 +57,14 @@ impl Dataset {
                 targets.rows()
             );
         }
+        let target_bits = binary_target_bits(&targets);
         Self {
             name: name.into(),
             desc_names,
             desc_cols,
             target_names,
             targets,
+            target_bits,
         }
     }
 
@@ -192,6 +197,17 @@ impl Dataset {
         &self.targets
     }
 
+    /// The targets as one row-major bit matrix when every target value is
+    /// exactly 0 or 1 (`v == 0.0 || v == 1.0`, so `−0.0` counts as 0 and
+    /// NaN or ±∞ as neither), `None` otherwise: `dy` rows of ⌈n / 64⌉
+    /// words, row `j` holding column `j` with bit `i` set where `ŷᵢⱼ = 1`
+    /// and tail bits zero — the layout of [`crate::kernels`]'s block
+    /// arguments. A column's sum is then `popcount(I ∧ row j)`, the exact
+    /// integer a row walk adds up from `+0.0` in any order.
+    pub fn target_bits(&self) -> Option<&[u64]> {
+        self.target_bits.as_deref()
+    }
+
     /// Target vector `ŷᵢ` of row `i`.
     pub fn target_row(&self, i: usize) -> &[f64] {
         self.targets.row(i)
@@ -266,6 +282,26 @@ impl Dataset {
     pub fn target_scatter(&self, ext: &BitSet) -> Matrix {
         self.target_covariance(ext)
     }
+}
+
+/// [`Dataset::target_bits`] of `targets`: one pass that stops at the first
+/// value other than 0 or 1, then one row-major pass that sets the bits.
+fn binary_target_bits(targets: &Matrix) -> Option<Vec<u64>> {
+    let values = targets.as_slice();
+    if !values.iter().all(|&v| v == 0.0 || v == 1.0) {
+        return None;
+    }
+    let dy = targets.cols();
+    let stride = targets.rows().div_ceil(64);
+    let mut bits = vec![0u64; dy * stride];
+    // With no columns there are no values, so the row width of 1 is moot.
+    for (i, row) in values.chunks_exact(dy.max(1)).enumerate() {
+        let (word, bit) = (i / 64, i % 64);
+        for (j, &v) in row.iter().enumerate() {
+            bits[j * stride + word] |= u64::from(v == 1.0) << bit;
+        }
+    }
+    Some(bits)
 }
 
 #[cfg(test)]
@@ -374,6 +410,46 @@ mod tests {
         let direct = d.target_variance_along(&ext, &w);
         let via_scatter = d.target_scatter(&ext).quad_form(&w);
         assert!((direct - via_scatter).abs() < 1e-10);
+    }
+
+    #[test]
+    fn binary_targets_keep_their_columns_as_a_bit_matrix() {
+        // 150 rows: three words per column, the last one partial.
+        let (n, dy) = (150usize, 3usize);
+        let mut targets = Matrix::zeros(n, dy);
+        for i in 0..n {
+            for j in 0..dy {
+                targets[(i, j)] = [1.0, 0.0, -0.0, 1.0, 0.0][(i * 7 + j * 3) % 5];
+            }
+        }
+        let make = |targets: Matrix| {
+            let names = (0..dy).map(|j| format!("y{j}")).collect();
+            Dataset::new("bits", vec![], vec![], names, targets)
+        };
+        let d = make(targets.clone());
+        let bits = d.target_bits().expect("0/1 targets keep a bit matrix");
+        let stride = n.div_ceil(64);
+        assert_eq!(bits.len(), dy * stride);
+        for j in 0..dy {
+            let row = &bits[j * stride..(j + 1) * stride];
+            let column = BitSet::from_fn(n, |i| d.target_row(i)[j] == 1.0);
+            assert_eq!(row, column.words(), "column {j}");
+            assert_eq!(row[stride - 1] >> (n % 64), 0, "column {j}: tail bits");
+        }
+        let subnormal = f64::MIN_POSITIVE / 4.0;
+        for bad in [
+            2.0,
+            0.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            subnormal,
+        ] {
+            let mut t = targets.clone();
+            t[(n / 2, 1)] = bad;
+            assert!(make(t).target_bits().is_none(), "a target of {bad}");
+        }
+        assert!(toy().target_bits().is_none());
     }
 
     #[test]

@@ -301,10 +301,19 @@ impl BackgroundModel {
                 got: sigma.rows(),
             });
         }
-        Cholesky::new_with_jitter(&sigma, 4).map_err(|_| ModelError::BadPrior)?;
+        // The first four jittered tries are the covariance object's too, so
+        // a factor found within them is the one its 8-try build would give.
+        let (chol, _) = Cholesky::new_with_jitter(&sigma, 4).map_err(|_| ModelError::BadPrior)?;
+        Ok(Self::with_prior(n, mu, sigma, chol))
+    }
+
+    /// The model of [`BackgroundModel::new`] from a validated prior and the
+    /// factor of its Σ, which its covariance object keeps.
+    fn with_prior(n: usize, mu: Vec<f64>, sigma: Matrix, chol: Cholesky) -> Self {
         let dy = mu.len();
-        let cell = Cell::new(BitSet::full(n), mu, Arc::new(Covariance::new(0, sigma)));
-        Ok(Self {
+        let cov = Covariance::with_factor(0, sigma, chol);
+        let cell = Cell::new(BitSet::full(n), mu, Arc::new(cov));
+        Self {
             n,
             dy,
             cells: vec![cell],
@@ -316,7 +325,7 @@ impl BackgroundModel {
             partition_epoch: 0,
             scratch: ProjectionScratch::default(),
             obs: ObsHandle::disabled(),
-        })
+        }
     }
 
     /// Routes the model's refit/projection counters to `obs`. Observability
@@ -337,11 +346,16 @@ impl BackgroundModel {
         let mu = dataset.target_mean_all();
         let mut sigma = dataset.target_covariance_all();
         // Guard against degenerate empirical covariances (constant targets).
-        if Cholesky::new(&sigma).is_err() {
-            let scale = (0..sigma.rows()).map(|i| sigma[(i, i)]).fold(0.0, f64::max);
-            sigma.add_diag((scale * 1e-8).max(1e-12));
+        // A factor the guard finds is the unjittered first try of every
+        // later build, so the prior keeps it.
+        match Cholesky::new(&sigma) {
+            Ok(chol) => Ok(Self::with_prior(dataset.n(), mu, sigma, chol)),
+            Err(_) => {
+                let scale = (0..sigma.rows()).map(|i| sigma[(i, i)]).fold(0.0, f64::max);
+                sigma.add_diag((scale * 1e-8).max(1e-12));
+                Self::new(dataset.n(), mu, sigma)
+            }
         }
-        Self::new(dataset.n(), mu, sigma)
     }
 
     /// Number of rows.
@@ -1881,6 +1895,30 @@ mod tests {
                 }
                 assert_factors_fresh(&mut model)?;
             }
+        }
+    }
+
+    #[test]
+    fn set_up_hands_its_factor_of_the_prior_to_the_cells() {
+        use sisd_data::datasets::mammals_synthetic;
+        let (mammals, _) = mammals_synthetic(2018);
+        let n = 40;
+        let mut values = Matrix::zeros(n, 2);
+        values.as_mut_slice().fill(3.0);
+        let names = vec!["a".into(), "b".into()];
+        let constant = Dataset::new("constant", vec![], vec![], names, values);
+        assert!(
+            Cholesky::new(&constant.target_covariance_all()).is_err(),
+            "constant targets take the guard's diagonal shift"
+        );
+        for data in [&mammals, &constant] {
+            let mut model = BackgroundModel::from_empirical(data).unwrap();
+            assert!(
+                model.cells[0].cov.has_factor(),
+                "{}: the set-up's factor is kept",
+                data.name
+            );
+            assert_factors_fresh(&mut model).unwrap();
         }
     }
 

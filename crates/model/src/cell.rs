@@ -36,6 +36,21 @@ impl Covariance {
         }
     }
 
+    /// A covariance object holding `chol`, a factor of Σ with the bits
+    /// [`Covariance::chol`] would build, so that no call builds it again.
+    pub(crate) fn with_factor(id: u64, sigma: Matrix, chol: Cholesky) -> Self {
+        Self {
+            chol: OnceLock::from(Some(chol)),
+            ..Self::new(id, sigma)
+        }
+    }
+
+    /// Whether the factor has been built (or given) yet.
+    #[cfg(test)]
+    pub(crate) fn has_factor(&self) -> bool {
+        self.chol.get().is_some()
+    }
+
     /// Identifier of the covariance value (its `cov_id`). Evaluators use it
     /// to detect the common "all cells share Σ" case and reuse one factor.
     pub fn id(&self) -> u64 {

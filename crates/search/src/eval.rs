@@ -18,7 +18,13 @@
 //!   over its rows
 //!   ([`sisd_data::kernels::count_cells_sum_rows`] over the model's
 //!   row-to-cell map), so a candidate costs `O(|I| · dy)` however many
-//!   cells the partition has. On single-target data a beam level instead
+//!   cells the partition has. On 0/1 targets the walk only counts cells
+//!   ([`sisd_data::kernels::count_cells`]), and each column's sum is the
+//!   popcount of the candidate's words ANDed with that column's row of the
+//!   dataset's bit matrix ([`Dataset::target_bits`], all columns through
+//!   one [`sisd_data::kernels::and_count_many_select`] call): the exact
+//!   integer the walk adds up from `+0.0`, so the same bits. On
+//!   single-target data a beam level instead
 //!   walks each parent's rows once per block of 64 conditions
 //!   ([`sisd_data::kernels::count_cells_sum_lanes`]), which yields the
 //!   counts and sums of all the parent's children through that block, the
@@ -42,7 +48,8 @@
 //!   searches may be parallelized without changing their output.
 //!
 //! Scoring runs through a per-chunk workspace (per-cell and per-lane
-//! counts, the signature, the observed mean, the run of children waiting
+//! counts, the signature, the observed mean, the per-column popcounts of
+//! 0/1 targets, the run of children waiting
 //! for their statistics and the model's statistics buffers), so a
 //! candidate allocates nothing of its own; the beam loop below scores its
 //! children from the frontier's borrowed parent and mask words — siblings
@@ -185,6 +192,12 @@ struct Workspace {
     signature: Vec<(usize, usize)>,
     /// The current candidate's observed target mean.
     mean: Vec<f64>,
+    /// The current candidate's rows in each target column of the dataset's
+    /// bit matrix ([`Dataset::target_bits`]); empty on other data.
+    column_ones: Vec<usize>,
+    /// One `true` per column of the bit matrix: the selection that counts
+    /// them all; empty on other data.
+    all_columns: Vec<bool>,
     /// The model statistics and their working vectors.
     stats: LocationScratch,
     /// A sibling walk's per-lane counts, [`LANES`] per parameter cell
@@ -419,6 +432,7 @@ impl<'a> Evaluator<'a> {
         let cells = self.model.n_cells();
         let dy = self.data.dy();
         let lanes = if dy == 1 { cells * LANES } else { 0 };
+        let bit_columns = self.data.target_bits().map_or(0, |_| dy);
         let run = if dy > 1 {
             ChildRun {
                 signatures: vec![Vec::new(); RUN],
@@ -432,6 +446,8 @@ impl<'a> Evaluator<'a> {
             cell_rows: vec![0; cells],
             signature: Vec::new(),
             mean: vec![0.0; dy],
+            column_ones: vec![0; bit_columns],
+            all_columns: vec![true; bit_columns],
             stats: LocationScratch::default(),
             lane_counts: vec![0; lanes],
             touched: Vec::new(),
@@ -439,17 +455,30 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// One walk over the rows `ext` selects: the candidate's cell-count
-    /// signature into `ws.signature` and its target row sum into `ws.mean`.
+    /// The candidate's cell-count signature into `ws.signature` and its
+    /// target row sum into `ws.mean`, from one walk over the rows `ext`
+    /// selects. On 0/1 targets the walk only counts cells, and column `j`'s
+    /// sum is `popcount(ext ∧ column j)` of the dataset's bit matrix: a
+    /// walk's sum of 0s and 1s from `+0.0` is an exact integer at every
+    /// step (and `+0.0 + −0.0 = +0.0`), so both give the same bits.
     fn walk(&self, ext: &[u64], ws: &mut Workspace) {
-        ws.mean.fill(0.0);
-        kernels::count_cells_sum_rows(
-            ext,
-            self.model.cell_of_row(),
-            &mut ws.cell_rows,
-            self.data.targets().as_slice(),
-            &mut ws.mean,
-        );
+        let cell_of_row = self.model.cell_of_row();
+        if let Some(bits) = self.data.target_bits() {
+            kernels::count_cells(ext, cell_of_row, &mut ws.cell_rows);
+            kernels::and_count_many_select(ext, bits, &ws.all_columns, &mut ws.column_ones);
+            for (sum, &ones) in ws.mean.iter_mut().zip(&ws.column_ones) {
+                *sum = ones as f64;
+            }
+        } else {
+            ws.mean.fill(0.0);
+            kernels::count_cells_sum_rows(
+                ext,
+                cell_of_row,
+                &mut ws.cell_rows,
+                self.data.targets().as_slice(),
+                &mut ws.mean,
+            );
+        }
         ws.signature.clear();
         for (g, c) in ws.cell_rows.iter_mut().enumerate() {
             if *c > 0 {
@@ -514,8 +543,8 @@ impl<'a> Evaluator<'a> {
 
     /// Observed mean and SI breakdown of one candidate of the given
     /// description arity, from its extension's words — the scoring core
-    /// every entry point shares: one walk over the candidate's rows yields
-    /// its cell-count signature and its target row sum, from which
+    /// every entry point shares: [`Evaluator::walk`] yields its cell-count
+    /// signature and its target row sum, from which
     /// [`Evaluator::ic`] takes the model statistics. Leaves the observed
     /// mean in `ws.mean`.
     fn score_words(

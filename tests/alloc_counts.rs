@@ -413,8 +413,9 @@ use sisd::search::{Miner, MinerConfig};
 /// Two categorical attributes of `labels` levels each, so a depth-2 beam
 /// scores `2 × labels` root children and then, for each of its parents,
 /// the `labels` conditions on the attribute the parent does not use; with
-/// the first `dy` of two target columns.
-fn two_attribute_dataset(n: usize, labels: usize, dy: usize) -> Dataset {
+/// the first `dy` of two target columns, each thresholded at 0 into a 0/1
+/// value when `binary`.
+fn two_attribute_dataset(n: usize, labels: usize, dy: usize, binary: bool) -> Dataset {
     let mut rng = Xoshiro256pp::seed_from_u64(29);
     let a: Vec<String> = (0..n).map(|i| format!("a{}", i % labels)).collect();
     let b: Vec<String> = (0..n)
@@ -427,7 +428,11 @@ fn two_attribute_dataset(n: usize, labels: usize, dy: usize) -> Dataset {
             rng.normal() - ((i / 3) % labels) as f64 * 0.05,
         ];
         for (j, v) in row.into_iter().take(dy).enumerate() {
-            targets[(i, j)] = v;
+            targets[(i, j)] = if binary {
+                f64::from(u8::from(v > 0.0))
+            } else {
+                v
+            };
         }
     }
     let column = |v: &[String]| {
@@ -459,7 +464,7 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
     // above the default minimum coverage. On one target column a level
     // scores its children as sibling lanes, whose per-lane counts and
     // covered-cell list live in the per-chunk workspace, so the same bound
-    // holds there.
+    // holds there; so do 0/1 targets, whose column counts live there too.
     const N: usize = 8192;
     let config = MinerConfig {
         beam: BeamConfig {
@@ -470,9 +475,10 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
         },
         ..MinerConfig::default()
     };
-    let measure = |labels: usize, dy: usize| -> (usize, usize) {
-        let miner = Miner::from_empirical(two_attribute_dataset(N, labels, dy), config.clone())
-            .expect("model fits");
+    let measure = |labels: usize, dy: usize, binary: bool| -> (usize, usize) {
+        let data = two_attribute_dataset(N, labels, dy, binary);
+        assert_eq!(data.target_bits().is_some(), binary);
+        let miner = Miner::from_empirical(data, config.clone()).expect("model fits");
         // The first search builds the condition masks and warms the
         // model's lazy factors; the counted ones are steady state.
         let warm = miner.search_locations();
@@ -485,18 +491,19 @@ fn gaussian_beam_levels_allocate_per_kept_pattern_not_per_candidate() {
         }
         (warm.evaluated, best)
     };
-    for dy in [2, 1] {
-        let (few, few_allocs) = measure(8, dy);
-        let (many, many_allocs) = measure(32, dy);
+    for (dy, binary) in [(2, false), (1, false), (2, true)] {
+        let (few, few_allocs) = measure(8, dy, binary);
+        let (many, many_allocs) = measure(32, dy, binary);
         assert!(
             many >= few + 200,
-            "dy={dy}: the wider language must score many more candidates: {few} vs {many}"
+            "dy={dy} binary={binary}: the wider language must score many more candidates: \
+             {few} vs {many}"
         );
         let extra = many - few;
         assert!(
             many_allocs < few_allocs + extra,
-            "dy={dy}: a beam level must allocate O(width + top_k), not per candidate: \
-             {few_allocs} allocations for {few} candidates, {many_allocs} for {many}"
+            "dy={dy} binary={binary}: a beam level must allocate O(width + top_k), not per \
+             candidate: {few_allocs} allocations for {few} candidates, {many_allocs} for {many}"
         );
     }
 }

@@ -4,7 +4,8 @@
 //! on the multi-covariance (post-spread-assimilation) dense branch where
 //! each candidate's covariance mixture is factored for it alone — and, on
 //! a partition of 64+ cells, bit-identical to the per-cell composition
-//! its single row walk replaced.
+//! its single row walk replaced, on real-valued targets and on 0/1 targets
+//! (whose column sums the engine takes by AND-popcount).
 
 use proptest::prelude::*;
 use sisd::core::{location_ic_of_stats, location_si, DlParams, Intention, LocationScore};
@@ -32,6 +33,31 @@ fn random_data(seed: u64, n: usize) -> Dataset {
         vec!["y1".into(), "y2".into()],
         targets,
     )
+}
+
+/// [`random_data`] with each target thresholded at 0 into a 0/1 value, a
+/// zero in every third entry of the target matrix written as `−0.0`:
+/// presence/absence targets like the mammals data's, which the engine sums
+/// by AND-popcount.
+fn binary_data(seed: u64, n: usize) -> Dataset {
+    let data = random_data(seed, n);
+    let mut targets = data.targets().clone();
+    for (k, v) in targets.as_mut_slice().iter_mut().enumerate() {
+        *v = match (*v > 0.0, k % 3) {
+            (true, _) => 1.0,
+            (false, 0) => -0.0,
+            (false, _) => 0.0,
+        };
+    }
+    let data = Dataset::new(
+        "parity-binary",
+        data.desc_names().to_vec(),
+        data.desc_cols().to_vec(),
+        data.target_names().to_vec(),
+        targets,
+    );
+    assert!(data.target_bits().is_some());
+    data
 }
 
 /// Random candidate extensions of assorted sizes (some tiny, some broad).
@@ -212,13 +238,18 @@ fn deeply_refined_model(data: &Dataset, seed: u64) -> BackgroundModel {
 #[test]
 fn score_all_matches_the_per_cell_composition_on_a_deep_partition() {
     let dl = DlParams::default();
-    for seed in [3u64, 41, 977] {
-        let n = 400;
-        let data = random_data(seed, n);
+    // Real-valued targets take the engine's row walk, 0/1 targets its
+    // AND-popcount sums; the oracle sums rows either way.
+    let n = 400;
+    let datasets = [3u64, 41, 977]
+        .into_iter()
+        .flat_map(|seed| [(seed, random_data(seed, n)), (seed, binary_data(seed, n))]);
+    for (seed, data) in datasets {
         let model = deeply_refined_model(&data, seed);
+        let name = &data.name;
         assert!(
             model.n_cells() >= 64,
-            "seed {seed}: only {} cells",
+            "{name} seed {seed}: only {} cells",
             model.n_cells()
         );
         // Straddling candidates plus exact unions of cells, so both
@@ -236,6 +267,14 @@ fn score_all_matches_the_per_cell_composition_on_a_deep_partition() {
                 ext: union,
             });
         }
+        // The rows with a non-positive value in one target column: on 0/1
+        // targets that column sums to zero, where a signed zero would show.
+        for j in 0..data.dy() {
+            cands.push(Candidate {
+                intention: Intention::empty(),
+                ext: BitSet::from_fn(n, |i| data.target_row(i)[j] <= 0.0),
+            });
+        }
         let want: Vec<_> = cands
             .iter()
             .map(|c| per_cell_composition(&data, &model, &c.ext, c.intention.len(), &dl))
@@ -243,9 +282,13 @@ fn score_all_matches_the_per_cell_composition_on_a_deep_partition() {
         for threads in [1usize, 4] {
             let ev = Evaluator::gaussian(&data, &model, dl, EvalConfig::with_threads(threads));
             let got = ev.score_all(&cands);
-            assert_eq!(got.len(), want.len(), "seed {seed} threads={threads}");
+            assert_eq!(
+                got.len(),
+                want.len(),
+                "{name} seed {seed} threads={threads}"
+            );
             for (i, (s, (mean, score))) in got.iter().zip(&want).enumerate() {
-                let what = format!("seed {seed} threads={threads} candidate {i}");
+                let what = format!("{name} seed {seed} threads={threads} candidate {i}");
                 assert_eq!(s.score.ic.to_bits(), score.ic.to_bits(), "{what}: IC");
                 assert_eq!(s.score.dl.to_bits(), score.dl.to_bits(), "{what}: DL");
                 assert_eq!(s.score.si.to_bits(), score.si.to_bits(), "{what}: SI");
