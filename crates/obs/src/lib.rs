@@ -120,11 +120,25 @@ pub enum Metric {
     SnapshotRestoreNs,
     /// Restores rejected for corruption, truncation, or version skew.
     SnapshotCrcFailures,
+    /// Spread-direction searches' starts (seed directions; coordinate
+    /// pairs of a 2-sparse search).
+    SphereStarts,
+    /// Gradient-ascent iterations across spread-direction starts (grid and
+    /// golden-section points of a 2-sparse search).
+    SphereIterations,
+    /// Spread-IC evaluations: each start's first point and every
+    /// line-search trial (every point of a 2-sparse search).
+    SphereEvaluations,
+    /// Spread-IC gradients assembled: one per start and one per accepted
+    /// ascent step.
+    SphereGradients,
+    /// Spread-direction starts that ended on the iteration cap.
+    SphereCappedStarts,
 }
 
 impl Metric {
     /// Number of metrics; the registry array length.
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 36;
 
     /// Every metric, in registry order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -159,6 +173,11 @@ impl Metric {
         Metric::SnapshotWriteNs,
         Metric::SnapshotRestoreNs,
         Metric::SnapshotCrcFailures,
+        Metric::SphereStarts,
+        Metric::SphereIterations,
+        Metric::SphereEvaluations,
+        Metric::SphereGradients,
+        Metric::SphereCappedStarts,
     ];
 
     /// Registry slot of this metric.
@@ -201,6 +220,11 @@ impl Metric {
             Metric::SnapshotWriteNs => "snapshot.write_ns",
             Metric::SnapshotRestoreNs => "snapshot.restore_ns",
             Metric::SnapshotCrcFailures => "snapshot.crc_failures",
+            Metric::SphereStarts => "sphere.starts",
+            Metric::SphereIterations => "sphere.iterations",
+            Metric::SphereEvaluations => "sphere.evaluations",
+            Metric::SphereGradients => "sphere.gradients",
+            Metric::SphereCappedStarts => "sphere.capped_starts",
         }
     }
 
@@ -942,11 +966,21 @@ impl fmt::Display for SearchReport {
             g(Metric::RefitLastCycles),
             g(Metric::RefitLastConstraintsUpdated),
         )?;
-        write!(
+        writeln!(
             f,
             "  model   : {} factor rebuild(s) / {} reuse(s)",
             g(Metric::ModelFactorRebuilds),
             g(Metric::ModelFactorReuses),
+        )?;
+        write!(
+            f,
+            "  sphere  : {} start(s), {} iteration(s), {} evaluation(s), {} gradient(s), \
+             {} start(s) on the cap",
+            g(Metric::SphereStarts),
+            g(Metric::SphereIterations),
+            g(Metric::SphereEvaluations),
+            g(Metric::SphereGradients),
+            g(Metric::SphereCappedStarts),
         )
     }
 }
@@ -1221,7 +1255,7 @@ mod tests {
         reg.set(Metric::RefitLastCycles, 4);
         let report = SearchReport::from_snapshot(reg.snapshot());
         let text = report.to_string();
-        for needle in ["search", "eval", "frontier", "refit", "model"] {
+        for needle in ["search", "eval", "frontier", "refit", "model", "sphere"] {
             assert!(text.contains(needle), "missing section {needle}:\n{text}");
         }
         assert!(
@@ -1232,6 +1266,13 @@ mod tests {
         );
         assert!(
             text.contains("model   : 0 factor rebuild(s) / 0 reuse(s)"),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "sphere  : 0 start(s), 0 iteration(s), 0 evaluation(s), 0 gradient(s), \
+                 0 start(s) on the cap"
+            ),
             "{text}"
         );
         assert!(

@@ -7,7 +7,7 @@
 
 use crate::beam::{BeamConfig, BeamResult, BeamSearch};
 use crate::eval::{EvalConfig, SearchLanguage};
-use crate::sphere::{mine_spread_pattern, SphereConfig};
+use crate::sphere::{search_direction, spread_pattern, SphereConfig};
 use sisd_core::{DlParams, LocationPattern, SisdError, SpreadPattern};
 use sisd_data::snap::{atomic_write, put_u64, SnapCursor, SnapError, SnapReader, SnapWriter};
 use sisd_data::Dataset;
@@ -329,16 +329,30 @@ impl Miner {
     }
 
     /// Finds the most interesting spread direction for an
-    /// already-assimilated location pattern (step 2 of §II-D).
+    /// already-assimilated location pattern (step 2 of §II-D), and counts
+    /// the direction search's work into the miner's obs handle.
     pub fn mine_spread(&self, location: &LocationPattern) -> SpreadPattern {
-        mine_spread_pattern(
+        let ext = &location.extension;
+        let result = search_direction(
+            &self.model,
+            &self.data,
+            ext,
+            &self.config.sphere,
+            self.config.two_sparse_spread,
+        );
+        let obs = self.obs();
+        obs.add(Metric::SphereStarts, result.starts as u64);
+        obs.add(Metric::SphereIterations, result.iterations as u64);
+        obs.add(Metric::SphereEvaluations, result.evaluations as u64);
+        obs.add(Metric::SphereGradients, result.gradients as u64);
+        obs.add(Metric::SphereCappedStarts, result.capped_starts as u64);
+        spread_pattern(
             &self.model,
             &self.data,
             &location.intention,
-            &location.extension,
+            ext,
             &self.config.dl(),
-            &self.config.sphere,
-            self.config.two_sparse_spread,
+            result.w,
         )
     }
 

@@ -10,14 +10,22 @@
 //! observed-to-expected variance ratio is most extreme, which is exactly
 //! the surprise the IC rewards).
 //!
+//! The line search scores each trial point by its IC alone; the gradient
+//! is built only at the points the ascent accepts (its start, and each
+//! accepted trial), from the per-cell products, `Ŝw` and the scalars the
+//! trial's IC evaluation left behind. One workspace of buffers serves a
+//! whole direction search, so an ascent step allocates nothing. The
+//! gradient at an accepted point has the bits of the formula evaluated
+//! there from scratch.
+//!
 //! A 2-sparse variant optimizes the direction on every coordinate pair and
 //! keeps the best (used in the socio-economics case study §III-C "to
-//! increase interpretability").
+//! increase interpretability"); it needs no gradient at all.
 
 use crate::eval::{EvalConfig, Evaluator};
 use sisd_core::{DlParams, Intention, SpreadPattern};
 use sisd_data::{BitSet, Dataset};
-use sisd_linalg::{Cholesky, Matrix, SymEigen};
+use sisd_linalg::{axpy, dot, norm2, normalize, Cholesky, Matrix, SymEigen};
 use sisd_model::{BackgroundModel, Covariance};
 use sisd_stats::special::{digamma, ln_gamma};
 use sisd_stats::Xoshiro256pp;
@@ -47,18 +55,59 @@ impl Default for SphereConfig {
     }
 }
 
-/// Outcome of a direction search.
+/// Outcome of a direction search, with the work it took.
 #[derive(Debug, Clone)]
 pub struct SphereResult {
     /// The optimized unit direction.
     pub w: Vec<f64>,
     /// Information content at `w`.
     pub ic: f64,
-    /// Total gradient-ascent iterations across starts.
+    /// Total gradient-ascent iterations across starts. The 2-sparse
+    /// search counts its grid and golden-section points here.
     pub iterations: usize,
+    /// Starts searched: seed directions of the full search, coordinate
+    /// pairs of the 2-sparse one.
+    pub starts: usize,
+    /// IC evaluations: each start's first point and every line-search
+    /// trial (every point of the 2-sparse search).
+    pub evaluations: usize,
+    /// Gradients assembled: one per start and one per accepted step, so
+    /// `evaluations − gradients` trial points were rejected. The 2-sparse
+    /// search assembles none.
+    pub gradients: usize,
+    /// Starts that ended on the iteration cap (`SphereConfig::max_iters`)
+    /// rather than on the gradient test or a failed line search.
+    pub capped_starts: usize,
 }
 
-/// The spread-IC objective for a fixed subgroup, with analytic gradient.
+impl SphereResult {
+    /// A result with no start searched yet, its `w` sized for `dy`.
+    fn empty(dy: usize) -> Self {
+        Self {
+            w: vec![0.0; dy],
+            ic: f64::NAN,
+            iterations: 0,
+            starts: 0,
+            evaluations: 0,
+            gradients: 0,
+            capped_starts: 0,
+        }
+    }
+
+    /// Counts a finished start ending at `w` with IC `ic`, and keeps it
+    /// when it is the first start or beats the best one so far.
+    fn offer(&mut self, w: &[f64], ic: f64) {
+        if self.starts == 0 || ic > self.ic {
+            self.w.copy_from_slice(w);
+            self.ic = ic;
+        }
+        self.starts += 1;
+    }
+}
+
+/// The spread-IC objective for a fixed subgroup. [`SpreadObjective::ic`]
+/// scores a direction and leaves what its gradient needs in a [`Point`];
+/// [`SpreadObjective::grad`] assembles the gradient from it.
 struct SpreadObjective {
     /// `(count within I, Σ_g)` per intersecting parameter cell, holding
     /// the cell's covariance object.
@@ -68,6 +117,79 @@ struct SpreadObjective {
     /// Subgroup scatter matrix `Ŝ` (so `ĝ(w) = wᵀŜw`).
     scatter: Matrix,
     dy: usize,
+}
+
+/// The last direction [`SpreadObjective::ic`] scored, as its gradient
+/// reads it, plus the gradient's scratch vectors.
+struct Point {
+    /// Cell `g`'s `u_g = Σ_g w`, at `u[g·dy..(g + 1)·dy]`.
+    u: Vec<f64>,
+    /// Cell `g`'s `a_g = wᵀu_g / |I|`.
+    a: Vec<f64>,
+    /// `Ŝw`.
+    v: Vec<f64>,
+    s2: f64,
+    s3: f64,
+    alpha: f64,
+    /// The degrees of freedom `m` of the χ² fit.
+    mdf: f64,
+    /// The standardized statistic `x`, clamped to at least 1e-12.
+    x: f64,
+    /// Whether `x` was clamped (its gradient is then zero).
+    clamped: bool,
+    /// `∇s₁`, overwritten by `∇β`.
+    grad_s1: Vec<f64>,
+    grad_s2: Vec<f64>,
+    grad_s3: Vec<f64>,
+    grad_alpha: Vec<f64>,
+    grad_mdf: Vec<f64>,
+    grad_x: Vec<f64>,
+}
+
+impl Point {
+    fn new(obj: &SpreadObjective) -> Self {
+        let dy = obj.dy;
+        Self {
+            u: vec![0.0; obj.cells.len() * dy],
+            a: vec![0.0; obj.cells.len()],
+            v: vec![0.0; dy],
+            s2: 0.0,
+            s3: 0.0,
+            alpha: 0.0,
+            mdf: 0.0,
+            x: 0.0,
+            clamped: false,
+            grad_s1: vec![0.0; dy],
+            grad_s2: vec![0.0; dy],
+            grad_s3: vec![0.0; dy],
+            grad_alpha: vec![0.0; dy],
+            grad_mdf: vec![0.0; dy],
+            grad_x: vec![0.0; dy],
+        }
+    }
+}
+
+/// The buffers of one full-sphere direction search: the scored point, the
+/// ascent's position and trial, and the tangent and gradient there.
+struct Workspace {
+    at: Point,
+    w: Vec<f64>,
+    cand: Vec<f64>,
+    tangent: Vec<f64>,
+    grad: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(obj: &SpreadObjective) -> Self {
+        let dy = obj.dy;
+        Self {
+            at: Point::new(obj),
+            w: vec![0.0; dy],
+            cand: vec![0.0; dy],
+            tangent: vec![0.0; dy],
+            grad: vec![0.0; dy],
+        }
+    }
 }
 
 impl SpreadObjective {
@@ -89,82 +211,88 @@ impl SpreadObjective {
         }
     }
 
-    /// IC and its Euclidean gradient at `w` (‖w‖ = 1 assumed).
-    fn ic_and_grad(&self, w: &[f64]) -> (f64, Vec<f64>) {
-        let dy = self.dy;
+    /// IC at `w` (‖w‖ = 1 assumed), leaving in `p` what
+    /// [`SpreadObjective::grad`] reads.
+    fn ic(&self, w: &[f64], p: &mut Point) -> f64 {
         let mf = self.m;
 
         // Per-cell quantities and power sums.
         let (mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0);
-        let mut grad_s1 = vec![0.0; dy];
-        let mut grad_s2 = vec![0.0; dy];
-        let mut grad_s3 = vec![0.0; dy];
-        for (c, cov) in &self.cells {
-            let u = cov.sigma().mul_vec(w);
-            let a = sisd_linalg::dot(w, &u) / mf;
+        let per_cell = p.u.chunks_exact_mut(self.dy).zip(&mut p.a);
+        for ((c, cov), (u, a_g)) in self.cells.iter().zip(per_cell) {
+            cov.sigma().mul_vec_into(w, u);
+            let a = dot(w, u) / mf;
+            *a_g = a;
             s1 += c * a;
             s2 += c * a * a;
             s3 += c * a * a * a;
-            // ∇a = (2/m) Σw = (2/m) u.
-            sisd_linalg::axpy(c * 2.0 / mf, &u, &mut grad_s1);
-            sisd_linalg::axpy(c * 4.0 * a / mf, &u, &mut grad_s2);
-            sisd_linalg::axpy(c * 6.0 * a * a / mf, &u, &mut grad_s3);
         }
 
         let alpha = s3 / s2;
         let beta = s1 - s2 * s2 / s3;
         let mdf = s2 * s2 * s2 / (s3 * s3);
 
-        // ∇α = (s2 ∇s3 − s3 ∇s2)/s2².
-        let mut grad_alpha = vec![0.0; dy];
-        sisd_linalg::axpy(1.0 / s2, &grad_s3, &mut grad_alpha);
-        sisd_linalg::axpy(-s3 / (s2 * s2), &grad_s2, &mut grad_alpha);
-        // ∇β = ∇s1 − (2 s2/s3) ∇s2 + (s2²/s3²) ∇s3.
-        let mut grad_beta = grad_s1.clone();
-        sisd_linalg::axpy(-2.0 * s2 / s3, &grad_s2, &mut grad_beta);
-        sisd_linalg::axpy(s2 * s2 / (s3 * s3), &grad_s3, &mut grad_beta);
-        // ∇m = 3 s2²/s3² ∇s2 − 2 s2³/s3³ ∇s3.
-        let mut grad_mdf = vec![0.0; dy];
-        sisd_linalg::axpy(3.0 * s2 * s2 / (s3 * s3), &grad_s2, &mut grad_mdf);
-        sisd_linalg::axpy(
-            -2.0 * s2 * s2 * s2 / (s3 * s3 * s3),
-            &grad_s3,
-            &mut grad_mdf,
-        );
-
-        // Observed statistic and its gradient.
-        let v = self.scatter.mul_vec(w);
-        let g_obs = sisd_linalg::dot(w, &v);
+        // Observed statistic.
+        self.scatter.mul_vec_into(w, &mut p.v);
+        let g_obs = dot(w, &p.v);
 
         let x_raw = (g_obs - beta) / alpha;
         let x = x_raw.max(1e-12);
-        let clamped = x_raw <= 1e-12;
+        p.clamped = x_raw <= 1e-12;
+        (p.s2, p.s3, p.alpha, p.mdf, p.x) = (s2, s3, alpha, mdf, x);
 
         // IC = ln α + (m/2) ln 2 + ln Γ(m/2) − (m/2 − 1) ln x + x/2.
-        let ic = alpha.ln() + 0.5 * mdf * (2.0_f64).ln() + ln_gamma(0.5 * mdf)
-            - (0.5 * mdf - 1.0) * x.ln()
-            + 0.5 * x;
-
-        // ∇x = (∇ĝ − ∇β)/α − (x/α) ∇α  (zero under clamping).
-        let mut grad_x = vec![0.0; dy];
-        if !clamped {
-            sisd_linalg::axpy(2.0 / alpha, &v, &mut grad_x);
-            sisd_linalg::axpy(-1.0 / alpha, &grad_beta, &mut grad_x);
-            sisd_linalg::axpy(-x / alpha, &grad_alpha, &mut grad_x);
-        }
-
-        let mut grad = vec![0.0; dy];
-        sisd_linalg::axpy(1.0 / alpha, &grad_alpha, &mut grad);
-        let mdf_coeff = 0.5 * (2.0_f64).ln() + 0.5 * digamma(0.5 * mdf) - 0.5 * x.ln();
-        sisd_linalg::axpy(mdf_coeff, &grad_mdf, &mut grad);
-        sisd_linalg::axpy(-(0.5 * mdf - 1.0) / x + 0.5, &grad_x, &mut grad);
-
-        (ic, grad)
+        alpha.ln() + 0.5 * mdf * (2.0_f64).ln() + ln_gamma(0.5 * mdf) - (0.5 * mdf - 1.0) * x.ln()
+            + 0.5 * x
     }
 
-    /// IC only (used by the 2-sparse grid).
-    fn ic(&self, w: &[f64]) -> f64 {
-        self.ic_and_grad(w).0
+    /// Euclidean gradient of the IC into `grad`, at the direction `p`'s
+    /// last [`SpreadObjective::ic`] call scored.
+    fn grad(&self, p: &mut Point, grad: &mut [f64]) {
+        let mf = self.m;
+        let (s2, s3, alpha, mdf, x) = (p.s2, p.s3, p.alpha, p.mdf, p.x);
+
+        // ∇a = (2/m) Σw = (2/m) u.
+        p.grad_s1.fill(0.0);
+        p.grad_s2.fill(0.0);
+        p.grad_s3.fill(0.0);
+        let per_cell = p.u.chunks_exact(self.dy).zip(&p.a);
+        for ((c, _), (u, &a)) in self.cells.iter().zip(per_cell) {
+            axpy(c * 2.0 / mf, u, &mut p.grad_s1);
+            axpy(c * 4.0 * a / mf, u, &mut p.grad_s2);
+            axpy(c * 6.0 * a * a / mf, u, &mut p.grad_s3);
+        }
+
+        // ∇α = (s2 ∇s3 − s3 ∇s2)/s2².
+        p.grad_alpha.fill(0.0);
+        axpy(1.0 / s2, &p.grad_s3, &mut p.grad_alpha);
+        axpy(-s3 / (s2 * s2), &p.grad_s2, &mut p.grad_alpha);
+        // ∇β = ∇s1 − (2 s2/s3) ∇s2 + (s2²/s3²) ∇s3, in ∇s1's buffer.
+        let grad_beta = &mut p.grad_s1;
+        axpy(-2.0 * s2 / s3, &p.grad_s2, grad_beta);
+        axpy(s2 * s2 / (s3 * s3), &p.grad_s3, grad_beta);
+        // ∇m = 3 s2²/s3² ∇s2 − 2 s2³/s3³ ∇s3.
+        p.grad_mdf.fill(0.0);
+        axpy(3.0 * s2 * s2 / (s3 * s3), &p.grad_s2, &mut p.grad_mdf);
+        axpy(
+            -2.0 * s2 * s2 * s2 / (s3 * s3 * s3),
+            &p.grad_s3,
+            &mut p.grad_mdf,
+        );
+
+        // ∇x = (∇ĝ − ∇β)/α − (x/α) ∇α  (zero under clamping).
+        p.grad_x.fill(0.0);
+        if !p.clamped {
+            axpy(2.0 / alpha, &p.v, &mut p.grad_x);
+            axpy(-1.0 / alpha, &p.grad_s1, &mut p.grad_x);
+            axpy(-x / alpha, &p.grad_alpha, &mut p.grad_x);
+        }
+
+        grad.fill(0.0);
+        axpy(1.0 / alpha, &p.grad_alpha, grad);
+        let mdf_coeff = 0.5 * (2.0_f64).ln() + 0.5 * digamma(0.5 * mdf) - 0.5 * x.ln();
+        axpy(mdf_coeff, &p.grad_mdf, grad);
+        axpy(-(0.5 * mdf - 1.0) / x + 0.5, &p.grad_x, grad);
     }
 
     /// Model-average covariance over the extension, `Σ̄ = Σ c_g Σ_g / |I|`.
@@ -179,37 +307,55 @@ impl SpreadObjective {
     }
 }
 
-/// Projected gradient ascent from one start; returns `(w, ic, iters)`.
-fn ascend(obj: &SpreadObjective, start: &[f64], cfg: &SphereConfig) -> (Vec<f64>, f64, usize) {
-    let mut w = start.to_vec();
-    sisd_linalg::normalize(&mut w);
-    let (mut ic, mut grad) = obj.ic_and_grad(&w);
+/// Projected gradient ascent from the unit start in `ws.w`; leaves the end
+/// point in `ws.w`, adds its work to `counts` and returns its IC.
+fn ascend(
+    obj: &SpreadObjective,
+    cfg: &SphereConfig,
+    ws: &mut Workspace,
+    counts: &mut SphereResult,
+) -> f64 {
+    let Workspace {
+        at,
+        w,
+        cand,
+        tangent,
+        grad,
+    } = ws;
+    let mut ic = obj.ic(w, at);
+    obj.grad(at, grad);
+    counts.evaluations += 1;
+    counts.gradients += 1;
     let mut step = 0.1;
-    let mut iters = 0;
+    let mut capped = true;
     for _ in 0..cfg.max_iters {
-        iters += 1;
+        counts.iterations += 1;
         // Tangent projection: g_t = ∇ − (∇·w) w.
-        let radial = sisd_linalg::dot(&grad, &w);
-        let mut tangent = grad.clone();
-        sisd_linalg::axpy(-radial, &w, &mut tangent);
-        let tnorm = sisd_linalg::norm2(&tangent);
+        let radial = dot(grad, w);
+        tangent.copy_from_slice(grad);
+        axpy(-radial, w, tangent);
+        let tnorm = norm2(tangent);
         // A NaN gradient (from a NaN target value) points nowhere: stop
         // rather than step to a NaN direction.
         if tnorm.is_nan() || tnorm < cfg.grad_tol * (1.0 + ic.abs()) {
+            capped = false;
             break;
         }
-        // Backtracking line search with retraction.
+        // Backtracking line search with retraction: a trial needs its IC
+        // only, and the accepted one its gradient too.
         let mut accepted = false;
         let mut t = step;
         for _ in 0..40 {
-            let mut cand = w.clone();
-            sisd_linalg::axpy(t, &tangent, &mut cand);
-            sisd_linalg::normalize(&mut cand);
-            let (cand_ic, cand_grad) = obj.ic_and_grad(&cand);
+            cand.copy_from_slice(w);
+            axpy(t, tangent, cand);
+            normalize(cand);
+            let cand_ic = obj.ic(cand, at);
+            counts.evaluations += 1;
             if cand_ic > ic + 1e-4 * t * tnorm * tnorm {
-                w = cand;
+                std::mem::swap(w, cand);
                 ic = cand_ic;
-                grad = cand_grad;
+                obj.grad(at, grad);
+                counts.gradients += 1;
                 step = (t * 1.7).min(1e3);
                 accepted = true;
                 break;
@@ -217,10 +363,14 @@ fn ascend(obj: &SpreadObjective, start: &[f64], cfg: &SphereConfig) -> (Vec<f64>
             t *= 0.5;
         }
         if !accepted {
+            capped = false;
             break;
         }
     }
-    (w, ic, iters)
+    if capped {
+        counts.capped_starts += 1;
+    }
+    ic
 }
 
 /// Seed directions: extreme generalized eigenvectors of `(Ŝ, Σ̄)` — the
@@ -232,30 +382,29 @@ fn seeds(obj: &SpreadObjective, cfg: &SphereConfig) -> Vec<Vec<f64>> {
 
     if let Ok(chol) = Cholesky::new(&obj.mean_cov()) {
         // B = L⁻¹ Ŝ L⁻ᵀ, symmetric; eigenvectors v map back as w ∝ L⁻ᵀ v.
+        // First C = L⁻¹ Ŝ, solving on Ŝ's columns one at a time in `col`.
         let mut b = Matrix::zeros(dy, dy);
-        // C = L⁻¹ Ŝ (column-wise solves on Ŝ's columns = rows by symmetry).
-        let mut c = Matrix::zeros(dy, dy);
+        let mut col = vec![0.0; dy];
         for j in 0..dy {
-            let col: Vec<f64> = (0..dy).map(|i| obj.scatter[(i, j)]).collect();
-            let sol = chol.solve_lower(&col);
-            for i in 0..dy {
-                c[(i, j)] = sol[i];
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = obj.scatter[(i, j)];
+            }
+            chol.solve_lower_in_place(&mut col);
+            for (i, &x) in col.iter().enumerate() {
+                b[(i, j)] = x;
             }
         }
-        // B = C L⁻ᵀ ⇒ Bᵀ = L⁻¹ Cᵀ; B symmetric, so solve on C's rows.
+        // B = C L⁻ᵀ ⇒ Bᵀ = L⁻¹ Cᵀ; B symmetric, so solve on C's rows in
+        // place, which turns C into B.
         for i in 0..dy {
-            let row: Vec<f64> = c.row(i).to_vec();
-            let sol = chol.solve_lower(&row);
-            for j in 0..dy {
-                b[(i, j)] = sol[j];
-            }
+            chol.solve_lower_in_place(b.row_mut(i));
         }
         b.symmetrize();
         let eig = SymEigen::new(&b, 1e-10, 60);
         for &j in &[0, dy - 1] {
             let v = eig.vector(j);
             let mut w = chol.solve_lower_transpose(&v);
-            if sisd_linalg::normalize(&mut w) > 0.0 {
+            if normalize(&mut w) > 0.0 {
                 out.push(w);
             }
         }
@@ -265,7 +414,7 @@ fn seeds(obj: &SpreadObjective, cfg: &SphereConfig) -> Vec<Vec<f64>> {
     for _ in 0..cfg.random_starts {
         let mut w = vec![0.0; dy];
         rng.fill_normal(&mut w);
-        if sisd_linalg::normalize(&mut w) > 0.0 {
+        if normalize(&mut w) > 0.0 {
             out.push(w);
         }
     }
@@ -285,21 +434,15 @@ pub fn optimize_direction(
     cfg: &SphereConfig,
 ) -> SphereResult {
     let obj = SpreadObjective::new(model, data, ext);
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    let mut total_iters = 0;
+    let mut ws = Workspace::new(&obj);
+    let mut result = SphereResult::empty(obj.dy);
     for start in seeds(&obj, cfg) {
-        let (w, ic, iters) = ascend(&obj, &start, cfg);
-        total_iters += iters;
-        if best.as_ref().is_none_or(|(_, b)| ic > *b) {
-            best = Some((w, ic));
-        }
+        ws.w.copy_from_slice(&start);
+        normalize(&mut ws.w);
+        let ic = ascend(&obj, cfg, &mut ws, &mut result);
+        result.offer(&ws.w, ic);
     }
-    let (w, ic) = best.expect("at least one seed");
-    SphereResult {
-        w,
-        ic,
-        iterations: total_iters,
-    }
+    result
 }
 
 /// Maximizes the spread IC over 2-sparse directions (all coordinate pairs),
@@ -313,31 +456,34 @@ pub fn optimize_direction_two_sparse(
     _cfg: &SphereConfig,
 ) -> SphereResult {
     let obj = SpreadObjective::new(model, data, ext);
+    let mut at = Point::new(&obj);
     let dy = data.dy();
+    let mut result = SphereResult::empty(dy);
     if dy == 1 {
-        let w = vec![1.0];
-        let ic = obj.ic(&w);
-        return SphereResult {
-            w,
-            ic,
-            iterations: 1,
-        };
+        let ic = obj.ic(&[1.0], &mut at);
+        result.offer(&[1.0], ic);
+        result.iterations = 1;
+        result.evaluations = 1;
+        return result;
     }
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    let mut evals = 0;
+    // Every point of the pair (i, j) is zero outside i and j.
+    let mut w = vec![0.0; dy];
     const GRID: usize = 48;
+    const GOLDEN_STEPS: usize = 40;
     for i in 0..dy {
         for j in (i + 1)..dy {
+            let mut ic_at = |theta: f64| {
+                w[i] = theta.cos();
+                w[j] = theta.sin();
+                result.evaluations += 1;
+                obj.ic(&w, &mut at)
+            };
             // IC(w) = IC(−w): the angle domain is [0, π).
             let mut best_theta = 0.0;
             let mut best_ic = f64::NEG_INFINITY;
             for k in 0..GRID {
                 let theta = std::f64::consts::PI * k as f64 / GRID as f64;
-                let mut w = vec![0.0; dy];
-                w[i] = theta.cos();
-                w[j] = theta.sin();
-                let ic = obj.ic(&w);
-                evals += 1;
+                let ic = ic_at(theta);
                 if ic > best_ic {
                     best_ic = ic;
                     best_theta = theta;
@@ -347,37 +493,59 @@ pub fn optimize_direction_two_sparse(
             let span = std::f64::consts::PI / GRID as f64;
             let (mut lo, mut hi) = (best_theta - span, best_theta + span);
             let phi = 0.5 * (5.0_f64.sqrt() - 1.0);
-            let eval = |theta: f64, obj: &SpreadObjective| {
-                let mut w = vec![0.0; dy];
-                w[i] = theta.cos();
-                w[j] = theta.sin();
-                obj.ic(&w)
-            };
-            for _ in 0..40 {
+            for _ in 0..GOLDEN_STEPS {
                 let m1 = hi - phi * (hi - lo);
                 let m2 = lo + phi * (hi - lo);
-                if eval(m1, &obj) > eval(m2, &obj) {
+                if ic_at(m1) > ic_at(m2) {
                     hi = m2;
                 } else {
                     lo = m1;
                 }
-                evals += 2;
             }
-            let theta = 0.5 * (lo + hi);
-            let mut w = vec![0.0; dy];
-            w[i] = theta.cos();
-            w[j] = theta.sin();
-            let ic = obj.ic(&w);
-            if best.as_ref().is_none_or(|(_, b)| ic > *b) {
-                best = Some((w, ic));
-            }
+            let ic = ic_at(0.5 * (lo + hi));
+            result.iterations += GRID + 2 * GOLDEN_STEPS;
+            result.offer(&w, ic);
+            w[i] = 0.0;
+            w[j] = 0.0;
         }
     }
-    let (w, ic) = best.expect("dy >= 2 guarantees at least one pair");
-    SphereResult {
+    result
+}
+
+/// The full-sphere or the 2-sparse direction search.
+pub(crate) fn search_direction(
+    model: &BackgroundModel,
+    data: &Dataset,
+    ext: &BitSet,
+    cfg: &SphereConfig,
+    two_sparse: bool,
+) -> SphereResult {
+    if two_sparse {
+        optimize_direction_two_sparse(model, data, ext, cfg)
+    } else {
+        optimize_direction(model, data, ext, cfg)
+    }
+}
+
+/// Packages direction `w` as a scored [`SpreadPattern`] of the given
+/// (already-assimilated) location subgroup.
+pub(crate) fn spread_pattern(
+    model: &BackgroundModel,
+    data: &Dataset,
+    intention: &Intention,
+    ext: &BitSet,
+    dl: &DlParams,
+    w: Vec<f64>,
+) -> SpreadPattern {
+    let score = Evaluator::gaussian(data, model, *dl, EvalConfig::default())
+        .score_spread(intention, ext, &w)
+        .expect("extension is non-empty by construction");
+    SpreadPattern {
+        intention: intention.clone(),
+        extension: ext.clone(),
         w,
-        ic,
-        iterations: evals,
+        observed_variance: score.observed,
+        score,
     }
 }
 
@@ -393,21 +561,8 @@ pub fn mine_spread_pattern(
     cfg: &SphereConfig,
     two_sparse: bool,
 ) -> SpreadPattern {
-    let result = if two_sparse {
-        optimize_direction_two_sparse(model, data, ext, cfg)
-    } else {
-        optimize_direction(model, data, ext, cfg)
-    };
-    let score = Evaluator::gaussian(data, model, *dl, EvalConfig::default())
-        .score_spread(intention, ext, &result.w)
-        .expect("extension is non-empty by construction");
-    SpreadPattern {
-        intention: intention.clone(),
-        extension: ext.clone(),
-        w: result.w,
-        observed_variance: score.observed,
-        score,
-    }
+    let result = search_direction(model, data, ext, cfg, two_sparse);
+    spread_pattern(model, data, intention, ext, dl, result.w)
 }
 
 #[cfg(test)]
@@ -427,20 +582,28 @@ mod tests {
         (data, model, ext)
     }
 
+    /// The IC alone, through a fresh point.
+    fn ic(obj: &SpreadObjective, w: &[f64]) -> f64 {
+        obj.ic(w, &mut Point::new(obj))
+    }
+
     #[test]
     fn analytic_gradient_matches_finite_differences() {
         let (data, model, ext) = fixture();
         let obj = SpreadObjective::new(&model, &data, &ext);
         let mut w = vec![0.6, -0.8];
-        sisd_linalg::normalize(&mut w);
-        let (_, grad) = obj.ic_and_grad(&w);
+        normalize(&mut w);
+        let mut at = Point::new(&obj);
+        let mut grad = vec![0.0; 2];
+        obj.ic(&w, &mut at);
+        obj.grad(&mut at, &mut grad);
         let h = 1e-6;
         for j in 0..2 {
             let mut wp = w.clone();
             wp[j] += h;
             let mut wm = w.clone();
             wm[j] -= h;
-            let fd = (obj.ic(&wp) - obj.ic(&wm)) / (2.0 * h);
+            let fd = (ic(&obj, &wp) - ic(&obj, &wm)) / (2.0 * h);
             assert!(
                 (grad[j] - fd).abs() < 1e-4 * (1.0 + fd.abs()),
                 "component {j}: analytic {} vs fd {}",
@@ -455,16 +618,16 @@ mod tests {
         let (data, model, ext) = fixture();
         let cfg = SphereConfig::default();
         let res = optimize_direction(&model, &data, &ext, &cfg);
-        assert!((sisd_linalg::norm2(&res.w) - 1.0).abs() < 1e-9);
+        assert!((norm2(&res.w) - 1.0).abs() < 1e-9);
         // The optimum must beat both coordinate axes.
         let obj = SpreadObjective::new(&model, &data, &ext);
-        assert!(res.ic >= obj.ic(&[1.0, 0.0]) - 1e-9);
-        assert!(res.ic >= obj.ic(&[0.0, 1.0]) - 1e-9);
+        assert!(res.ic >= ic(&obj, &[1.0, 0.0]) - 1e-9);
+        assert!(res.ic >= ic(&obj, &[0.0, 1.0]) - 1e-9);
         // And a brute-force angular sweep should not beat it meaningfully.
         let mut brute = f64::NEG_INFINITY;
         for k in 0..360 {
             let th = std::f64::consts::PI * k as f64 / 360.0;
-            brute = brute.max(obj.ic(&[th.cos(), th.sin()]));
+            brute = brute.max(ic(&obj, &[th.cos(), th.sin()]));
         }
         assert!(
             res.ic > brute - 1e-3,
@@ -515,7 +678,21 @@ mod tests {
     #[test]
     fn iterations_are_counted() {
         let (data, model, ext) = fixture();
-        let res = optimize_direction(&model, &data, &ext, &SphereConfig::default());
+        let cfg = SphereConfig::default();
+        let res = optimize_direction(&model, &data, &ext, &cfg);
         assert!(res.iterations > 0);
+        // Two eigenvector seeds and the random starts.
+        assert_eq!(res.starts, 2 + cfg.random_starts);
+        assert!(res.capped_starts <= res.starts);
+        // A start's first point and each accepted step take a gradient.
+        // Every accepted step ends one iteration, and each start has at
+        // most one more, the one that stops it before the cap.
+        assert!(res.gradients <= res.evaluations);
+        let accepted = res.gradients - res.starts;
+        assert!(accepted <= res.iterations && res.iterations <= accepted + res.starts);
+
+        let sparse = optimize_direction_two_sparse(&model, &data, &ext, &cfg);
+        assert_eq!((sparse.starts, sparse.gradients), (1, 0));
+        assert_eq!(sparse.evaluations, sparse.iterations + 1);
     }
 }

@@ -529,3 +529,37 @@ fn loading_a_csv_allocates_per_column_not_per_cell() {
         "loading the crime CSV made {allocs} allocations"
     );
 }
+
+mod common;
+
+use sisd::search::{optimize_direction, SphereConfig};
+
+#[test]
+fn spread_direction_search_allocates_per_start_not_per_iteration() {
+    let _serial = serial();
+    // One workspace serves a whole direction search: every start, line-
+    // search trial and gradient runs in its buffers. So a search whose
+    // capped start runs ten times the iterations allocates exactly as
+    // often; an objective that allocates per evaluation would not.
+    let (data, model, ext) = common::water_after_three_steps();
+    let search = |max_iters| {
+        let cfg = SphereConfig {
+            max_iters,
+            ..common::water_config().sphere
+        };
+        counted(|| optimize_direction(&model, &data, &ext, &cfg))
+    };
+    let (short, short_allocs, _) = search(30);
+    let (long, long_allocs, _) = search(300);
+    assert!(
+        long.iterations > short.iterations,
+        "the longer search must do more work: {} vs {} iterations",
+        long.iterations,
+        short.iterations
+    );
+    assert_eq!(
+        short_allocs, long_allocs,
+        "a direction search must allocate per start, not per iteration: \
+         {short_allocs} allocations at 30 iterations per start, {long_allocs} at 300"
+    );
+}
