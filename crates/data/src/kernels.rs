@@ -11,10 +11,12 @@
 //! when it needs them. The same kernel has a second caller: on 0/1
 //! targets the evaluator counts a candidate's rows in every column of the
 //! dataset's target bit matrix ([`crate::Dataset::target_bits`]) in one
-//! call, and those counts are the columns' sums.
+//! call, and those counts are the columns' sums — in a beam level, over
+//! rows compacted to the candidate's parent (see **compaction** below).
 //!
 //! **Runtime SIMD dispatch.** The portable bodies are plain Rust; on
-//! `x86_64` each public kernel also carries an AVX2+POPCNT-compiled twin
+//! `x86_64` each public kernel but [`compact`] also carries an
+//! AVX2+POPCNT-compiled twin
 //! (same Rust source, compiled with the wider ISA enabled so LLVM emits
 //! hardware popcount and 256-bit vector ANDs) selected once per call via
 //! cached CPU-feature detection. This is the payoff of batching: one
@@ -58,6 +60,17 @@
 //! chains costs far less than 64 walks, and each lane's bits still equal
 //! its child's [`count_cells_sum_rows`]. With more target columns the
 //! per-child walk already fills the SIMD lanes with columns, so it stays.
+//!
+//! **Compaction** [`compact`] gathers the bits of a word slice at the rows
+//! a mask selects into ⌈popcount / 64⌉ words: `pext` over whole slices.
+//! Compacted under one parent, a child and any other set keep their
+//! intersection count, so a child's cell counts and 0/1 column sums can be
+//! AND-popcounted over its parent's row space rather than all `n` rows. It
+//! has its own runtime dispatch: a BMI2 twin, picked by its own cached
+//! probe, gathers each word with one `pext` instruction, and the portable
+//! body one set bit at a time. AMD Zen 1 and Zen 2 run `pext` in
+//! microcode, tens to hundreds of cycles a word, so the kernel is slow on
+//! those CPUs; there is no switch for them.
 
 /// Portable fused AND+popcount body; also instantiated inside the
 /// feature-gated wrapper, where the identical source compiles to vector
@@ -363,6 +376,59 @@ fn count_cells_sum_lanes_body(
     }
 }
 
+/// Portable `pext`: the bits of `src` at the set bits of `mask`, packed
+/// into the low bits in ascending order, one set bit of `mask` at a time.
+#[inline(always)]
+fn pext_portable(src: u64, mut mask: u64) -> u64 {
+    let mut out = 0;
+    let mut k = 0;
+    while mask != 0 {
+        out |= (src >> mask.trailing_zeros() & 1) << k;
+        k += 1;
+        mask &= mask - 1;
+    }
+    out
+}
+
+/// Compaction body (see [`compact`]), generic over the one-word gather
+/// `pext`: each word's gathered bits are appended to the output word being
+/// filled, and a word that overflows it carries its high bits into the
+/// next.
+#[inline(always)]
+fn compact_body(
+    src: &[u64],
+    mask: &[u64],
+    out: &mut [u64],
+    pext: impl Fn(u64, u64) -> u64,
+) -> usize {
+    // `acc` is output word `k`, of which the low `fill` bits are written.
+    let mut acc = 0u64;
+    let mut fill = 0u32;
+    let mut k = 0;
+    for (&s, &m) in src.iter().zip(mask) {
+        let bits = pext(s, m);
+        let len = m.count_ones();
+        acc |= bits << fill;
+        if fill + len >= 64 {
+            out[k] = acc;
+            k += 1;
+            // The bits that did not fit: none when the word began empty
+            // (a shift by 64, taken in two steps).
+            acc = (bits >> 1) >> (63 - fill);
+            fill = fill + len - 64;
+        } else {
+            fill += len;
+        }
+    }
+    let total = k * 64 + fill as usize;
+    if fill > 0 {
+        out[k] = acc;
+        k += 1;
+    }
+    out[k..].fill(0);
+    total
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2+POPCNT instantiations of the portable bodies. LLVM vectorizes
@@ -371,7 +437,8 @@ mod x86 {
     //! baseline-`x86-64` scalar lowering on the machines this repo targets.
     //! The row walks get 4-lane instead of 2-lane column adds, so a
     //! 64-column stripe fits the sixteen 256-bit registers (the baseline's
-    //! sixteen 128-bit ones hold half of it).
+    //! sixteen 128-bit ones hold half of it). Compaction's twin enables
+    //! BMI2 instead, for `pext`.
 
     /// # Safety
     /// The caller must have verified AVX2 support (POPCNT is implied by
@@ -459,6 +526,32 @@ mod x86 {
     #[inline(always)]
     pub(super) fn avx2() -> bool {
         *AVX2_POPCNT.get_or_init(detect)
+    }
+
+    /// The compaction body with each word gathered by the BMI2 `pext`
+    /// instruction.
+    ///
+    /// # Safety
+    /// The caller must have verified BMI2 and POPCNT support.
+    #[target_feature(enable = "bmi2,popcnt")]
+    pub(super) unsafe fn compact(src: &[u64], mask: &[u64], out: &mut [u64]) -> usize {
+        super::compact_body(src, mask, out, |s, m| std::arch::x86_64::_pext_u64(s, m))
+    }
+
+    /// The BMI2 probe, apart from the AVX2 one: the features are
+    /// independent, and a CPU or hypervisor may report either without the
+    /// other.
+    pub(super) static BMI2_POPCNT: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+
+    /// The uncached probe backing [`BMI2_POPCNT`].
+    pub(super) fn detect_bmi2() -> bool {
+        std::arch::is_x86_feature_detected!("bmi2") && std::arch::is_x86_feature_detected!("popcnt")
+    }
+
+    /// Cached BMI2 probe: one `OnceLock` read after the first call.
+    #[inline(always)]
+    pub(super) fn bmi2() -> bool {
+        *BMI2_POPCNT.get_or_init(detect_bmi2)
     }
 }
 
@@ -703,6 +796,35 @@ pub fn count_cells_sum_lanes(
         return;
     }
     count_cells_sum_lanes_body(ext, (members, select), cell_of_row, counts, rows, sums)
+}
+
+/// Gathers the bits of `src` at the rows `mask` selects into `out`, in
+/// ascending order: bit `k` of `out` is `src`'s bit at the `k`-th set bit of
+/// `mask`, a `pext` over whole word slices. Returns the number of gathered
+/// bits, `popcount(mask)`; every bit of `out` past them is zeroed, so the
+/// tail of the last gathered word is zero too.
+///
+/// Compacting two sets under one `mask` keeps their intersections:
+/// `popcount(compact(a) ∧ compact(b)) = popcount(a ∧ b ∧ mask)`, counted
+/// over ⌈`popcount(mask)` / 64⌉ words instead of `mask.len()`.
+///
+/// Where the CPU has BMI2 each word is gathered by one `pext` instruction
+/// (its own cached probe, apart from the AVX2 one); elsewhere a portable
+/// body gathers one set bit of `mask` at a time. AMD Zen 1 and Zen 2
+/// microcode `pext`, which there costs tens to hundreds of cycles a word
+/// against about three elsewhere, so the kernel is slow on those CPUs.
+///
+/// # Panics
+/// Panics if `src` and `mask` differ in length, or if `out` holds fewer
+/// than ⌈`popcount(mask)` / 64⌉ words.
+pub fn compact(src: &[u64], mask: &[u64], out: &mut [u64]) -> usize {
+    assert_eq!(src.len(), mask.len(), "kernels::compact: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if x86::bmi2() {
+        // SAFETY: BMI2 and POPCNT support verified by the cached probe.
+        return unsafe { x86::compact(src, mask, out) };
+    }
+    compact_body(src, mask, out, pext_portable)
 }
 
 #[cfg(test)]
@@ -1145,6 +1267,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `compact` spelled out: bit by bit over the mask, into `words` words.
+    fn gather_oracle(src: &[u64], mask: &[u64], words: usize) -> Vec<u64> {
+        let mut out = vec![0u64; words];
+        let mut k = 0;
+        for i in 0..mask.len() * 64 {
+            if mask[i / 64] >> (i % 64) & 1 == 1 {
+                out[k / 64] |= (src[i / 64] >> (i % 64) & 1) << (k % 64);
+                k += 1;
+            }
+        }
+        out
+    }
+
+    type CompactFn = fn(&[u64], &[u64], &mut [u64]) -> usize;
+
+    #[test]
+    fn compact_bodies_match_a_bit_by_bit_gather() {
+        let mut bodies: Vec<(&str, CompactFn)> = vec![
+            ("dispatched", compact),
+            ("portable", |s, m, o| compact_body(s, m, o, pext_portable)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if x86::detect_bmi2() {
+            // SAFETY: BMI2 support verified just above.
+            bodies.push(("BMI2", |s, m, o| unsafe { x86::compact(s, m, o) }));
+        }
+        for n in [1usize, 63, 64, 65, 130, 300, 1994] {
+            let len = n.div_ceil(64);
+            // Empty and full words between random ones, which gather
+            // across output word boundaries at every offset.
+            let mut patchy = words(81 + n as u64, len);
+            for (w, word) in patchy.iter_mut().enumerate() {
+                match w % 3 {
+                    0 => *word = 0,
+                    1 => *word = u64::MAX,
+                    _ => {}
+                }
+            }
+            let masks = [
+                BitSet::empty(n),
+                BitSet::full(n),
+                BitSet::from_words(words(80 + n as u64, len), n),
+                BitSet::from_words(patchy, n),
+                BitSet::from_indices(n, [0, n / 2, n - 1]),
+            ];
+            // Sources with bits outside the mask and past row `n`, which
+            // must not be gathered.
+            let sources = [words(90 + n as u64, len), vec![u64::MAX; len], vec![0; len]];
+            for (m, mask) in masks.iter().enumerate() {
+                let count = mask.count();
+                let need = count.div_ceil(64);
+                for (s, src) in sources.iter().enumerate() {
+                    let want = gather_oracle(src, mask.words(), need + 1);
+                    for (name, body) in &bodies {
+                        // Poisoned outputs, of the exact length and one word
+                        // longer: the tail bits must come out zero.
+                        for words in [need, need + 1] {
+                            let mut out = vec![u64::MAX; words];
+                            let got = body(src, mask.words(), &mut out);
+                            let what = format!("{name} n={n} mask {m} source {s}");
+                            assert_eq!(got, count, "{what}");
+                            assert_eq!(out, want[..words], "{what} into {words} words");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn compact_rejects_a_short_output() {
+        compact(&[u64::MAX; 2], &[u64::MAX; 2], &mut [0]);
     }
 
     #[test]

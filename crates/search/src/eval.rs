@@ -28,7 +28,14 @@
 //!   walks each parent's rows once per block of 64 conditions
 //!   ([`sisd_data::kernels::count_cells_sum_lanes`]), which yields the
 //!   counts and sums of all the parent's children through that block, the
-//!   same integers and bits. The signature feeds the model statistics; the
+//!   same integers and bits. On 0/1 targets with more than one column a
+//!   beam level walks no rows at all: each parent's rows in every cell it
+//!   covers and in every target column are compacted once into a block of
+//!   ⌈|P| / 64⌉-word rows ([`sisd_data::kernels::compact`]), and each
+//!   child's rows, compacted likewise, are AND-popcounted against the
+//!   whole block in one call — its cell counts and column sums, the same
+//!   integers, over ⌈|P| / 64⌉ words a row instead of ⌈n / 64⌉. The
+//!   signature feeds the model statistics; the
 //!   sum becomes the observed mean — except for a candidate that is exactly
 //!   a union of parameter cells, whose mean is assembled from precomputed
 //!   per-cell target sums.
@@ -48,15 +55,17 @@
 //!   searches may be parallelized without changing their output.
 //!
 //! Scoring runs through a per-chunk workspace (per-cell and per-lane
-//! counts, the signature, the observed mean, the per-column popcounts of
-//! 0/1 targets, the run of children waiting
-//! for their statistics and the model's statistics buffers), so a
-//! candidate allocates nothing of its own; the beam loop below scores its
-//! children from the frontier's borrowed parent and mask words — siblings
-//! together on single-target data, otherwise each child's words ANDed into
-//! one per-chunk buffer just before it is walked and its statistics solved
-//! with up to seven neighbours' — into compact records, and builds a
-//! pattern only for what the top-k log or the next beam keeps.
+//! counts, the signature, the observed mean, the popcounts of 0/1 targets,
+//! a parent's compacted block and a child's compacted row, the run of
+//! children waiting for their statistics and the model's statistics
+//! buffers), so a candidate allocates nothing of its own; the beam loop
+//! below scores its children from the frontier's borrowed parent and mask
+//! words — siblings together on single-target data, in their parent's
+//! compacted row space on wider 0/1 targets, otherwise each child's words
+//! ANDed into one per-chunk buffer just before it is walked — with up to
+//! seven neighbours' statistics solved alongside at `dy > 1`, into compact
+//! records, and builds a pattern only for what the top-k log or the next
+//! beam keeps.
 //! `score_all`, `try_score_all*` and `score_location` score one candidate
 //! at a time, the path the parity suites compare the beam against.
 
@@ -192,18 +201,27 @@ struct Workspace {
     signature: Vec<(usize, usize)>,
     /// The current candidate's observed target mean.
     mean: Vec<f64>,
-    /// The current candidate's rows in each target column of the dataset's
-    /// bit matrix ([`Dataset::target_bits`]); empty on other data.
-    column_ones: Vec<usize>,
-    /// One `true` per column of the bit matrix: the selection that counts
-    /// them all; empty on other data.
-    all_columns: Vec<bool>,
+    /// On 0/1 targets, the current candidate's rows in each bit row it is
+    /// counted against: the target columns of the dataset's bit matrix
+    /// ([`Dataset::target_bits`]), or a compacted parent's cells and
+    /// columns (`block`); room for every cell and column, empty on other
+    /// data.
+    ones: Vec<usize>,
+    /// One `true` per entry of `ones`: the selection that counts them all.
+    all_rows: Vec<bool>,
+    /// On 0/1 targets at `dy > 1`, the beam parent's rows in each cell it
+    /// covers (`touched`) and then in each target column, compacted to the
+    /// parent's row space ([`kernels::compact`]): ⌈|P| / 64⌉ words a row.
+    block: Vec<u64>,
+    /// The current child's rows compacted to its parent's row space.
+    compacted: Vec<u64>,
     /// The model statistics and their working vectors.
     stats: LocationScratch,
     /// A sibling walk's per-lane counts, [`LANES`] per parameter cell
     /// (sibling lanes only); all zero between walks.
     lane_counts: Vec<u32>,
-    /// The cells the current sibling walk's parent covers, ascending.
+    /// The cells the current sibling walk's or compacted parent covers,
+    /// ascending.
     touched: Vec<usize>,
     /// The children walked but not yet solved (`dy > 1`).
     run: ChildRun,
@@ -223,18 +241,14 @@ impl Workspace {
     }
 
     /// Makes `signature` the nonzero counts of sibling lane `lane` over the
-    /// touched cells, in cell order. Branch-free: whether a sibling has
-    /// rows in a cell is a coin flip that a branch would mispredict.
+    /// touched cells, in cell order.
     fn lane_signature(&mut self, lane: usize) {
-        self.signature.clear();
-        self.signature.resize(self.touched.len(), (0, 0));
-        let mut len = 0;
-        for &g in &self.touched {
-            let c = self.lane_counts[g * LANES + lane] as usize;
-            self.signature[len] = (g, c);
-            len += usize::from(c > 0);
-        }
-        self.signature.truncate(len);
+        let counts = &self.lane_counts;
+        touched_signature(
+            &self.touched,
+            |_, g| counts[g * LANES + lane] as usize,
+            &mut self.signature,
+        );
     }
 
     /// Zeroes the lane counts of the touched cells, the only ones a walk
@@ -244,6 +258,25 @@ impl Workspace {
             self.lane_counts[g * LANES..(g + 1) * LANES].fill(0);
         }
     }
+}
+
+/// Makes `signature` the nonzero entries `(g, count(i, g))` over the
+/// touched cells `g = touched[i]`, in cell order. Branch-free: whether a
+/// child has rows in a cell is a coin flip that a branch would mispredict.
+fn touched_signature(
+    touched: &[usize],
+    count: impl Fn(usize, usize) -> usize,
+    signature: &mut Vec<(usize, usize)>,
+) {
+    signature.clear();
+    signature.resize(touched.len(), (0, 0));
+    let mut len = 0;
+    for (i, &g) in touched.iter().enumerate() {
+        let c = count(i, g);
+        signature[len] = (g, c);
+        len += usize::from(c > 0);
+    }
+    signature.truncate(len);
 }
 
 /// The scored children of one beam level, kept compact: a record per
@@ -432,7 +465,7 @@ impl<'a> Evaluator<'a> {
         let cells = self.model.n_cells();
         let dy = self.data.dy();
         let lanes = if dy == 1 { cells * LANES } else { 0 };
-        let bit_columns = self.data.target_bits().map_or(0, |_| dy);
+        let bit_rows = self.data.target_bits().map_or(0, |_| cells + dy);
         let run = if dy > 1 {
             ChildRun {
                 signatures: vec![Vec::new(); RUN],
@@ -446,8 +479,10 @@ impl<'a> Evaluator<'a> {
             cell_rows: vec![0; cells],
             signature: Vec::new(),
             mean: vec![0.0; dy],
-            column_ones: vec![0; bit_columns],
-            all_columns: vec![true; bit_columns],
+            ones: vec![0; bit_rows],
+            all_rows: vec![true; bit_rows],
+            block: Vec::new(),
+            compacted: Vec::new(),
             stats: LocationScratch::default(),
             lane_counts: vec![0; lanes],
             touched: Vec::new(),
@@ -465,8 +500,10 @@ impl<'a> Evaluator<'a> {
         let cell_of_row = self.model.cell_of_row();
         if let Some(bits) = self.data.target_bits() {
             kernels::count_cells(ext, cell_of_row, &mut ws.cell_rows);
-            kernels::and_count_many_select(ext, bits, &ws.all_columns, &mut ws.column_ones);
-            for (sum, &ones) in ws.mean.iter_mut().zip(&ws.column_ones) {
+            let dy = ws.mean.len();
+            let ones = &mut ws.ones[..dy];
+            kernels::and_count_many_select(ext, bits, &ws.all_rows[..dy], ones);
+            for (sum, &ones) in ws.mean.iter_mut().zip(&*ones) {
                 *sum = ones as f64;
             }
         } else {
@@ -485,6 +522,47 @@ impl<'a> Evaluator<'a> {
                 ws.signature.push((g, *c));
                 *c = 0;
             }
+        }
+    }
+
+    /// Makes `ws.block` the rows of beam parent `ext` in each cell it
+    /// covers, in cell order (those cells into `ws.touched`), then in each
+    /// target column of the bit matrix `bits`, all compacted to the
+    /// parent's row space ([`kernels::compact`]): ⌈|P| / 64⌉ words a row,
+    /// at least one, and `ws.compacted` that long.
+    fn compact_parent(&self, ext: &[u64], bits: &[u64], ws: &mut Workspace) {
+        ws.touch_cells(ext, self.model.cell_of_row());
+        let support: usize = ext.iter().map(|w| w.count_ones() as usize).sum();
+        let stride = support.div_ceil(WORD_BITS).max(1);
+        let cells = self.model.cells();
+        let rows = ws.touched.iter().map(|&g| cells[g].ext.words());
+        let rows = rows.chain(bits.chunks_exact(ext.len()));
+        ws.block
+            .resize((ws.touched.len() + self.data.dy()) * stride, 0);
+        for (row, out) in rows.zip(ws.block.chunks_exact_mut(stride)) {
+            kernels::compact(row, ext, out);
+        }
+        ws.compacted.resize(stride, 0);
+    }
+
+    /// [`Evaluator::walk`] for the child `parent ∧ mask` of the parent
+    /// compacted into `ws.block`, on 0/1 targets: the child's rows are
+    /// compacted to the parent's row space — they are `mask`'s rows there,
+    /// since the child lies inside the parent — and AND-popcounted against
+    /// every row of the block in one
+    /// [`kernels::and_count_many_select`] call. Compaction keeps every
+    /// intersection with the parent's subsets, so a covered cell's count
+    /// and a column's popcount are the integers the walk finds, and a
+    /// cell the parent does not cover holds none of the child's rows.
+    fn walk_compacted(&self, parent: &[u64], mask: &[u64], ws: &mut Workspace) {
+        kernels::compact(mask, parent, &mut ws.compacted);
+        let cells = ws.touched.len();
+        let rows = cells + ws.mean.len();
+        let ones = &mut ws.ones[..rows];
+        kernels::and_count_many_select(&ws.compacted, &ws.block, &ws.all_rows[..rows], ones);
+        touched_signature(&ws.touched, |i, _| ones[i], &mut ws.signature);
+        for (sum, &ones) in ws.mean.iter_mut().zip(&ones[cells..]) {
+            *sum = ones as f64;
         }
     }
 
@@ -724,8 +802,12 @@ impl<'a> Evaluator<'a> {
     /// columns the per-child walk already fills its SIMD lanes with a row's
     /// columns, while sibling lanes would walk the parent once per column,
     /// so each child's words are ANDed from its parent and mask into one
-    /// buffer just before it is walked, and up to [`RUN`] walked children
-    /// then get their model statistics together ([`Evaluator::solve_run`]).
+    /// buffer just before it is walked — on 0/1 targets, its rows are
+    /// instead counted in its parent's compacted row space
+    /// ([`Evaluator::compact_parent`] once per parent of the range,
+    /// [`Evaluator::walk_compacted`] per child) — and up to [`RUN`] walked
+    /// children then get their model statistics together
+    /// ([`Evaluator::solve_run`]).
     fn score_each(
         &self,
         children: &ChildBatch<'_>,
@@ -738,10 +820,23 @@ impl<'a> Evaluator<'a> {
             self.score_siblings(children, range, arity, ws, each);
             return;
         }
+        let bits = self.data.target_bits();
         let mut words = vec![0; children.n().div_ceil(WORD_BITS)];
+        // The parent whose rows `ws.block` holds compacted.
+        let mut compacted = None;
         for child in range {
-            children.child_words_into(child, &mut words);
-            self.walk(&words, ws);
+            if let Some(bits) = bits {
+                let meta = children.meta(child);
+                let parent = children.parent_words(meta.parent);
+                if compacted != Some(meta.parent) {
+                    compacted = Some(meta.parent);
+                    self.compact_parent(parent, bits, ws);
+                }
+                self.walk_compacted(parent, children.matrix().row_words(meta.row), ws);
+            } else {
+                children.child_words_into(child, &mut words);
+                self.walk(&words, ws);
+            }
             if let Err(e) = self.observed_mean(&ws.signature, &mut ws.mean) {
                 self.note_failure(&e.into());
                 continue;

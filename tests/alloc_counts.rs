@@ -563,3 +563,86 @@ fn spread_direction_search_allocates_per_start_not_per_iteration() {
          {short_allocs} allocations at 30 iterations per start, {long_allocs} at 300"
     );
 }
+
+/// Two categorical attributes of `labels` levels each, as in
+/// [`two_attribute_dataset`], and eight 0/1 target columns, each 1 with a
+/// probability that rises with one attribute's label.
+fn wide_binary_dataset(n: usize, labels: usize) -> Dataset {
+    const DY: usize = 8;
+    let mut rng = Xoshiro256pp::seed_from_u64(31);
+    let a: Vec<String> = (0..n).map(|i| format!("a{}", i % labels)).collect();
+    let b: Vec<String> = (0..n)
+        .map(|i| format!("b{}", (i / labels + i) % labels))
+        .collect();
+    let mut targets = Matrix::zeros(n, DY);
+    for i in 0..n {
+        let lift = (i % labels) as f64 / labels as f64;
+        for j in 0..DY {
+            let p = if j % 2 == 0 { 0.3 + 0.4 * lift } else { 0.5 };
+            targets[(i, j)] = f64::from(u8::from(rng.uniform() < p));
+        }
+    }
+    let column = |v: &[String]| {
+        Column::categorical_from_strs(&v.iter().map(String::as_str).collect::<Vec<_>>())
+    };
+    Dataset::new(
+        "wide-binary",
+        vec!["a".into(), "b".into()],
+        vec![column(&a), column(&b)],
+        (0..DY).map(|j| format!("y{j}")).collect(),
+        targets,
+    )
+}
+
+#[test]
+fn binary_beam_levels_allocate_per_parent_not_per_child() {
+    let _serial = serial();
+    // On 0/1 targets at dy > 1 a beam level compacts each parent's cell
+    // and column rows into a block, and each child's rows into one more
+    // row, in buffers the per-chunk workspace keeps and grows; a child
+    // costs two kernel calls and no allocation. So two searches with the
+    // same width, top-k and partition, one scoring about five times the
+    // children of the other, must allocate nearly the same: within eight
+    // allocations (growable buffers doubling once or twice more), where
+    // one allocation per child would add over 250. Both models hold three
+    // cells, so the blocks carry cell rows as well as column rows.
+    let measure = |labels: usize| -> (usize, usize) {
+        let data = wide_binary_dataset(8192, labels);
+        assert!(data.target_bits().is_some());
+        let config = MinerConfig {
+            beam: BeamConfig {
+                width: 8,
+                max_depth: 2,
+                top_k: 10,
+                ..BeamConfig::default()
+            },
+            ..MinerConfig::default()
+        };
+        let mut miner = Miner::from_empirical(data, config).expect("model fits");
+        for g in [0, 3] {
+            let ext = BitSet::from_fn(miner.data().n(), |i| i % labels == g);
+            let mean = miner.data().target_mean(&ext);
+            miner.model_mut().assimilate_location(&ext, mean).unwrap();
+        }
+        assert_eq!(miner.model().n_cells(), 3);
+        let warm = miner.search_locations();
+        let mut best = usize::MAX;
+        for _ in 0..3 {
+            let (res, a, _) = counted(|| miner.search_locations());
+            assert_eq!(res.evaluated, warm.evaluated);
+            best = best.min(a);
+        }
+        (warm.evaluated, best)
+    };
+    let (few, few_allocs) = measure(8);
+    let (many, many_allocs) = measure(32);
+    assert!(
+        many >= few + 250,
+        "the wider language must score many more children: {few} vs {many}"
+    );
+    assert!(
+        many_allocs <= few_allocs + 8,
+        "a 0/1 beam level must allocate per chunk or per parent, not per child: \
+         {few_allocs} allocations for {few} children, {many_allocs} for {many}"
+    );
+}

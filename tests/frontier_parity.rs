@@ -4,7 +4,8 @@
 //! and lengths crossing word boundaries; and the searches built on them
 //! must return bit-identical results to the pre-refactor serial generation
 //! path at 1 and 4 threads — and, on multi-cell and mixed-covariance models
-//! of one and of many target columns, at 1, 2 and 4 threads.
+//! of one and of many target columns, real-valued or 0/1, at 1, 2 and 4
+//! threads.
 
 use proptest::prelude::*;
 use sisd::core::{Condition, ConditionOp, Intention, LocationPattern};
@@ -476,6 +477,89 @@ fn wide_target_beam_over_mixed_covariances_is_bit_identical_to_the_pre_refactor_
     let mut w = vec![0.0; data.dy()];
     w[0] = 0.6;
     w[1] = 0.8;
+    let center = data.target_mean(best);
+    let expected = model.spread_stats(best, &w, &center).unwrap().expected;
+    model
+        .assimilate_spread(best, w, center, 0.5 * expected)
+        .unwrap();
+    model
+        .assimilate_location(runner_up, data.target_mean(runner_up))
+        .unwrap();
+    let mut ids: Vec<u64> = model.cells().iter().map(|c| c.cov.id()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert!(ids.len() >= 2, "cov_ids {ids:?}");
+    let logged = assert_beam_matches_the_reference(&data, &model, &cfg);
+    assert!(logged < cfg.top_k, "{logged} children logged");
+}
+
+/// `data` with its first `dy` target columns, each 1 above its column
+/// mean and 0 elsewhere: 0/1 targets, so the dataset keeps a target bit
+/// matrix and a beam level at `dy > 1` scores its children by
+/// AND-popcounts in their parent's compacted row space.
+fn binarized(data: &Dataset, dy: usize) -> Dataset {
+    let mean = data.target_mean(&BitSet::full(data.n()));
+    let mut targets = Matrix::zeros(data.n(), dy);
+    for i in 0..data.n() {
+        for (j, &m) in mean.iter().take(dy).enumerate() {
+            targets[(i, j)] = f64::from(u8::from(data.targets()[(i, j)] > m));
+        }
+    }
+    let binary = Dataset::new(
+        format!("{} 0/1", data.name),
+        data.desc_names().to_vec(),
+        data.desc_cols().to_vec(),
+        data.target_names()[..dy].to_vec(),
+        targets,
+    );
+    assert!(binary.target_bits().is_some());
+    binary
+}
+
+#[test]
+fn binary_target_beam_over_many_cells_is_bit_identical_to_the_pre_refactor_path() {
+    // Three 0/1 target columns over a location-only partition of twenty or
+    // more cells: a parent's compacted block holds more cell rows than
+    // column rows, and each child's signature keeps only the covered cells
+    // it meets. Depth 3 compacts parents of two conditions too.
+    let data = binarized(&sisd::data::datasets::water_quality_synthetic(5), 3);
+    let mut model = BackgroundModel::from_empirical(&data).unwrap();
+    let conditions = generate_conditions(&data, &Default::default());
+    let picked: Vec<Condition> = conditions.iter().step_by(5).take(8).copied().collect();
+    assimilate_locations(&data, &mut model, &picked);
+    assert!(model.n_cells() >= 20, "{} cells", model.n_cells());
+    for max_depth in [2, 3] {
+        let cfg = BeamConfig {
+            width: 8,
+            max_depth,
+            top_k: 40,
+            min_coverage: 10,
+            ..BeamConfig::default()
+        };
+        assert_beam_matches_the_reference(&data, &model, &cfg);
+    }
+}
+
+#[test]
+fn binary_target_beam_over_mixed_covariances_is_bit_identical_to_the_pre_refactor_path() {
+    // Four 0/1 target columns after a spread assimilation on the best
+    // subgroup and a location assimilation on the runner-up, so children
+    // solve against shared factors and against mixtures. The log is long
+    // enough to hold every scored child, so every child's bits are
+    // compared.
+    let data = binarized(&sisd::data::datasets::water_quality_synthetic(5), 4);
+    let mut model = BackgroundModel::from_empirical(&data).unwrap();
+    let cfg = BeamConfig {
+        width: 8,
+        max_depth: 2,
+        top_k: 40,
+        min_coverage: 10,
+        ..BeamConfig::default()
+    };
+    let first = BeamSearch::new(cfg.clone()).run(&data, &model);
+    let cfg = BeamConfig { top_k: 4096, ..cfg };
+    let (best, runner_up) = (&first.top[0].extension, &first.top[1].extension);
+    let w = vec![0.6, 0.8, 0.0, 0.0];
     let center = data.target_mean(best);
     let expected = model.spread_stats(best, &w, &center).unwrap().expected;
     model
